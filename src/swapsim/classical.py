@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .analysis import ChshReport, chsh_from_counts
-from .measure import AnalyzerAngle, RandomSource, as_angle
+from .measure import CHUNK, AnalyzerAngle, RandomSource, as_angle
 
 # Keep-decision draws live far above any trial's generation stream so a rule
 # seeded like the generator never replays the generator's own uniforms.
 _KEEP_STREAM_OFFSET = 1 << 48
 
-_CHUNK = 8192
 _DRAWS_PER_TRIAL = 4  # setting0, setting3, lambda0, lambda1
 
 
@@ -133,22 +133,20 @@ class HiddenVariableModel:
 
 
 def _raw_chunks(config: ClassicalConfig) -> Iterator[tuple]:
-    """Per-chunk trial arrays (start, i0, i3, lam0, lam1).
+    """Per-chunk trial arrays (trial_ids, i0, i3, lam0, lam1).
 
     Trial t consumes 4 uniforms from stream (seed, t): setting0, setting3
     (u < 0.5 picks index 0, matching the quantum protocol), then the two
     hidden variables scaled onto [0, pi).
     """
-    for start in range(0, config.trials, _CHUNK):
-        count = min(start + _CHUNK, config.trials) - start
-        u = np.empty((count, _DRAWS_PER_TRIAL))
-        for k in range(count):
-            u[k] = RandomSource(config.seed, start + k).uniforms(_DRAWS_PER_TRIAL)
+    for start in range(0, config.trials, CHUNK):
+        trial_ids = np.arange(start, min(start + CHUNK, config.trials), dtype=np.int64)
+        u = RandomSource(config.seed, trial_ids).uniforms(_DRAWS_PER_TRIAL)
         i0 = (u[:, 0] >= 0.5).astype(np.int64)
         i3 = (u[:, 1] >= 0.5).astype(np.int64)
         lam0 = u[:, 2] * np.pi
         lam1 = u[:, 3] * np.pi
-        yield start, i0, i3, lam0, lam1
+        yield trial_ids, i0, i3, lam0, lam1
 
 
 def _evaluate(
@@ -170,25 +168,50 @@ def _evaluate(
     return o0.astype(np.int64), o3.astype(np.int64), marks
 
 
-def run_lhv(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[ClassicalRecord]:
-    """Lazily yield one record per trial; deterministic for a given seed."""
-    deg0 = (config.angles0[0].degrees, config.angles0[1].degrees)
-    deg3 = (config.angles3[0].degrees, config.angles3[1].degrees)
+@dataclass(frozen=True)
+class ClassicalChunk:
+    """Consecutive hidden-variable trials, one array per record field.
+
+    Outcomes are +-1; ``marks`` indexes the model's marker labels.
+    """
+
+    config: ClassicalConfig
+    marker_labels: tuple[str, ...]
+    trial_ids: np.ndarray
+    setting0: np.ndarray
+    setting3: np.ndarray
+    outcome0: np.ndarray
+    outcome3: np.ndarray
+    marks: np.ndarray
+
+    def kinds(self) -> np.ndarray:
+        """Per row, an index of every record field but trial_id."""
+        signs = (self.outcome0 < 0) * 2 + (self.outcome3 < 0)
+        return ((self.setting0 * 2 + self.setting3) * 4 + signs) * len(self.marker_labels) + self.marks
+
+    def records(self, rows=slice(None)) -> Iterator[ClassicalRecord]:
+        """The selected rows (default all) as records, in row order."""
+        deg0 = (self.config.angles0[0].degrees, self.config.angles0[1].degrees)
+        deg3 = (self.config.angles3[0].degrees, self.config.angles3[1].degrees)
+        labels = self.marker_labels
+        columns = (self.trial_ids, self.setting0, self.setting3, self.outcome0, self.outcome3, self.marks)
+        for trial_id, i0, i3, o0, o3, mark in zip(*(column[rows].tolist() for column in columns)):
+            yield ClassicalRecord(trial_id, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[mark])
+
+
+def lhv_chunks(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[ClassicalChunk]:
+    """Lazily yield the batch in chunks of CHUNK trials; deterministic for a given seed."""
     rad0 = np.array([config.angles0[0].radians, config.angles0[1].radians])
     rad3 = np.array([config.angles3[0].radians, config.angles3[1].radians])
-    for start, i0, i3, lam0, lam1 in _raw_chunks(config):
+    for trial_ids, i0, i3, lam0, lam1 in _raw_chunks(config):
         o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
-        for k in range(len(i0)):
-            yield ClassicalRecord(
-                trial_id=start + k,
-                setting0_index=int(i0[k]),
-                setting0_deg=deg0[i0[k]],
-                setting3_index=int(i3[k]),
-                setting3_deg=deg3[i3[k]],
-                outcome0=int(o0[k]),
-                outcome3=int(o3[k]),
-                marker=model.marker_labels[marks[k]],
-            )
+        yield ClassicalChunk(config, model.marker_labels, trial_ids, i0, i3, o0, o3, marks)
+
+
+def run_lhv(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[ClassicalRecord]:
+    """Lazily yield one record per trial; deterministic for a given seed."""
+    for chunk in lhv_chunks(model, config):
+        yield from chunk.records()
 
 
 @dataclass(frozen=True)
@@ -213,23 +236,27 @@ def apply_discard(records: Iterable, rule: DiscardRule, seed: int = 0) -> tuple[
 
     Probabilistic keep decisions for trial t draw one uniform from the stream
     (seed, t + _KEEP_STREAM_OFFSET), so they are reproducible and never
-    collide with the draws that generated the record.
+    collide with the draws that generated the record.  Records are taken
+    CHUNK at a time, and a chunk's keep draws come from one array of streams.
     """
     deterministic = rule.kind == "deterministic"
     kept: list = []
     total = 0
-    for record in records:
-        total += 1
-        weight = float(rule.keep_weight(record))
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"keep weight {weight!r} outside [0, 1] from rule {rule.description}")
+    records = iter(records)
+    while chunk := list(islice(records, CHUNK)):
+        total += len(chunk)
+        weights = np.empty(len(chunk))
+        for k, record in enumerate(chunk):
+            weight = float(rule.keep_weight(record))
+            if not 0.0 <= weight <= 1.0:
+                raise ValueError(f"keep weight {weight!r} outside [0, 1] from rule {rule.description}")
+            weights[k] = weight
         if deterministic:
-            keep = weight >= 0.5
+            keep = weights >= 0.5
         else:
-            draw = RandomSource(seed, record.trial_id + _KEEP_STREAM_OFFSET).uniform()
-            keep = draw < weight
-        if keep:
-            kept.append(record)
+            streams = [(int(record.trial_id) + _KEEP_STREAM_OFFSET) % (1 << 64) for record in chunk]
+            keep = RandomSource(seed, np.array(streams, dtype=np.uint64)).uniform() < weights
+        kept.extend(record for record, keep_it in zip(chunk, keep.tolist()) if keep_it)
     return kept, (len(kept) / total if total else 0.0)
 
 

@@ -12,22 +12,24 @@ Exit codes: 0 ok, 1 failed check, 2 usage, 3 I/O or garbled input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from . import __version__
-from .analysis import InsufficientDataError, SelectionFilter, chsh, correlation
+from .analysis import InsufficientDataError, SelectionFilter, chsh, chsh_from_counts, correlation
 from .classical import (
     ClassicalConfig,
     ClassicalRecord,
     apply_discard,
+    lhv_chunks,
     pr_box_rule,
     quantum_mimic_rule,
     random_fourier_model,
-    run_lhv,
     settings_blind_check,
     sign_model,
     uniform_model,
@@ -39,11 +41,9 @@ from .protocol import (
     TrialRecord,
     exact_joint_distribution,
     run_batch,
-    run_trial,
+    run_chunks,
     stage_entanglement_report,
 )
-
-_SPAN = 50_000  # trials rendered per parallel work item
 
 
 class RecordFormatError(ValueError):
@@ -98,12 +98,18 @@ def iter_records_file(path: str):
                 raise RecordFormatError(line_number, str(exc)) from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temporary file that replaces ``path`` only when the block succeeds.
+
+    The temporary file sits beside ``path`` (same file system, so the rename
+    is atomic); on any exception it is removed and ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -111,9 +117,40 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+_TRIAL_ID_KEY = '{"trial_id":'
+
+
+def _write_records(path: str, chunks) -> int:
+    """Write record chunks as JSONL, atomically; returns the record count.
+
+    A line is '{"trial_id":<t>' plus a tail fixed by the record's other
+    fields, which a chunk's kinds() indexes.  Each tail is cut once from
+    _record_line of the first record of its kind, so every line equals
+    _record_line of its record by construction.
+    """
+    tails: dict[int, str] = {}
+    count = 0
+    with _atomic_open(path) as handle:
+        for chunk in chunks:
+            kinds = chunk.kinds()
+            unique, first_rows = np.unique(kinds, return_index=True)
+            fresh = [k for k, kind in enumerate(unique.tolist()) if kind not in tails]
+            for kind, record in zip(unique[fresh].tolist(), chunk.records(first_rows[fresh])):
+                line = _record_line(record)
+                head = f"{_TRIAL_ID_KEY}{record.trial_id}"
+                if not line.startswith(head):
+                    raise RuntimeError(f"record line does not start with its trial_id: {line!r}")
+                tails[kind] = line[len(head):]
+            handle.write("".join([f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"
+                                  for trial_id, kind in zip(chunk.trial_ids.tolist(), kinds.tolist())]))
+            count += len(kinds)
+    return count
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
-        _atomic_write(out_path, text)
+        with _atomic_open(out_path) as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -138,7 +175,8 @@ def _write_manifest(records_path: str, command: str, config_doc: dict, seed: int
         "record_count": count,
         "outputs": {"records": records_path},
     }
-    _atomic_write(_manifest_path(records_path), _render_report_doc(manifest))
+    with _atomic_open(_manifest_path(records_path)) as handle:
+        handle.write(_render_report_doc(manifest))
 
 
 def _resolve_seed(flag_value) -> int:
@@ -202,47 +240,11 @@ def _experiment_config_doc(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_records_threaded(path: str, config: ExperimentConfig, threads: int) -> int:
-    """Write the batch as JSONL; parallelism never changes the bytes.
-
-    Work is split into contiguous trial spans rendered independently and
-    written back in span order, so the file is always sorted by trial_id
-    and byte-identical to a sequential run.
-    """
-
-    def render_span(span) -> str:
-        start, stop = span
-        return "".join(_record_line(run_trial(config, t)) for t in range(start, stop))
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            if threads <= 1:
-                for record in run_batch(config):
-                    handle.write(_record_line(record))
-            else:
-                spans = [
-                    (start, min(start + _SPAN, config.trials))
-                    for start in range(0, config.trials, _SPAN)
-                ]
-                with ThreadPoolExecutor(max_workers=threads) as executor:
-                    for chunk in executor.map(render_span, spans):
-                        handle.write(chunk)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-    return config.trials
-
-
 def cmd_simulate(args) -> int:
     config = _experiment_config(args)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
-    count = _write_records_threaded(args.out, config, threads)
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    count = _write_records(args.out, run_chunks(config))
     _write_manifest(args.out, "simulate", _experiment_config_doc(config), config.seed, count)
     sys.stdout.write(f"wrote {count} records to {args.out}\n")
     sys.stdout.write(f"manifest: {_manifest_path(args.out)}\n")
@@ -355,18 +357,24 @@ def _summary_text(args) -> str:
         s_all = _exact_filter_s(config, None)
         lines.append(f"  filter none: S = {_fmt(s_all)}  |S| = {_fmt(abs(s_all))}")
     else:
-        records = list(run_batch(config))
+        # one pass: (aligned, opposed) counts per label and setting cell
+        counts = {label: {(i0, i3): [0, 0] for i0 in (0, 1) for i3 in (0, 1)} for label in labels}
+        for record in run_batch(config):
+            cell = counts[record.bsm][(record.setting0_index, record.setting3_index)]
+            cell[record.outcome0 != record.outcome3] += 1
+        kept = {label: sum(map(sum, counts[label].values())) for label in labels}
         lines.append(f"sampled outcome frequencies (N={config.trials}, seed={config.seed}):")
         for label in labels:
-            count = sum(1 for r in records if r.bsm is label)
-            lines.append(f"  f(bsm={label.value}) = {_fmt(count / len(records))}")
+            lines.append(f"  f(bsm={label.value}) = {_fmt(kept[label] / config.trials)}")
         lines.append("")
         lines.append("sampled CHSH by selection:")
         for label in labels:
-            report = chsh(records, SelectionFilter.bsm_equals(label.value))
+            report = chsh_from_counts(counts[label], f"bsm={label.value}", kept[label], config.trials)
             lines.append(f"  filter bsm={label.value}: S = {_fmt(report.s_value)}  "
                          f"|S| = {_fmt(report.s_abs)}  std_err = {_fmt(report.s_std_err)}  kept = {report.kept}")
-        report = chsh(records, SelectionFilter.none())
+        pooled = {cell: [sum(counts[label][cell][k] for label in labels) for k in (0, 1)]
+                  for cell in counts[labels[0]]}
+        report = chsh_from_counts(pooled, "none", config.trials, config.trials)
         lines.append(f"  filter none: S = {_fmt(report.s_value)}  |S| = {_fmt(report.s_abs)}  "
                      f"std_err = {_fmt(report.s_std_err)}  kept = {report.kept}")
     return "\n".join(lines) + "\n"
@@ -400,17 +408,7 @@ _MODELS = {
 def _cmd_classical_generate(args) -> int:
     config = _classical_config(args)
     model = _MODELS[args.model](args)
-    directory = os.path.dirname(os.path.abspath(args.out))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for record in run_lhv(model, config):
-                handle.write(_record_line(record))
-        os.replace(tmp_path, args.out)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    count = _write_records(args.out, lhv_chunks(model, config))
     config_doc = {
         "model": model.name,
         "angles0": [config.angles0[0].degrees, config.angles0[1].degrees],
@@ -418,8 +416,8 @@ def _cmd_classical_generate(args) -> int:
         "trials": config.trials,
         "seed": config.seed,
     }
-    _write_manifest(args.out, "classical-generate", config_doc, config.seed, config.trials)
-    sys.stdout.write(f"wrote {config.trials} records to {args.out}\n")
+    _write_manifest(args.out, "classical-generate", config_doc, config.seed, count)
+    sys.stdout.write(f"wrote {count} records to {args.out}\n")
     sys.stdout.write(f"manifest: {_manifest_path(args.out)}\n")
     return 0
 
@@ -434,7 +432,7 @@ def _cmd_classical_discard(args) -> int:
     rule = _RULES[args.rule]()
     seed = _resolve_seed(args.seed)
     kept, fraction = apply_discard(iter_records_file(args.input), rule, seed)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _atomic_open(args.out) as handle:
         for record in kept:
             handle.write(_record_line(record))
     doc = {
@@ -495,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(simulate, default_trials=1000)
     simulate.add_argument("--out", required=True, help="records path (manifest written alongside)")
     simulate.add_argument("--threads", type=int, default=None,
-                          help="parallel workers (default: all cores); output bytes never change")
+                          help="accepted for compatibility (must be >= 1); changes neither bytes nor speed")
     simulate.set_defaults(handler=cmd_simulate)
 
     analyze = commands.add_parser("analyze", help="CHSH report over a JSONL record file")

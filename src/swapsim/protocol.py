@@ -12,7 +12,10 @@ draw order within a trial is setting for photon 0, setting for photon 3
 (u < 0.5 picks index 0), then one draw per measurement in the applied
 order.  Sampling walks the exact conditional distribution of the trial's
 measurement sequence (same branch enumeration as the exact tables), so a
-batch is reproducible from (config, seed) alone on any platform.
+batch is reproducible from (config, seed) alone on any platform.  Batches
+run in chunks of CHUNK trials: one array of streams draws a chunk's
+uniforms at once and the table walk runs on arrays, so a chunk of any size,
+one trial included, gives the same records.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .entanglement import TwoQubitMetrics, metrics_for
 from .measure import (
+    CHUNK,
     AnalyzerAngle,
     BellSpec,
     BsmMode,
@@ -225,8 +229,7 @@ def _sampling_tables(key: tuple):
 
     tables[(i0, i3)] is a triple of levels; level d maps an outcome prefix to
     (outcomes, cumulative probabilities) for the d-th measurement in plan
-    order.  run_trial and run_batch both walk these, so the two entry points
-    are bit-identical by construction.
+    order.  Every sampled trial walks these, in chunks of any size.
     """
     joints = _setting_joints(key)
     tables = {}
@@ -248,56 +251,93 @@ def _sampling_tables(key: tuple):
     return tables
 
 
-def _pick(outcomes: tuple, cums: tuple, u: float):
-    for outcome, edge in zip(outcomes, cums):
-        if u < edge:
-            return outcome
-    return outcomes[-1]
+def _walk(levels, depth: int, prefix: tuple, rows: np.ndarray, draws: np.ndarray, picks: np.ndarray) -> None:
+    """Inverse-CDF picks at one level for ``rows`` sharing ``prefix``, then each subtree.
+
+    searchsorted(side="right") counts the edges <= u, which is the index of
+    the first edge above u; clipping to the last index covers u beyond the
+    last edge by float dust.
+    """
+    outcomes, cums = levels[depth][prefix]
+    index = np.minimum(np.searchsorted(cums, draws[rows, 2 + depth], side="right"), len(cums) - 1)
+    picks[rows, depth] = index
+    if depth + 1 < len(levels):
+        for k in np.unique(index).tolist():
+            _walk(levels, depth + 1, prefix + (outcomes[k],), rows[index == k], draws, picks)
 
 
-def _trial_from_tables(config: ExperimentConfig, tables, trial_id: int) -> TrialRecord:
-    draws = RandomSource(config.seed, trial_id).uniforms(_DRAWS_PER_TRIAL)
-    i0 = 0 if draws[0] < 0.5 else 1
-    i3 = 0 if draws[1] < 0.5 else 1
+@dataclass(frozen=True)
+class TrialChunk:
+    """Consecutive trials of one batch, one array per record field.
 
-    level0, level1, level2 = tables[(i0, i3)]
-    first = _pick(*level0[()], draws[2])
-    second = _pick(*level1[(first,)], draws[3])
-    third = _pick(*level2[(first, second)], draws[4])
+    Outcomes are +-1; ``bsm`` indexes bsm_outcomes(config.bsm_mode).
+    """
 
+    config: ExperimentConfig
+    trial_ids: np.ndarray
+    setting0: np.ndarray
+    setting3: np.ndarray
+    outcome0: np.ndarray
+    outcome3: np.ndarray
+    bsm: np.ndarray
+
+    def kinds(self) -> np.ndarray:
+        """Per row, an index of every record field but trial_id; at most 64 distinct."""
+        signs = (self.outcome0 < 0) * 2 + (self.outcome3 < 0)
+        return ((self.setting0 * 2 + self.setting3) * 4 + signs) * 4 + self.bsm
+
+    def records(self, rows=slice(None)) -> Iterator[TrialRecord]:
+        """The selected rows (default all) as records, in row order."""
+        config = self.config
+        deg0 = (config.angles0[0].degrees, config.angles0[1].degrees)
+        deg3 = (config.angles3[0].degrees, config.angles3[1].degrees)
+        labels = bsm_outcomes(config.bsm_mode)
+        events = _EVENTS_BSM_FIRST if config.ordering is Ordering.BSM_FIRST else _EVENTS_POL_FIRST
+        columns = (self.trial_ids, self.setting0, self.setting3, self.outcome0, self.outcome3, self.bsm)
+        for trial_id, i0, i3, o0, o3, b in zip(*(column[rows].tolist() for column in columns)):
+            yield TrialRecord(trial_id, config.ordering, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[b], events)
+
+
+def _sample_chunk(config: ExperimentConfig, tables, start: int, stop: int) -> TrialChunk:
+    trial_ids = np.arange(start, stop, dtype=np.int64)
+    draws = RandomSource(config.seed, trial_ids).uniforms(_DRAWS_PER_TRIAL)
+    setting0 = (draws[:, 0] >= 0.5).astype(np.int64)
+    setting3 = (draws[:, 1] >= 0.5).astype(np.int64)
+    picks = np.empty((len(trial_ids), 3), dtype=np.int64)
+    for (i0, i3), levels in tables.items():
+        rows = np.flatnonzero((setting0 == i0) & (setting3 == i3))
+        if len(rows):
+            _walk(levels, 0, (), rows, draws, picks)
     if config.ordering is Ordering.BSM_FIRST:
-        bsm, outcome0, outcome3 = first, second, third
-        events = _EVENTS_BSM_FIRST
+        bsm, pick0, pick3 = picks.T
     else:
-        outcome0, outcome3, bsm = first, second, third
-        events = _EVENTS_POL_FIRST
+        pick0, pick3, bsm = picks.T
+    # polarization steps sample (+1, -1), so pick k is outcome 1 - 2k
+    return TrialChunk(config, trial_ids, setting0, setting3, 1 - 2 * pick0, 1 - 2 * pick3, bsm)
 
-    return TrialRecord(
-        trial_id=trial_id,
-        ordering=config.ordering,
-        setting0_index=i0,
-        setting0_deg=config.angles0[i0].degrees,
-        setting3_index=i3,
-        setting3_deg=config.angles3[i3].degrees,
-        outcome0=outcome0,
-        outcome3=outcome3,
-        bsm=bsm,
-        events=events,
-    )
+
+def run_chunks(config: ExperimentConfig) -> Iterator[TrialChunk]:
+    """Lazily yield the batch in chunks of CHUNK trials, in trial_id order."""
+    tables = _sampling_tables(config._table_key())
+    for start in range(0, config.trials, CHUNK):
+        yield _sample_chunk(config, tables, start, min(start + CHUNK, config.trials))
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
-    """Simulate one trial; identical (config, seed, trial_id) gives an identical record."""
+    """Simulate one trial; identical (config, seed, trial_id) gives an identical record.
+
+    A one-trial chunk, so it equals the matching record of run_batch by construction.
+    """
     if trial_id < 0:
         raise ValueError(f"trial_id must be >= 0, got {trial_id}")
-    return _trial_from_tables(config, _sampling_tables(config._table_key()), trial_id)
+    tables = _sampling_tables(config._table_key())
+    return next(_sample_chunk(config, tables, trial_id, trial_id + 1).records())
 
 
 def run_batch(config: ExperimentConfig) -> Iterator[TrialRecord]:
     """Lazily yield trials 0..config.trials-1 in canonical trial_id order."""
-    tables = _sampling_tables(config._table_key())
-    for trial_id in range(config.trials):
-        yield _trial_from_tables(config, tables, trial_id)
+    for chunk in run_chunks(config):
+        yield from chunk.records()
 
 
 def exact_joint_distribution(

@@ -120,3 +120,10 @@ def bell_projector_explicit(label: str) -> np.ndarray:
 def werner_matrix(p: float) -> np.ndarray:
     singlet = bell_projector_explicit("psi-minus")
     return p * singlet + (1.0 - p) * np.eye(4) / 4.0
+
+
+def philox_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
+    """``count`` doubles from numpy's own Philox generator keyed (seed, stream) mod 2**64."""
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)

@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from swapsim import cli
 from swapsim.analysis import SelectionFilter, chsh
 from swapsim.classical import ClassicalRecord
 from swapsim.cli import iter_records_file, main
@@ -325,6 +326,30 @@ class TestClassicalCommands:
         assert main(["analyze", "--in", str(kept_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["s_abs"] - 2.0 * math.sqrt(2.0)) <= 5.0 * report["s_std_err"]
+
+    def test_failed_discard_write_leaves_existing_out_untouched(self, tmp_path, monkeypatch, capsys):
+        lhv = tmp_path / "lhv.jsonl"
+        assert main(["classical", "generate", "--model", "uniform", "--trials", "200",
+                     "--seed", "3", "--out", str(lhv)]) == 0
+        kept_path = tmp_path / "kept.jsonl"
+        kept_path.write_bytes(b"earlier kept records\n")
+        rendered = []
+        record_line = cli._record_line
+
+        def render_then_fail(record):
+            rendered.append(record)
+            if len(rendered) == 3:
+                raise OSError("no space left on device")
+            return record_line(record)
+
+        monkeypatch.setattr(cli, "_record_line", render_then_fail)
+        capsys.readouterr()
+        code = main(["classical", "discard", "--rule", "pr-box", "--in", str(lhv), "--out", str(kept_path)])
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert len(rendered) == 3
+        assert kept_path.read_bytes() == b"earlier kept records\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_pr_box_also_guts_quantum_records(self, tmp_path, capsys):
         # the rule only compares recorded outcomes, so it inflates even

@@ -94,6 +94,54 @@ class TestRandomSource:
         assert draws.min() >= 0.0 and draws.max() < 1.0
 
 
+EDGE_STREAMS = list(range(3000)) + [2**48, 2**48 + 17, 2**64 - 1]
+
+
+class TestRandomSourceArray:
+    """An array of streams runs swapsim's own Philox4x64-10 kernel; numpy's Philox is the reference."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+    def test_every_stream_matches_numpy_philox(self, seed):
+        reference = np.array([oracles.philox_uniforms(seed, s, 9) for s in EDGE_STREAMS])
+        streams = np.array(EDGE_STREAMS, dtype=np.uint64)
+        for count in (1, 4, 5, 9):
+            draws = RandomSource(seed, streams).uniforms(count)
+            assert draws.shape == (len(EDGE_STREAMS), count)
+            assert np.array_equal(draws, reference[:, :count])
+
+    def test_rows_equal_the_scalar_source(self):
+        streams = [0, 1, 2**48 + 17, 2**64 - 1]
+        draws = RandomSource(7, np.array(streams, dtype=np.uint64)).uniforms(5)
+        for row, stream in zip(draws, streams):
+            assert np.array_equal(row, RandomSource(7, stream).uniforms(5))
+
+    def test_negative_seed_and_streams_are_masked(self):
+        draws = RandomSource(-5, np.array([-1, 3], dtype=np.int64)).uniforms(6)
+        assert np.array_equal(draws[0], oracles.philox_uniforms(2**64 - 5, 2**64 - 1, 6))
+        assert np.array_equal(draws[0], RandomSource(-5, -1).uniforms(6))
+        assert np.array_equal(draws[1], RandomSource(-5, 3).uniforms(6))
+
+    def test_successive_calls_continue_each_stream(self):
+        streams = np.arange(40, dtype=np.uint64)
+        source = RandomSource(11, streams)
+        joined = np.hstack([source.uniforms(3), source.uniforms(6)])
+        assert np.array_equal(joined, RandomSource(11, streams).uniforms(9))
+        for stream in (0, 39):
+            assert np.array_equal(joined[stream], oracles.philox_uniforms(11, stream, 9))
+
+    def test_uniform_draws_one_per_stream(self):
+        streams = np.array([4, 9], dtype=np.uint64)
+        source = RandomSource(9, streams)
+        first, second = source.uniform(), source.uniform()
+        assert np.array_equal(np.stack([first, second], axis=1), RandomSource(9, streams).uniforms(2))
+
+    def test_rejects_non_integer_or_nested_streams(self):
+        with pytest.raises(ValueError):
+            RandomSource(0, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            RandomSource(0, np.zeros((2, 2), dtype=np.int64))
+
+
 class TestMeasureQubit:
     def test_aligned_analyzer_is_certain(self):
         state = basis_state(1, 0)

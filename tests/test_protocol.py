@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from swapsim.measure import BsmMode, BsmOutcome
+from swapsim.measure import CHUNK, BsmMode, BsmOutcome, _pick
 from swapsim.protocol import (
     ExperimentConfig,
     Ordering,
     TrialRecord,
+    _walk,
     exact_joint_distribution,
     preparation_density,
     run_batch,
@@ -135,6 +136,14 @@ class TestRunBatch:
         for rec in batch:
             assert run_trial(cfg, rec.trial_id) == rec
 
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_matches_run_trial_across_the_chunk_boundary(self, ordering):
+        cfg = config(trials=CHUNK + 2, ordering=ordering, visibility=0.8)
+        batch = list(run_batch(cfg))
+        assert len(batch) == CHUNK + 2
+        for trial_id in (CHUNK - 1, CHUNK, CHUNK + 1):
+            assert run_trial(cfg, trial_id) == batch[trial_id]
+
     def test_is_lazy(self):
         it = run_batch(config(trials=3))
         assert next(it).trial_id == 0
@@ -155,6 +164,24 @@ class TestRunBatch:
         other = sum(1 for rec in run_batch(config(trials=n, seed=12, bsm_mode=BsmMode.PARTIAL))
                     if rec.bsm is BsmOutcome.OTHER)
         assert abs(other / n - 0.5) <= 5.0 * math.sqrt(0.25 / n)
+
+
+class TestArrayWalk:
+    """The searchsorted walk picks what the scalar inverse-CDF loop picks.
+
+    Zero-probability outcomes make tied edges (u = 0.5 on [0.5, 0.5, 1.0]
+    must skip "b"), and float dust can leave u beyond the last edge.
+    """
+
+    @pytest.mark.parametrize("cums", [(0.5, 0.5, 1.0), (0.3, 0.3, 0.9999999), (0.0, 0.6, 0.6)])
+    def test_matches_scalar_pick(self, cums):
+        outcomes = ("a", "b", "c")
+        u = np.array([0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.99999995, 1.0 - 2**-53])
+        draws = np.zeros((len(u), 5))
+        draws[:, 2] = u
+        picks = np.full((len(u), 3), -1)
+        _walk(({(): (outcomes, cums)},), 0, (), np.arange(len(u)), draws, picks)
+        assert [outcomes[k] for k in picks[:, 0]] == [_pick(outcomes, cums, x) for x in u]
 
 
 class TestExactJointDistribution:
