@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
+import numpy as np
+
 from .measure import AnalyzerAngle, BsmOutcome, as_angle
 
 # Cell roles in S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); the minus sign
@@ -103,20 +105,51 @@ class ChshReport:
         }
 
 
-def _tally(records: Iterable, selection: SelectionFilter):
-    """One streaming pass: per-cell (aligned, opposed) counts plus totals."""
+def _tally(weighted: Iterable[tuple[object, int]], selection: SelectionFilter):
+    """One streaming pass over (record, count) pairs: per-cell (aligned, opposed) counts plus totals."""
     counts = {cell: [0, 0] for cell in _CELLS}
     total = kept = 0
-    for record in records:
-        total += 1
+    for record, count in weighted:
+        total += count
         if not selection.keeps(record):
             continue
-        kept += 1
+        kept += count
         cell = (record.setting0_index, record.setting3_index)
         if cell not in counts:
             raise ValueError(f"setting indices {cell} outside the two-by-two design")
-        counts[cell][0 if record.outcome0 == record.outcome3 else 1] += 1
+        counts[cell][0 if record.outcome0 == record.outcome3 else 1] += count
     return counts, kept, total
+
+
+def _each_once(records: Iterable) -> Iterable[tuple[object, int]]:
+    return ((record, 1) for record in records)
+
+
+def tally_cells(counts: np.ndarray, *indices: np.ndarray) -> None:
+    """Add one to ``counts[i, j, ...]`` for every row of the index arrays, in place.
+
+    The same integers as ``np.add.at(counts, indices, 1)``, by one np.bincount.
+    """
+    flat = np.ravel_multi_index(indices, counts.shape)
+    counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+
+
+def correlation_from_counts(
+    cell_counts,
+    setting_pair: tuple[int, int],
+    filter_description: str,
+) -> CorrelationEstimate:
+    """E for one cell from its (aligned, opposed) counts; ``cell_counts[setting_pair]`` holds them.
+
+    ``cell_counts`` is a dict keyed by cell or an array indexed by it.
+    Raises InsufficientDataError when the cell is empty.
+    """
+    aligned, opposed = (int(count) for count in cell_counts[setting_pair])
+    if aligned + opposed == 0:
+        raise InsufficientDataError(
+            f"no records in setting cell {setting_pair} with filter {filter_description}"
+        )
+    return _estimate_from_counts(aligned, opposed)
 
 
 def correlation(
@@ -129,17 +162,12 @@ def correlation(
     pair = (int(setting_pair[0]), int(setting_pair[1]))
     if pair not in _CELL_SIGNS:
         raise ValueError(f"setting pair {pair} outside the two-by-two design")
-    counts, _, _ = _tally(records, selection)
-    aligned, opposed = counts[pair]
-    if aligned + opposed == 0:
-        raise InsufficientDataError(
-            f"no records in setting cell {pair} with filter {selection.description}"
-        )
-    return _estimate_from_counts(aligned, opposed)
+    counts, _, _ = _tally(_each_once(records), selection)
+    return correlation_from_counts(counts, pair, selection.description)
 
 
 def chsh_from_counts(
-    cell_counts: dict[tuple[int, int], tuple[int, int]],
+    cell_counts,
     filter_description: str,
     kept: int,
     total: int,
@@ -147,17 +175,11 @@ def chsh_from_counts(
     """Combine per-cell (aligned, opposed) counts into a report.
 
     This is the mergeable-counter core: counts summed across any partition
-    of the records give the identical report.  Raises on any empty cell.
+    of the records give the identical report.  ``cell_counts`` is a dict
+    keyed by cell or a (2, 2, 2) array indexed by it.  Raises on any empty
+    cell.
     """
-    estimates = {}
-    for cell in _CELLS:
-        aligned, opposed = cell_counts[cell]
-        if aligned + opposed == 0:
-            raise InsufficientDataError(
-                f"no records in setting cell {cell} with filter {filter_description}"
-            )
-        estimates[cell] = _estimate_from_counts(aligned, opposed)
-
+    estimates = {cell: correlation_from_counts(cell_counts, cell, filter_description) for cell in _CELLS}
     s = sum(_CELL_SIGNS[cell] * estimates[cell].e_value for cell in _CELLS)
     s_err = math.sqrt(sum(estimates[cell].std_err ** 2 for cell in _CELLS))
     return ChshReport(
@@ -173,12 +195,49 @@ def chsh_from_counts(
     )
 
 
+def chsh_weighted(
+    weighted: Iterable[tuple[object, int]],
+    selection: Union[SelectionFilter, None] = None,
+) -> ChshReport:
+    """CHSH over (record, count) pairs, each standing for ``count`` copies of its record.
+
+    Equal to chsh over the expanded records, so a caller that groups
+    identical records (a columnar reader) pays one filter call per group.
+    """
+    selection = selection or SelectionFilter.none()
+    counts, kept, total = _tally(weighted, selection)
+    return chsh_from_counts(counts, selection.description, kept, total)
+
+
 def chsh(records: Iterable, selection: Union[SelectionFilter, None] = None) -> ChshReport:
     """Single-pass CHSH estimate: S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    selection = selection or SelectionFilter.none()
-    counts, kept, total = _tally(records, selection)
-    cell_counts = {cell: (counts[cell][0], counts[cell][1]) for cell in _CELLS}
-    return chsh_from_counts(cell_counts, selection.description, kept, total)
+    return chsh_weighted(_each_once(records), selection)
+
+
+def chsh_exact(
+    table: dict[tuple[int, int, int, int, BsmOutcome], float],
+    label: Union[BsmOutcome, None],
+) -> tuple[dict[tuple[int, int], float], float]:
+    """Exact per-cell correlations and S of a joint table, conditioned on bsm == label.
+
+    ``table`` maps (setting0, setting3, outcome0, outcome3, bsm) to a
+    probability, as protocol.exact_joint_distribution gives it; ``label``
+    None keeps every outcome.  A cell with no probability left after the
+    condition raises InsufficientDataError, as an empty sampled cell does.
+    """
+    weights = {cell: 0.0 for cell in _CELLS}
+    sums = {cell: 0.0 for cell in _CELLS}
+    for (i0, i3, o0, o3, bsm), p in table.items():
+        if label is not None and bsm is not label:
+            continue
+        weights[(i0, i3)] += p
+        sums[(i0, i3)] += o0 * o3 * p
+    description = "none" if label is None else f"bsm={label.value}"
+    for cell in _CELLS:
+        if weights[cell] <= 0.0:
+            raise InsufficientDataError(f"no probability in setting cell {cell} with filter {description}")
+    e = {cell: sums[cell] / weights[cell] for cell in _CELLS}
+    return e, e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
 
 
 def predicted_correlation(

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .analysis import ChshReport, chsh_from_counts
+from .analysis import ChshReport, chsh_from_counts, tally_cells
 from .measure import CHUNK, AnalyzerAngle, RandomSource, as_angle
 
 # Keep-decision draws live far above any trial's generation stream so a rule
@@ -230,32 +230,42 @@ class DiscardRule:
         if self.kind not in ("deterministic", "probabilistic"):
             raise ValueError(f"rule kind must be deterministic|probabilistic, got {self.kind!r}")
 
+    def checked_weight(self, record) -> float:
+        """keep_weight(record), rejected unless it lies in [0, 1]."""
+        weight = float(self.keep_weight(record))
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"keep weight {weight!r} outside [0, 1] from rule {self.description}")
+        return weight
+
+
+def keep_mask(rule: DiscardRule, seed: int, trial_ids: Sequence[int], weights: np.ndarray) -> np.ndarray:
+    """Keep decisions for rows with these trial ids and checked keep weights.
+
+    A deterministic rule keeps weight >= 0.5.  A probabilistic rule keeps
+    trial t when one uniform from the stream (seed, t + _KEEP_STREAM_OFFSET)
+    falls below its weight, so decisions are reproducible, independent of
+    how rows are grouped, and never collide with the draws that generated
+    the record.
+    """
+    if rule.kind == "deterministic":
+        return weights >= 0.5
+    streams = [(int(trial_id) + _KEEP_STREAM_OFFSET) % (1 << 64) for trial_id in trial_ids]
+    return RandomSource(seed, np.array(streams, dtype=np.uint64)).uniform() < weights
+
 
 def apply_discard(records: Iterable, rule: DiscardRule, seed: int = 0) -> tuple[list, float]:
     """Retain records per the rule; returns (kept records, keep fraction).
 
-    Probabilistic keep decisions for trial t draw one uniform from the stream
-    (seed, t + _KEEP_STREAM_OFFSET), so they are reproducible and never
-    collide with the draws that generated the record.  Records are taken
-    CHUNK at a time, and a chunk's keep draws come from one array of streams.
+    keep_weight is called once per record; decisions are keep_mask's,
+    taken CHUNK records at a time.
     """
-    deterministic = rule.kind == "deterministic"
     kept: list = []
     total = 0
     records = iter(records)
     while chunk := list(islice(records, CHUNK)):
         total += len(chunk)
-        weights = np.empty(len(chunk))
-        for k, record in enumerate(chunk):
-            weight = float(rule.keep_weight(record))
-            if not 0.0 <= weight <= 1.0:
-                raise ValueError(f"keep weight {weight!r} outside [0, 1] from rule {rule.description}")
-            weights[k] = weight
-        if deterministic:
-            keep = weights >= 0.5
-        else:
-            streams = [(int(record.trial_id) + _KEEP_STREAM_OFFSET) % (1 << 64) for record in chunk]
-            keep = RandomSource(seed, np.array(streams, dtype=np.uint64)).uniform() < weights
+        weights = np.array([rule.checked_weight(record) for record in chunk])
+        keep = keep_mask(rule, seed, [record.trial_id for record in chunk], weights)
         kept.extend(record for record, keep_it in zip(chunk, keep.tolist()) if keep_it)
     return kept, (len(kept) / total if total else 0.0)
 
@@ -471,8 +481,7 @@ def settings_blind_check(
     for _, i0, i3, lam0, lam1 in _raw_chunks(config):
         for index, model in enumerate(models):
             o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
-            opposed = (o0 != o3).astype(np.int64)
-            np.add.at(counts[index], (marks, i0, i3, opposed), 1)
+            tally_cells(counts[index], marks, i0, i3, o0 != o3)
 
     checks = []
     for index, model in enumerate(models):

@@ -15,17 +15,28 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import tempfile
+from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
 from . import __version__
-from .analysis import InsufficientDataError, SelectionFilter, chsh, chsh_from_counts, correlation
+from .analysis import (
+    InsufficientDataError,
+    SelectionFilter,
+    chsh_exact,
+    chsh_from_counts,
+    chsh_weighted,
+    correlation_from_counts,
+    tally_cells,
+)
 from .classical import (
     ClassicalConfig,
     ClassicalRecord,
-    apply_discard,
+    keep_mask,
     lhv_chunks,
     pr_box_rule,
     quantum_mimic_rule,
@@ -34,13 +45,12 @@ from .classical import (
     sign_model,
     uniform_model,
 )
-from .measure import BsmMode, BsmOutcome, bsm_outcomes
+from .measure import CHUNK, BsmMode, BsmOutcome, bsm_outcomes
 from .protocol import (
     ExperimentConfig,
     Ordering,
     TrialRecord,
     exact_joint_distribution,
-    run_batch,
     run_chunks,
     stage_entanglement_report,
 )
@@ -85,17 +95,106 @@ def _record_from_doc(doc: dict):
     return TrialRecord.from_json_dict(doc)
 
 
-def iter_records_file(path: str):
-    """Yield records from a JSONL file, failing loudly with a line number."""
+def _parse_line(text: str, line_number: int):
+    """The record of one stripped line, by json.loads; RecordFormatError if it has none."""
+    try:
+        return _record_from_doc(json.loads(text))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise RecordFormatError(line_number, str(exc)) from exc
+
+
+# A line as the writers emit it: '{"trial_id":<t>' plus a tail that the
+# record's other fields fix.  Ids of at most 18 digits fit in int64.
+_CANONICAL_LINE = re.compile(r'\{"trial_id":(0|[1-9][0-9]{0,17})(,.*)')
+
+# Tails remembered per file.  Past this many, a new tail takes the full
+# parse, so memory stays flat on files whose lines share no tails.
+_MAX_TAILS = 4096
+
+
+def _templatable(tail: str) -> bool:
+    """Whether every line '{"trial_id":<t>' + tail is one record up to its trial_id.
+
+    json.loads keeps the last of repeated keys, so a "trial_id" key inside
+    the tail, escaped or not, would override the leading id.  With null in
+    the leading id's place such a key shows as a value that is not None; a
+    null one fails the parse of the line itself, which the caller has run.
+    """
+    return json.loads('{"trial_id":null' + tail)["trial_id"] is None
+
+
+@dataclass(frozen=True)
+class RecordChunk:
+    """Consecutive records of a file, as columns.
+
+    Row r is ``templates[kinds[r]]`` with trial_id ``trial_ids[r]``.  Kinds
+    are numbered by first appearance in the chunk, so every template has a
+    row and rows of one kind differ in trial_id alone.
+    """
+
+    trial_ids: list[int]
+    kinds: np.ndarray
+    templates: list
+
+    def records(self):
+        """The rows as records, in file order."""
+        templates = self.templates
+        for trial_id, kind in zip(self.trial_ids, self.kinds.tolist()):
+            template = templates[kind]
+            yield template if template.trial_id == trial_id else replace(template, trial_id=trial_id)
+
+
+def read_record_chunks(path: str):
+    """Yield a JSONL record file as RecordChunks of up to CHUNK records.
+
+    A line in the writers' form costs a match and a dict lookup: json.loads
+    runs on its tail's first line only.  Any other line (other spacing or
+    key order, an id that is not a plain non-negative integer) is parsed
+    whole and becomes a kind of its own.  The records, and the line number
+    and message of a RecordFormatError, are those of parsing every line
+    with json.loads; before the error, the records above the bad line are
+    yielded.  Blank lines are skipped.
+    """
+    known: dict[str, object] = {}  # templatable tail -> its record
     with open(path, encoding="utf-8") as handle:
+        trial_ids, kinds, templates, local = [], [], [], {}
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:
                 continue
-            try:
-                yield _record_from_doc(json.loads(stripped))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise RecordFormatError(line_number, str(exc)) from exc
+            match = _CANONICAL_LINE.fullmatch(stripped)
+            tail = match[2] if match else None
+            kind = local.get(tail)
+            if kind is None:  # the first line of its kind in this chunk
+                template = known.get(tail)
+                if template is None:  # a new tail, or not the writers' form: the full parse
+                    try:
+                        template = _parse_line(stripped, line_number)
+                    except RecordFormatError:
+                        if trial_ids:
+                            yield RecordChunk(trial_ids, np.array(kinds, dtype=np.intp), templates)
+                        raise
+                    if tail is not None and len(known) < _MAX_TAILS and _templatable(tail):
+                        known[tail] = template
+                    else:
+                        tail = None  # a kind of its own, with the parsed trial_id
+                kind = len(templates)
+                templates.append(template)
+                if tail is not None:
+                    local[tail] = kind
+            trial_ids.append(int(match[1]) if tail is not None else template.trial_id)
+            kinds.append(kind)
+            if len(trial_ids) == CHUNK:
+                yield RecordChunk(trial_ids, np.array(kinds, dtype=np.intp), templates)
+                trial_ids, kinds, templates, local = [], [], [], {}
+        if trial_ids:
+            yield RecordChunk(trial_ids, np.array(kinds, dtype=np.intp), templates)
+
+
+def iter_records_file(path: str):
+    """Yield records from a JSONL file, failing loudly with a line number."""
+    for chunk in read_record_chunks(path):
+        yield from chunk.records()
 
 
 @contextlib.contextmanager
@@ -120,31 +219,47 @@ def _atomic_open(path: str):
 _TRIAL_ID_KEY = '{"trial_id":'
 
 
-def _write_records(path: str, chunks) -> int:
-    """Write record chunks as JSONL, atomically; returns the record count.
+def _tails(records) -> list[str]:
+    """Each record's line after '{"trial_id":<t>', cut from its _record_line."""
+    tails = []
+    for record in records:
+        line = _record_line(record)
+        head = f"{_TRIAL_ID_KEY}{record.trial_id}"
+        if not line.startswith(head):
+            raise RuntimeError(f"record line does not start with its trial_id: {line!r}")
+        tails.append(line[len(head):])
+    return tails
 
-    A line is '{"trial_id":<t>' plus a tail fixed by the record's other
-    fields, which a chunk's kinds() indexes.  Each tail is cut once from
-    _record_line of the first record of its kind, so every line equals
+
+def _write_records(path: str, chunks) -> int:
+    """Write (trial_ids, kinds, tails) chunks as JSONL, atomically; returns the record count.
+
+    Row r is the line '{"trial_id":<trial_ids[r]>' + tails[kinds[r]].  Every
+    tail is cut by _tails from a record of its kind, so every line equals
     _record_line of its record by construction.
     """
-    tails: dict[int, str] = {}
     count = 0
     with _atomic_open(path) as handle:
-        for chunk in chunks:
-            kinds = chunk.kinds()
-            unique, first_rows = np.unique(kinds, return_index=True)
-            fresh = [k for k, kind in enumerate(unique.tolist()) if kind not in tails]
-            for kind, record in zip(unique[fresh].tolist(), chunk.records(first_rows[fresh])):
-                line = _record_line(record)
-                head = f"{_TRIAL_ID_KEY}{record.trial_id}"
-                if not line.startswith(head):
-                    raise RuntimeError(f"record line does not start with its trial_id: {line!r}")
-                tails[kind] = line[len(head):]
-            handle.write("".join([f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"
-                                  for trial_id, kind in zip(chunk.trial_ids.tolist(), kinds.tolist())]))
-            count += len(kinds)
+        for trial_ids, kinds, tails in chunks:
+            handle.writelines([f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"
+                               for trial_id, kind in zip(trial_ids, kinds)])
+            count += len(trial_ids)
     return count
+
+
+def _batch_rows(chunks):
+    """Writer chunks of a TrialChunk or ClassicalChunk stream.
+
+    A chunk's kinds() index every field but trial_id the same way in every
+    chunk, so each kind's tail is rendered once per file.
+    """
+    tails: dict[int, str] = {}
+    for chunk in chunks:
+        kinds = chunk.kinds()
+        unique, first_rows = np.unique(kinds, return_index=True)
+        fresh = [k for k, kind in enumerate(unique.tolist()) if kind not in tails]
+        tails.update(zip(unique[fresh].tolist(), _tails(chunk.records(first_rows[fresh]))))
+        yield chunk.trial_ids.tolist(), kinds.tolist(), tails
 
 
 def _emit(text: str, out_path) -> None:
@@ -244,16 +359,22 @@ def cmd_simulate(args) -> int:
     config = _experiment_config(args)
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    count = _write_records(args.out, run_chunks(config))
+    count = _write_records(args.out, _batch_rows(run_chunks(config)))
     _write_manifest(args.out, "simulate", _experiment_config_doc(config), config.seed, count)
     sys.stdout.write(f"wrote {count} records to {args.out}\n")
     sys.stdout.write(f"manifest: {_manifest_path(args.out)}\n")
     return 0
 
 
+def _kind_counts(path: str):
+    """(template, row count) for every kind of every chunk of a record file."""
+    for chunk in read_record_chunks(path):
+        yield from zip(chunk.templates, np.bincount(chunk.kinds).tolist())
+
+
 def cmd_analyze(args) -> int:
     selection = _FILTERS[args.select]()
-    report = chsh(iter_records_file(args.input), selection)
+    report = chsh_weighted(_kind_counts(args.input), selection)
     _emit(_render_report_doc(report.to_json_dict()), args.out)
     return 0
 
@@ -283,48 +404,31 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
     )
 
 
-def _exact_cell_correlations(config: ExperimentConfig, cell) -> tuple[float, float]:
-    """(E conditioned on psi-, unconditional E) for one setting cell, exactly."""
-    table = exact_joint_distribution(config)
-    keep_p = keep_e = all_p = all_e = 0.0
-    for (i0, i3, o0, o3, bsm), p in table.items():
-        if (i0, i3) != cell:
-            continue
-        all_p += p
-        all_e += o0 * o3 * p
-        if bsm is BsmOutcome.PSI_MINUS:
-            keep_p += p
-            keep_e += o0 * o3 * p
-    return keep_e / keep_p, all_e / all_p
+def _sampled_counts(config: ExperimentConfig) -> np.ndarray:
+    """counts[bsm, setting0, setting3, outcomes differ] over a sampled batch, chunk by chunk."""
+    counts = np.zeros((len(bsm_outcomes(config.bsm_mode)), 2, 2, 2), dtype=np.int64)
+    for chunk in run_chunks(config):
+        opposed = chunk.outcome0 != chunk.outcome3
+        tally_cells(counts, chunk.bsm, chunk.setting0, chunk.setting3, opposed)
+    return counts
 
 
 def _scan_csv(args) -> str:
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
     for delta in _scan_grid(args.scan_step):
         if args.exact:
-            config = _scan_config(delta, args, trials=1)
-            e_filtered, e_all = _exact_cell_correlations(config, (0, 0))
+            table = exact_joint_distribution(_scan_config(delta, args, trials=1))
+            e_filtered = chsh_exact(table, BsmOutcome.PSI_MINUS)[0][(0, 0)]
+            e_all = chsh_exact(table, None)[0][(0, 0)]
         else:
             config = _scan_config(delta, args, trials=args.trials)
-            records = list(run_batch(config))
-            e_filtered = correlation(records, (0, 0), SelectionFilter.bsm_equals("psi-minus")).e_value
-            e_all = correlation(records, (0, 0), SelectionFilter.none()).e_value
+            counts = _sampled_counts(config)
+            label = BsmOutcome.PSI_MINUS
+            selected = counts[bsm_outcomes(config.bsm_mode).index(label)]
+            e_filtered = correlation_from_counts(selected, (0, 0), f"bsm={label.value}").e_value
+            e_all = correlation_from_counts(counts.sum(axis=0), (0, 0), "none").e_value
         lines.append(f"{_fmt(delta)},{_fmt(e_filtered)},{_fmt(e_all)}")
     return "\n".join(lines) + "\n"
-
-
-def _exact_filter_s(config: ExperimentConfig, label) -> float:
-    """Signed S from the exact table under a bsm==label filter (None = keep all)."""
-    table = exact_joint_distribution(config)
-    weights = {cell: 0.0 for cell in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    sums = {cell: 0.0 for cell in weights}
-    for (i0, i3, o0, o3, bsm), p in table.items():
-        if label is not None and bsm is not label:
-            continue
-        weights[(i0, i3)] += p
-        sums[(i0, i3)] += o0 * o3 * p
-    e = {cell: (sums[cell] / weights[cell] if weights[cell] > 0 else 0.0) for cell in weights}
-    return e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
 
 
 def _summary_text(args) -> str:
@@ -352,29 +456,23 @@ def _summary_text(args) -> str:
         lines.append("")
         lines.append("exact CHSH S by selection:")
         for label in labels:
-            s = _exact_filter_s(config, label)
+            _, s = chsh_exact(table, label)
             lines.append(f"  filter bsm={label.value}: S = {_fmt(s)}  |S| = {_fmt(abs(s))}")
-        s_all = _exact_filter_s(config, None)
+        _, s_all = chsh_exact(table, None)
         lines.append(f"  filter none: S = {_fmt(s_all)}  |S| = {_fmt(abs(s_all))}")
     else:
-        # one pass: (aligned, opposed) counts per label and setting cell
-        counts = {label: {(i0, i3): [0, 0] for i0 in (0, 1) for i3 in (0, 1)} for label in labels}
-        for record in run_batch(config):
-            cell = counts[record.bsm][(record.setting0_index, record.setting3_index)]
-            cell[record.outcome0 != record.outcome3] += 1
-        kept = {label: sum(map(sum, counts[label].values())) for label in labels}
+        counts = _sampled_counts(config)
+        kept = counts.sum(axis=(1, 2, 3)).tolist()
         lines.append(f"sampled outcome frequencies (N={config.trials}, seed={config.seed}):")
-        for label in labels:
-            lines.append(f"  f(bsm={label.value}) = {_fmt(kept[label] / config.trials)}")
+        for label, label_kept in zip(labels, kept):
+            lines.append(f"  f(bsm={label.value}) = {_fmt(label_kept / config.trials)}")
         lines.append("")
         lines.append("sampled CHSH by selection:")
-        for label in labels:
-            report = chsh_from_counts(counts[label], f"bsm={label.value}", kept[label], config.trials)
+        for index, label in enumerate(labels):
+            report = chsh_from_counts(counts[index], f"bsm={label.value}", kept[index], config.trials)
             lines.append(f"  filter bsm={label.value}: S = {_fmt(report.s_value)}  "
                          f"|S| = {_fmt(report.s_abs)}  std_err = {_fmt(report.s_std_err)}  kept = {report.kept}")
-        pooled = {cell: [sum(counts[label][cell][k] for label in labels) for k in (0, 1)]
-                  for cell in counts[labels[0]]}
-        report = chsh_from_counts(pooled, "none", config.trials, config.trials)
+        report = chsh_from_counts(counts.sum(axis=0), "none", config.trials, config.trials)
         lines.append(f"  filter none: S = {_fmt(report.s_value)}  |S| = {_fmt(report.s_abs)}  "
                      f"std_err = {_fmt(report.s_std_err)}  kept = {report.kept}")
     return "\n".join(lines) + "\n"
@@ -408,7 +506,7 @@ _MODELS = {
 def _cmd_classical_generate(args) -> int:
     config = _classical_config(args)
     model = _MODELS[args.model](args)
-    count = _write_records(args.out, lhv_chunks(model, config))
+    count = _write_records(args.out, _batch_rows(lhv_chunks(model, config)))
     config_doc = {
         "model": model.name,
         "angles0": [config.angles0[0].degrees, config.angles0[1].degrees],
@@ -422,6 +520,8 @@ def _cmd_classical_generate(args) -> int:
     return 0
 
 
+# Both rules read only settings and outcomes, never trial_id, so one
+# keep weight per template holds for every row of its kind.
 _RULES = {
     "pr-box": pr_box_rule,
     "quantum-mimic": quantum_mimic_rule,
@@ -431,15 +531,23 @@ _RULES = {
 def _cmd_classical_discard(args) -> int:
     rule = _RULES[args.rule]()
     seed = _resolve_seed(args.seed)
-    kept, fraction = apply_discard(iter_records_file(args.input), rule, seed)
-    with _atomic_open(args.out) as handle:
-        for record in kept:
-            handle.write(_record_line(record))
+    total = 0
+
+    def kept_rows():
+        nonlocal total
+        for chunk in read_record_chunks(args.input):
+            total += len(chunk.trial_ids)
+            weights = np.array([rule.checked_weight(template) for template in chunk.templates])
+            keep = keep_mask(rule, seed, chunk.trial_ids, weights[chunk.kinds])
+            kept_ids = list(compress(chunk.trial_ids, keep.tolist()))
+            yield kept_ids, chunk.kinds[keep].tolist(), _tails(chunk.templates)
+
+    kept = _write_records(args.out, kept_rows())
     doc = {
         "rule": rule.description,
         "kind": rule.kind,
-        "kept": len(kept),
-        "keep_fraction": fraction,
+        "kept": kept,
+        "keep_fraction": kept / total if total else 0.0,
         "records": args.out,
     }
     sys.stdout.write(_render_report_doc(doc))

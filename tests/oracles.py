@@ -1,12 +1,19 @@
 """Brute-force reference routes used to cross-check the package.
 
 Everything here is written the slow, obvious way — index loops and explicit
-Kronecker chains — and never calls into the package's linear-algebra
-helpers, so a test comparing both routes genuinely checks two independent
-computations of the same number.
+Kronecker chains, one json.loads per record line — and never calls into the
+package's linear-algebra helpers or its record reader, so a test comparing
+both routes genuinely checks two independent computations of the same
+number.
 """
 
+import json
+
 import numpy as np
+
+from swapsim.classical import ClassicalRecord
+from swapsim.cli import RecordFormatError
+from swapsim.protocol import TrialRecord
 
 
 def kron_chain(ops) -> np.ndarray:
@@ -127,3 +134,25 @@ def philox_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     mask = (1 << 64) - 1
     key = np.array([seed & mask, stream & mask], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+def read_records_reference(path):
+    """Yield the records of a JSONL file, one json.loads per non-blank line.
+
+    The first line that is not a record raises RecordFormatError with its
+    1-based line number, after the records above it.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                doc = json.loads(stripped)
+                if doc.get("ordering") == "classical":
+                    record = ClassicalRecord.from_json_dict(doc)
+                else:
+                    record = TrialRecord.from_json_dict(doc)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise RecordFormatError(line_number, str(exc)) from exc
+            yield record

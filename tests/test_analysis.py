@@ -10,9 +10,12 @@ from swapsim.analysis import (
     SelectionFilter,
     UndefinedPredictionError,
     chsh,
+    chsh_exact,
     chsh_from_counts,
+    chsh_weighted,
     correlation,
     predicted_correlation,
+    tally_cells,
 )
 from swapsim.measure import AnalyzerAngle, BsmOutcome
 from swapsim.protocol import ExperimentConfig, exact_joint_distribution, run_batch
@@ -207,6 +210,62 @@ class TestChshFromCounts:
             chsh_from_counts(counts, "bsm=other", 22, 40)
         assert "(0, 1)" in str(err.value)
         assert "bsm=other" in str(err.value)
+
+
+class TestChshWeighted:
+    def test_equals_chsh_of_the_expanded_records(self, rng):
+        kinds = all_cells({(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 4},
+                          {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1})
+        kinds += cell_records((0, 1), 2, 1, label="other")
+        counts = rng.integers(1, 50, size=len(kinds)).tolist()
+        expanded = [record for record, count in zip(kinds, counts) for _ in range(count)]
+        for selection in (SelectionFilter.none(), SelectionFilter.bsm_equals("psi-minus")):
+            assert chsh_weighted(zip(kinds, counts), selection) == chsh(expanded, selection)
+
+    def test_rejects_kept_record_outside_the_design(self):
+        with pytest.raises(ValueError, match=r"\(2, 0\)"):
+            chsh_weighted([(FakeRecord(2, 0, 1, 1), 3)])
+
+
+class TestTallyCells:
+    def test_matches_add_at(self, rng):
+        indices = [rng.integers(0, n, size=500) for n in (3, 2, 2, 2)]
+        want = np.zeros((3, 2, 2, 2), dtype=np.int64)
+        np.add.at(want, tuple(indices), 1)
+        got = np.ones((3, 2, 2, 2), dtype=np.int64)
+        tally_cells(got, *indices)
+        assert (got - 1 == want).all()
+
+
+class TestChshExact:
+    def test_matches_sums_over_the_table(self):
+        table = exact_joint_distribution(ExperimentConfig(angles0=(17.3, 49.2), angles3=(63.1, 5.8)))
+        for label in (BsmOutcome.PSI_MINUS, BsmOutcome.PHI_PLUS, None):
+            e, s = chsh_exact(table, label)
+            for cell in e:
+                rows = [(o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
+                        if (i0, i3) == cell and label in (None, bsm)]
+                want = sum(x * p for x, p in rows) / sum(p for _, p in rows)
+                assert e[cell] == pytest.approx(want, abs=1e-15)
+            assert s == e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
+
+    def test_singlet_reaches_tsirelson(self):
+        _, s = chsh_exact(exact_joint_distribution(ExperimentConfig(**CANONICAL)), BsmOutcome.PSI_MINUS)
+        assert s == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
+
+    def test_empty_cell_raises(self):
+        # psi- never occurs in cell (1, 0): a hand-built table
+        table = {}
+        for i0 in (0, 1):
+            for i3 in (0, 1):
+                for bsm in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS):
+                    p = 0.0 if (i0, i3, bsm) == (1, 0, BsmOutcome.PSI_MINUS) else 1.0 / 32.0
+                    table[(i0, i3, +1, -1, bsm)] = table[(i0, i3, -1, +1, bsm)] = p
+        assert chsh_exact(table, BsmOutcome.PSI_PLUS)[1] == -2.0
+        assert chsh_exact(table, None)[1] == -2.0
+        with pytest.raises(InsufficientDataError) as err:
+            chsh_exact(table, BsmOutcome.PSI_MINUS)
+        assert "(1, 0)" in str(err.value) and "bsm=psi-minus" in str(err.value)
 
 
 class TestPredictedCorrelation:

@@ -3,12 +3,14 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+from oracles import read_records_reference
 from swapsim import cli
-from swapsim.analysis import SelectionFilter, chsh
-from swapsim.classical import ClassicalRecord
-from swapsim.cli import iter_records_file, main
+from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
+from swapsim.classical import ClassicalRecord, apply_discard, quantum_mimic_rule
+from swapsim.cli import RecordFormatError, iter_records_file, main
 from swapsim.protocol import ExperimentConfig, TrialRecord, run_batch
 
 
@@ -393,6 +395,176 @@ class TestMixedRecordFiles:
         mixed.write_text(quantum.read_text() + lhv.read_text())
         records = list(iter_records_file(str(mixed)))
         assert [type(r) for r in records] == [TrialRecord] * 3 + [ClassicalRecord] * 3
+
+
+def _with_id(line: str, trial_id: str) -> str:
+    return '{"trial_id":' + trial_id + line[line.index(","):]
+
+
+def _reordered(line: str, rng) -> str:
+    items = list(json.loads(line).items())
+    rng.shuffle(items)
+    return json.dumps(dict(items), separators=(",", ":"))
+
+
+def _tail_reordered(line: str, rng) -> str:
+    doc = json.loads(line)
+    rest = [key for key in doc if key != "trial_id"]
+    rng.shuffle(rest)
+    return json.dumps({"trial_id": doc["trial_id"], **{key: doc[key] for key in rest}}, separators=(",", ":"))
+
+
+def _bad_outcome(line: str) -> str:
+    doc = json.loads(line)
+    doc["outcome0"] = 3
+    return json.dumps(doc, separators=(",", ":"))
+
+
+# Rewrites of one record line that keep it a valid record.
+BENIGN = {
+    "spaces": lambda line, rng: json.dumps(json.loads(line)),
+    "reordered": _reordered,
+    "tail-reordered": _tail_reordered,
+    "padded": lambda line, rng: "  " + line + " \t",
+    "duplicate-id": lambda line, rng: line[:-1] + ',"trial_id":7}',
+    "escaped-duplicate-id": lambda line, rng: line[:-1] + ',"trial\\u005fid":9}',
+    "id-zero": lambda line, rng: _with_id(line, "0"),
+    "id-minus-zero": lambda line, rng: _with_id(line, "-0"),
+    "id-negative": lambda line, rng: _with_id(line, "-5"),
+    "id-18-digits": lambda line, rng: _with_id(line, "9" * 18),
+    "id-19-digits": lambda line, rng: _with_id(line, "9" * 19),
+    "id-past-2**64": lambda line, rng: _with_id(line, str(2**64 + 3)),
+    "id-float": lambda line, rng: _with_id(line, "5.0"),
+}
+
+# Rewrites that leave no record on the line.
+BROKEN = {
+    "id-leading-zero": lambda line, rng: _with_id(line, "012"),
+    "id-5000-digits": lambda line, rng: _with_id(line, "1" * 5000),
+    "id-arabic-indic": lambda line, rng: _with_id(line, "\u0663"),
+    "id-fullwidth": lambda line, rng: _with_id(line, "\uff15"),
+    "id-mixed-digits": lambda line, rng: _with_id(line, "1\u0663"),
+    "duplicate-id-null": lambda line, rng: line[:-1] + ',"trial_id":null}',
+    "garbled": lambda line, rng: line[: len(line) // 2],
+    "outcome-3": lambda line, rng: _bad_outcome(line),
+}
+
+
+def _outcome(records):
+    """(records read, (line number, message) of the RecordFormatError or None)."""
+    got = []
+    try:
+        for record in records:
+            got.append(record)
+    except RecordFormatError as exc:
+        return got, (exc.line_number, str(exc))
+    return got, None
+
+
+class TestRecordReader:
+    """The columnar reader against the line-by-line json.loads reference."""
+
+    @pytest.fixture(scope="class")
+    def base_lines(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("base")
+        quantum, lhv = tmp / "q.jsonl", tmp / "c.jsonl"
+        assert main(["simulate", "--trials", "120", "--seed", "4", "--ordering", "pol-first",
+                     "--bsm-mode", "partial", "--visibility", "0.8", "--out", str(quantum)]) == 0
+        assert main(["classical", "generate", "--model", "sign", "--trials", "80", "--seed", "4",
+                     "--out", str(lhv)]) == 0
+        return quantum.read_text().splitlines() + lhv.read_text().splitlines()
+
+    def _fuzzed(self, base_lines, seed, tmp_path) -> str:
+        rng = np.random.default_rng(seed)
+        lines = [base_lines[i] for i in rng.permutation(len(base_lines))]
+        names = sorted(BENIGN)
+        for index in rng.choice(len(lines), size=len(lines) // 3, replace=False).tolist():
+            lines[index] = BENIGN[names[rng.integers(len(names))]](lines[index], rng)
+        if seed % 2:
+            broken = sorted(BROKEN)[seed // 2 % len(BROKEN)]
+            index = int(rng.integers(len(lines)))
+            lines[index] = BROKEN[broken](lines[index], rng)
+        text = "".join(line + ("\r\n" if rng.random() < 0.2 else "\n") + ("\n" if rng.random() < 0.05 else "")
+                       for line in lines)
+        path = tmp_path / f"fuzz{seed}.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    @pytest.mark.parametrize("chunk, max_tails", [(7, 2), (7, cli._MAX_TAILS), (cli.CHUNK, cli._MAX_TAILS)])
+    def test_fuzzed_files_read_like_the_reference(self, base_lines, chunk, max_tails, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        monkeypatch.setattr(cli, "_MAX_TAILS", max_tails)
+        errors = 0
+        for seed in range(2 * len(BROKEN) + 8):
+            path = self._fuzzed(base_lines, seed, tmp_path)
+            want = _outcome(read_records_reference(path))
+            assert _outcome(iter_records_file(path)) == want, seed
+            errors += want[1] is not None
+        assert errors == len(BROKEN) + 4
+
+    def test_every_broken_rewrite_fails_on_its_line(self, base_lines, tmp_path):
+        # the broken line's tail is known from line 1, so it cannot pass on a known tail
+        for name, rewrite in sorted(BROKEN.items()):
+            path = tmp_path / "broken.jsonl"
+            lines = base_lines[:3] + [rewrite(base_lines[0], None)] + base_lines[4:6]
+            path.write_text("\n".join(lines) + "\n")
+            got, error = _outcome(iter_records_file(str(path)))
+            assert (got, error) == _outcome(read_records_reference(str(path))), name
+            assert len(got) == 3 and error[0] == 4, name
+
+    def test_repeated_tail_with_second_trial_id_keeps_the_tail_id(self, base_lines, tmp_path):
+        line = base_lines[0][:-1] + ',"trial_id":7}'
+        path = tmp_path / "dup.jsonl"
+        path.write_text(_with_id(line, "1") + "\n" + _with_id(line, "2") + "\n")
+        assert [record.trial_id for record in iter_records_file(str(path))] == [7, 7]
+
+    @pytest.mark.parametrize("select", ["none", "psi-minus", "other"])
+    def test_analyze_of_fuzzed_files_matches_chsh_of_the_reference(self, base_lines, select,
+                                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CHUNK", 7)
+        selection = cli._FILTERS[select]()
+        for seed in range(2 * len(BROKEN) + 8):
+            path = self._fuzzed(base_lines, seed, tmp_path)
+            try:
+                report = chsh(read_records_reference(path), selection)
+                want = (0, cli._render_report_doc(report.to_json_dict()))
+            except RecordFormatError:
+                want = (3, "")
+            except InsufficientDataError:
+                want = (4, "")
+            capsys.readouterr()
+            code = main(["analyze", "--in", path, "--select", select])
+            assert (code, capsys.readouterr().out) == want, seed
+
+    def test_discard_of_fuzzed_files_matches_apply_discard_of_the_reference(self, base_lines, tmp_path,
+                                                                           monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CHUNK", 7)
+        for seed in range(2 * len(BROKEN) + 8):
+            path = self._fuzzed(base_lines, seed, tmp_path)
+            out = tmp_path / f"kept{seed}.jsonl"
+            capsys.readouterr()
+            code = main(["classical", "discard", "--rule", "quantum-mimic", "--seed", str(seed),
+                         "--in", path, "--out", str(out)])
+            try:
+                kept, fraction = apply_discard(read_records_reference(path), quantum_mimic_rule(), seed=seed)
+            except RecordFormatError:
+                assert code == 3 and not out.exists(), seed
+                continue
+            assert code == 0, seed
+            assert out.read_text() == "".join(cli._record_line(record) for record in kept), seed
+            summary = json.loads(capsys.readouterr().out)
+            assert (summary["kept"], summary["keep_fraction"]) == (len(kept), cli._round12(fraction))
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_garbled_line_after_a_full_chunk_keeps_its_number(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CHUNK", 4)
+        records = simulate(tmp_path, trials=10)
+        lines = records.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:6] + ["", "{not json"] + lines[6:]) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(bad)]) == 3
+        assert "line 8:" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("swapsim") is None, reason="console script not installed")
