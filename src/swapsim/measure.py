@@ -12,7 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -236,19 +237,32 @@ def _check_qubit(num_qubits: int, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit register")
 
 
-def _apply_single(amps: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
-    tens = amps.reshape((2,) * n)
-    tens = np.moveaxis(np.tensordot(mat, tens, axes=([1], [qubit])), 0, qubit)
-    return tens.reshape(-1)
+@lru_cache(maxsize=64)
+def _gather_index(n: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat amplitude indices with ``axes`` moved to the front (C order), and their inverse.
+
+    amps.take(forward).reshape(2 ** len(axes), -1) is the contiguous operand
+    that np.tensordot builds by transpose and reshape, so one np.dot on it
+    does the same floating-point operations in the same order; taking the
+    inverse indices of the product puts it back in register order.
+    """
+    order = axes + tuple(q for q in range(n) if q not in axes)
+    forward = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(-1)
+    inverse = np.argsort(forward)
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
 
 
-def _apply_pair(amps: np.ndarray, n: int, i: int, j: int, mat4: np.ndarray) -> np.ndarray:
-    # mat4 rows/columns are indexed 2*q_i + q_j, matching the global convention
-    # that the lower-numbered qubit is the more significant bit.
-    op = mat4.reshape(2, 2, 2, 2)
-    tens = amps.reshape((2,) * n)
-    tens = np.moveaxis(np.tensordot(op, tens, axes=([2, 3], [i, j])), (0, 1), (i, j))
-    return tens.reshape(-1)
+def _apply(amps: np.ndarray, gather: tuple[np.ndarray, np.ndarray], op: np.ndarray) -> np.ndarray:
+    """``op`` on the qubits that ``gather`` brings to the front, back in register order.
+
+    Two-qubit operators are indexed 2*q_i + q_j for gathered axes (i, j),
+    matching the global convention that the lower-numbered qubit is the
+    more significant bit.
+    """
+    forward, inverse = gather
+    return np.dot(op, amps.take(forward).reshape(op.shape[1], -1)).reshape(-1).take(inverse)
 
 
 def _norm_sq(amps: np.ndarray) -> float:
@@ -269,13 +283,14 @@ def measure_qubit(
     n = state.num_qubits
     _check_qubit(n, qubit)
     p_plus_op, p_minus_op = polarization_observable(theta)
+    gather = _gather_index(n, (qubit,))
 
-    branch_plus = _apply_single(state.amplitudes, n, qubit, p_plus_op)
+    branch_plus = _apply(state.amplitudes, gather, p_plus_op)
     p_plus = min(max(_norm_sq(branch_plus), 0.0), 1.0)
     if rng.uniform() < p_plus:
         outcome, branch = +1, branch_plus
     else:
-        outcome, branch = -1, _apply_single(state.amplitudes, n, qubit, p_minus_op)
+        outcome, branch = -1, _apply(state.amplitudes, gather, p_minus_op)
     weight = _norm_sq(branch)
     if weight < _DEGENERATE_BRANCH:
         raise ValueError("sampled a zero-probability branch; state inconsistent")
@@ -323,7 +338,8 @@ def bell_measurement(
 
     projectors = bell_projectors(mode)
     order = bsm_outcomes(mode)
-    branches = [_apply_pair(state.amplitudes, n, i, j, projectors[o]) for o in order]
+    gather = _gather_index(n, (i, j))
+    branches = [_apply(state.amplitudes, gather, projectors[o]) for o in order]
     probs = _clamped([_norm_sq(b) for b in branches], "bell measurement")
     cums = np.cumsum(probs)
 
@@ -364,31 +380,58 @@ class BellSpec:
 MeasurementSpec = Union[PolarizationSpec, BellSpec]
 
 
-def _spec_branches(spec: MeasurementSpec, n: int):
-    """Yield (outcome, apply) pairs for one plan step, in sampling order."""
+def _step_operators(spec: MeasurementSpec, n: int) -> tuple[tuple[np.ndarray, np.ndarray], list]:
+    """Gather indices and (outcome, projector) pairs of one plan step, in sampling order."""
     if isinstance(spec, PolarizationSpec):
         _check_qubit(n, spec.qubit)
         p_plus_op, p_minus_op = polarization_observable(spec.angle)
-        return [
-            (+1, lambda a, op=p_plus_op: _apply_single(a, n, spec.qubit, op)),
-            (-1, lambda a, op=p_minus_op: _apply_single(a, n, spec.qubit, op)),
-        ]
+        return _gather_index(n, (spec.qubit,)), [(+1, p_plus_op), (-1, p_minus_op)]
     if isinstance(spec, BellSpec):
         i, j = spec.qubits
         _check_qubit(n, i)
         _check_qubit(n, j)
         projectors = bell_projectors(spec.mode)
-        return [
-            (o, lambda a, op=projectors[o]: _apply_pair(a, n, i, j, op))
-            for o in bsm_outcomes(spec.mode)
-        ]
+        return _gather_index(n, (i, j)), [(o, projectors[o]) for o in bsm_outcomes(spec.mode)]
     raise TypeError(f"unknown measurement spec: {spec!r}")
 
 
-def _spec_outcomes(spec: MeasurementSpec) -> tuple:
-    if isinstance(spec, PolarizationSpec):
-        return (+1, -1)
-    return bsm_outcomes(spec.mode)
+# One branch of an exact walk: (outcomes so far, joint probability,
+# normalized post-measurement amplitudes or None).
+Branch = tuple[tuple, float, Optional[np.ndarray]]
+
+
+def extend_frontier(
+    frontier: Sequence[Branch],
+    spec: MeasurementSpec,
+    num_qubits: int,
+    keep_states: bool = True,
+) -> list[Branch]:
+    """Apply one plan step to every branch of a frontier, in outcome order.
+
+    Each branch splits into one child per outcome of ``spec``, children
+    listed in sampling order right after one another, so a frontier grown
+    from ``[((), 1.0, amplitudes)]`` lists full outcome tuples in
+    lexicographic (depth-first) order.  A child carries joint * p, its
+    Born probability p times its parent's joint.  A zero-probability child,
+    and every child of a branch without a state, carries joint 0.0 and no
+    state, so every outcome combination stays present.  ``keep_states=False``
+    keeps no states at all, for a plan's last step.
+    """
+    gather, operators = _step_operators(spec, num_qubits)
+    children: list[Branch] = []
+    for outcomes, joint, amps in frontier:
+        for outcome, op in operators:
+            key = outcomes + (outcome,)
+            if amps is None:
+                children.append((key, 0.0, None))
+                continue
+            branch = _apply(amps, gather, op)
+            p = _clamped([_norm_sq(branch)], "outcome distribution")[0]
+            if p == 0.0:
+                children.append((key, 0.0, None))
+            else:
+                children.append((key, joint * p, branch / np.sqrt(p) if keep_states else None))
+    return children
 
 
 def outcome_distribution(state: PureState, plan: Iterable[MeasurementSpec]) -> dict[tuple, float]:
@@ -400,30 +443,7 @@ def outcome_distribution(state: PureState, plan: Iterable[MeasurementSpec]) -> d
     key set is the full cartesian product of step outcomes.
     """
     steps = tuple(plan)
-    if not steps:
-        return {(): 1.0}
-    n = state.num_qubits
-    table: dict[tuple, float] = {}
-
-    def fill_zeros(prefix: tuple, depth: int) -> None:
-        if depth == len(steps):
-            table[prefix] = 0.0
-            return
-        for outcome in _spec_outcomes(steps[depth]):
-            fill_zeros(prefix + (outcome,), depth + 1)
-
-    def walk(amps: np.ndarray, prefix: tuple, joint: float) -> None:
-        depth = len(prefix)
-        if depth == len(steps):
-            table[prefix] = joint
-            return
-        for outcome, apply in _spec_branches(steps[depth], n):
-            branch = apply(amps)
-            p = _clamped([_norm_sq(branch)], "outcome distribution")[0]
-            if p == 0.0:
-                fill_zeros(prefix + (outcome,), depth + 1)
-            else:
-                walk(branch / np.sqrt(p), prefix + (outcome,), joint * p)
-
-    walk(state.amplitudes, (), 1.0)
-    return table
+    frontier: list[Branch] = [((), 1.0, state.amplitudes)]
+    for depth, spec in enumerate(steps):
+        frontier = extend_frontier(frontier, spec, state.num_qubits, keep_states=depth + 1 < len(steps))
+    return {outcomes: joint for outcomes, joint, _ in frontier}

@@ -39,10 +39,11 @@ from .measure import (
     as_angle,
     bell_projectors,
     bsm_outcomes,
-    outcome_distribution,
+    extend_frontier,
 )
 from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, tensor
 
+_PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
 _DRAWS_PER_TRIAL = 5  # setting0, setting3, then three measurement draws
 
@@ -199,17 +200,40 @@ def _measurement_plan(key: tuple, i0: int, i3: int):
     return (pol0, pol3, joint)
 
 
+# Holds interior frontiers only: a scan point needs at most seven (the root,
+# two single-step and four two-step prefixes), and plan leaves never enter.
+@lru_cache(maxsize=8)
+def _frontiers(visibility: float, steps: tuple) -> tuple[tuple[float, list], ...]:
+    """(weight, frontier) of every preparation component after the plan prefix ``steps``.
+
+    Setting pairs and scan points that share a prefix share its branches:
+    under bsm-first every plan starts with the same Bell step, so its
+    branches are computed once per run.  Only interior prefixes are cached;
+    the plan's last step is extended by the caller and not kept.
+    """
+    if not steps:
+        return tuple((w, [((), 1.0, c.amplitudes)]) for w, c in _preparation_components(visibility))
+    return tuple(
+        (w, extend_frontier(frontier, steps[-1], _PHOTONS))
+        for w, frontier in _frontiers(visibility, steps[:-1])
+    )
+
+
 @lru_cache(maxsize=16)
 def _setting_joints(key: tuple) -> dict[tuple[int, int], dict[tuple, float]]:
-    """Exact per-setting joint distribution, keyed by plan order of the config."""
+    """Exact per-setting joint distribution, keyed by plan order of the config.
+
+    Each entry is the preparation mixture of the components' walks,
+    weight * p summed component by component in plan outcome order.
+    """
     visibility = key[4]
     joints: dict[tuple[int, int], dict[tuple, float]] = {}
     for i0 in (0, 1):
         for i3 in (0, 1):
             plan = _measurement_plan(key, i0, i3)
             merged: dict[tuple, float] = {}
-            for weight, component in _preparation_components(visibility):
-                for outcomes, p in outcome_distribution(component, plan).items():
+            for weight, frontier in _frontiers(visibility, plan[:-1]):
+                for outcomes, p, _ in extend_frontier(frontier, plan[-1], _PHOTONS, keep_states=False):
                     merged[outcomes] = merged.get(outcomes, 0.0) + weight * p
             joints[(i0, i3)] = merged
     return joints

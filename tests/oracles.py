@@ -5,6 +5,12 @@ Kronecker chains, one json.loads per record line — and never calls into the
 package's linear-algebra helpers or its record reader, so a test comparing
 both routes genuinely checks two independent computations of the same
 number.
+
+The tensordot routes at the end are the package's former measurement
+kernels: a recursive, depth-first exact walk and the sampled collapses.
+They take the analyzer operators from the package, because the package
+now gathers amplitudes and calls np.dot on the very operands tensordot
+builds, and tests require bit-identical results from both.
 """
 
 import json
@@ -13,7 +19,8 @@ import numpy as np
 
 from swapsim.classical import ClassicalRecord
 from swapsim.cli import RecordFormatError
-from swapsim.protocol import TrialRecord
+from swapsim.measure import BellSpec, PolarizationSpec, bell_projectors, bsm_outcomes, polarization_observable
+from swapsim.protocol import TrialRecord, _measurement_plan, _preparation_components
 
 
 def kron_chain(ops) -> np.ndarray:
@@ -156,3 +163,123 @@ def read_records_reference(path):
             except (ValueError, KeyError, TypeError) as exc:
                 raise RecordFormatError(line_number, str(exc)) from exc
             yield record
+
+
+def apply_single_tensordot(amps: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
+    tens = amps.reshape((2,) * n)
+    tens = np.moveaxis(np.tensordot(mat, tens, axes=([1], [qubit])), 0, qubit)
+    return tens.reshape(-1)
+
+
+def apply_pair_tensordot(amps: np.ndarray, n: int, i: int, j: int, mat4: np.ndarray) -> np.ndarray:
+    # mat4 rows/columns are indexed 2*q_i + q_j
+    op = mat4.reshape(2, 2, 2, 2)
+    tens = amps.reshape((2,) * n)
+    tens = np.moveaxis(np.tensordot(op, tens, axes=([2, 3], [i, j])), (0, 1), (i, j))
+    return tens.reshape(-1)
+
+
+def _norm_sq(amps: np.ndarray) -> float:
+    return float(np.vdot(amps, amps).real)
+
+
+def _clamp(p: float) -> float:
+    if p < 0.0:
+        if p < -1e-12:
+            raise ValueError(f"negative probability {p!r}")
+        return 0.0
+    return p
+
+
+def _branches(spec, n: int):
+    """(outcome, apply) pairs of one plan step, in sampling order."""
+    if isinstance(spec, PolarizationSpec):
+        p_plus, p_minus = polarization_observable(spec.angle)
+        return [(o, lambda a, op=op: apply_single_tensordot(a, n, spec.qubit, op))
+                for o, op in ((+1, p_plus), (-1, p_minus))]
+    assert isinstance(spec, BellSpec)
+    i, j = spec.qubits
+    projectors = bell_projectors(spec.mode)
+    return [(o, lambda a, op=projectors[o]: apply_pair_tensordot(a, n, i, j, op))
+            for o in bsm_outcomes(spec.mode)]
+
+
+def _outcomes(spec) -> tuple:
+    return (+1, -1) if isinstance(spec, PolarizationSpec) else bsm_outcomes(spec.mode)
+
+
+def outcome_distribution_recursive(amps: np.ndarray, n: int, plan) -> dict:
+    """Exact joint distribution by a depth-first walk that recomputes every branch.
+
+    A zero-probability branch fills its whole subtree with 0.0.
+    """
+    steps = tuple(plan)
+    table = {}
+
+    def fill_zeros(prefix: tuple, depth: int) -> None:
+        if depth == len(steps):
+            table[prefix] = 0.0
+            return
+        for outcome in _outcomes(steps[depth]):
+            fill_zeros(prefix + (outcome,), depth + 1)
+
+    def walk(state: np.ndarray, prefix: tuple, joint: float) -> None:
+        depth = len(prefix)
+        if depth == len(steps):
+            table[prefix] = joint
+            return
+        for outcome, apply in _branches(steps[depth], n):
+            branch = apply(state)
+            p = _clamp(_norm_sq(branch))
+            if p == 0.0:
+                fill_zeros(prefix + (outcome,), depth + 1)
+            else:
+                walk(branch / np.sqrt(p), prefix + (outcome,), joint * p)
+
+    walk(amps, (), 1.0)
+    return table
+
+
+def setting_joints_reference(key: tuple, memo: dict) -> dict:
+    """Per-setting joints of a protocol table key: the component mixture summed in order.
+
+    Each component's walk is a pure function of its amplitudes and the plan,
+    so ``memo`` keeps it across keys: the components at every V < 1 are the
+    same 16 Bell products, only their weights differ.
+    """
+    components = _preparation_components(key[4])
+    joints = {}
+    for i0 in (0, 1):
+        for i3 in (0, 1):
+            plan = _measurement_plan(key, i0, i3)
+            merged = {}
+            for weight, component in components:
+                walk_key = (component.amplitudes.tobytes(), plan)
+                if walk_key not in memo:
+                    memo[walk_key] = outcome_distribution_recursive(component.amplitudes, 4, plan)
+                for outcomes, p in memo[walk_key].items():
+                    merged[outcomes] = merged.get(outcomes, 0.0) + weight * p
+            joints[(i0, i3)] = merged
+    return joints
+
+
+def measure_qubit_tensordot(amps: np.ndarray, n: int, qubit: int, theta, u: float):
+    """(outcome, collapsed amplitudes) of one analyzer given its uniform draw ``u``."""
+    p_plus_op, p_minus_op = polarization_observable(theta)
+    branch_plus = apply_single_tensordot(amps, n, qubit, p_plus_op)
+    if u < min(max(_norm_sq(branch_plus), 0.0), 1.0):
+        outcome, branch = +1, branch_plus
+    else:
+        outcome, branch = -1, apply_single_tensordot(amps, n, qubit, p_minus_op)
+    return outcome, branch / np.sqrt(_norm_sq(branch))
+
+
+def bell_measurement_tensordot(amps: np.ndarray, n: int, qubits, mode, u: float):
+    """(outcome, collapsed amplitudes) of a Bell analyzer given its uniform draw ``u``."""
+    i, j = qubits
+    projectors = bell_projectors(mode)
+    order = bsm_outcomes(mode)
+    branches = [apply_pair_tensordot(amps, n, i, j, projectors[o]) for o in order]
+    cums = np.cumsum([_clamp(_norm_sq(b)) for b in branches])
+    k = next((k for k, edge in enumerate(cums) if u < edge), len(order) - 1)
+    return order[k], branches[k] / np.sqrt(_norm_sq(branches[k]))

@@ -3,7 +3,9 @@
 The writer and sampled-report digests were produced before the vectorized
 sampling engine replaced the per-trial generators; the analyze, scan,
 exact-report and blind-check digests were produced before the columnar
-record reader replaced the per-line parse.  So they pin the byte contract
+record reader replaced the per-line parse; the EXACT_MORE digests were
+produced before the exact tables moved to the prefix-shared branch walk.
+So they pin the byte contract
 across engine changes: identical flags and seed must keep giving identical
 bytes.  N = 10 000 spans the 8192-trial chunk boundary and is not a
 multiple of it.
@@ -151,6 +153,15 @@ EXACT_SCAN = {
     ("pol-first", "partial", "0.9"): "2105ac1b2218b6c05e9dd10dcb5fd645e2312afcf2c870ed6fc7802f0e79bbd4",
 }
 
+# (extra report flags, ordering, mode, visibility) -> stdout digest; the
+# scan is the benchmark's exact command, whose float dust these bytes pin.
+EXACT_MORE = {
+    ("--scan", "bsm-first", "full", "0.9"): "41c6d0b8dfad9114bd779945003eea95c093b49ad4ceba9dadd7e41fdbcd9619",
+    ("", "bsm-first", "full", "0.8"): "fdbb647676e8d95321d95c2ae774353deb8d1867eba679cac9978f3f4ce95df9",
+    ("", "pol-first", "full", "0.8"): "cb9d60ce5683d819793fbcc464994e5b4d77c48957a79678f6a806d8bda7fb17",
+    ("", "pol-first", "partial", "0.5"): "24167833679ab5dae503bfe4787e92b9a0ca16999883a91a64cabaf815b54e64",
+}
+
 BLIND_CHECK = "b4219e09f0a97c1d5292ef16ed895887f5499f2599d9dbc9a931b2254de4de64"
 
 
@@ -269,6 +280,13 @@ def test_sampled_scan(config, capsys):
 def test_exact_summary_and_scan(config, capsys):
     got = (_report(config, ["--exact"], capsys), _report(config, ["--exact", "--scan"], capsys))
     assert got == (EXACT_SUMMARY[config], EXACT_SCAN[config])
+
+
+@pytest.mark.parametrize("extra, ordering, mode, visibility", sorted(EXACT_MORE))
+def test_exact_report_more_configs(extra, ordering, mode, visibility, capsys):
+    flags = ["--exact", extra] if extra else ["--exact"]
+    got = _report((ordering, mode, visibility), flags, capsys)
+    assert got == EXACT_MORE[(extra, ordering, mode, visibility)]
 
 
 def test_blind_check(capsys):

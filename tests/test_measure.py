@@ -352,6 +352,78 @@ class TestOutcomeDistribution:
             assert abs(counts[key] / n - p) <= 5.0 * sigma + 1e-12
 
 
+def _random_plan(rng: np.random.Generator, n: int) -> list:
+    plan = []
+    for _ in range(int(rng.integers(1, 5))):
+        if n >= 2 and rng.integers(2):
+            i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
+            plan.append(BellSpec((i, j), BsmMode.FULL if rng.integers(2) else BsmMode.PARTIAL))
+        else:
+            plan.append(PolarizationSpec(int(rng.integers(n)), AnalyzerAngle(float(rng.uniform(0, 180)))))
+    return plan
+
+
+def _hex_items(table: dict) -> list:
+    return [(key, p.hex()) for key, p in table.items()]
+
+
+class TestTensordotReference:
+    """Bit-exact agreement with the former tensordot kernels in oracles."""
+
+    def test_outcome_distribution_on_random_states(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            state = PureState(n, oracles.random_state(rng, n))
+            plan = _random_plan(rng, n)
+            want = oracles.outcome_distribution_recursive(state.amplitudes, n, plan)
+            assert _hex_items(outcome_distribution(state, plan)) == _hex_items(want)
+
+    def test_outcome_distribution_with_zero_probability_branches(self):
+        plans = {
+            2: [PolarizationSpec(0, AnalyzerAngle(0.0)), BellSpec((1, 0), BsmMode.FULL),
+                PolarizationSpec(1, AnalyzerAngle(90.0))],
+            3: [BellSpec((0, 2), BsmMode.PARTIAL), PolarizationSpec(1, AnalyzerAngle(0.0)),
+                PolarizationSpec(2, AnalyzerAngle(45.0))],
+            4: [BellSpec((1, 2), BsmMode.FULL), PolarizationSpec(0, AnalyzerAngle(90.0)),
+                PolarizationSpec(3, AnalyzerAngle(0.0)), BellSpec((0, 3), BsmMode.PARTIAL)],
+        }
+        zeros = 0
+        for n, plan in plans.items():
+            for index in range(2**n):
+                state = basis_state(n, index)
+                got = outcome_distribution(state, plan)
+                want = oracles.outcome_distribution_recursive(state.amplitudes, n, plan)
+                assert _hex_items(got) == _hex_items(want)
+                zeros += sum(p == 0.0 for p in got.values())
+        assert zeros > 0
+
+    def test_measure_qubit_outcomes_and_collapse(self):
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n = int(rng.integers(1, 6))
+            state = PureState(n, oracles.random_state(rng, n))
+            qubit, theta = int(rng.integers(n)), float(rng.uniform(0, 180))
+            outcome, post = measure_qubit(state, qubit, theta, RandomSource(4, trial))
+            u = RandomSource(4, trial).uniform()
+            want_outcome, want_amps = oracles.measure_qubit_tensordot(state.amplitudes, n, qubit, theta, u)
+            assert outcome == want_outcome
+            assert post.amplitudes.tobytes() == want_amps.tobytes()
+
+    @pytest.mark.parametrize("mode", list(BsmMode))
+    def test_bell_measurement_outcomes_and_collapse(self, mode):
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            n = int(rng.integers(2, 6))
+            state = PureState(n, oracles.random_state(rng, n))
+            i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
+            outcome, post = bell_measurement(state, (i, j), mode, RandomSource(6, trial))
+            u = RandomSource(6, trial).uniform()
+            want_outcome, want_amps = oracles.bell_measurement_tensordot(state.amplitudes, n, (i, j), mode, u)
+            assert outcome is want_outcome
+            assert post.amplitudes.tobytes() == want_amps.tobytes()
+
+
 def tensor_h_first() -> PureState:
     """|H> on qubit 0 with junk on qubit 1, for single-analyzer tests."""
     amps = np.zeros(4, dtype=complex)

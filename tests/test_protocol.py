@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,10 +7,13 @@ import pytest
 
 import oracles
 from swapsim.measure import CHUNK, BsmMode, BsmOutcome, _pick
+from swapsim.cli import _scan_grid, main
 from swapsim.protocol import (
     ExperimentConfig,
     Ordering,
     TrialRecord,
+    _frontiers,
+    _setting_joints,
     _walk,
     exact_joint_distribution,
     preparation_density,
@@ -182,6 +186,39 @@ class TestArrayWalk:
         picks = np.full((len(u), 3), -1)
         _walk(({(): (outcomes, cums)},), 0, (), np.arange(len(u)), draws, picks)
         assert [outcomes[k] for k in picks[:, 0]] == [_pick(outcomes, cums, x) for x in u]
+
+
+def _bits(joints: dict) -> list:
+    """Keys and float bits of per-setting joints, in dict order."""
+    return [(pair, [(key, p.hex()) for key, p in joint.items()]) for pair, joint in joints.items()]
+
+
+class TestSettingJointsBitExact:
+    """The prefix-shared walk against the former per-component recursive walk."""
+
+    VISIBILITIES = (1.0, 0.9, 0.8, 0.5, 1.0 / 3.0, 0.0)
+    DELTAS = tuple(_scan_grid(7.5)) + (10.0, 33.3, 179.0)
+    ANGLES0 = ((0.0, 45.0), (15.0, 60.0))
+
+    def test_grid_matches_reference_mixture(self):
+        memo = {}
+        grid = list(itertools.product(Ordering, BsmMode, self.ANGLES0, self.VISIBILITIES, self.DELTAS))
+        assert len(grid) == 768
+        for ordering, mode, angles0, visibility, delta in grid:
+            key = config(angles0=angles0, angles3=(delta, delta + 90.0), ordering=ordering,
+                         bsm_mode=mode, visibility=visibility)._table_key()
+            assert _bits(_setting_joints(key)) == _bits(oracles.setting_joints_reference(key, memo)), key
+
+    def test_frontier_cache_stays_bounded_over_a_fine_scan(self, capsys):
+        _setting_joints.cache_clear()
+        _frontiers.cache_clear()
+        assert main(["report", "--exact", "--scan", "--scan-step", "1.8", "--visibility", "0.9"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 51
+        info = _frontiers.cache_info()
+        assert info.currsize <= info.maxsize
+        # bsm-first: the root, the Bell step and one prefix per photon-0
+        # angle, each computed once for all 51 points
+        assert info.misses == 4
 
 
 class TestExactJointDistribution:
