@@ -5,116 +5,94 @@ polarization analyzers on the outer ones — with a configurable temporal
 order of the measurements; CHSH estimation with post-selection; stage-wise
 entanglement of the outer pair; and a classical hidden-variable engine with
 record-comparing discard rules for the counterpoint.
+
+The public names below resolve on first use (PEP 562), so ``import
+swapsim`` loads no submodule, and a name loads only its home module and
+what that imports: ``swapsim.chsh`` or ``swapsim.BsmOutcome`` need no
+numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    ChshReport,
-    CorrelationEstimate,
-    InsufficientDataError,
-    SelectionFilter,
-    UndefinedPredictionError,
-    chsh,
-    correlation,
-    predicted_correlation,
-)
-from .classical import (
-    BlindCheckReport,
-    ClassicalConfig,
-    ClassicalRecord,
-    DiscardRule,
-    HiddenVariableModel,
-    apply_discard,
-    pr_box_rule,
-    quantum_mimic_rule,
-    random_fourier_model,
-    run_lhv,
-    settings_blind_check,
-    sign_model,
-    uniform_model,
-)
-from .entanglement import TwoQubitMetrics, concurrence, metrics_for, negativity
-from .measure import (
-    AnalyzerAngle,
-    BsmMode,
-    BsmOutcome,
-    RandomSource,
-    bell_measurement,
-    measure_qubit,
-    outcome_distribution,
-    polarization_observable,
-)
-from .protocol import (
-    ExperimentConfig,
-    Ordering,
-    StageSnapshot,
-    TrialRecord,
-    exact_joint_distribution,
-    run_batch,
-    run_trial,
-    stage_entanglement_report,
-)
-from .qstate import (
-    BellKind,
-    DensityMatrix,
-    PureState,
-    bell_state,
-    partial_trace,
-    prepare_swap_input,
-    tensor,
-    to_density,
-)
+# Home module of every public name.
+_EXPORTS = {
+    "analysis": (
+        "ChshReport",
+        "CorrelationEstimate",
+        "InsufficientDataError",
+        "SelectionFilter",
+        "UndefinedPredictionError",
+        "chsh",
+        "correlation",
+        "predicted_correlation",
+    ),
+    "classical": (
+        "BlindCheckReport",
+        "ClassicalConfig",
+        "DiscardRule",
+        "HiddenVariableModel",
+        "apply_discard",
+        "pr_box_rule",
+        "quantum_mimic_rule",
+        "random_fourier_model",
+        "run_lhv",
+        "settings_blind_check",
+        "sign_model",
+        "uniform_model",
+    ),
+    "entanglement": ("TwoQubitMetrics", "concurrence", "metrics_for", "negativity"),
+    "measure": (
+        "RandomSource",
+        "bell_measurement",
+        "measure_qubit",
+        "outcome_distribution",
+        "polarization_observable",
+    ),
+    "protocol": (
+        "ExperimentConfig",
+        "StageSnapshot",
+        "exact_joint_distribution",
+        "run_batch",
+        "run_trial",
+        "stage_entanglement_report",
+    ),
+    "qstate": (
+        "DensityMatrix",
+        "PureState",
+        "bell_state",
+        "partial_trace",
+        "prepare_swap_input",
+        "tensor",
+        "to_density",
+    ),
+    "records": (
+        "AnalyzerAngle",
+        "BellKind",
+        "BsmMode",
+        "BsmOutcome",
+        "ClassicalRecord",
+        "Ordering",
+        "TrialRecord",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 
-__all__ = [
-    "__version__",
-    "AnalyzerAngle",
-    "BellKind",
-    "BlindCheckReport",
-    "BsmMode",
-    "BsmOutcome",
-    "ChshReport",
-    "ClassicalConfig",
-    "ClassicalRecord",
-    "CorrelationEstimate",
-    "DensityMatrix",
-    "DiscardRule",
-    "ExperimentConfig",
-    "HiddenVariableModel",
-    "InsufficientDataError",
-    "Ordering",
-    "PureState",
-    "RandomSource",
-    "SelectionFilter",
-    "StageSnapshot",
-    "TrialRecord",
-    "TwoQubitMetrics",
-    "UndefinedPredictionError",
-    "apply_discard",
-    "bell_measurement",
-    "bell_state",
-    "chsh",
-    "concurrence",
-    "correlation",
-    "exact_joint_distribution",
-    "measure_qubit",
-    "metrics_for",
-    "negativity",
-    "outcome_distribution",
-    "partial_trace",
-    "polarization_observable",
-    "pr_box_rule",
-    "predicted_correlation",
-    "prepare_swap_input",
-    "quantum_mimic_rule",
-    "random_fourier_model",
-    "run_batch",
-    "run_lhv",
-    "run_trial",
-    "settings_blind_check",
-    "sign_model",
-    "stage_entanglement_report",
-    "tensor",
-    "to_density",
-    "uniform_model",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name: str):
+    # Looked up in the home module on every access and never stored here:
+    # a function rebound there (a tracer's wrapper, a test's stub) is what
+    # the package gives, and this namespace holds only what imports put in it.
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
-import numpy as np
+from .records import AnalyzerAngle, BsmOutcome, as_angle
 
-from .measure import AnalyzerAngle, BsmOutcome, as_angle
+if TYPE_CHECKING:
+    import numpy as np
 
 # Cell roles in S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); the minus sign
 # sits on the (a, b') cell.  Fixed convention; reports carry |S| alongside.
@@ -130,6 +131,8 @@ def tally_cells(counts: np.ndarray, *indices: np.ndarray) -> None:
 
     The same integers as ``np.add.at(counts, indices, 1)``, by one np.bincount.
     """
+    import numpy as np  # here, so that reading and tallying a record file never loads numpy
+
     flat = np.ravel_multi_index(indices, counts.shape)
     counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
 

@@ -20,18 +20,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .analysis import ChshReport, chsh_from_counts, tally_cells
-from .measure import CHUNK, AnalyzerAngle, RandomSource, as_angle
+from .measure import RandomSource
+from .records import CHUNK, AnalyzerAngle, ClassicalRecord, as_angle, setting_pair
 
 # Keep-decision draws live far above any trial's generation stream so a rule
 # seeded like the generator never replays the generator's own uniforms.
 _KEEP_STREAM_OFFSET = 1 << 48
 
 _DRAWS_PER_TRIAL = 4  # setting0, setting3, lambda0, lambda1
-
-
-def _angle_pair(value) -> tuple[AnalyzerAngle, AnalyzerAngle]:
-    first, second = value
-    return (as_angle(first), as_angle(second))
 
 
 @dataclass(frozen=True)
@@ -44,66 +40,12 @@ class ClassicalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angles0", _angle_pair(self.angles0))
-        object.__setattr__(self, "angles3", _angle_pair(self.angles3))
+        object.__setattr__(self, "angles0", setting_pair("angles0", self.angles0))
+        object.__setattr__(self, "angles3", setting_pair("angles3", self.angles3))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        for name, pair in (("angles0", self.angles0), ("angles3", self.angles3)):
-            if pair[0].degrees == pair[1].degrees:
-                raise ValueError(f"{name} must hold two distinct settings, got {pair}")
-
-
-@dataclass(frozen=True, slots=True)
-class ClassicalRecord:
-    """One hidden-variable trial; same wire schema as a quantum record."""
-
-    trial_id: int
-    setting0_index: int
-    setting0_deg: float
-    setting3_index: int
-    setting3_deg: float
-    outcome0: int
-    outcome3: int
-    marker: str
-
-    @property
-    def bsm_label(self) -> str:
-        """The marker plays the role a joint-measurement outcome plays upstream."""
-        return self.marker
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "ordering": "classical",
-            "setting0_index": self.setting0_index,
-            "setting0_deg": float(f"{self.setting0_deg:.12g}"),
-            "setting3_index": self.setting3_index,
-            "setting3_deg": float(f"{self.setting3_deg:.12g}"),
-            "outcome0": self.outcome0,
-            "outcome3": self.outcome3,
-            "bsm": self.marker,
-            "events": [],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ClassicalRecord":
-        if doc.get("ordering") != "classical":
-            raise ValueError(f"not a classical record: ordering={doc.get('ordering')!r}")
-        outcome0, outcome3 = int(doc["outcome0"]), int(doc["outcome3"])
-        if outcome0 not in (-1, +1) or outcome3 not in (-1, +1):
-            raise ValueError(f"outcomes must be +-1, got {outcome0}, {outcome3}")
-        return cls(
-            trial_id=int(doc["trial_id"]),
-            setting0_index=int(doc["setting0_index"]),
-            setting0_deg=float(doc["setting0_deg"]),
-            setting3_index=int(doc["setting3_index"]),
-            setting3_deg=float(doc["setting3_deg"]),
-            outcome0=outcome0,
-            outcome3=outcome3,
-            marker=str(doc["bsm"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,9 @@ import json
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from itertools import compress
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .analysis import (
@@ -33,27 +31,16 @@ from .analysis import (
     correlation_from_counts,
     tally_cells,
 )
-from .classical import (
-    ClassicalConfig,
-    ClassicalRecord,
-    keep_mask,
-    lhv_chunks,
-    pr_box_rule,
-    quantum_mimic_rule,
-    random_fourier_model,
-    settings_blind_check,
-    sign_model,
-    uniform_model,
-)
-from .measure import CHUNK, BsmMode, BsmOutcome, bsm_outcomes
-from .protocol import (
-    ExperimentConfig,
-    Ordering,
-    TrialRecord,
-    exact_joint_distribution,
-    run_chunks,
-    stage_entanglement_report,
-)
+from .records import CHUNK, BsmMode, BsmOutcome, ClassicalRecord, Ordering, TrialRecord, bsm_outcomes
+
+# Each command imports numpy, protocol and classical where it uses them, so
+# analyze and --version start on the standard library alone and the quantum
+# and classical commands never load each other's engine.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .classical import ClassicalConfig
+    from .protocol import ExperimentConfig
 
 
 class RecordFormatError(ValueError):
@@ -133,13 +120,13 @@ class RecordChunk:
     """
 
     trial_ids: list[int]
-    kinds: np.ndarray
+    kinds: list[int]
     templates: list
 
     def records(self):
         """The rows as records, in file order."""
         templates = self.templates
-        for trial_id, kind in zip(self.trial_ids, self.kinds.tolist()):
+        for trial_id, kind in zip(self.trial_ids, self.kinds):
             template = templates[kind]
             yield template if template.trial_id == trial_id else replace(template, trial_id=trial_id)
 
@@ -172,7 +159,7 @@ def read_record_chunks(path: str):
                         template = _parse_line(stripped, line_number)
                     except RecordFormatError:
                         if trial_ids:
-                            yield RecordChunk(trial_ids, np.array(kinds, dtype=np.intp), templates)
+                            yield RecordChunk(trial_ids, kinds, templates)
                         raise
                     if tail is not None and len(known) < _MAX_TAILS and _templatable(tail):
                         known[tail] = template
@@ -185,10 +172,10 @@ def read_record_chunks(path: str):
             trial_ids.append(int(match[1]) if tail is not None else template.trial_id)
             kinds.append(kind)
             if len(trial_ids) == CHUNK:
-                yield RecordChunk(trial_ids, np.array(kinds, dtype=np.intp), templates)
+                yield RecordChunk(trial_ids, kinds, templates)
                 trial_ids, kinds, templates, local = [], [], [], {}
         if trial_ids:
-            yield RecordChunk(trial_ids, np.array(kinds, dtype=np.intp), templates)
+            yield RecordChunk(trial_ids, kinds, templates)
 
 
 def iter_records_file(path: str):
@@ -204,6 +191,8 @@ def _atomic_open(path: str):
     The temporary file sits beside ``path`` (same file system, so the rename
     is atomic); on any exception it is removed and ``path`` is left as it was.
     """
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -253,6 +242,8 @@ def _batch_rows(chunks):
     A chunk's kinds() index every field but trial_id the same way in every
     chunk, so each kind's tail is rendered once per file.
     """
+    import numpy as np
+
     tails: dict[int, str] = {}
     for chunk in chunks:
         kinds = chunk.kinds()
@@ -330,6 +321,8 @@ _FILTERS = {
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    from .protocol import ExperimentConfig
+
     angles0, angles3 = args.angles
     return ExperimentConfig(
         angles0=angles0,
@@ -356,6 +349,8 @@ def _experiment_config_doc(config: ExperimentConfig) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from .protocol import run_chunks
+
     config = _experiment_config(args)
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
@@ -369,7 +364,10 @@ def cmd_simulate(args) -> int:
 def _kind_counts(path: str):
     """(template, row count) for every kind of every chunk of a record file."""
     for chunk in read_record_chunks(path):
-        yield from zip(chunk.templates, np.bincount(chunk.kinds).tolist())
+        counts = [0] * len(chunk.templates)
+        for kind in chunk.kinds:
+            counts[kind] += 1
+        yield from zip(chunk.templates, counts)
 
 
 def cmd_analyze(args) -> int:
@@ -391,6 +389,8 @@ def _scan_grid(step: float) -> list[float]:
 
 
 def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
+    from .protocol import ExperimentConfig
+
     # Cell (0,0) carries the pair (alpha=0, delta); the unused second
     # settings just need to be distinct mod 180.
     return ExperimentConfig(
@@ -406,6 +406,10 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
 
 def _sampled_counts(config: ExperimentConfig) -> np.ndarray:
     """counts[bsm, setting0, setting3, outcomes differ] over a sampled batch, chunk by chunk."""
+    import numpy as np
+
+    from .protocol import run_chunks
+
     counts = np.zeros((len(bsm_outcomes(config.bsm_mode)), 2, 2, 2), dtype=np.int64)
     for chunk in run_chunks(config):
         opposed = chunk.outcome0 != chunk.outcome3
@@ -414,6 +418,8 @@ def _sampled_counts(config: ExperimentConfig) -> np.ndarray:
 
 
 def _scan_csv(args) -> str:
+    from .protocol import exact_joint_distribution
+
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
     for delta in _scan_grid(args.scan_step):
         if args.exact:
@@ -432,6 +438,8 @@ def _scan_csv(args) -> str:
 
 
 def _summary_text(args) -> str:
+    from .protocol import exact_joint_distribution, stage_entanglement_report
+
     config = _experiment_config(args)
     lines = []
     lines.append(f"swapsim report (ordering={config.ordering.value}, bsm-mode={config.bsm_mode.value}, "
@@ -487,6 +495,8 @@ def cmd_report(args) -> int:
 
 
 def _classical_config(args) -> ClassicalConfig:
+    from .classical import ClassicalConfig
+
     angles0, angles3 = args.angles
     return ClassicalConfig(
         angles0=angles0,
@@ -496,16 +506,22 @@ def _classical_config(args) -> ClassicalConfig:
     )
 
 
-_MODELS = {
-    "sign": lambda args: sign_model(),
-    "uniform": lambda args: uniform_model(),
-    "fourier": lambda args: random_fourier_model(args.model_seed),
-}
+_MODELS = ("fourier", "sign", "uniform")
+
+
+def _model(args):
+    from .classical import random_fourier_model, sign_model, uniform_model
+
+    if args.model == "fourier":
+        return random_fourier_model(args.model_seed)
+    return sign_model() if args.model == "sign" else uniform_model()
 
 
 def _cmd_classical_generate(args) -> int:
+    from .classical import lhv_chunks
+
     config = _classical_config(args)
-    model = _MODELS[args.model](args)
+    model = _model(args)
     count = _write_records(args.out, _batch_rows(lhv_chunks(model, config)))
     config_doc = {
         "model": model.name,
@@ -522,14 +538,15 @@ def _cmd_classical_generate(args) -> int:
 
 # Both rules read only settings and outcomes, never trial_id, so one
 # keep weight per template holds for every row of its kind.
-_RULES = {
-    "pr-box": pr_box_rule,
-    "quantum-mimic": quantum_mimic_rule,
-}
+_RULES = ("pr-box", "quantum-mimic")
 
 
 def _cmd_classical_discard(args) -> int:
-    rule = _RULES[args.rule]()
+    import numpy as np
+
+    from .classical import keep_mask, pr_box_rule, quantum_mimic_rule
+
+    rule = pr_box_rule() if args.rule == "pr-box" else quantum_mimic_rule()
     seed = _resolve_seed(args.seed)
     total = 0
 
@@ -537,10 +554,11 @@ def _cmd_classical_discard(args) -> int:
         nonlocal total
         for chunk in read_record_chunks(args.input):
             total += len(chunk.trial_ids)
+            kinds = np.array(chunk.kinds, dtype=np.intp)
             weights = np.array([rule.checked_weight(template) for template in chunk.templates])
-            keep = keep_mask(rule, seed, chunk.trial_ids, weights[chunk.kinds])
+            keep = keep_mask(rule, seed, chunk.trial_ids, weights[kinds])
             kept_ids = list(compress(chunk.trial_ids, keep.tolist()))
-            yield kept_ids, chunk.kinds[keep].tolist(), _tails(chunk.templates)
+            yield kept_ids, kinds[keep].tolist(), _tails(chunk.templates)
 
     kept = _write_records(args.out, kept_rows())
     doc = {
@@ -555,6 +573,8 @@ def _cmd_classical_discard(args) -> int:
 
 
 def _cmd_classical_blind_check(args) -> int:
+    from .classical import random_fourier_model, settings_blind_check
+
     config = _classical_config(args)
     models = [random_fourier_model(model_seed) for model_seed in range(args.models)]
     report = settings_blind_check(models, config)
@@ -628,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = classical_sub.add_parser("generate", help="write hidden-variable records")
     _add_common_angles(generate)
     generate.add_argument("--trials", type=int, default=100_000)
-    generate.add_argument("--model", choices=sorted(_MODELS), default="uniform")
+    generate.add_argument("--model", choices=_MODELS, default="uniform")
     generate.add_argument("--model-seed", type=int, default=0,
                           help="construction seed for the fourier model family")
     generate.add_argument("--out", required=True)
@@ -636,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     discard = classical_sub.add_parser("discard", help="apply a record-comparing discard rule")
     discard.add_argument("--in", dest="input", required=True, help="records path (classical or quantum)")
-    discard.add_argument("--rule", choices=sorted(_RULES), required=True)
+    discard.add_argument("--rule", choices=_RULES, required=True)
     discard.add_argument("--seed", type=int, default=None,
                          help="keep-decision seed for probabilistic rules")
     discard.add_argument("--out", required=True, help="kept records path")

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .qstate import BellKind, PureState, bell_state
+from .records import CHUNK, AnalyzerAngle, BsmMode, BsmOutcome, as_angle, bsm_outcomes  # noqa: F401 (re-exported)
 
 log = logging.getLogger(__name__)
 
@@ -28,79 +28,6 @@ BinaryOutcome = int
 
 _DEGENERATE_BRANCH = 1e-15  # sampled branches must carry real probability
 
-
-@dataclass(frozen=True)
-class AnalyzerAngle:
-    """Polarizer orientation in degrees, canonicalized to [0, 180).
-
-    A polarization analyzer is invariant under a half turn, so angles are
-    stored mod 180; 181 degrees and 1 degree are the same setting.
-    """
-
-    degrees: float
-
-    def __post_init__(self) -> None:
-        value = float(self.degrees)
-        if not np.isfinite(value):
-            raise ValueError(f"angle must be finite, got {value!r}")
-        object.__setattr__(self, "degrees", value % 180.0)
-
-    @property
-    def radians(self) -> float:
-        return float(np.deg2rad(self.degrees))
-
-
-def as_angle(value: Union[AnalyzerAngle, float]) -> AnalyzerAngle:
-    if isinstance(value, AnalyzerAngle):
-        return value
-    return AnalyzerAngle(float(value))
-
-
-class BsmMode(Enum):
-    """Bell-state analyzer capability: all four outcomes, or the two-resolving optical version."""
-
-    FULL = "full"
-    PARTIAL = "partial"
-
-
-class BsmOutcome(Enum):
-    """Result label of a joint Bell measurement.
-
-    OTHER is the coarse-grained bucket of a partial analyzer that cannot
-    split phi- from phi+.
-    """
-
-    PSI_MINUS = "psi-minus"
-    PSI_PLUS = "psi-plus"
-    PHI_MINUS = "phi-minus"
-    PHI_PLUS = "phi-plus"
-    OTHER = "other"
-
-    @property
-    def bell_kind(self) -> Union[BellKind, None]:
-        """Matching BellKind, or None for the unresolved bucket."""
-        if self is BsmOutcome.OTHER:
-            return None
-        return BellKind(self.value)
-
-
-_FULL_OUTCOMES = (
-    BsmOutcome.PSI_MINUS,
-    BsmOutcome.PSI_PLUS,
-    BsmOutcome.PHI_MINUS,
-    BsmOutcome.PHI_PLUS,
-)
-_PARTIAL_OUTCOMES = (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS, BsmOutcome.OTHER)
-
-
-def bsm_outcomes(mode: BsmMode) -> tuple[BsmOutcome, ...]:
-    """Outcome labels of a Bell analyzer in canonical sampling order."""
-    return _FULL_OUTCOMES if BsmMode(mode) is BsmMode.FULL else _PARTIAL_OUTCOMES
-
-
-# Trials per chunk: every batch path draws, samples and renders this many
-# trials at a time, so memory stays flat and per-trial Python work is small.
-CHUNK = 8192
 
 # Philox4x64-10 constants (Salmon et al., SC'11), as in numpy's Philox.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -224,7 +151,7 @@ def bell_projectors(mode: BsmMode) -> dict[BsmOutcome, np.ndarray]:
     three projectors still resolve the identity.
     """
     if BsmMode(mode) is BsmMode.FULL:
-        return {o: _BELL_PROJECTORS[o.bell_kind] for o in _FULL_OUTCOMES}
+        return {o: _BELL_PROJECTORS[o.bell_kind] for o in bsm_outcomes(BsmMode.FULL)}
     return {
         BsmOutcome.PSI_MINUS: _BELL_PROJECTORS[BellKind.PSI_MINUS],
         BsmOutcome.PSI_PLUS: _BELL_PROJECTORS[BellKind.PSI_PLUS],

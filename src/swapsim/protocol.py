@@ -21,43 +21,28 @@ one trial included, gives the same records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .entanglement import TwoQubitMetrics, metrics_for
-from .measure import (
+from .measure import BellSpec, PolarizationSpec, RandomSource, bell_projectors, extend_frontier
+from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, tensor
+from .records import (
     CHUNK,
     AnalyzerAngle,
-    BellSpec,
     BsmMode,
     BsmOutcome,
-    PolarizationSpec,
-    RandomSource,
-    as_angle,
-    bell_projectors,
+    Ordering,
+    TrialRecord,
     bsm_outcomes,
-    extend_frontier,
+    setting_pair,
 )
-from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, tensor
 
 _PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
 _DRAWS_PER_TRIAL = 5  # setting0, setting3, then three measurement draws
-
-
-class Ordering(Enum):
-    """Temporal placement of the joint measurement relative to the outer ones."""
-
-    BSM_FIRST = "bsm-first"
-    POLARIZATIONS_FIRST = "pol-first"
-
-
-def _angle_pair(value) -> tuple[AnalyzerAngle, AnalyzerAngle]:
-    first, second = value
-    return (as_angle(first), as_angle(second))
 
 
 @dataclass(frozen=True)
@@ -81,17 +66,14 @@ class ExperimentConfig:
     visibility: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angles0", _angle_pair(self.angles0))
-        object.__setattr__(self, "angles3", _angle_pair(self.angles3))
+        object.__setattr__(self, "angles0", setting_pair("angles0", self.angles0))
+        object.__setattr__(self, "angles3", setting_pair("angles3", self.angles3))
         object.__setattr__(self, "ordering", Ordering(self.ordering))
         object.__setattr__(self, "bsm_mode", BsmMode(self.bsm_mode))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        for name, pair in (("angles0", self.angles0), ("angles3", self.angles3)):
-            if pair[0].degrees == pair[1].degrees:
-                raise ValueError(f"{name} must hold two distinct settings, got {pair}")
         if self.setting_policy != "uniform":
             raise ValueError(f"only the uniform setting policy exists, got {self.setting_policy!r}")
         vis = float(self.visibility)
@@ -102,58 +84,6 @@ class ExperimentConfig:
     def _table_key(self) -> tuple:
         """Everything the per-trial distribution depends on (not trials/seed)."""
         return (self.angles0, self.angles3, self.ordering, self.bsm_mode, self.visibility)
-
-
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One simulated run, complete enough to redo any analysis."""
-
-    trial_id: int
-    ordering: Ordering
-    setting0_index: int
-    setting0_deg: float
-    setting3_index: int
-    setting3_deg: float
-    outcome0: int
-    outcome3: int
-    bsm: BsmOutcome
-    events: tuple[str, ...]
-
-    @property
-    def bsm_label(self) -> str:
-        return self.bsm.value
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "ordering": self.ordering.value,
-            "setting0_index": self.setting0_index,
-            "setting0_deg": float(f"{self.setting0_deg:.12g}"),
-            "setting3_index": self.setting3_index,
-            "setting3_deg": float(f"{self.setting3_deg:.12g}"),
-            "outcome0": self.outcome0,
-            "outcome3": self.outcome3,
-            "bsm": self.bsm.value,
-            "events": list(self.events),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrialRecord":
-        outcome0, outcome3 = int(doc["outcome0"]), int(doc["outcome3"])
-        if outcome0 not in (-1, +1) or outcome3 not in (-1, +1):
-            raise ValueError(f"outcomes must be +-1, got {outcome0}, {outcome3}")
-        return cls(
-            trial_id=int(doc["trial_id"]),
-            ordering=Ordering(doc["ordering"]),
-            setting0_index=int(doc["setting0_index"]),
-            setting0_deg=float(doc["setting0_deg"]),
-            setting3_index=int(doc["setting3_index"]),
-            setting3_deg=float(doc["setting3_deg"]),
-            outcome0=outcome0,
-            outcome3=outcome3,
-            bsm=BsmOutcome(doc["bsm"]),
-            events=tuple(doc["events"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ in and marked read-only, so values can be shared freely between callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 import numpy as np
+
+from .records import BellKind
 
 MAX_QUBITS = 12
 
@@ -29,19 +30,6 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 class RegisterSizeError(ValueError):
     """An operation would leave the supported 1..MAX_QUBITS register range."""
-
-
-class BellKind(Enum):
-    """The four maximally entangled two-qubit states.
-
-    Declaration order is the package's canonical enumeration order wherever
-    Bell outcomes are listed or sampled.
-    """
-
-    PSI_MINUS = "psi-minus"
-    PSI_PLUS = "psi-plus"
-    PHI_MINUS = "phi-minus"
-    PHI_PLUS = "phi-plus"
 
 
 def _read_only(values, length: int) -> np.ndarray:

@@ -1,0 +1,226 @@
+"""The record wire schema and its labels, on the standard library alone.
+
+Every record file carries the same fields: trial id, ordering, the two
+setting indices with their analyzer angles, the two +-1 outcomes, the joint
+label and the event order.  This module owns those fields and the value
+sets behind them (orderings, Bell outcomes, analyzer angles), so reading
+and tallying a record file needs no numerical code.  ``measure``,
+``qstate``, ``protocol`` and ``classical`` re-export the same objects.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Union
+
+# Trials per chunk: every batch path draws, samples and renders this many
+# trials at a time, and the reader parses this many records at a time, so
+# memory stays flat and per-trial Python work is small.
+CHUNK = 8192
+
+
+class BellKind(Enum):
+    """The four maximally entangled two-qubit states.
+
+    Declaration order is the package's canonical enumeration order wherever
+    Bell outcomes are listed or sampled.
+    """
+
+    PSI_MINUS = "psi-minus"
+    PSI_PLUS = "psi-plus"
+    PHI_MINUS = "phi-minus"
+    PHI_PLUS = "phi-plus"
+
+
+class BsmMode(Enum):
+    """Bell-state analyzer capability: all four outcomes, or the two-resolving optical version."""
+
+    FULL = "full"
+    PARTIAL = "partial"
+
+
+class BsmOutcome(Enum):
+    """Result label of a joint Bell measurement.
+
+    OTHER is the coarse-grained bucket of a partial analyzer that cannot
+    split phi- from phi+.
+    """
+
+    PSI_MINUS = "psi-minus"
+    PSI_PLUS = "psi-plus"
+    PHI_MINUS = "phi-minus"
+    PHI_PLUS = "phi-plus"
+    OTHER = "other"
+
+    @property
+    def bell_kind(self) -> Union[BellKind, None]:
+        """Matching BellKind, or None for the unresolved bucket."""
+        if self is BsmOutcome.OTHER:
+            return None
+        return BellKind(self.value)
+
+
+_FULL_OUTCOMES = (
+    BsmOutcome.PSI_MINUS,
+    BsmOutcome.PSI_PLUS,
+    BsmOutcome.PHI_MINUS,
+    BsmOutcome.PHI_PLUS,
+)
+_PARTIAL_OUTCOMES = (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS, BsmOutcome.OTHER)
+
+
+def bsm_outcomes(mode: BsmMode) -> tuple[BsmOutcome, ...]:
+    """Outcome labels of a Bell analyzer in canonical sampling order."""
+    return _FULL_OUTCOMES if BsmMode(mode) is BsmMode.FULL else _PARTIAL_OUTCOMES
+
+
+@dataclass(frozen=True)
+class AnalyzerAngle:
+    """Polarizer orientation in degrees, canonicalized to [0, 180).
+
+    A polarization analyzer is invariant under a half turn, so angles are
+    stored mod 180; 181 degrees and 1 degree are the same setting.
+    """
+
+    degrees: float
+
+    def __post_init__(self) -> None:
+        value = float(self.degrees)
+        if not math.isfinite(value):
+            raise ValueError(f"angle must be finite, got {value!r}")
+        object.__setattr__(self, "degrees", value % 180.0)
+
+    @property
+    def radians(self) -> float:
+        # one multiplication by pi/180, the same double as np.deg2rad
+        return math.radians(self.degrees)
+
+
+def as_angle(value: Union[AnalyzerAngle, float]) -> AnalyzerAngle:
+    if isinstance(value, AnalyzerAngle):
+        return value
+    return AnalyzerAngle(float(value))
+
+
+def setting_pair(name: str, value) -> tuple[AnalyzerAngle, AnalyzerAngle]:
+    """A station's two candidate settings as angles; ValueError unless they differ mod 180."""
+    first, second = value
+    pair = (as_angle(first), as_angle(second))
+    if pair[0].degrees == pair[1].degrees:
+        raise ValueError(f"{name} must hold two distinct settings, got {pair}")
+    return pair
+
+
+class Ordering(Enum):
+    """Temporal placement of the joint measurement relative to the outer ones."""
+
+    BSM_FIRST = "bsm-first"
+    POLARIZATIONS_FIRST = "pol-first"
+
+
+def _outcome_pair(doc: dict) -> tuple[int, int]:
+    outcome0, outcome3 = int(doc["outcome0"]), int(doc["outcome3"])
+    if outcome0 not in (-1, +1) or outcome3 not in (-1, +1):
+        raise ValueError(f"outcomes must be +-1, got {outcome0}, {outcome3}")
+    return outcome0, outcome3
+
+
+@dataclass(frozen=True, slots=True)
+class TrialRecord:
+    """One simulated run, complete enough to redo any analysis."""
+
+    trial_id: int
+    ordering: Ordering
+    setting0_index: int
+    setting0_deg: float
+    setting3_index: int
+    setting3_deg: float
+    outcome0: int
+    outcome3: int
+    bsm: BsmOutcome
+    events: tuple[str, ...]
+
+    @property
+    def bsm_label(self) -> str:
+        return self.bsm.value
+
+    def to_json_dict(self) -> dict:
+        return {
+            "trial_id": self.trial_id,
+            "ordering": self.ordering.value,
+            "setting0_index": self.setting0_index,
+            "setting0_deg": float(f"{self.setting0_deg:.12g}"),
+            "setting3_index": self.setting3_index,
+            "setting3_deg": float(f"{self.setting3_deg:.12g}"),
+            "outcome0": self.outcome0,
+            "outcome3": self.outcome3,
+            "bsm": self.bsm.value,
+            "events": list(self.events),
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "TrialRecord":
+        outcome0, outcome3 = _outcome_pair(doc)
+        return cls(
+            trial_id=int(doc["trial_id"]),
+            ordering=Ordering(doc["ordering"]),
+            setting0_index=int(doc["setting0_index"]),
+            setting0_deg=float(doc["setting0_deg"]),
+            setting3_index=int(doc["setting3_index"]),
+            setting3_deg=float(doc["setting3_deg"]),
+            outcome0=outcome0,
+            outcome3=outcome3,
+            bsm=BsmOutcome(doc["bsm"]),
+            events=tuple(doc["events"]),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class ClassicalRecord:
+    """One hidden-variable trial; same wire schema as a quantum record."""
+
+    trial_id: int
+    setting0_index: int
+    setting0_deg: float
+    setting3_index: int
+    setting3_deg: float
+    outcome0: int
+    outcome3: int
+    marker: str
+
+    @property
+    def bsm_label(self) -> str:
+        """The marker plays the role a joint-measurement outcome plays upstream."""
+        return self.marker
+
+    def to_json_dict(self) -> dict:
+        return {
+            "trial_id": self.trial_id,
+            "ordering": "classical",
+            "setting0_index": self.setting0_index,
+            "setting0_deg": float(f"{self.setting0_deg:.12g}"),
+            "setting3_index": self.setting3_index,
+            "setting3_deg": float(f"{self.setting3_deg:.12g}"),
+            "outcome0": self.outcome0,
+            "outcome3": self.outcome3,
+            "bsm": self.marker,
+            "events": [],
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "ClassicalRecord":
+        if doc.get("ordering") != "classical":
+            raise ValueError(f"not a classical record: ordering={doc.get('ordering')!r}")
+        outcome0, outcome3 = _outcome_pair(doc)
+        return cls(
+            trial_id=int(doc["trial_id"]),
+            setting0_index=int(doc["setting0_index"]),
+            setting0_deg=float(doc["setting0_deg"]),
+            setting3_index=int(doc["setting3_index"]),
+            setting3_deg=float(doc["setting3_deg"]),
+            outcome0=outcome0,
+            outcome3=outcome3,
+            marker=str(doc["bsm"]),
+        )

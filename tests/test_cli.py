@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,6 +568,58 @@ class TestRecordReader:
         capsys.readouterr()
         assert main(["analyze", "--in", str(bad)]) == 3
         assert "line 8:" in capsys.readouterr().err
+
+
+# Runs one command in a fresh interpreter as the console script does, then
+# writes the names in sys.modules, one per line, to the file in argv[1].
+_MODULES_PROBE = """
+import sys
+from swapsim.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    out.write("\\n".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+_NUMERIC = ("numpy", "swapsim.protocol", "swapsim.measure", "swapsim.qstate", "swapsim.entanglement",
+            "swapsim.classical")
+_QUANTUM = ("swapsim.classical",)
+_CLASSICAL = ("swapsim.protocol", "swapsim.entanglement")
+
+
+class TestImportGraph:
+    """Each command loads only the modules it runs; analyze needs neither numpy nor an engine."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("imports")
+        assert main(["simulate", "--trials", "300", "--seed", "4", "--out", str(path / "runs.jsonl")]) == 0
+        assert main(["classical", "generate", "--trials", "300", "--out", str(path / "lhv.jsonl")]) == 0
+        assert main(["classical", "discard", "--rule", "pr-box", "--in", str(path / "lhv.jsonl"),
+                     "--out", str(path / "kept.jsonl")]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv, forbidden", [
+        ("analyze --in runs.jsonl --select psi-minus", _NUMERIC),
+        ("analyze --in kept.jsonl", _NUMERIC),
+        ("--version", _NUMERIC),
+        ("simulate --trials 50 --out sim.jsonl", _QUANTUM),
+        ("report --trials 2000", _QUANTUM),
+        ("report --exact --scan --scan-step 45", _QUANTUM),
+        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL),
+        ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _CLASSICAL),
+        ("classical blind-check --trials 200 --models 2", _CLASSICAL),
+    ])
+    def test_command_loads_none_of_the_forbidden_modules(self, workdir, argv, forbidden):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        listing = workdir / "modules.txt"
+        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, str(listing), *argv.split()],
+                              cwd=workdir, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(listing.read_text().split("\n"))
+        assert "swapsim.cli" in modules
+        assert sorted(name for name in forbidden if name in modules) == []
 
 
 @pytest.mark.skipif(shutil.which("swapsim") is None, reason="console script not installed")

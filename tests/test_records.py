@@ -1,0 +1,90 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import swapsim
+from swapsim import classical, measure, protocol, qstate, records
+from swapsim.records import AnalyzerAngle, setting_pair
+
+
+class TestAnalyzerAngleMatchesNumpy:
+    """The stdlib angle gives the doubles np.deg2rad gave, so exact tables and records keep their bytes."""
+
+    @staticmethod
+    def _check(values):
+        for x in values:
+            angle = AnalyzerAngle(x)
+            assert angle.degrees == x % 180.0, x
+            assert angle.radians.hex() == float(np.deg2rad(x % 180.0)).hex(), x
+
+    def test_tenth_degree_grid(self):
+        self._check((np.arange(-36000, 36001) / 10.0).tolist())
+
+    def test_random_floats(self):
+        rng = np.random.default_rng(20)
+        self._check(rng.uniform(-1e4, 1e4, size=20_000).tolist())
+        scales = 10.0 ** rng.integers(-300, 300, size=5_000)
+        self._check((rng.standard_normal(5_000) * scales).tolist())
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_raises(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            AnalyzerAngle(value)
+
+
+class TestSettingPair:
+    def test_converts_both_settings(self):
+        assert setting_pair("angles0", (181.0, AnalyzerAngle(45.0))) == (AnalyzerAngle(1.0), AnalyzerAngle(45.0))
+
+    @pytest.mark.parametrize("make", [protocol.ExperimentConfig, classical.ClassicalConfig])
+    @pytest.mark.parametrize("field", ["angles0", "angles3"])
+    def test_both_configs_reject_a_repeated_setting_alike(self, make, field):
+        with pytest.raises(ValueError) as info:
+            make(**{field: (10.0, 190.0)})
+        pair = (AnalyzerAngle(10.0), AnalyzerAngle(10.0))
+        assert str(info.value) == f"{field} must hold two distinct settings, got {pair}"
+
+
+class TestLazyPackage:
+    def test_every_public_name_is_the_object_of_its_home_module(self):
+        for name in swapsim.__all__:
+            value = getattr(swapsim, name)
+            if name == "__version__":
+                continue
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_moved_names_are_re_exported_where_they_were(self):
+        assert measure.AnalyzerAngle is records.AnalyzerAngle is swapsim.AnalyzerAngle
+        assert measure.BsmMode is records.BsmMode and measure.BsmOutcome is records.BsmOutcome
+        assert measure.as_angle is records.as_angle and measure.bsm_outcomes is records.bsm_outcomes
+        assert measure.CHUNK == records.CHUNK
+        assert qstate.BellKind is records.BellKind
+        assert protocol.Ordering is records.Ordering and protocol.TrialRecord is records.TrialRecord
+        assert classical.ClassicalRecord is records.ClassicalRecord
+
+    def test_star_import_and_dir_list_every_name(self):
+        namespace = {}
+        exec("from swapsim import *", namespace)
+        assert set(swapsim.__all__) <= set(namespace)
+        assert set(swapsim.__all__) <= set(dir(swapsim))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            swapsim.no_such_name  # noqa: B018
+
+    def test_resolved_names_are_not_stored_in_the_package(self):
+        swapsim.run_batch, swapsim.BsmOutcome  # noqa: B018
+        assert "run_batch" not in vars(swapsim) and "BsmOutcome" not in vars(swapsim)
+
+    def test_bare_import_loads_no_submodule_until_one_is_named(self):
+        src = str(Path(swapsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, swapsim; print(sorted(m for m in sys.modules if m.startswith('swapsim'))); "
+                 "print(swapsim.protocol.__name__)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["['swapsim']", "swapsim.protocol"]
