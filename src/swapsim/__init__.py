@@ -45,8 +45,6 @@ _EXPORTS = {
     "entanglement": ("TwoQubitMetrics", "concurrence", "metrics_for", "negativity"),
     "measure": (
         "RandomSource",
-        "bell_measurement",
-        "measure_qubit",
         "outcome_distribution",
         "polarization_observable",
     ),

@@ -47,10 +47,6 @@ class SelectionFilter:
         wanted = label.value if isinstance(label, BsmOutcome) else str(label)
         return SelectionFilter(f"bsm={wanted}", lambda record: record.bsm_label == wanted)
 
-    @staticmethod
-    def custom(description: str, predicate: Callable[[object], bool]) -> "SelectionFilter":
-        return SelectionFilter(description, predicate)
-
     def keeps(self, record) -> bool:
         return self.predicate(record)
 

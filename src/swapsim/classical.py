@@ -258,19 +258,6 @@ def _sign(values: np.ndarray) -> np.ndarray:
     return np.where(values >= 0.0, 1, -1)
 
 
-def constant_model(value0: int = +1, value3: int = +1) -> HiddenVariableModel:
-    """Degenerate model: fixed outcomes regardless of angle or lambda."""
-    if value0 not in (-1, +1) or value3 not in (-1, +1):
-        raise ValueError("constant outcomes must be +-1")
-    return HiddenVariableModel(
-        name=f"constant({value0:+d},{value3:+d})",
-        outcome0=lambda angle, lam: np.full_like(lam, value0, dtype=np.int64),
-        outcome3=lambda angle, lam: np.full_like(lam, value3, dtype=np.int64),
-        marker=lambda lam0, lam1: np.zeros(len(lam0), dtype=np.int64),
-        marker_labels=("all",),
-    )
-
-
 def sign_model() -> HiddenVariableModel:
     """Malus-law threshold model: outcome sgn(cos 2(angle - lambda)).
 
@@ -412,9 +399,12 @@ def settings_blind_check(
     Every model is evaluated on the same trial stream (one pass over the
     hidden variables, all models scored per chunk).  A label that never
     occurs, or occurs but leaves a setting cell empty, is reported as
-    starved and excluded from the bound rather than silently passed.
+    starved and excluded from the bound rather than silently passed.  An
+    empty model list raises ValueError: a check of nothing cannot pass.
     """
     models = list(models)
+    if not models:
+        raise ValueError("settings-blind check needs at least one model")
     rad0 = np.array([config.angles0[0].radians, config.angles0[1].radians])
     rad3 = np.array([config.angles3[0].radians, config.angles3[1].radians])
 

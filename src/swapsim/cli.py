@@ -343,7 +343,7 @@ def _experiment_config_doc(config: ExperimentConfig) -> dict:
         "ordering": config.ordering.value,
         "bsm_mode": config.bsm_mode.value,
         "seed": config.seed,
-        "setting_policy": config.setting_policy,
+        "setting_policy": "uniform",  # the only policy: each trial picks both settings uniformly
         "visibility": config.visibility,
     }
 
@@ -579,6 +579,10 @@ def _cmd_classical_blind_check(args) -> int:
     models = [random_fourier_model(model_seed) for model_seed in range(args.models)]
     report = settings_blind_check(models, config)
     _emit(_render_report_doc(report.to_json_dict()), args.out)
+    # a model whose every label is starved was checked against nothing
+    unchecked = [check.model for check in report.checks if not check.labels]
+    if report.all_within_bound and unchecked:
+        raise InsufficientDataError(f"no checkable label for {', '.join(unchecked)}")
     return 0 if report.all_within_bound else 1
 
 

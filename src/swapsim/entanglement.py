@@ -68,17 +68,6 @@ def negativity(rho: DensityMatrix) -> float:
     return float(-eigs[eigs < 0.0].sum() + 0.0)  # +0.0 folds the empty sum's -0.0
 
 
-def werner_concurrence(p: float) -> float:
-    """Closed-form concurrence of the Werner state p|psi-><psi-| + (1-p) I/4.
-
-    Entangled exactly when p > 1/3: concurrence = max(0, (3p - 1)/2).
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    return max(0.0, (3.0 * p - 1.0) / 2.0)
-
-
 def metrics_for(rho: DensityMatrix) -> TwoQubitMetrics:
     """All witnesses of one state in a single record."""
     return TwoQubitMetrics(

@@ -1,10 +1,14 @@
-"""Projective polarization and Bell-basis measurements with seeded sampling.
+"""Projective polarization and Bell-basis measurements, exact branch walks, seeded streams.
 
-Sampling contract: every random choice is made by inverse CDF over a fixed
-outcome order (binary: +1 then -1; full Bell: psi-, psi+, phi-, phi+;
-partial Bell: psi-, psi+, other), driven by uniforms from a counter-based
-stream.  Identical (seed, stream) pairs therefore reproduce identical
-outcome sequences on any platform, and distinct streams are independent.
+Outcomes come in a fixed order (binary: +1 then -1; full Bell: psi-, psi+,
+phi-, phi+; partial Bell: psi-, psi+, other).  ``extend_frontier`` and
+``outcome_distribution`` walk every branch of a measurement plan in that
+order and give exact Born probabilities; sampling draws by inverse CDF from
+those tables (see ``protocol``), never by collapsing states one trial at a
+time.  ``RandomSource`` supplies the uniforms from swapsim's own
+Philox4x64-10 kernel, one stream or many: identical (seed, stream) pairs
+reproduce identical draws on any platform, and distinct streams are
+independent.
 """
 
 from __future__ import annotations
@@ -22,12 +26,6 @@ from .records import CHUNK, AnalyzerAngle, BsmMode, BsmOutcome, as_angle, bsm_ou
 log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
-
-# Outcome of a two-port polarization analyzer: +1 transmitted, -1 reflected.
-BinaryOutcome = int
-
-_DEGENERATE_BRANCH = 1e-15  # sampled branches must carry real probability
-
 
 # Philox4x64-10 constants (Salmon et al., SC'11), as in numpy's Philox.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -72,36 +70,34 @@ def _philox_words(seed: int, streams: np.ndarray, first_block: int, blocks: int)
 class RandomSource:
     """Counter-based uniform stream keyed by (seed, stream), or many such streams.
 
-    An integer ``stream`` wraps numpy's Philox generator, so streams with
+    Every stream is swapsim's Philox4x64-10 kernel above, so streams with
     distinct keys are statistically independent and a given key always
-    yields the same sequence of doubles.  A 1-D integer array of streams
-    evaluates the same Philox4x64-10 function over all keys at once:
-    ``uniforms(count)`` then returns one row per stream, bit-identical to
-    the integer form of that stream, and successive calls continue each
-    stream.  Keys are taken mod 2**64.
+    yields the same sequence of doubles.  An integer ``stream`` is the
+    one-row case: ``uniform()`` returns a float and ``uniforms(count)`` has
+    shape (count,).  A 1-D integer array of streams evaluates all keys at
+    once: ``uniforms(count)`` then returns one row per stream, bit-identical
+    to the integer form of that stream.  Successive calls continue each
+    stream, and keys are taken mod 2**64.
     """
 
-    __slots__ = ("seed", "stream", "_gen", "_drawn")
+    __slots__ = ("seed", "stream", "_keys", "_drawn")
 
     def __init__(self, seed: int, stream: Union[int, np.ndarray] = 0) -> None:
         self.seed = int(seed) & _MASK64
+        self._drawn = 0
         if np.ndim(stream) == 0:
             self.stream = int(stream) & _MASK64
-            key = np.array([self.seed, self.stream], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            self._keys = np.array([self.stream], dtype=np.uint64)
             return
         streams = np.asarray(stream)
         if streams.ndim != 1 or streams.dtype.kind not in "iu":
             raise ValueError(f"streams must be a 1-D integer array, got {streams.dtype} {streams.shape}")
-        self.stream = streams.astype(np.uint64)  # two's complement: the same as mod 2**64
-        self._gen = None
-        self._drawn = 0
+        self.stream = self._keys = streams.astype(np.uint64)  # two's complement: the same as mod 2**64
 
     def uniform(self) -> Union[float, np.ndarray]:
         """Next double in [0, 1): a float, or one per stream for an array of streams."""
-        if self._gen is None:
-            return self.uniforms(1)[:, 0]
-        return float(self._gen.random())
+        draws = self.uniforms(1)
+        return float(draws[0]) if draws.ndim == 1 else draws[:, 0]
 
     def uniforms(self, count: int) -> np.ndarray:
         """Next ``count`` doubles; consumes the same stream as repeated uniform().
@@ -109,16 +105,15 @@ class RandomSource:
         Shape (count,) for one stream, (streams, count) for an array of them.
         """
         count = int(count)
-        if self._gen is not None:
-            return self._gen.random(count)
         first, self._drawn = self._drawn, self._drawn + count
         # numpy's Philox advances its counter before the first block, so
         # draw j of a stream is word j % 4 of counter block j // 4 + 1.
         block = first // 4
         blocks = (first + count + 3) // 4 - block
-        words = _philox_words(self.seed, self.stream, block + 1, blocks)
+        words = _philox_words(self.seed, self._keys, block + 1, blocks)
         offset = first - 4 * block
-        return (words[:, offset:offset + count] >> _DOUBLE_SHIFT) * _DOUBLE_UNIT
+        draws = (words[:, offset:offset + count] >> _DOUBLE_SHIFT) * _DOUBLE_UNIT
+        return draws if np.ndim(self.stream) else draws[0]
 
 
 def polarization_observable(theta: Union[AnalyzerAngle, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -196,86 +191,14 @@ def _norm_sq(amps: np.ndarray) -> float:
     return float(np.vdot(amps, amps).real)
 
 
-def measure_qubit(
-    state: PureState,
-    qubit: int,
-    theta: Union[AnalyzerAngle, float],
-    rng: RandomSource,
-) -> tuple[BinaryOutcome, PureState]:
-    """Measure one qubit through a linear analyzer and collapse the register.
-
-    Draws a single uniform; returns the ±1 outcome with Born probability
-    and the renormalized post-measurement state.
-    """
-    n = state.num_qubits
-    _check_qubit(n, qubit)
-    p_plus_op, p_minus_op = polarization_observable(theta)
-    gather = _gather_index(n, (qubit,))
-
-    branch_plus = _apply(state.amplitudes, gather, p_plus_op)
-    p_plus = min(max(_norm_sq(branch_plus), 0.0), 1.0)
-    if rng.uniform() < p_plus:
-        outcome, branch = +1, branch_plus
-    else:
-        outcome, branch = -1, _apply(state.amplitudes, gather, p_minus_op)
-    weight = _norm_sq(branch)
-    if weight < _DEGENERATE_BRANCH:
-        raise ValueError("sampled a zero-probability branch; state inconsistent")
-    return outcome, PureState(n, branch / np.sqrt(weight))
-
-
-def _clamped(probs: Sequence[float], context: str) -> list[float]:
-    """Clamp tiny negative probabilities to zero; anything worse is an error."""
-    out = []
-    for p in probs:
-        if p < 0.0:
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p!r} in {context}")
-            log.debug("clamped probability %r to 0 in %s", p, context)
-            p = 0.0
-        out.append(float(p))
-    return out
-
-
-def _pick(outcomes: Sequence, cums: Sequence[float], u: float):
-    for outcome, edge in zip(outcomes, cums):
-        if u < edge:
-            return outcome
-    return outcomes[-1]  # u beyond the last edge only by float dust
-
-
-def bell_measurement(
-    state: PureState,
-    qubits: tuple[int, int],
-    mode: BsmMode,
-    rng: RandomSource,
-) -> tuple[BsmOutcome, PureState]:
-    """Joint Bell-basis measurement on a qubit pair.
-
-    Full mode resolves all four Bell outcomes; partial mode resolves only
-    psi- and psi+, lumping the phi-+ subspace into OTHER.  Draws a single
-    uniform and collapses onto the selected outcome's subspace.
-    """
-    i, j = (int(qubits[0]), int(qubits[1]))
-    n = state.num_qubits
-    _check_qubit(n, i)
-    _check_qubit(n, j)
-    if i == j:
-        raise ValueError("bell measurement needs two distinct qubits")
-
-    projectors = bell_projectors(mode)
-    order = bsm_outcomes(mode)
-    gather = _gather_index(n, (i, j))
-    branches = [_apply(state.amplitudes, gather, projectors[o]) for o in order]
-    probs = _clamped([_norm_sq(b) for b in branches], "bell measurement")
-    cums = np.cumsum(probs)
-
-    outcome = _pick(order, cums, rng.uniform())
-    branch = branches[order.index(outcome)]
-    weight = _norm_sq(branch)
-    if weight < _DEGENERATE_BRANCH:
-        raise ValueError("sampled a zero-probability branch; state inconsistent")
-    return outcome, PureState(n, branch / np.sqrt(weight))
+def _clamped(p: float) -> float:
+    """Clamp a tiny negative probability to zero; anything worse is an error."""
+    if p < 0.0:
+        if p < -1e-12:
+            raise ValueError(f"negative probability {p!r} in outcome distribution")
+        log.debug("clamped probability %r to 0 in outcome distribution", p)
+        return 0.0
+    return p
 
 
 @dataclass(frozen=True)
@@ -353,7 +276,7 @@ def extend_frontier(
                 children.append((key, 0.0, None))
                 continue
             branch = _apply(amps, gather, op)
-            p = _clamped([_norm_sq(branch)], "outcome distribution")[0]
+            p = _clamped(_norm_sq(branch))
             if p == 0.0:
                 children.append((key, 0.0, None))
             else:

@@ -62,7 +62,6 @@ class ExperimentConfig:
     ordering: Ordering = Ordering.BSM_FIRST
     bsm_mode: BsmMode = BsmMode.FULL
     seed: int = 0
-    setting_policy: str = "uniform"
     visibility: float = 1.0
 
     def __post_init__(self) -> None:
@@ -74,8 +73,6 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.setting_policy != "uniform":
-            raise ValueError(f"only the uniform setting policy exists, got {self.setting_policy!r}")
         vis = float(self.visibility)
         if not 0.0 <= vis <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {vis}")

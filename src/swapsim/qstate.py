@@ -68,12 +68,6 @@ class PureState:
     def dim(self) -> int:
         return 2**self.num_qubits
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>; equality up to global phase means |overlap| = 1."""
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("overlap requires equal register sizes")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -128,15 +122,6 @@ _BELL_AMPLITUDES = {
 def bell_state(kind: BellKind) -> PureState:
     """Two-qubit Bell state; psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2."""
     return PureState(2, _BELL_AMPLITUDES[BellKind(kind)])
-
-
-def basis_state(num_qubits: int, index: int) -> PureState:
-    """Computational basis ket |index> under the H=0 / V=1 bit convention."""
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return PureState(num_qubits, amps)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

@@ -6,21 +6,54 @@ package's linear-algebra helpers or its record reader, so a test comparing
 both routes genuinely checks two independent computations of the same
 number.
 
+The small constructors (basis kets, the Werner closed form, a constant
+hidden-variable model) exist only for tests, so they live here too.
+
 The tensordot routes at the end are the package's former measurement
 kernels: a recursive, depth-first exact walk and the sampled collapses.
-They take the analyzer operators from the package, because the package
-now gathers amplitudes and calls np.dot on the very operands tensordot
-builds, and tests require bit-identical results from both.
+The walk takes the analyzer operators from the package, because the
+package gathers amplitudes and calls np.dot on the very operands tensordot
+builds, and tests require bit-identical exact tables from both.  The
+package samples only from exact tables, so these collapses are the only
+trial-by-trial sampling code: the measurement physics tests run on them.
 """
 
 import json
 
 import numpy as np
 
-from swapsim.classical import ClassicalRecord
+from swapsim.classical import ClassicalRecord, HiddenVariableModel
 from swapsim.cli import RecordFormatError
 from swapsim.measure import BellSpec, PolarizationSpec, bell_projectors, bsm_outcomes, polarization_observable
 from swapsim.protocol import TrialRecord, _measurement_plan, _preparation_components
+from swapsim.qstate import PureState
+
+
+def basis_state(num_qubits: int, index: int) -> PureState:
+    """Computational basis ket |index> under the H=0 / V=1 bit convention."""
+    if not 0 <= index < 2**num_qubits:
+        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return PureState(num_qubits, amps)
+
+
+def werner_concurrence(p: float) -> float:
+    """Closed-form concurrence of the Werner state p|psi-><psi-| + (1-p) I/4: max(0, (3p - 1)/2)."""
+    return max(0.0, (3.0 * p - 1.0) / 2.0)
+
+
+def constant_model(value0: int = +1, value3: int = +1) -> HiddenVariableModel:
+    """Degenerate model: fixed outcomes regardless of angle or lambda."""
+    if value0 not in (-1, +1) or value3 not in (-1, +1):
+        raise ValueError("constant outcomes must be +-1")
+    return HiddenVariableModel(
+        name=f"constant({value0:+d},{value3:+d})",
+        outcome0=lambda angle, lam: np.full_like(lam, value0, dtype=np.int64),
+        outcome3=lambda angle, lam: np.full_like(lam, value3, dtype=np.int64),
+        marker=lambda lam0, lam1: np.zeros(len(lam0), dtype=np.int64),
+        marker_labels=("all",),
+    )
 
 
 def kron_chain(ops) -> np.ndarray:
@@ -263,6 +296,14 @@ def setting_joints_reference(key: tuple, memo: dict) -> dict:
     return joints
 
 
+def pick(outcomes, cums, u: float):
+    """Inverse-CDF pick: the first outcome whose cumulative edge lies above ``u``.
+
+    ``u`` beyond the last edge (float dust) picks the last outcome.
+    """
+    return next((o for o, edge in zip(outcomes, cums) if u < edge), outcomes[-1])
+
+
 def measure_qubit_tensordot(amps: np.ndarray, n: int, qubit: int, theta, u: float):
     """(outcome, collapsed amplitudes) of one analyzer given its uniform draw ``u``."""
     p_plus_op, p_minus_op = polarization_observable(theta)
@@ -280,6 +321,6 @@ def bell_measurement_tensordot(amps: np.ndarray, n: int, qubits, mode, u: float)
     projectors = bell_projectors(mode)
     order = bsm_outcomes(mode)
     branches = [apply_pair_tensordot(amps, n, i, j, projectors[o]) for o in order]
-    cums = np.cumsum([_clamp(_norm_sq(b)) for b in branches])
-    k = next((k for k, edge in enumerate(cums) if u < edge), len(order) - 1)
-    return order[k], branches[k] / np.sqrt(_norm_sq(branches[k]))
+    outcome = pick(order, np.cumsum([_clamp(_norm_sq(b)) for b in branches]), u)
+    branch = branches[order.index(outcome)]
+    return outcome, branch / np.sqrt(_norm_sq(branch))

@@ -65,7 +65,7 @@ class TestSelectionFilter:
         assert not by_enum.keeps(FakeRecord(0, 0, 1, 1, "psi-minus"))
 
     def test_custom_predicate(self):
-        f = SelectionFilter.custom("only-plus", lambda r: r.outcome0 == +1)
+        f = SelectionFilter("only-plus", lambda r: r.outcome0 == +1)
         assert f.description == "only-plus"
         assert f.keeps(FakeRecord(0, 0, +1, -1))
         assert not f.keeps(FakeRecord(0, 0, -1, -1))

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import oracles
 from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
 from swapsim.classical import (
     BlindCheckReport,
@@ -13,7 +14,6 @@ from swapsim.classical import (
     DiscardRule,
     HiddenVariableModel,
     apply_discard,
-    constant_model,
     pr_box_rule,
     quantum_mimic_rule,
     random_fourier_model,
@@ -112,13 +112,13 @@ class TestHiddenVariableModel:
 
 class TestRunLhv:
     def test_constant_model_records(self):
-        records = list(run_lhv(constant_model(+1, -1), config(trials=64)))
+        records = list(run_lhv(oracles.constant_model(+1, -1), config(trials=64)))
         assert [r.trial_id for r in records] == list(range(64))
         assert all(r.outcome0 == +1 and r.outcome3 == -1 for r in records)
         assert all(r.marker == "all" for r in records)
 
     def test_constant_model_sits_exactly_at_local_bound(self):
-        records = list(run_lhv(constant_model(), config(trials=400)))
+        records = list(run_lhv(oracles.constant_model(), config(trials=400)))
         report = chsh(records)
         assert report.s_value == 2.0
         assert report.s_std_err == 0.0
@@ -309,7 +309,7 @@ class TestQuantumMimicRule:
 class TestModels:
     def test_constant_model_validates_values(self):
         with pytest.raises(ValueError):
-            constant_model(0, 1)
+            oracles.constant_model(0, 1)
 
     def test_outcome_functions_return_signs(self):
         rng = np.random.default_rng(41)
@@ -344,8 +344,12 @@ class TestModels:
 
 
 class TestSettingsBlindCheck:
+    def test_no_model_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            settings_blind_check([], config(trials=100))
+
     def test_constant_model_sits_exactly_on_the_bound(self):
-        report = settings_blind_check([constant_model()], config(trials=2000))
+        report = settings_blind_check([oracles.constant_model()], config(trials=2000))
         assert isinstance(report, BlindCheckReport)
         check = report.checks[0]
         assert check.starved == ()

@@ -83,9 +83,9 @@ class TestSimulate:
         cfg = ExperimentConfig(
             angles0=tuple(doc["angles0"]), angles3=tuple(doc["angles3"]),
             trials=doc["trials"], ordering=doc["ordering"], bsm_mode=doc["bsm_mode"],
-            seed=doc["seed"], setting_policy=doc["setting_policy"],
-            visibility=doc["visibility"],
+            seed=doc["seed"], visibility=doc["visibility"],
         )
+        assert doc["setting_policy"] == "uniform"
         rebuilt = "".join(
             json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n"
             for rec in run_batch(cfg)
@@ -382,6 +382,25 @@ class TestClassicalCommands:
         for model_doc in doc["models"]:
             for label_doc in model_doc["labels"]:
                 assert label_doc["within_bound"] is True
+
+    @pytest.mark.parametrize("models", ["0", "-3"])
+    def test_blind_check_of_no_model_is_a_usage_error(self, tmp_path, capsys, models):
+        out = tmp_path / "blind.json"
+        code = main(["classical", "blind-check", "--models", models, "--trials", "100", "--out", str(out)])
+        assert code == 2
+        assert "at least one model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blind_check_of_a_starved_model_is_insufficient_data(self, tmp_path, capsys):
+        # three trials cannot fill all four setting cells of either label
+        out = tmp_path / "blind.json"
+        code = main(["classical", "blind-check", "--models", "1", "--trials", "3", "--out", str(out)])
+        assert code == 4
+        assert "fourier-0" in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["all_within_bound"] is True
+        assert doc["models"][0]["labels"] == []
+        assert doc["models"][0]["starved"] == ["plus", "minus"]
 
     def test_discard_rejects_unknown_rule(self, tmp_path):
         assert main(["classical", "discard", "--rule", "magic",

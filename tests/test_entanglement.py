@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from swapsim.entanglement import TwoQubitMetrics, concurrence, metrics_for, negativity, werner_concurrence
+from swapsim.entanglement import TwoQubitMetrics, concurrence, metrics_for, negativity
 from swapsim.qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, to_density
 
 
@@ -33,7 +33,7 @@ class TestConcurrence:
     def test_werner_closed_form_on_grid(self):
         for p in np.linspace(0.0, 1.0, 21):
             rho = DensityMatrix(2, oracles.werner_matrix(float(p)))
-            assert abs(concurrence(rho) - werner_concurrence(float(p))) <= 1e-9
+            assert abs(concurrence(rho) - oracles.werner_concurrence(float(p))) <= 1e-9
 
     def test_product_states_unentangled(self):
         # property suite: 100 randomized product states
@@ -104,8 +104,3 @@ def test_metric_ranges_and_agreement(rng):
             assert m.negativity <= 1e-6
         if m.negativity <= 1e-9:
             assert m.concurrence <= 1e-6
-
-
-def test_werner_concurrence_argument_check():
-    with pytest.raises(ValueError):
-        werner_concurrence(1.5)

@@ -11,14 +11,12 @@ from swapsim.measure import (
     BsmOutcome,
     PolarizationSpec,
     RandomSource,
-    bell_measurement,
     bell_projectors,
     bsm_outcomes,
-    measure_qubit,
     outcome_distribution,
     polarization_observable,
 )
-from swapsim.qstate import BellKind, PureState, basis_state, bell_state, partial_trace, prepare_swap_input, to_density
+from swapsim.qstate import BellKind, PureState, bell_state, partial_trace, prepare_swap_input, to_density
 
 
 class TestAnalyzerAngle:
@@ -93,6 +91,24 @@ class TestRandomSource:
         draws = RandomSource(1, 2).uniforms(1000)
         assert draws.min() >= 0.0 and draws.max() < 1.0
 
+    @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])
+    def test_one_stream_needs_no_numpy_philox(self, seed, monkeypatch):
+        # an integer stream is the one-row case of swapsim's own kernel
+        streams = (0, 2**48 + 17, 2**64 - 1)
+        reference = {stream: oracles.philox_uniforms(seed, stream, 9) for stream in streams}
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("numpy's Philox is only the tests' reference")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        for stream in streams:
+            source = RandomSource(seed, stream)
+            first = source.uniform()
+            middle, last = source.uniforms(3), source.uniforms(5)
+            assert type(first) is float
+            assert middle.shape == (3,) and last.shape == (5,)
+            assert np.array_equal(np.hstack([[first], middle, last]), reference[stream])
+
 
 EDGE_STREAMS = list(range(3000)) + [2**48, 2**48 + 17, 2**64 - 1]
 
@@ -142,20 +158,35 @@ class TestRandomSourceArray:
             RandomSource(0, np.zeros((2, 2), dtype=np.int64))
 
 
+def _draws(seed: int, trials: int, count: int) -> np.ndarray:
+    """Row t holds the first ``count`` uniforms of stream (seed, t), drawn in one array call."""
+    return RandomSource(seed, np.arange(trials)).uniforms(count)
+
+
+def _measure_qubit(state: PureState, qubit: int, theta: float, u: float):
+    outcome, amps = oracles.measure_qubit_tensordot(state.amplitudes, state.num_qubits, qubit, theta, u)
+    return outcome, PureState(state.num_qubits, amps)
+
+
+def _bell_measurement(state: PureState, qubits, mode: BsmMode, u: float):
+    outcome, amps = oracles.bell_measurement_tensordot(state.amplitudes, state.num_qubits, qubits, mode, u)
+    return outcome, PureState(state.num_qubits, amps)
+
+
 class TestMeasureQubit:
+    """Born statistics and collapse of one analyzer, on the reference collapse in oracles."""
+
     def test_aligned_analyzer_is_certain(self):
-        state = basis_state(1, 0)
-        for trial in range(50):
-            outcome, post = measure_qubit(state, 0, 0.0, RandomSource(0, trial))
+        state = oracles.basis_state(1, 0)
+        for u in _draws(0, 50, 1)[:, 0]:
+            outcome, post = _measure_qubit(state, 0, 0.0, u)
             assert outcome == +1
             assert np.allclose(post.amplitudes, state.amplitudes)
 
     def test_diagonal_analyzer_is_fair(self):
-        state = basis_state(1, 0)
+        state = oracles.basis_state(1, 0)
         n = 20_000
-        plus = sum(
-            measure_qubit(state, 0, 45.0, RandomSource(77, t))[0] == +1 for t in range(n)
-        )
+        plus = sum(_measure_qubit(state, 0, 45.0, u)[0] == +1 for u in _draws(77, n, 1)[:, 0])
         sigma = np.sqrt(0.25 / n)
         assert abs(plus / n - 0.5) <= 5 * sigma
 
@@ -163,28 +194,24 @@ class TestMeasureQubit:
         # property suite: 100 randomized states/angles; repeated measurement
         # at the same angle must repeat the outcome with certainty
         rng = np.random.default_rng(21)
+        draws = _draws(1000, 100, 2)
         for case in range(100):
             state = PureState(2, oracles.random_state(rng, 2))
             theta = float(rng.uniform(0.0, 180.0))
             qubit = int(rng.integers(0, 2))
-            source = RandomSource(1000, case)
-            first, collapsed = measure_qubit(state, qubit, theta, source)
-            second, recollapsed = measure_qubit(collapsed, qubit, theta, source)
+            first, collapsed = _measure_qubit(state, qubit, theta, draws[case, 0])
+            second, recollapsed = _measure_qubit(collapsed, qubit, theta, draws[case, 1])
             assert first == second
             assert np.abs(collapsed.amplitudes - recollapsed.amplitudes).max() <= 1e-12
 
     def test_singlet_anticorrelates_at_equal_angles(self):
         singlet = bell_state(BellKind.PSI_MINUS)
+        draws = _draws(5, 200, 2)
         for trial in range(200):
             theta = float((trial * 7.3) % 180.0)
-            source = RandomSource(5, trial)
-            first, collapsed = measure_qubit(singlet, 0, theta, source)
-            second, _ = measure_qubit(collapsed, 1, theta, source)
+            first, collapsed = _measure_qubit(singlet, 0, theta, draws[trial, 0])
+            second, _ = _measure_qubit(collapsed, 1, theta, draws[trial, 1])
             assert first == -second
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError):
-            measure_qubit(basis_state(1, 0), 1, 0.0, RandomSource(0, 0))
 
 
 class TestBellProjectors:
@@ -207,12 +234,14 @@ class TestBellProjectors:
 
 
 class TestBellMeasurement:
+    """Born statistics and collapse of the joint analyzer, on the reference collapse in oracles."""
+
     def test_quarter_probabilities_on_swap_input(self):
         state = prepare_swap_input()
         n = 20_000
         counts = {}
-        for trial in range(n):
-            outcome, _ = bell_measurement(state, (1, 2), BsmMode.FULL, RandomSource(31, trial))
+        for u in _draws(31, n, 1)[:, 0]:
+            outcome, _ = _bell_measurement(state, (1, 2), BsmMode.FULL, u)
             counts[outcome] = counts.get(outcome, 0) + 1
         sigma = np.sqrt(0.25 * 0.75 / n)
         for outcome in bsm_outcomes(BsmMode.FULL):
@@ -221,8 +250,8 @@ class TestBellMeasurement:
     def test_collapse_projects_outer_pair_onto_matching_bell_state(self):
         state = prepare_swap_input()
         seen = set()
-        for trial in range(64):
-            outcome, collapsed = bell_measurement(state, (1, 2), BsmMode.FULL, RandomSource(8, trial))
+        for u in _draws(8, 64, 1)[:, 0]:
+            outcome, collapsed = _bell_measurement(state, (1, 2), BsmMode.FULL, u)
             seen.add(outcome)
             reduced = partial_trace(to_density(collapsed), (0, 3))
             expected = to_density(bell_state(outcome.bell_kind)).entries
@@ -233,8 +262,8 @@ class TestBellMeasurement:
         state = prepare_swap_input()
         n = 20_000
         counts = {o: 0 for o in bsm_outcomes(BsmMode.PARTIAL)}
-        for trial in range(n):
-            outcome, _ = bell_measurement(state, (1, 2), BsmMode.PARTIAL, RandomSource(13, trial))
+        for u in _draws(13, n, 1)[:, 0]:
+            outcome, _ = _bell_measurement(state, (1, 2), BsmMode.PARTIAL, u)
             counts[outcome] += 1
         for outcome, p in [(BsmOutcome.PSI_MINUS, 0.25), (BsmOutcome.PSI_PLUS, 0.25), (BsmOutcome.OTHER, 0.5)]:
             sigma = np.sqrt(p * (1 - p) / n)
@@ -242,22 +271,24 @@ class TestBellMeasurement:
 
     def test_other_outcome_leaves_outer_pair_separable_mixture(self):
         state = prepare_swap_input()
-        for trial in range(40):
-            outcome, collapsed = bell_measurement(state, (1, 2), BsmMode.PARTIAL, RandomSource(99, trial))
+        for u in _draws(99, 40, 1)[:, 0]:
+            outcome, collapsed = _bell_measurement(state, (1, 2), BsmMode.PARTIAL, u)
             if outcome is not BsmOutcome.OTHER:
                 continue
             reduced = partial_trace(to_density(collapsed), (0, 3))
             assert np.abs(reduced.entries - np.diag([0.5, 0, 0, 0.5])).max() <= 1e-12
 
-    def test_argument_errors(self):
-        state = prepare_swap_input()
-        with pytest.raises(ValueError):
-            bell_measurement(state, (1, 1), BsmMode.FULL, RandomSource(0, 0))
-        with pytest.raises(ValueError):
-            bell_measurement(state, (1, 4), BsmMode.FULL, RandomSource(0, 0))
-
 
 class TestOutcomeDistribution:
+    @pytest.mark.parametrize("make_spec", [
+        lambda: PolarizationSpec(4, AnalyzerAngle(0.0)),
+        lambda: BellSpec((1, 4), BsmMode.FULL),
+        lambda: BellSpec((1, 1)),
+    ], ids=["pol-qubit-out-of-range", "bell-pair-out-of-range", "bell-pair-repeated"])
+    def test_rejects_bad_qubits(self, make_spec):
+        with pytest.raises(ValueError):
+            outcome_distribution(prepare_swap_input(), [make_spec()])
+
     def test_empty_plan(self):
         assert outcome_distribution(prepare_swap_input(), []) == {(): 1.0}
 
@@ -341,11 +372,10 @@ class TestOutcomeDistribution:
         exact = outcome_distribution(state, plan)
         n = 100_000
         counts = {key: 0 for key in exact}
-        for trial in range(n):
-            source = RandomSource(555, trial)
-            bsm, after_bsm = bell_measurement(state, (1, 2), BsmMode.PARTIAL, source)
-            o0, after_pol0 = measure_qubit(after_bsm, 0, 30.0, source)
-            o3, _ = measure_qubit(after_pol0, 3, 75.0, source)
+        for u_bsm, u0, u3 in _draws(555, n, 3).tolist():
+            bsm, after_bsm = oracles.bell_measurement_tensordot(state.amplitudes, 4, (1, 2), BsmMode.PARTIAL, u_bsm)
+            o0, after_pol0 = oracles.measure_qubit_tensordot(after_bsm, 4, 0, 30.0, u0)
+            o3, _ = oracles.measure_qubit_tensordot(after_pol0, 4, 3, 75.0, u3)
             counts[(bsm, o0, o3)] += 1
         for key, p in exact.items():
             sigma = np.sqrt(p * (1.0 - p) / n)
@@ -368,7 +398,7 @@ def _hex_items(table: dict) -> list:
 
 
 class TestTensordotReference:
-    """Bit-exact agreement with the former tensordot kernels in oracles."""
+    """Bit-exact agreement with the former tensordot exact walk in oracles."""
 
     def test_outcome_distribution_on_random_states(self):
         rng = np.random.default_rng(17)
@@ -391,37 +421,12 @@ class TestTensordotReference:
         zeros = 0
         for n, plan in plans.items():
             for index in range(2**n):
-                state = basis_state(n, index)
+                state = oracles.basis_state(n, index)
                 got = outcome_distribution(state, plan)
                 want = oracles.outcome_distribution_recursive(state.amplitudes, n, plan)
                 assert _hex_items(got) == _hex_items(want)
                 zeros += sum(p == 0.0 for p in got.values())
         assert zeros > 0
-
-    def test_measure_qubit_outcomes_and_collapse(self):
-        rng = np.random.default_rng(23)
-        for trial in range(300):
-            n = int(rng.integers(1, 6))
-            state = PureState(n, oracles.random_state(rng, n))
-            qubit, theta = int(rng.integers(n)), float(rng.uniform(0, 180))
-            outcome, post = measure_qubit(state, qubit, theta, RandomSource(4, trial))
-            u = RandomSource(4, trial).uniform()
-            want_outcome, want_amps = oracles.measure_qubit_tensordot(state.amplitudes, n, qubit, theta, u)
-            assert outcome == want_outcome
-            assert post.amplitudes.tobytes() == want_amps.tobytes()
-
-    @pytest.mark.parametrize("mode", list(BsmMode))
-    def test_bell_measurement_outcomes_and_collapse(self, mode):
-        rng = np.random.default_rng(29)
-        for trial in range(300):
-            n = int(rng.integers(2, 6))
-            state = PureState(n, oracles.random_state(rng, n))
-            i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
-            outcome, post = bell_measurement(state, (i, j), mode, RandomSource(6, trial))
-            u = RandomSource(6, trial).uniform()
-            want_outcome, want_amps = oracles.bell_measurement_tensordot(state.amplitudes, n, (i, j), mode, u)
-            assert outcome is want_outcome
-            assert post.amplitudes.tobytes() == want_amps.tobytes()
 
 
 def tensor_h_first() -> PureState:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from swapsim.measure import CHUNK, BsmMode, BsmOutcome, _pick
+from swapsim.measure import CHUNK, BsmMode, BsmOutcome
 from swapsim.cli import _scan_grid, main
 from swapsim.protocol import (
     ExperimentConfig,
@@ -21,7 +21,6 @@ from swapsim.protocol import (
     run_trial,
     stage_entanglement_report,
 )
-from swapsim.entanglement import werner_concurrence
 from swapsim.qstate import BellKind, bell_state, partial_trace, prepare_swap_input, to_density
 
 
@@ -64,10 +63,6 @@ class TestExperimentConfig:
         for bad in (-0.1, 1.0001):
             with pytest.raises(ValueError):
                 config(visibility=bad)
-
-    def test_rejects_unknown_setting_policy(self):
-        with pytest.raises(ValueError):
-            config(setting_policy="alternating")
 
     def test_rejects_unknown_ordering(self):
         with pytest.raises(ValueError):
@@ -185,7 +180,7 @@ class TestArrayWalk:
         draws[:, 2] = u
         picks = np.full((len(u), 3), -1)
         _walk(({(): (outcomes, cums)},), 0, (), np.arange(len(u)), draws, picks)
-        assert [outcomes[k] for k in picks[:, 0]] == [_pick(outcomes, cums, x) for x in u]
+        assert [outcomes[k] for k in picks[:, 0]] == [oracles.pick(outcomes, cums, x) for x in u]
 
 
 def _bits(joints: dict) -> list:
@@ -389,4 +384,4 @@ class TestStageReport:
         assert np.max(np.abs(pre.rho03.entries - np.eye(4) / 4.0)) <= 1e-12
         post = {s.stage: s for s in snaps}["post-bsm:psi-minus"]
         assert np.max(np.abs(post.rho03.entries - oracles.werner_matrix(v * v))) <= 1e-12
-        assert abs(post.metrics.concurrence - werner_concurrence(v * v)) <= 1e-9
+        assert abs(post.metrics.concurrence - oracles.werner_concurrence(v * v)) <= 1e-9

@@ -9,7 +9,6 @@ from swapsim.qstate import (
     DensityMatrix,
     PureState,
     RegisterSizeError,
-    basis_state,
     bell_state,
     partial_trace,
     prepare_swap_input,
@@ -34,7 +33,7 @@ class TestPureState:
 
     def test_basis_index_convention(self):
         # qubit 0 is the most significant bit; H -> 0, V -> 1
-        hv = tensor(basis_state(1, 0), basis_state(1, 1))
+        hv = tensor(oracles.basis_state(1, 0), oracles.basis_state(1, 1))
         assert np.allclose(hv.amplitudes, [0, 1, 0, 0])
 
     def test_rejects_wrong_length(self):
@@ -59,13 +58,6 @@ class TestPureState:
         state = bell_state(BellKind.PSI_MINUS)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
-
-    def test_overlap_detects_global_phase_equality(self, rng):
-        amps = oracles.random_state(rng, 2)
-        a = PureState(2, amps)
-        b = PureState(2, np.exp(0.73j) * amps)
-        assert abs(abs(a.overlap(b)) - 1.0) <= 1e-12
-        assert abs(a.overlap(a) - 1.0) <= 1e-12
 
 
 class TestTensor:
@@ -119,7 +111,7 @@ class TestPrepareSwapInput:
 
 class TestDensityMatrix:
     def test_h_projector(self):
-        rho = to_density(basis_state(1, 0))
+        rho = to_density(oracles.basis_state(1, 0))
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_pure_state_trace_and_purity(self):
@@ -146,7 +138,7 @@ class TestDensityMatrix:
             DensityMatrix(1, bad)
 
     def test_entries_read_only(self):
-        rho = to_density(basis_state(1, 0))
+        rho = to_density(oracles.basis_state(1, 0))
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
 
@@ -168,7 +160,7 @@ class TestPartialTrace:
 
     def test_keep_order_permutes_qubits(self):
         # |HV> with keep (1, 0) must read back as |VH>
-        rho = to_density(tensor(basis_state(1, 0), basis_state(1, 1)))
+        rho = to_density(tensor(oracles.basis_state(1, 0), oracles.basis_state(1, 1)))
         swapped = partial_trace(rho, (1, 0))
         expected = np.zeros((4, 4))
         expected[2, 2] = 1.0
