@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .records import AnalyzerAngle, BsmOutcome, as_angle
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Cell roles in S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); the minus sign
 # sits on the (a, b') cell.  Fixed convention; reports carry |S| alongside.
@@ -61,12 +58,6 @@ class CorrelationEstimate:
 
     def to_json_dict(self) -> dict:
         return {"e": self.e_value, "n": self.n, "std_err": self.std_err}
-
-
-def _estimate_from_counts(aligned: int, opposed: int) -> CorrelationEstimate:
-    n = aligned + opposed
-    e = (aligned - opposed) / n
-    return CorrelationEstimate(e, n, math.sqrt(max(0.0, 1.0 - e * e) / n))
 
 
 @dataclass(frozen=True)
@@ -122,17 +113,6 @@ def _each_once(records: Iterable) -> Iterable[tuple[object, int]]:
     return ((record, 1) for record in records)
 
 
-def tally_cells(counts: np.ndarray, *indices: np.ndarray) -> None:
-    """Add one to ``counts[i, j, ...]`` for every row of the index arrays, in place.
-
-    The same integers as ``np.add.at(counts, indices, 1)``, by one np.bincount.
-    """
-    import numpy as np  # here, so that reading and tallying a record file never loads numpy
-
-    flat = np.ravel_multi_index(indices, counts.shape)
-    counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-
-
 def correlation_from_counts(
     cell_counts,
     setting_pair: tuple[int, int],
@@ -140,15 +120,29 @@ def correlation_from_counts(
 ) -> CorrelationEstimate:
     """E for one cell from its (aligned, opposed) counts; ``cell_counts[setting_pair]`` holds them.
 
-    ``cell_counts`` is a dict keyed by cell or an array indexed by it.
     Raises InsufficientDataError when the cell is empty.
     """
-    aligned, opposed = (int(count) for count in cell_counts[setting_pair])
-    if aligned + opposed == 0:
+    aligned, opposed = cell_counts[setting_pair]
+    n = aligned + opposed
+    if n == 0:
         raise InsufficientDataError(
-            f"no records in setting cell {setting_pair} with filter {filter_description}"
-        )
-    return _estimate_from_counts(aligned, opposed)
+            f"no records in setting cell {setting_pair} with filter {filter_description}")
+    e = (aligned - opposed) / n
+    return CorrelationEstimate(e, n, math.sqrt(max(0.0, 1.0 - e * e) / n))
+
+
+def correlation_weighted(
+    weighted: Iterable[tuple[object, int]],
+    setting_pair: tuple[int, int],
+    selection: Union[SelectionFilter, None] = None,
+) -> CorrelationEstimate:
+    """Estimate E for one setting cell over filtered (record, count) pairs; other cells may be empty."""
+    selection = selection or SelectionFilter.none()
+    pair = (int(setting_pair[0]), int(setting_pair[1]))
+    if pair not in _CELL_SIGNS:
+        raise ValueError(f"setting pair {pair} outside the two-by-two design")
+    counts, _, _ = _tally(weighted, selection)
+    return correlation_from_counts(counts, pair, selection.description)
 
 
 def correlation(
@@ -157,12 +151,7 @@ def correlation(
     selection: Union[SelectionFilter, None] = None,
 ) -> CorrelationEstimate:
     """Estimate E for one setting cell over the filtered records."""
-    selection = selection or SelectionFilter.none()
-    pair = (int(setting_pair[0]), int(setting_pair[1]))
-    if pair not in _CELL_SIGNS:
-        raise ValueError(f"setting pair {pair} outside the two-by-two design")
-    counts, _, _ = _tally(_each_once(records), selection)
-    return correlation_from_counts(counts, pair, selection.description)
+    return correlation_weighted(_each_once(records), setting_pair, selection)
 
 
 def chsh_from_counts(
@@ -175,8 +164,7 @@ def chsh_from_counts(
 
     This is the mergeable-counter core: counts summed across any partition
     of the records give the identical report.  ``cell_counts`` is a dict
-    keyed by cell or a (2, 2, 2) array indexed by it.  Raises on any empty
-    cell.
+    keyed by cell.  Raises on any empty cell.
     """
     estimates = {cell: correlation_from_counts(cell_counts, cell, filter_description) for cell in _CELLS}
     s = sum(_CELL_SIGNS[cell] * estimates[cell].e_value for cell in _CELLS)

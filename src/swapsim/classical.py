@@ -19,9 +19,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .analysis import ChshReport, chsh_from_counts, tally_cells
+from .analysis import ChshReport, InsufficientDataError, SelectionFilter, chsh_weighted
 from .measure import RandomSource
-from .records import CHUNK, AnalyzerAngle, ClassicalRecord, as_angle, setting_pair
+from .records import (
+    CHUNK,
+    AnalyzerAngle,
+    ClassicalRecord,
+    RecordChunk,
+    kind_index,
+    kind_templates,
+    setting_pair,
+)
 
 # Keep-decision draws live far above any trial's generation stream so a rule
 # seeded like the generator never replays the generator's own uniforms.
@@ -110,44 +118,27 @@ def _evaluate(
     return o0.astype(np.int64), o3.astype(np.int64), marks
 
 
-@dataclass(frozen=True)
-class ClassicalChunk:
-    """Consecutive hidden-variable trials, one array per record field.
+def _kind_table(model: HiddenVariableModel, config: ClassicalConfig) -> tuple[ClassicalRecord, ...]:
+    """One record per kind_index of the model's records, with trial_id 0."""
+    deg0 = (config.angles0[0].degrees, config.angles0[1].degrees)
+    deg3 = (config.angles3[0].degrees, config.angles3[1].degrees)
+    labels = model.marker_labels
 
-    Outcomes are +-1; ``marks`` indexes the model's marker labels.
-    """
+    def make(i0, i3, o0, o3, mark):
+        return ClassicalRecord(0, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[mark])
 
-    config: ClassicalConfig
-    marker_labels: tuple[str, ...]
-    trial_ids: np.ndarray
-    setting0: np.ndarray
-    setting3: np.ndarray
-    outcome0: np.ndarray
-    outcome3: np.ndarray
-    marks: np.ndarray
-
-    def kinds(self) -> np.ndarray:
-        """Per row, an index of every record field but trial_id."""
-        signs = (self.outcome0 < 0) * 2 + (self.outcome3 < 0)
-        return ((self.setting0 * 2 + self.setting3) * 4 + signs) * len(self.marker_labels) + self.marks
-
-    def records(self, rows=slice(None)) -> Iterator[ClassicalRecord]:
-        """The selected rows (default all) as records, in row order."""
-        deg0 = (self.config.angles0[0].degrees, self.config.angles0[1].degrees)
-        deg3 = (self.config.angles3[0].degrees, self.config.angles3[1].degrees)
-        labels = self.marker_labels
-        columns = (self.trial_ids, self.setting0, self.setting3, self.outcome0, self.outcome3, self.marks)
-        for trial_id, i0, i3, o0, o3, mark in zip(*(column[rows].tolist() for column in columns)):
-            yield ClassicalRecord(trial_id, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[mark])
+    return kind_templates(make, len(labels))
 
 
-def lhv_chunks(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[ClassicalChunk]:
-    """Lazily yield the batch in chunks of CHUNK trials; deterministic for a given seed."""
+def lhv_chunks(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[RecordChunk]:
+    """Lazily yield the batch in CHUNK-trial chunks that share one kind table; deterministic per seed."""
     rad0 = np.array([config.angles0[0].radians, config.angles0[1].radians])
     rad3 = np.array([config.angles3[0].radians, config.angles3[1].radians])
+    templates = _kind_table(model, config)
     for trial_ids, i0, i3, lam0, lam1 in _raw_chunks(config):
         o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
-        yield ClassicalChunk(config, model.marker_labels, trial_ids, i0, i3, o0, o3, marks)
+        kinds = kind_index(i0, i3, o0, o3, marks, len(model.marker_labels))
+        yield RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
 
 
 def run_lhv(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[ClassicalRecord]:
@@ -212,21 +203,13 @@ def apply_discard(records: Iterable, rule: DiscardRule, seed: int = 0) -> tuple[
     return kept, (len(kept) / total if total else 0.0)
 
 
-def _label_suffix(angle_labels) -> str:
-    if angle_labels is None:
-        return ""
-    a, a_prime, b, b_prime = (as_angle(x).degrees for x in angle_labels)
-    return f"({a:g},{a_prime:g};{b:g},{b_prime:g})"
-
-
-def pr_box_rule(angle_labels=None) -> DiscardRule:
+def pr_box_rule() -> DiscardRule:
     """Deterministic record-comparing rule that drives kept data to |S| = 4.
 
     Keep a record exactly when outcome0*outcome3 hits the cell's target sign.
     The -1 target sits on the (a, b') cell — the one entering S with a minus
     sign — so every kept cell is perfectly correlated with its sign in S and
-    the kept ensemble reaches the algebraic maximum.  ``angle_labels`` only
-    annotates the description; the rule reads setting indices.
+    the kept ensemble reaches the algebraic maximum.
     """
     targets = {(0, 0): +1, (0, 1): -1, (1, 0): +1, (1, 1): +1}
 
@@ -234,10 +217,10 @@ def pr_box_rule(angle_labels=None) -> DiscardRule:
         target = targets[(record.setting0_index, record.setting3_index)]
         return 1.0 if record.outcome0 * record.outcome3 == target else 0.0
 
-    return DiscardRule("deterministic", "pr-box" + _label_suffix(angle_labels), weight)
+    return DiscardRule("deterministic", "pr-box", weight)
 
 
-def quantum_mimic_rule(angle_labels=None) -> DiscardRule:
+def quantum_mimic_rule() -> DiscardRule:
     """Probabilistic rule whose kept ensemble mimics singlet statistics.
 
     Keep weight w = (1 - outcome0*outcome3*cos 2(alpha-delta))/2, evaluated
@@ -250,7 +233,7 @@ def quantum_mimic_rule(angle_labels=None) -> DiscardRule:
         diff = math.radians(record.setting0_deg - record.setting3_deg)
         return (1.0 - record.outcome0 * record.outcome3 * math.cos(2.0 * diff)) / 2.0
 
-    return DiscardRule("probabilistic", "quantum-mimic" + _label_suffix(angle_labels), weight)
+    return DiscardRule("probabilistic", "quantum-mimic", weight)
 
 
 def _sign(values: np.ndarray) -> np.ndarray:
@@ -289,7 +272,10 @@ def uniform_model() -> HiddenVariableModel:
     )
 
 
-def random_fourier_model(model_seed: int, harmonics: int = 3) -> HiddenVariableModel:
+_HARMONICS = 3  # Fourier orders in a random model's marker
+
+
+def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     """Randomized stress model with a Fourier-series marker.
 
     Outcome functions are threshold rules with a random phase per station;
@@ -298,16 +284,14 @@ def random_fourier_model(model_seed: int, harmonics: int = 3) -> HiddenVariableM
     ``model_seed``, so the model is data, not code: its marker cannot read a
     setting because no setting is ever passed to it.
     """
-    if harmonics < 1:
-        raise ValueError(f"harmonics must be >= 1, got {harmonics}")
     rng = np.random.default_rng(model_seed)
     phase0, phase3 = rng.uniform(0.0, np.pi, size=2)
-    amps = rng.normal(size=(harmonics, 3))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(harmonics, 3))
+    amps = rng.normal(size=(_HARMONICS, 3))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(_HARMONICS, 3))
 
     def marker(lam0: np.ndarray, lam1: np.ndarray) -> np.ndarray:
         value = np.zeros_like(lam0)
-        for k in range(harmonics):
+        for k in range(_HARMONICS):
             freq = 2.0 * (k + 1)
             value += amps[k, 0] * np.cos(freq * lam0 + phases[k, 0])
             value += amps[k, 1] * np.cos(freq * lam1 + phases[k, 1])
@@ -397,9 +381,11 @@ def settings_blind_check(
     """Post-select on every settings-blind marker and test |S| <= 2 + 5 sigma.
 
     Every model is evaluated on the same trial stream (one pass over the
-    hidden variables, all models scored per chunk).  A label that never
-    occurs, or occurs but leaves a setting cell empty, is reported as
-    starved and excluded from the bound rather than silently passed.  An
+    hidden variables, all models scored per chunk).  A label is starved
+    exactly when chsh_weighted over its records raises
+    InsufficientDataError (it never occurs, or leaves a setting cell
+    empty); it is reported and excluded from the bound rather than
+    silently passed.  An
     empty model list raises ValueError: a check of nothing cannot pass.
     """
     models = list(models)
@@ -408,31 +394,25 @@ def settings_blind_check(
     rad0 = np.array([config.angles0[0].radians, config.angles0[1].radians])
     rad3 = np.array([config.angles3[0].radians, config.angles3[1].radians])
 
-    # counts[m][label, i0, i3, 0|1]: aligned (outcome product +1) vs opposed
-    counts = [np.zeros((len(m.marker_labels), 2, 2, 2), dtype=np.int64) for m in models]
+    # counts[m][k]: rows of model m's records of kind k
+    counts = [np.zeros(16 * len(m.marker_labels), dtype=np.int64) for m in models]
     for _, i0, i3, lam0, lam1 in _raw_chunks(config):
         for index, model in enumerate(models):
             o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
-            tally_cells(counts[index], marks, i0, i3, o0 != o3)
+            kinds = kind_index(i0, i3, o0, o3, marks, len(model.marker_labels))
+            counts[index] += np.bincount(kinds, minlength=len(counts[index]))
 
     checks = []
     for index, model in enumerate(models):
+        weighted = list(zip(_kind_table(model, config), counts[index].tolist()))
         label_checks = []
         starved = []
-        for label_index, label in enumerate(model.marker_labels):
-            cells = counts[index][label_index]
-            label_total = int(cells.sum())
-            if label_total == 0 or (cells.sum(axis=2) == 0).any():
+        for label in model.marker_labels:
+            try:
+                report = chsh_weighted(weighted, SelectionFilter.bsm_equals(label))
+            except InsufficientDataError:
                 starved.append(label)
                 continue
-            cell_counts = {
-                (i, j): (int(cells[i, j, 0]), int(cells[i, j, 1]))
-                for i in (0, 1)
-                for j in (0, 1)
-            }
-            report = chsh_from_counts(
-                cell_counts, f"bsm={label}", label_total, config.trials
-            )
             label_checks.append(LabelCheck(label, report))
         checks.append(ModelCheck(model.name, tuple(label_checks), tuple(starved)))
     return BlindCheckReport(config.trials, tuple(checks))

@@ -17,28 +17,20 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from collections import Counter
+from functools import partial
 from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import (
-    InsufficientDataError,
-    SelectionFilter,
-    chsh_exact,
-    chsh_from_counts,
-    chsh_weighted,
-    correlation_from_counts,
-    tally_cells,
-)
-from .records import CHUNK, BsmMode, BsmOutcome, ClassicalRecord, Ordering, TrialRecord, bsm_outcomes
+from .analysis import InsufficientDataError, SelectionFilter, chsh_exact, chsh_weighted, correlation_weighted
+from .records import (CHUNK, BsmMode, BsmOutcome, ClassicalRecord, Ordering, RecordChunk, TrialRecord,
+                      bsm_outcomes)
 
 # Each command imports numpy, protocol and classical where it uses them, so
 # analyze and --version start on the standard library alone and the quantum
 # and classical commands never load each other's engine.
 if TYPE_CHECKING:
-    import numpy as np
-
     from .classical import ClassicalConfig
     from .protocol import ExperimentConfig
 
@@ -110,25 +102,19 @@ def _templatable(tail: str) -> bool:
     return json.loads('{"trial_id":null' + tail)["trial_id"] is None
 
 
-@dataclass(frozen=True)
-class RecordChunk:
-    """Consecutive records of a file, as columns.
+def _check_angles(angles: dict, record, line_number: int) -> None:
+    """Note the record's setting angles in ``angles``; RecordFormatError if an index had another angle.
 
-    Row r is ``templates[kinds[r]]`` with trial_id ``trial_ids[r]``.  Kinds
-    are numbered by first appearance in the chunk, so every template has a
-    row and rows of one kind differ in trial_id alone.
+    A record file comes from one experiment, so each setting index of each
+    station carries one analyzer angle throughout.  A NaN angle equals no
+    angle, itself included, so it is rejected on its first line.
     """
-
-    trial_ids: list[int]
-    kinds: list[int]
-    templates: list
-
-    def records(self):
-        """The rows as records, in file order."""
-        templates = self.templates
-        for trial_id, kind in zip(self.trial_ids, self.kinds):
-            template = templates[kind]
-            yield template if template.trial_id == trial_id else replace(template, trial_id=trial_id)
+    for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
+                                    (3, record.setting3_index, record.setting3_deg)):
+        seen = angles.setdefault((station, index), degrees)
+        if seen != degrees:
+            raise RecordFormatError(line_number, f"setting{station}_index {index} has angle {degrees!r} "
+                                                 f"here but {seen!r} above: not one experiment")
 
 
 def read_record_chunks(path: str):
@@ -137,12 +123,15 @@ def read_record_chunks(path: str):
     A line in the writers' form costs a match and a dict lookup: json.loads
     runs on its tail's first line only.  Any other line (other spacing or
     key order, an id that is not a plain non-negative integer) is parsed
-    whole and becomes a kind of its own.  The records, and the line number
-    and message of a RecordFormatError, are those of parsing every line
-    with json.loads; before the error, the records above the bad line are
-    yielded.  Blank lines are skipped.
+    whole and becomes a kind of its own.  Every parsed record must give
+    each setting index the angle it had above (_check_angles).  The
+    records, and the line number and message of a RecordFormatError, are
+    those of parsing every line with json.loads and that check; before the
+    error, the records above the bad line are yielded.  Blank lines are
+    skipped.
     """
     known: dict[str, object] = {}  # templatable tail -> its record
+    angles: dict[tuple[int, int], float] = {}  # (station, setting index) -> degrees
     with open(path, encoding="utf-8") as handle:
         trial_ids, kinds, templates, local = [], [], [], {}
         for line_number, line in enumerate(handle, start=1):
@@ -157,6 +146,7 @@ def read_record_chunks(path: str):
                 if template is None:  # a new tail, or not the writers' form: the full parse
                     try:
                         template = _parse_line(stripped, line_number)
+                        _check_angles(angles, template, line_number)
                     except RecordFormatError:
                         if trial_ids:
                             yield RecordChunk(trial_ids, kinds, templates)
@@ -221,36 +211,23 @@ def _tails(records) -> list[str]:
 
 
 def _write_records(path: str, chunks) -> int:
-    """Write (trial_ids, kinds, tails) chunks as JSONL, atomically; returns the record count.
+    """Write RecordChunks as JSONL, atomically; returns the record count.
 
-    Row r is the line '{"trial_id":<trial_ids[r]>' + tails[kinds[r]].  Every
-    tail is cut by _tails from a record of its kind, so every line equals
-    _record_line of its record by construction.
+    Row r is the line '{"trial_id":<trial_ids[r]>' + the tail of
+    templates[kinds[r]].  Tails are cut by _tails once per templates list,
+    so once per file for a sampler's shared kind table, and every line
+    equals _record_line of its record by construction.
     """
     count = 0
+    templates = tails = None
     with _atomic_open(path) as handle:
-        for trial_ids, kinds, tails in chunks:
+        for chunk in chunks:
+            if chunk.templates is not templates:
+                templates, tails = chunk.templates, _tails(chunk.templates)
             handle.writelines([f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"
-                               for trial_id, kind in zip(trial_ids, kinds)])
-            count += len(trial_ids)
+                               for trial_id, kind in zip(chunk.trial_ids, chunk.kinds)])
+            count += len(chunk.trial_ids)
     return count
-
-
-def _batch_rows(chunks):
-    """Writer chunks of a TrialChunk or ClassicalChunk stream.
-
-    A chunk's kinds() index every field but trial_id the same way in every
-    chunk, so each kind's tail is rendered once per file.
-    """
-    import numpy as np
-
-    tails: dict[int, str] = {}
-    for chunk in chunks:
-        kinds = chunk.kinds()
-        unique, first_rows = np.unique(kinds, return_index=True)
-        fresh = [k for k, kind in enumerate(unique.tolist()) if kind not in tails]
-        tails.update(zip(unique[fresh].tolist(), _tails(chunk.records(first_rows[fresh]))))
-        yield chunk.trial_ids.tolist(), kinds.tolist(), tails
 
 
 def _emit(text: str, out_path) -> None:
@@ -310,13 +287,8 @@ def _angles_flag(text: str):
 
 _DEFAULT_ANGLES = ((0.0, 45.0), (22.5, 67.5))
 
-_FILTERS = {
-    "none": SelectionFilter.none,
-    "psi-minus": lambda: SelectionFilter.bsm_equals("psi-minus"),
-    "psi-plus": lambda: SelectionFilter.bsm_equals("psi-plus"),
-    "phi-minus": lambda: SelectionFilter.bsm_equals("phi-minus"),
-    "phi-plus": lambda: SelectionFilter.bsm_equals("phi-plus"),
-    "other": lambda: SelectionFilter.bsm_equals("other"),
+_FILTERS = {"none": SelectionFilter.none} | {
+    label.value: partial(SelectionFilter.bsm_equals, label) for label in BsmOutcome
 }
 
 
@@ -354,25 +326,22 @@ def cmd_simulate(args) -> int:
     config = _experiment_config(args)
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    count = _write_records(args.out, _batch_rows(run_chunks(config)))
+    count = _write_records(args.out, run_chunks(config))
     _write_manifest(args.out, "simulate", _experiment_config_doc(config), config.seed, count)
     sys.stdout.write(f"wrote {count} records to {args.out}\n")
     sys.stdout.write(f"manifest: {_manifest_path(args.out)}\n")
     return 0
 
 
-def _kind_counts(path: str):
-    """(template, row count) for every kind of every chunk of a record file."""
-    for chunk in read_record_chunks(path):
-        counts = [0] * len(chunk.templates)
-        for kind in chunk.kinds:
-            counts[kind] += 1
-        yield from zip(chunk.templates, counts)
+def _kind_counts(chunks):
+    """(template, row count) for every kind that has rows, chunk by chunk: the input of chsh_weighted."""
+    for chunk in chunks:
+        yield from ((chunk.templates[kind], count) for kind, count in Counter(chunk.kinds).items())
 
 
 def cmd_analyze(args) -> int:
     selection = _FILTERS[args.select]()
-    report = chsh_weighted(_kind_counts(args.input), selection)
+    report = chsh_weighted(_kind_counts(read_record_chunks(args.input)), selection)
     _emit(_render_report_doc(report.to_json_dict()), args.out)
     return 0
 
@@ -404,21 +373,8 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
     )
 
 
-def _sampled_counts(config: ExperimentConfig) -> np.ndarray:
-    """counts[bsm, setting0, setting3, outcomes differ] over a sampled batch, chunk by chunk."""
-    import numpy as np
-
-    from .protocol import run_chunks
-
-    counts = np.zeros((len(bsm_outcomes(config.bsm_mode)), 2, 2, 2), dtype=np.int64)
-    for chunk in run_chunks(config):
-        opposed = chunk.outcome0 != chunk.outcome3
-        tally_cells(counts, chunk.bsm, chunk.setting0, chunk.setting3, opposed)
-    return counts
-
-
 def _scan_csv(args) -> str:
-    from .protocol import exact_joint_distribution
+    from .protocol import exact_joint_distribution, run_chunks
 
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
     for delta in _scan_grid(args.scan_step):
@@ -427,18 +383,16 @@ def _scan_csv(args) -> str:
             e_filtered = chsh_exact(table, BsmOutcome.PSI_MINUS)[0][(0, 0)]
             e_all = chsh_exact(table, None)[0][(0, 0)]
         else:
-            config = _scan_config(delta, args, trials=args.trials)
-            counts = _sampled_counts(config)
-            label = BsmOutcome.PSI_MINUS
-            selected = counts[bsm_outcomes(config.bsm_mode).index(label)]
-            e_filtered = correlation_from_counts(selected, (0, 0), f"bsm={label.value}").e_value
-            e_all = correlation_from_counts(counts.sum(axis=0), (0, 0), "none").e_value
+            weighted = list(_kind_counts(run_chunks(_scan_config(delta, args, trials=args.trials))))
+            psi_minus = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
+            e_filtered = correlation_weighted(weighted, (0, 0), psi_minus).e_value
+            e_all = correlation_weighted(weighted, (0, 0)).e_value
         lines.append(f"{_fmt(delta)},{_fmt(e_filtered)},{_fmt(e_all)}")
     return "\n".join(lines) + "\n"
 
 
 def _summary_text(args) -> str:
-    from .protocol import exact_joint_distribution, stage_entanglement_report
+    from .protocol import exact_joint_distribution, run_chunks, stage_entanglement_report
 
     config = _experiment_config(args)
     lines = []
@@ -469,20 +423,17 @@ def _summary_text(args) -> str:
         _, s_all = chsh_exact(table, None)
         lines.append(f"  filter none: S = {_fmt(s_all)}  |S| = {_fmt(abs(s_all))}")
     else:
-        counts = _sampled_counts(config)
-        kept = counts.sum(axis=(1, 2, 3)).tolist()
+        weighted = list(_kind_counts(run_chunks(config)))  # held for one chsh_weighted per selection
+        selections = [SelectionFilter.bsm_equals(label) for label in labels] + [SelectionFilter.none()]
+        reports = [chsh_weighted(weighted, selection) for selection in selections]
         lines.append(f"sampled outcome frequencies (N={config.trials}, seed={config.seed}):")
-        for label, label_kept in zip(labels, kept):
-            lines.append(f"  f(bsm={label.value}) = {_fmt(label_kept / config.trials)}")
+        for label, report in zip(labels, reports):
+            lines.append(f"  f(bsm={label.value}) = {_fmt(report.kept / config.trials)}")
         lines.append("")
         lines.append("sampled CHSH by selection:")
-        for index, label in enumerate(labels):
-            report = chsh_from_counts(counts[index], f"bsm={label.value}", kept[index], config.trials)
-            lines.append(f"  filter bsm={label.value}: S = {_fmt(report.s_value)}  "
+        for report in reports:
+            lines.append(f"  filter {report.filter_description}: S = {_fmt(report.s_value)}  "
                          f"|S| = {_fmt(report.s_abs)}  std_err = {_fmt(report.s_std_err)}  kept = {report.kept}")
-        report = chsh_from_counts(counts.sum(axis=0), "none", config.trials, config.trials)
-        lines.append(f"  filter none: S = {_fmt(report.s_value)}  |S| = {_fmt(report.s_abs)}  "
-                     f"std_err = {_fmt(report.s_std_err)}  kept = {report.kept}")
     return "\n".join(lines) + "\n"
 
 
@@ -522,7 +473,7 @@ def _cmd_classical_generate(args) -> int:
 
     config = _classical_config(args)
     model = _model(args)
-    count = _write_records(args.out, _batch_rows(lhv_chunks(model, config)))
+    count = _write_records(args.out, lhv_chunks(model, config))
     config_doc = {
         "model": model.name,
         "angles0": [config.angles0[0].degrees, config.angles0[1].degrees],
@@ -558,7 +509,7 @@ def _cmd_classical_discard(args) -> int:
             weights = np.array([rule.checked_weight(template) for template in chunk.templates])
             keep = keep_mask(rule, seed, chunk.trial_ids, weights[kinds])
             kept_ids = list(compress(chunk.trial_ids, keep.tolist()))
-            yield kept_ids, kinds[keep].tolist(), _tails(chunk.templates)
+            yield RecordChunk(kept_ids, kinds[keep].tolist(), chunk.templates)
 
     kept = _write_records(args.out, kept_rows())
     doc = {

@@ -35,8 +35,11 @@ from .records import (
     BsmMode,
     BsmOutcome,
     Ordering,
+    RecordChunk,
     TrialRecord,
     bsm_outcomes,
+    kind_index,
+    kind_templates,
     setting_pair,
 )
 
@@ -217,39 +220,22 @@ def _walk(levels, depth: int, prefix: tuple, rows: np.ndarray, draws: np.ndarray
             _walk(levels, depth + 1, prefix + (outcomes[k],), rows[index == k], draws, picks)
 
 
-@dataclass(frozen=True)
-class TrialChunk:
-    """Consecutive trials of one batch, one array per record field.
+@lru_cache(maxsize=16)
+def _kind_table(key: tuple) -> tuple[TrialRecord, ...]:
+    """One record per kind_index of the records of a config with this _table_key, with trial_id 0."""
+    angles0, angles3, ordering, bsm_mode, _ = key
+    deg0 = (angles0[0].degrees, angles0[1].degrees)
+    deg3 = (angles3[0].degrees, angles3[1].degrees)
+    labels = bsm_outcomes(bsm_mode)
+    events = _EVENTS_BSM_FIRST if ordering is Ordering.BSM_FIRST else _EVENTS_POL_FIRST
 
-    Outcomes are +-1; ``bsm`` indexes bsm_outcomes(config.bsm_mode).
-    """
+    def make(i0, i3, o0, o3, b):
+        return TrialRecord(0, ordering, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[b], events)
 
-    config: ExperimentConfig
-    trial_ids: np.ndarray
-    setting0: np.ndarray
-    setting3: np.ndarray
-    outcome0: np.ndarray
-    outcome3: np.ndarray
-    bsm: np.ndarray
-
-    def kinds(self) -> np.ndarray:
-        """Per row, an index of every record field but trial_id; at most 64 distinct."""
-        signs = (self.outcome0 < 0) * 2 + (self.outcome3 < 0)
-        return ((self.setting0 * 2 + self.setting3) * 4 + signs) * 4 + self.bsm
-
-    def records(self, rows=slice(None)) -> Iterator[TrialRecord]:
-        """The selected rows (default all) as records, in row order."""
-        config = self.config
-        deg0 = (config.angles0[0].degrees, config.angles0[1].degrees)
-        deg3 = (config.angles3[0].degrees, config.angles3[1].degrees)
-        labels = bsm_outcomes(config.bsm_mode)
-        events = _EVENTS_BSM_FIRST if config.ordering is Ordering.BSM_FIRST else _EVENTS_POL_FIRST
-        columns = (self.trial_ids, self.setting0, self.setting3, self.outcome0, self.outcome3, self.bsm)
-        for trial_id, i0, i3, o0, o3, b in zip(*(column[rows].tolist() for column in columns)):
-            yield TrialRecord(trial_id, config.ordering, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[b], events)
+    return kind_templates(make, len(labels))
 
 
-def _sample_chunk(config: ExperimentConfig, tables, start: int, stop: int) -> TrialChunk:
+def _sample_chunk(config: ExperimentConfig, tables, templates: tuple, start: int, stop: int) -> RecordChunk:
     trial_ids = np.arange(start, stop, dtype=np.int64)
     draws = RandomSource(config.seed, trial_ids).uniforms(_DRAWS_PER_TRIAL)
     setting0 = (draws[:, 0] >= 0.5).astype(np.int64)
@@ -264,14 +250,17 @@ def _sample_chunk(config: ExperimentConfig, tables, start: int, stop: int) -> Tr
     else:
         pick0, pick3, bsm = picks.T
     # polarization steps sample (+1, -1), so pick k is outcome 1 - 2k
-    return TrialChunk(config, trial_ids, setting0, setting3, 1 - 2 * pick0, 1 - 2 * pick3, bsm)
+    label_count = len(bsm_outcomes(config.bsm_mode))
+    kinds = kind_index(setting0, setting3, 1 - 2 * pick0, 1 - 2 * pick3, bsm, label_count)
+    return RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
 
 
-def run_chunks(config: ExperimentConfig) -> Iterator[TrialChunk]:
-    """Lazily yield the batch in chunks of CHUNK trials, in trial_id order."""
+def run_chunks(config: ExperimentConfig) -> Iterator[RecordChunk]:
+    """Lazily yield the batch in chunks of CHUNK trials, in trial_id order, sharing one kind table."""
     tables = _sampling_tables(config._table_key())
+    templates = _kind_table(config._table_key())
     for start in range(0, config.trials, CHUNK):
-        yield _sample_chunk(config, tables, start, min(start + CHUNK, config.trials))
+        yield _sample_chunk(config, tables, templates, start, min(start + CHUNK, config.trials))
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
@@ -282,7 +271,8 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     if trial_id < 0:
         raise ValueError(f"trial_id must be >= 0, got {trial_id}")
     tables = _sampling_tables(config._table_key())
-    return next(_sample_chunk(config, tables, trial_id, trial_id + 1).records())
+    templates = _kind_table(config._table_key())
+    return next(_sample_chunk(config, tables, templates, trial_id, trial_id + 1).records())
 
 
 def run_batch(config: ExperimentConfig) -> Iterator[TrialRecord]:

@@ -11,9 +11,9 @@ and tallying a record file needs no numerical code.  ``measure``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Union
+from typing import Callable, Sequence, Union
 
 # Trials per chunk: every batch path draws, samples and renders this many
 # trials at a time, and the reader parses this many records at a time, so
@@ -224,3 +224,49 @@ class ClassicalRecord:
             outcome3=outcome3,
             marker=str(doc["bsm"]),
         )
+
+
+def kind_index(i0, i3, o0, o3, label, label_count: int):
+    """Index of a record's fields but trial_id among 16 * label_count kinds.
+
+    Operators only, so it takes ints or numpy arrays alike; ``label``
+    indexes the record family's labels, and kind_templates is the inverse.
+    """
+    return ((i0 * 2 + i3) * 4 + (o0 < 0) * 2 + (o3 < 0)) * label_count + label
+
+
+def kind_templates(make: Callable, label_count: int) -> tuple:
+    """``make(i0, i3, o0, o3, label)`` for every kind, in kind_index order."""
+    return tuple(
+        make(i0, i3, o0, o3, label)
+        for i0 in (0, 1)
+        for i3 in (0, 1)
+        for o0 in (+1, -1)
+        for o3 in (+1, -1)
+        for label in range(label_count)
+    )
+
+
+@dataclass(frozen=True)
+class RecordChunk:
+    """Consecutive records, as columns: the one form from sampler to file to tally.
+
+    Row r is ``templates[kinds[r]]`` with trial_id ``trial_ids[r]``, so rows
+    of one kind differ in trial_id alone.  A sampler's chunks share one
+    kind table (kind_templates) for the whole batch; a reader's chunk holds
+    the kinds it met, numbered by first appearance.
+    """
+
+    trial_ids: list[int]
+    kinds: list[int]
+    templates: Sequence
+
+    def records(self):
+        """The rows as records, in row order."""
+        rows = {}  # kind -> (record class, the template's fields after trial_id), for kinds met
+        for trial_id, kind in zip(self.trial_ids, self.kinds):
+            row = rows.get(kind)
+            if row is None:
+                template = self.templates[kind]
+                row = rows[kind] = (type(template), [getattr(template, f.name) for f in fields(template)[1:]])
+            yield row[0](trial_id, *row[1])

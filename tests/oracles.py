@@ -179,9 +179,11 @@ def philox_uniforms(seed: int, stream: int, count: int) -> np.ndarray:
 def read_records_reference(path):
     """Yield the records of a JSONL file, one json.loads per non-blank line.
 
-    The first line that is not a record raises RecordFormatError with its
-    1-based line number, after the records above it.
+    The first line that is not a record, or whose record gives a setting
+    index another angle than a line above did, raises RecordFormatError
+    with its 1-based line number, after the records above it.
     """
+    angles = {}
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -195,6 +197,12 @@ def read_records_reference(path):
                     record = TrialRecord.from_json_dict(doc)
             except (ValueError, KeyError, TypeError) as exc:
                 raise RecordFormatError(line_number, str(exc)) from exc
+            for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
+                                            (3, record.setting3_index, record.setting3_deg)):
+                if angles.setdefault((station, index), degrees) != degrees:
+                    raise RecordFormatError(
+                        line_number, f"setting{station}_index {index} has angle {degrees!r} here "
+                                     f"but {angles[station, index]!r} above: not one experiment")
             yield record
 
 

@@ -15,7 +15,6 @@ from swapsim.analysis import (
     chsh_weighted,
     correlation,
     predicted_correlation,
-    tally_cells,
 )
 from swapsim.measure import AnalyzerAngle, BsmOutcome
 from swapsim.protocol import ExperimentConfig, exact_joint_distribution, run_batch
@@ -225,16 +224,6 @@ class TestChshWeighted:
     def test_rejects_kept_record_outside_the_design(self):
         with pytest.raises(ValueError, match=r"\(2, 0\)"):
             chsh_weighted([(FakeRecord(2, 0, 1, 1), 3)])
-
-
-class TestTallyCells:
-    def test_matches_add_at(self, rng):
-        indices = [rng.integers(0, n, size=500) for n in (3, 2, 2, 2)]
-        want = np.zeros((3, 2, 2, 2), dtype=np.int64)
-        np.add.at(want, tuple(indices), 1)
-        got = np.ones((3, 2, 2, 2), dtype=np.int64)
-        tally_cells(got, *indices)
-        assert (got - 1 == want).all()
 
 
 class TestChshExact:

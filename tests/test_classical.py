@@ -237,8 +237,6 @@ class TestApplyDiscard:
 class TestPrBoxRule:
     def test_description(self):
         assert pr_box_rule().description == "pr-box"
-        labelled = pr_box_rule((0.0, 45.0, 22.5, 67.5))
-        assert labelled.description == "pr-box(0,45;22.5,67.5)"
 
     def test_kept_cells_hit_their_targets_exactly(self):
         n = 20_000
@@ -337,10 +335,6 @@ class TestModels:
         assert np.array_equal(a.marker(lam0, lam1), b.marker(lam0, lam1))
         other = random_fourier_model(124)
         assert not np.array_equal(a.marker(lam0, lam1), other.marker(lam0, lam1))
-
-    def test_fourier_model_validates_harmonics(self):
-        with pytest.raises(ValueError):
-            random_fourier_model(1, harmonics=0)
 
 
 class TestSettingsBlindCheck:

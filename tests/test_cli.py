@@ -188,6 +188,30 @@ class TestAnalyze:
         padded.write_text(records.read_text().replace("\n", "\n\n") + "\n\n")
         assert len(list(iter_records_file(str(padded)))) == 200
 
+    def test_two_experiments_in_one_file_are_rejected(self, tmp_path, capsys):
+        # each setting index carries two angles, so the file is no one experiment
+        first = simulate(tmp_path, "a.jsonl", trials=200, seed=1, extra=("--angles", "0,45,22.5,67.5"))
+        second = simulate(tmp_path, "b.jsonl", trials=200, seed=2, extra=("--angles", "10,80,30,50"))
+        pooled = tmp_path / "pooled.jsonl"
+        pooled.write_text(first.read_text() + second.read_text())
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(pooled), "--select", "psi-minus"]) == 3
+        err = capsys.readouterr().err
+        assert "line 201:" in err and "setting0_index" in err
+        got = _outcome(iter_records_file(str(pooled)))
+        assert got == _outcome(read_records_reference(str(pooled)))
+        assert len(got[0]) == 200
+
+    def test_one_changed_angle_is_found_on_its_first_line(self, tmp_path, capsys):
+        first = simulate(tmp_path, "a.jsonl", trials=50, seed=1)
+        second = simulate(tmp_path, "b.jsonl", trials=50, seed=2, extra=("--angles", "0,45,22.5,60"))
+        pooled = tmp_path / "pooled.jsonl"
+        pooled.write_text(first.read_text() + second.read_text())
+        line = 51 + [json.loads(text)["setting3_index"] for text in second.read_text().splitlines()].index(1)
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(pooled)]) == 3
+        assert f"line {line}: setting3_index 1 has angle 60.0 here but 67.5 above" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -354,6 +378,21 @@ class TestClassicalCommands:
         assert "i/o error" in capsys.readouterr().err
         assert len(rendered) == 3
         assert kept_path.read_bytes() == b"earlier kept records\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_discard_rejects_two_experiments_in_one_file(self, tmp_path, capsys):
+        files = []
+        for seed, angles in ((1, "0,45,22.5,67.5"), (2, "10,80,30,50")):
+            files.append(tmp_path / f"lhv{seed}.jsonl")
+            assert main(["classical", "generate", "--model", "uniform", "--trials", "100", "--seed", str(seed),
+                         "--angles", angles, "--out", str(files[-1])]) == 0
+        pooled = tmp_path / "pooled.jsonl"
+        pooled.write_text(files[0].read_text() + files[1].read_text())
+        kept_path = tmp_path / "kept.jsonl"
+        capsys.readouterr()
+        assert main(["classical", "discard", "--rule", "pr-box", "--in", str(pooled), "--out", str(kept_path)]) == 3
+        assert "line 101:" in capsys.readouterr().err
+        assert not kept_path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_pr_box_also_guts_quantum_records(self, tmp_path, capsys):

@@ -88,3 +88,43 @@ class TestLazyPackage:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["['swapsim']", "swapsim.protocol"]
+
+
+class TestKindTables:
+    """kind_index and kind_templates are inverse, for every record family the samplers yield."""
+
+    @pytest.fixture(params=["full", "partial", "classical"])
+    def table(self, request):
+        if request.param == "classical":
+            model = classical.sign_model()
+            chunk = next(classical.lhv_chunks(model, classical.ClassicalConfig(trials=3)))
+            labels = model.marker_labels
+            return chunk.templates, [labels.index(t.marker) for t in chunk.templates], len(labels)
+        mode = records.BsmMode(request.param)
+        chunk = next(protocol.run_chunks(protocol.ExperimentConfig(trials=3, bsm_mode=mode)))
+        labels = records.bsm_outcomes(mode)
+        return chunk.templates, [labels.index(t.bsm) for t in chunk.templates], len(labels)
+
+    def test_kind_index_of_each_template_is_its_position(self, table):
+        templates, label_of, label_count = table
+        assert len(templates) == 16 * label_count
+        for k, (template, label) in enumerate(zip(templates, label_of)):
+            assert records.kind_index(template.setting0_index, template.setting3_index, template.outcome0,
+                                      template.outcome3, label, label_count) == k
+
+    def test_arrays_index_like_ints(self, table):
+        templates, label_of, label_count = table
+        columns = [np.array([getattr(t, name) for t in templates])
+                   for name in ("setting0_index", "setting3_index", "outcome0", "outcome3")]
+        kinds = records.kind_index(*columns, np.array(label_of), label_count)
+        assert kinds.tolist() == list(range(len(templates)))
+
+    def test_chunk_rows_are_their_kind_with_their_id(self):
+        templates = [records.ClassicalRecord(0, 0, 0.0, 1, 67.5, 1, -1, "near"),
+                     records.ClassicalRecord(5, 1, 45.0, 0, 22.5, -1, -1, "far")]
+        chunk = records.RecordChunk([3, 9, 4], [1, 0, 1], templates)
+        assert list(chunk.records()) == [
+            records.ClassicalRecord(3, 1, 45.0, 0, 22.5, -1, -1, "far"),
+            records.ClassicalRecord(9, 0, 0.0, 1, 67.5, 1, -1, "near"),
+            records.ClassicalRecord(4, 1, 45.0, 0, 22.5, -1, -1, "far"),
+        ]
