@@ -1,4 +1,4 @@
-"""Correlation and CHSH estimation over trial records, with post-selection.
+"""Correlation and CHSH estimation over trial records and exact tables, with post-selection.
 
 The estimators are plain mergeable counters: any partition of the records,
 aggregated in any order, yields the same report.  Empty setting cells are a
@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .records import AnalyzerAngle, BsmOutcome, as_angle
 
 # Cell roles in S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); the minus sign
 # sits on the (a, b') cell.  Fixed convention; reports carry |S| alongside.
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_CELL_SIGNS = {(0, 0): +1.0, (0, 1): -1.0, (1, 0): +1.0, (1, 1): +1.0}
 
 
 class InsufficientDataError(ValueError):
@@ -93,42 +92,66 @@ class ChshReport:
         }
 
 
-def _tally(weighted: Iterable[tuple[object, int]], selection: SelectionFilter):
-    """One streaming pass over (record, count) pairs: per-cell (aligned, opposed) counts plus totals."""
-    counts = {cell: [0, 0] for cell in _CELLS}
-    total = kept = 0
-    for record, count in weighted:
-        total += count
-        if not selection.keeps(record):
+class _Tally(NamedTuple):
+    signed: dict  # cell -> sum of outcome0*outcome3*weight
+    weights: dict  # cell -> sum of weight
+    total: object  # every entry's weight, dropped ones included
+
+
+def _tally(entries: Iterable[tuple[Union[tuple[int, int], None], int, object]]) -> _Tally:
+    """The one accumulation over (cell, outcome0*outcome3, weight): per-cell signed and total weight.
+
+    Weights are integer counts for records and probabilities for exact
+    tables; the signed sum is accumulated as such.  A None cell marks weight
+    the selection dropped, which counts only toward the returned total.
+    """
+    signed = dict.fromkeys(_CELLS, 0)
+    weights = dict.fromkeys(_CELLS, 0)
+    total = 0
+    for cell, product, weight in entries:
+        total += weight
+        if cell is None:
             continue
-        kept += count
-        cell = (record.setting0_index, record.setting3_index)
-        if cell not in counts:
+        if cell not in weights:
             raise ValueError(f"setting indices {cell} outside the two-by-two design")
-        counts[cell][0 if record.outcome0 == record.outcome3 else 1] += count
-    return counts, kept, total
+        signed[cell] += product * weight
+        weights[cell] += weight
+    return _Tally(signed, weights, total)
+
+
+def _correlation(tally: _Tally, cell: tuple[int, int], filter_description: str) -> float:
+    """E of one cell, signed over total weight; InsufficientDataError when the cell has none."""
+    if not tally.weights[cell] > 0:
+        raise InsufficientDataError(f"setting cell {cell} is empty with filter {filter_description}")
+    return tally.signed[cell] / tally.weights[cell]
+
+
+def _s(e: dict[tuple[int, int], float]) -> float:
+    return e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
+
+
+def _estimate(tally: _Tally, cell: tuple[int, int], filter_description: str) -> CorrelationEstimate:
+    e = _correlation(tally, cell, filter_description)
+    n = tally.weights[cell]
+    return CorrelationEstimate(e, n, math.sqrt(max(0.0, 1.0 - e * e) / n))
+
+
+def _report(tally: _Tally, filter_description: str, kept: int, total: int) -> ChshReport:
+    estimates = {cell: _estimate(tally, cell, filter_description) for cell in _CELLS}
+    s = _s({cell: estimate.e_value for cell, estimate in estimates.items()})
+    s_err = math.sqrt(sum(estimate.std_err ** 2 for estimate in estimates.values()))
+    return ChshReport(*estimates.values(), s_value=float(s), s_std_err=float(s_err),
+                      filter_description=filter_description, kept=kept, total=total)
+
+
+def _record_entries(weighted: Iterable[tuple[object, int]], selection: SelectionFilter):
+    """The tally entries of (record, count) pairs; the cell is None where the selection drops the record."""
+    return (((record.setting0_index, record.setting3_index) if selection.keeps(record) else None,
+             record.outcome0 * record.outcome3, count) for record, count in weighted)
 
 
 def _each_once(records: Iterable) -> Iterable[tuple[object, int]]:
     return ((record, 1) for record in records)
-
-
-def correlation_from_counts(
-    cell_counts,
-    setting_pair: tuple[int, int],
-    filter_description: str,
-) -> CorrelationEstimate:
-    """E for one cell from its (aligned, opposed) counts; ``cell_counts[setting_pair]`` holds them.
-
-    Raises InsufficientDataError when the cell is empty.
-    """
-    aligned, opposed = cell_counts[setting_pair]
-    n = aligned + opposed
-    if n == 0:
-        raise InsufficientDataError(
-            f"no records in setting cell {setting_pair} with filter {filter_description}")
-    e = (aligned - opposed) / n
-    return CorrelationEstimate(e, n, math.sqrt(max(0.0, 1.0 - e * e) / n))
 
 
 def correlation_weighted(
@@ -139,10 +162,9 @@ def correlation_weighted(
     """Estimate E for one setting cell over filtered (record, count) pairs; other cells may be empty."""
     selection = selection or SelectionFilter.none()
     pair = (int(setting_pair[0]), int(setting_pair[1]))
-    if pair not in _CELL_SIGNS:
+    if pair not in _CELLS:
         raise ValueError(f"setting pair {pair} outside the two-by-two design")
-    counts, _, _ = _tally(weighted, selection)
-    return correlation_from_counts(counts, pair, selection.description)
+    return _estimate(_tally(_record_entries(weighted, selection)), pair, selection.description)
 
 
 def correlation(
@@ -154,32 +176,14 @@ def correlation(
     return correlation_weighted(_each_once(records), setting_pair, selection)
 
 
-def chsh_from_counts(
-    cell_counts,
-    filter_description: str,
-    kept: int,
-    total: int,
-) -> ChshReport:
-    """Combine per-cell (aligned, opposed) counts into a report.
+def chsh_from_counts(cell_counts, filter_description: str, kept: int, total: int) -> ChshReport:
+    """A report from per-cell (aligned, opposed) counts, a dict keyed by cell.
 
-    This is the mergeable-counter core: counts summed across any partition
-    of the records give the identical report.  ``cell_counts`` is a dict
-    keyed by cell.  Raises on any empty cell.
+    Counts summed across any partition of the records give the identical
+    report.  Raises on any empty cell.
     """
-    estimates = {cell: correlation_from_counts(cell_counts, cell, filter_description) for cell in _CELLS}
-    s = sum(_CELL_SIGNS[cell] * estimates[cell].e_value for cell in _CELLS)
-    s_err = math.sqrt(sum(estimates[cell].std_err ** 2 for cell in _CELLS))
-    return ChshReport(
-        e_ab=estimates[(0, 0)],
-        e_ab_prime=estimates[(0, 1)],
-        e_a_prime_b=estimates[(1, 0)],
-        e_a_prime_b_prime=estimates[(1, 1)],
-        s_value=float(s),
-        s_std_err=float(s_err),
-        filter_description=filter_description,
-        kept=kept,
-        total=total,
-    )
+    entries = ((cell, product, n) for cell in _CELLS for product, n in zip((+1, -1), cell_counts[cell]))
+    return _report(_tally(entries), filter_description, kept, total)
 
 
 def chsh_weighted(
@@ -192,8 +196,8 @@ def chsh_weighted(
     identical records (a columnar reader) pays one filter call per group.
     """
     selection = selection or SelectionFilter.none()
-    counts, kept, total = _tally(weighted, selection)
-    return chsh_from_counts(counts, selection.description, kept, total)
+    tally = _tally(_record_entries(weighted, selection))
+    return _report(tally, selection.description, sum(tally.weights.values()), tally.total)
 
 
 def chsh(records: Iterable, selection: Union[SelectionFilter, None] = None) -> ChshReport:
@@ -212,19 +216,11 @@ def chsh_exact(
     None keeps every outcome.  A cell with no probability left after the
     condition raises InsufficientDataError, as an empty sampled cell does.
     """
-    weights = {cell: 0.0 for cell in _CELLS}
-    sums = {cell: 0.0 for cell in _CELLS}
-    for (i0, i3, o0, o3, bsm), p in table.items():
-        if label is not None and bsm is not label:
-            continue
-        weights[(i0, i3)] += p
-        sums[(i0, i3)] += o0 * o3 * p
     description = "none" if label is None else f"bsm={label.value}"
-    for cell in _CELLS:
-        if weights[cell] <= 0.0:
-            raise InsufficientDataError(f"no probability in setting cell {cell} with filter {description}")
-    e = {cell: sums[cell] / weights[cell] for cell in _CELLS}
-    return e, e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
+    tally = _tally(((i0, i3), o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
+                   if label is None or bsm is label)
+    e = {cell: _correlation(tally, cell, description) for cell in _CELLS}
+    return e, _s(e)
 
 
 def predicted_correlation(

@@ -347,8 +347,8 @@ def cmd_analyze(args) -> int:
 
 
 def _scan_grid(step: float) -> list[float]:
-    if step <= 0:
-        raise UsageError(f"--scan-step must be positive, got {step}")
+    if not 0.0 < step < float("inf"):  # false for NaN too
+        raise UsageError(f"--scan-step must be a finite positive number, got {step}")
     deltas = []
     delta = 0.0
     while delta <= 90.0 + 1e-9:

@@ -64,10 +64,6 @@ class PureState:
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", arr)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -101,10 +97,6 @@ class DensityMatrix:
             raise ValueError("matrix is not positive semidefinite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
 
     def purity(self) -> float:
         """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""

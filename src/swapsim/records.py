@@ -120,11 +120,33 @@ class Ordering(Enum):
     POLARIZATIONS_FIRST = "pol-first"
 
 
-def _outcome_pair(doc: dict) -> tuple[int, int]:
+def _wire_doc(record, ordering: str, label: str, events: list) -> dict:
+    """The wire form of either record class: the shared fields around the class's ordering, label and events."""
+    return {
+        "trial_id": record.trial_id,
+        "ordering": ordering,
+        "setting0_index": record.setting0_index,
+        "setting0_deg": float(f"{record.setting0_deg:.12g}"),
+        "setting3_index": record.setting3_index,
+        "setting3_deg": float(f"{record.setting3_deg:.12g}"),
+        "outcome0": record.outcome0,
+        "outcome3": record.outcome3,
+        "bsm": label,
+        "events": events,
+    }
+
+
+def _wire_outcomes_and_id(doc: dict) -> tuple[int, int, int]:
+    """outcome0, outcome3 (checked to be +-1) and trial_id of a wire document, parsed in that order."""
     outcome0, outcome3 = int(doc["outcome0"]), int(doc["outcome3"])
     if outcome0 not in (-1, +1) or outcome3 not in (-1, +1):
         raise ValueError(f"outcomes must be +-1, got {outcome0}, {outcome3}")
-    return outcome0, outcome3
+    return outcome0, outcome3, int(doc["trial_id"])
+
+
+def _wire_settings(doc: dict) -> tuple[int, float, int, float]:
+    return (int(doc["setting0_index"]), float(doc["setting0_deg"]),
+            int(doc["setting3_index"]), float(doc["setting3_deg"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,34 +169,13 @@ class TrialRecord:
         return self.bsm.value
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "ordering": self.ordering.value,
-            "setting0_index": self.setting0_index,
-            "setting0_deg": float(f"{self.setting0_deg:.12g}"),
-            "setting3_index": self.setting3_index,
-            "setting3_deg": float(f"{self.setting3_deg:.12g}"),
-            "outcome0": self.outcome0,
-            "outcome3": self.outcome3,
-            "bsm": self.bsm.value,
-            "events": list(self.events),
-        }
+        return _wire_doc(self, self.ordering.value, self.bsm.value, list(self.events))
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrialRecord":
-        outcome0, outcome3 = _outcome_pair(doc)
-        return cls(
-            trial_id=int(doc["trial_id"]),
-            ordering=Ordering(doc["ordering"]),
-            setting0_index=int(doc["setting0_index"]),
-            setting0_deg=float(doc["setting0_deg"]),
-            setting3_index=int(doc["setting3_index"]),
-            setting3_deg=float(doc["setting3_deg"]),
-            outcome0=outcome0,
-            outcome3=outcome3,
-            bsm=BsmOutcome(doc["bsm"]),
-            events=tuple(doc["events"]),
-        )
+        outcome0, outcome3, trial_id = _wire_outcomes_and_id(doc)
+        return cls(trial_id, Ordering(doc["ordering"]), *_wire_settings(doc), outcome0, outcome3,
+                   BsmOutcome(doc["bsm"]), tuple(doc["events"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,34 +197,14 @@ class ClassicalRecord:
         return self.marker
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "ordering": "classical",
-            "setting0_index": self.setting0_index,
-            "setting0_deg": float(f"{self.setting0_deg:.12g}"),
-            "setting3_index": self.setting3_index,
-            "setting3_deg": float(f"{self.setting3_deg:.12g}"),
-            "outcome0": self.outcome0,
-            "outcome3": self.outcome3,
-            "bsm": self.marker,
-            "events": [],
-        }
+        return _wire_doc(self, "classical", self.marker, [])
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClassicalRecord":
         if doc.get("ordering") != "classical":
             raise ValueError(f"not a classical record: ordering={doc.get('ordering')!r}")
-        outcome0, outcome3 = _outcome_pair(doc)
-        return cls(
-            trial_id=int(doc["trial_id"]),
-            setting0_index=int(doc["setting0_index"]),
-            setting0_deg=float(doc["setting0_deg"]),
-            setting3_index=int(doc["setting3_index"]),
-            setting3_deg=float(doc["setting3_deg"]),
-            outcome0=outcome0,
-            outcome3=outcome3,
-            marker=str(doc["bsm"]),
-        )
+        outcome0, outcome3, trial_id = _wire_outcomes_and_id(doc)
+        return cls(trial_id, *_wire_settings(doc), outcome0, outcome3, str(doc["bsm"]))
 
 
 def kind_index(i0, i3, o0, o3, label, label_count: int):

@@ -9,6 +9,9 @@ number.
 The small constructors (basis kets, the Werner closed form, a constant
 hidden-variable model) exist only for tests, so they live here too.
 
+The former CHSH routes (the exact loop and the two-slot sampled tally)
+are kept to check the package's one CHSH core against them bit for bit.
+
 The tensordot routes at the end are the package's former measurement
 kernels: a recursive, depth-first exact walk and the sampled collapses.
 The walk takes the analyzer operators from the package, because the
@@ -19,9 +22,11 @@ trial-by-trial sampling code: the measurement physics tests run on them.
 """
 
 import json
+import math
 
 import numpy as np
 
+from swapsim.analysis import ChshReport, CorrelationEstimate, InsufficientDataError
 from swapsim.classical import ClassicalRecord, HiddenVariableModel
 from swapsim.cli import RecordFormatError
 from swapsim.measure import BellSpec, PolarizationSpec, bell_projectors, bsm_outcomes, polarization_observable
@@ -204,6 +209,56 @@ def read_records_reference(path):
                         line_number, f"setting{station}_index {index} has angle {degrees!r} here "
                                      f"but {angles[station, index]!r} above: not one experiment")
             yield record
+
+
+_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_CELL_SIGNS = {(0, 0): +1.0, (0, 1): -1.0, (1, 0): +1.0, (1, 1): +1.0}
+
+
+def chsh_exact_reference(table: dict, label):
+    """The former exact CHSH loop: (per-cell probability, per-cell E, S) under bsm == label (None keeps all)."""
+    weights = {cell: 0.0 for cell in _CELLS}
+    sums = {cell: 0.0 for cell in _CELLS}
+    for (i0, i3, o0, o3, bsm), p in table.items():
+        if label is not None and bsm is not label:
+            continue
+        weights[(i0, i3)] += p
+        sums[(i0, i3)] += o0 * o3 * p
+    description = "none" if label is None else f"bsm={label.value}"
+    for cell in _CELLS:
+        if weights[cell] <= 0.0:
+            raise InsufficientDataError(f"no probability in setting cell {cell} with filter {description}")
+    e = {cell: sums[cell] / weights[cell] for cell in _CELLS}
+    return weights, e, e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
+
+
+def tally_two_slot(weighted, selection):
+    """The former sampled tally: per-cell (aligned, opposed) counts, kept and total over (record, count) pairs."""
+    counts = {cell: [0, 0] for cell in _CELLS}
+    total = kept = 0
+    for record, count in weighted:
+        total += count
+        if not selection.keeps(record):
+            continue
+        kept += count
+        counts[(record.setting0_index, record.setting3_index)][0 if record.outcome0 == record.outcome3 else 1] += count
+    return counts, kept, total
+
+
+def chsh_from_counts_reference(cell_counts, filter_description: str, kept: int, total: int) -> ChshReport:
+    """The former sampled report: E = (aligned - opposed) / n per cell and S = sum(sign * E)."""
+    estimates = {}
+    for cell in _CELLS:
+        aligned, opposed = cell_counts[cell]
+        n = aligned + opposed
+        if n == 0:
+            raise InsufficientDataError(f"no records in setting cell {cell} with filter {filter_description}")
+        e = (aligned - opposed) / n
+        estimates[cell] = CorrelationEstimate(e, n, math.sqrt(max(0.0, 1.0 - e * e) / n))
+    s = sum(_CELL_SIGNS[cell] * estimates[cell].e_value for cell in _CELLS)
+    s_err = math.sqrt(sum(estimates[cell].std_err ** 2 for cell in _CELLS))
+    return ChshReport(*(estimates[cell] for cell in _CELLS), s_value=float(s), s_std_err=float(s_err),
+                      filter_description=filter_description, kept=kept, total=total)
 
 
 def apply_single_tensordot(amps: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import oracles
+from swapsim import analysis
 from swapsim.analysis import (
     CorrelationEstimate,
     InsufficientDataError,
@@ -16,8 +18,9 @@ from swapsim.analysis import (
     correlation,
     predicted_correlation,
 )
-from swapsim.measure import AnalyzerAngle, BsmOutcome
-from swapsim.protocol import ExperimentConfig, exact_joint_distribution, run_batch
+from swapsim.cli import _kind_counts
+from swapsim.measure import AnalyzerAngle, BsmMode, BsmOutcome, bsm_outcomes
+from swapsim.protocol import ExperimentConfig, Ordering, exact_joint_distribution, run_batch, run_chunks
 
 CANONICAL = dict(angles0=(0.0, 45.0), angles3=(22.5, 67.5))
 
@@ -255,6 +258,62 @@ class TestChshExact:
         with pytest.raises(InsufficientDataError) as err:
             chsh_exact(table, BsmOutcome.PSI_MINUS)
         assert "(1, 0)" in str(err.value) and "bsm=psi-minus" in str(err.value)
+
+
+def _hex_report(report):
+    """Every number of a report, floats as float.hex so that -0.0 and the last bit count."""
+    cells = (report.e_ab, report.e_ab_prime, report.e_a_prime_b, report.e_a_prime_b_prime)
+    return ([(est.e_value.hex(), est.n, est.std_err.hex()) for est in cells],
+            report.s_value.hex(), report.s_std_err.hex(), report.filter_description, report.kept, report.total)
+
+
+def _outcome_or_error(compute):
+    try:
+        return compute()
+    except InsufficientDataError:
+        return "empty"
+
+
+class TestOneCoreMatchesFormerRoutes:
+    """The one CHSH core against the former exact loop and two-slot tally (tests/oracles.py), bit for bit."""
+
+    OFFSETS = (0.0, 7.5, 13.1, 30.0, 45.0, 51.7, 90.0, 101.3, 144.9, 179.0)
+
+    def test_exact_tables(self):
+        checked = 0
+        for ordering in Ordering:
+            for mode in BsmMode:
+                for visibility in (1.0, 0.9, 0.8, 0.5, 1.0 / 3.0, 0.0):
+                    for offset in self.OFFSETS:
+                        table = exact_joint_distribution(ExperimentConfig(
+                            angles0=(offset, 45.0 + offset), angles3=(22.5 + offset / 2.0, 67.5 + offset),
+                            ordering=ordering, bsm_mode=mode, visibility=visibility))
+                        for label in bsm_outcomes(mode) + (None,):
+                            weights, e, s = oracles.chsh_exact_reference(table, label)
+                            core_weights = analysis._tally(
+                                ((i0, i3), o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
+                                if label in (None, bsm)).weights
+                            core_e, core_s = chsh_exact(table, label)
+                            assert {c: w.hex() for c, w in core_weights.items()} == {c: w.hex() for c, w in weights.items()}
+                            assert {c: x.hex() for c, x in core_e.items()} == {c: x.hex() for c, x in e.items()}
+                            assert core_s.hex() == s.hex()
+                            checked += 1
+        assert checked == 1080
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_sampled_tallies(self, seed):
+        config = ExperimentConfig(trials=(40 if seed == 6 else 20_000), seed=seed,
+                                  bsm_mode=BsmMode.PARTIAL if seed % 2 else BsmMode.FULL,
+                                  visibility=0.9 if seed % 3 else 1.0, **CANONICAL)
+        weighted = list(_kind_counts(run_chunks(config)))
+        for label in bsm_outcomes(config.bsm_mode)[:3] + (None,):
+            selection = SelectionFilter.none() if label is None else SelectionFilter.bsm_equals(label)
+            counts, kept, total = oracles.tally_two_slot(weighted, selection)
+            want = _outcome_or_error(lambda: _hex_report(oracles.chsh_from_counts_reference(
+                counts, selection.description, kept, total)))
+            assert _outcome_or_error(lambda: _hex_report(chsh_weighted(weighted, selection))) == want
+            assert _outcome_or_error(lambda: _hex_report(chsh_from_counts(
+                counts, selection.description, kept, total))) == want
 
 
 class TestPredictedCorrelation:

@@ -307,6 +307,12 @@ class TestReport:
     def test_bad_scan_step(self):
         assert main(["report", "--scan", "--exact", "--scan-step", "0"]) == 2
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_scan_step_is_rejected(self, tmp_path, step):
+        out = tmp_path / "scan.csv"
+        assert main(["report", "--scan", "--exact", "--scan-step", step, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestClassicalCommands:
     def test_generate_writes_records_and_manifest(self, tmp_path, capsys):
