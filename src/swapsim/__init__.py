@@ -43,11 +43,7 @@ _EXPORTS = {
         "uniform_model",
     ),
     "entanglement": ("TwoQubitMetrics", "concurrence", "metrics_for", "negativity"),
-    "measure": (
-        "RandomSource",
-        "outcome_distribution",
-        "polarization_observable",
-    ),
+    "measure": ("outcome_distribution", "polarization_observable"),
     "protocol": (
         "ExperimentConfig",
         "StageSnapshot",
@@ -74,6 +70,7 @@ _EXPORTS = {
         "Ordering",
         "TrialRecord",
     ),
+    "rng": ("RandomSource",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

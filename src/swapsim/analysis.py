@@ -205,6 +205,17 @@ def chsh(records: Iterable, selection: Union[SelectionFilter, None] = None) -> C
     return chsh_weighted(_each_once(records), selection)
 
 
+def _exact_tally(
+    table: dict[tuple[int, int, int, int, BsmOutcome], float],
+    label: Union[BsmOutcome, None],
+) -> tuple[_Tally, str]:
+    """The tally of an exact table's entries with bsm == label (every entry for None), and its description."""
+    description = "none" if label is None else f"bsm={label.value}"
+    tally = _tally(((i0, i3), o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
+                   if label is None or bsm is label)
+    return tally, description
+
+
 def chsh_exact(
     table: dict[tuple[int, int, int, int, BsmOutcome], float],
     label: Union[BsmOutcome, None],
@@ -216,11 +227,23 @@ def chsh_exact(
     None keeps every outcome.  A cell with no probability left after the
     condition raises InsufficientDataError, as an empty sampled cell does.
     """
-    description = "none" if label is None else f"bsm={label.value}"
-    tally = _tally(((i0, i3), o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
-                   if label is None or bsm is label)
+    tally, description = _exact_tally(table, label)
     e = {cell: _correlation(tally, cell, description) for cell in _CELLS}
     return e, _s(e)
+
+
+def correlation_exact(
+    table: dict[tuple[int, int, int, int, BsmOutcome], float],
+    setting_pair: tuple[int, int],
+    label: Union[BsmOutcome, None],
+) -> float:
+    """Exact E of one setting cell, conditioned on bsm == label; other cells may be absent.
+
+    ``table`` is a joint table or one cell of it (protocol.exact_cell_distribution);
+    the value equals chsh_exact's E of that cell over the whole table, bit for bit.
+    """
+    tally, description = _exact_tally(table, label)
+    return _correlation(tally, setting_pair, description)
 
 
 def predicted_correlation(

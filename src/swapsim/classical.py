@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .analysis import ChshReport, InsufficientDataError, SelectionFilter, chsh_weighted
-from .measure import RandomSource
 from .records import (
     CHUNK,
     AnalyzerAngle,
@@ -30,6 +29,7 @@ from .records import (
     kind_templates,
     setting_pair,
 )
+from .rng import RandomSource
 
 # Keep-decision draws live far above any trial's generation stream so a rule
 # seeded like the generator never replays the generator's own uniforms.

@@ -23,7 +23,8 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import InsufficientDataError, SelectionFilter, chsh_exact, chsh_weighted, correlation_weighted
+from .analysis import (InsufficientDataError, SelectionFilter, chsh_exact, chsh_weighted, correlation_exact,
+                       correlation_weighted)
 from .records import (CHUNK, BsmMode, BsmOutcome, ClassicalRecord, Ordering, RecordChunk, TrialRecord,
                       bsm_outcomes)
 
@@ -374,14 +375,14 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
 
 
 def _scan_csv(args) -> str:
-    from .protocol import exact_joint_distribution, run_chunks
+    from .protocol import exact_cell_distribution, run_chunks
 
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
     for delta in _scan_grid(args.scan_step):
-        if args.exact:
-            table = exact_joint_distribution(_scan_config(delta, args, trials=1))
-            e_filtered = chsh_exact(table, BsmOutcome.PSI_MINUS)[0][(0, 0)]
-            e_all = chsh_exact(table, None)[0][(0, 0)]
+        if args.exact:  # the scan prints cell (0,0) only, so only its plan is walked
+            table = exact_cell_distribution(_scan_config(delta, args, trials=1), 0, 0)
+            e_filtered = correlation_exact(table, (0, 0), BsmOutcome.PSI_MINUS)
+            e_all = correlation_exact(table, (0, 0), None)
         else:
             weighted = list(_kind_counts(run_chunks(_scan_config(delta, args, trials=args.trials))))
             psi_minus = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
@@ -629,6 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No swapsim matrix is larger than 16x16, too small for BLAS threads to
+    # pay off, yet OpenBLAS starts its thread pool when numpy is imported.
+    # The handlers import numpy, so this comes first; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

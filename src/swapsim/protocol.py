@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .entanglement import TwoQubitMetrics, metrics_for
-from .measure import BellSpec, PolarizationSpec, RandomSource, bell_projectors, extend_frontier
+from .measure import BellSpec, PolarizationSpec, bell_projectors, extend_frontier
 from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, tensor
 from .records import (
     CHUNK,
@@ -42,6 +42,7 @@ from .records import (
     kind_templates,
     setting_pair,
 )
+from .rng import RandomSource
 
 _PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
@@ -149,24 +150,28 @@ def _frontiers(visibility: float, steps: tuple) -> tuple[tuple[float, list], ...
     )
 
 
-@lru_cache(maxsize=16)
-def _setting_joints(key: tuple) -> dict[tuple[int, int], dict[tuple, float]]:
-    """Exact per-setting joint distribution, keyed by plan order of the config.
+_SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    Each entry is the preparation mixture of the components' walks,
-    weight * p summed component by component in plan outcome order.
+
+@lru_cache(maxsize=64)
+def _setting_joint(key: tuple, i0: int, i3: int) -> dict[tuple, float]:
+    """Exact joint distribution of one setting pair, keyed by plan order of the config.
+
+    The preparation mixture of the components' walks, weight * p summed
+    component by component in plan outcome order.  Each setting pair is
+    built on its own, so a caller that needs one cell walks only its plan.
     """
-    visibility = key[4]
-    joints: dict[tuple[int, int], dict[tuple, float]] = {}
-    for i0 in (0, 1):
-        for i3 in (0, 1):
-            plan = _measurement_plan(key, i0, i3)
-            merged: dict[tuple, float] = {}
-            for weight, frontier in _frontiers(visibility, plan[:-1]):
-                for outcomes, p, _ in extend_frontier(frontier, plan[-1], _PHOTONS, keep_states=False):
-                    merged[outcomes] = merged.get(outcomes, 0.0) + weight * p
-            joints[(i0, i3)] = merged
-    return joints
+    plan = _measurement_plan(key, i0, i3)
+    merged: dict[tuple, float] = {}
+    for weight, frontier in _frontiers(key[4], plan[:-1]):
+        for outcomes, p, _ in extend_frontier(frontier, plan[-1], _PHOTONS, keep_states=False):
+            merged[outcomes] = merged.get(outcomes, 0.0) + weight * p
+    return merged
+
+
+def _setting_joints(key: tuple) -> dict[tuple[int, int], dict[tuple, float]]:
+    """_setting_joint of every setting pair, keyed by (i0, i3)."""
+    return {pair: _setting_joint(key, *pair) for pair in _SETTING_PAIRS}
 
 
 def _step_outcomes(key: tuple, depth: int) -> tuple:
@@ -216,7 +221,9 @@ def _walk(levels, depth: int, prefix: tuple, rows: np.ndarray, draws: np.ndarray
     index = np.minimum(np.searchsorted(cums, draws[rows, 2 + depth], side="right"), len(cums) - 1)
     picks[rows, depth] = index
     if depth + 1 < len(levels):
-        for k in np.unique(index).tolist():
+        # the picked indices in ascending order, as np.unique gives them
+        # without its lazy numpy.ma import
+        for k in np.flatnonzero(np.bincount(index, minlength=len(cums))).tolist():
             _walk(levels, depth + 1, prefix + (outcomes[k],), rows[index == k], draws, picks)
 
 
@@ -281,6 +288,26 @@ def run_batch(config: ExperimentConfig) -> Iterator[TrialRecord]:
         yield from chunk.records()
 
 
+def exact_cell_distribution(
+    config: ExperimentConfig, i0: int, i3: int,
+) -> dict[tuple[int, int, int, int, BsmOutcome], float]:
+    """The (i0, i3) setting cell of exact_joint_distribution, the same entries in the same order.
+
+    Only that setting pair's plan is walked, so one cell costs a quarter of
+    the whole table or less.
+    """
+    joint = _setting_joint(config._table_key(), i0, i3)
+    bsm_first = config.ordering is Ordering.BSM_FIRST
+    table: dict[tuple[int, int, int, int, BsmOutcome], float] = {}
+    for outcomes, p in joint.items():
+        if bsm_first:
+            bsm, o0, o3 = outcomes
+        else:
+            o0, o3, bsm = outcomes
+        table[(i0, i3, o0, o3, bsm)] = 0.25 * p
+    return table
+
+
 def exact_joint_distribution(
     config: ExperimentConfig,
 ) -> dict[tuple[int, int, int, int, BsmOutcome], float]:
@@ -289,17 +316,11 @@ def exact_joint_distribution(
     Computed by branch enumeration, never sampling; cells impossible under
     the state appear with probability 0.0.  Keys use setting indices; both
     settings carry the uniform 1/4 weight of the per-trial random choice.
+    The table is the union of the four exact_cell_distribution cells.
     """
-    joints = _setting_joints(config._table_key())
-    bsm_first = config.ordering is Ordering.BSM_FIRST
     table: dict[tuple[int, int, int, int, BsmOutcome], float] = {}
-    for (i0, i3), joint in joints.items():
-        for outcomes, p in joint.items():
-            if bsm_first:
-                bsm, o0, o3 = outcomes
-            else:
-                o0, o3, bsm = outcomes
-            table[(i0, i3, o0, o3, bsm)] = 0.25 * p
+    for i0, i3 in _SETTING_PAIRS:
+        table.update(exact_cell_distribution(config, i0, i3))
     return table
 
 

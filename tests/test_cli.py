@@ -635,20 +635,42 @@ class TestRecordReader:
 
 
 # Runs one command in a fresh interpreter as the console script does, then
-# writes the names in sys.modules, one per line, to the file in argv[1].
-_MODULES_PROBE = """
-import sys
+# writes to the file in argv[1], as JSON, the names in sys.modules, the BLAS
+# thread variable and the process's OS thread count (None off Linux).
+_PROBE = """
+import json, os, sys
 from swapsim.cli import main
 code = main(sys.argv[2:])
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 with open(sys.argv[1], "w") as out:
-    out.write("\\n".join(sorted(sys.modules)))
+    json.dump({"modules": sorted(sys.modules), "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+               "tasks": tasks}, out)
 sys.exit(code)
 """
+
+
+def _probe_env(**extra) -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)  # main() run by other tests in this process sets it
+    return env | extra
+
+
+def _probe(workdir: Path, argv: list[str], env: dict) -> dict:
+    result = workdir / "probe.json"
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(result), *argv],
+                          cwd=workdir, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text())
+
 
 _NUMERIC = ("numpy", "swapsim.protocol", "swapsim.measure", "swapsim.qstate", "swapsim.entanglement",
             "swapsim.classical")
 _QUANTUM = ("swapsim.classical",)
-_CLASSICAL = ("swapsim.protocol", "swapsim.entanglement")
+# np.unique imports numpy.ma lazily; sampling finds its branches without it
+_SAMPLING = _QUANTUM + ("numpy.ma",)
+# the classical engine reaches the Philox kernel in swapsim.rng, not through the quantum stack
+_CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging")
 
 
 class TestImportGraph:
@@ -667,23 +689,39 @@ class TestImportGraph:
         ("analyze --in runs.jsonl --select psi-minus", _NUMERIC),
         ("analyze --in kept.jsonl", _NUMERIC),
         ("--version", _NUMERIC),
-        ("simulate --trials 50 --out sim.jsonl", _QUANTUM),
-        ("report --trials 2000", _QUANTUM),
-        ("report --exact --scan --scan-step 45", _QUANTUM),
+        ("simulate --trials 50 --out sim.jsonl", _SAMPLING),
+        ("report --trials 2000", _SAMPLING),
+        ("report --exact --scan --scan-step 45", _SAMPLING),
         ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL),
         ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _CLASSICAL),
         ("classical blind-check --trials 200 --models 2", _CLASSICAL),
     ])
     def test_command_loads_none_of_the_forbidden_modules(self, workdir, argv, forbidden):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        listing = workdir / "modules.txt"
-        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, str(listing), *argv.split()],
-                              cwd=workdir, env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        modules = set(listing.read_text().split("\n"))
+        modules = set(_probe(workdir, argv.split(), _probe_env())["modules"])
         assert "swapsim.cli" in modules
         assert sorted(name for name in forbidden if name in modules) == []
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless the user set OPENBLAS_NUM_THREADS; the library sets nothing."""
+
+    ARGV = ["report", "--trials", "200"]
+
+    def test_cli_defaults_to_one_thread(self, tmp_path):
+        got = _probe(tmp_path, self.ARGV, _probe_env())
+        assert got["blas"] == "1"
+        if sys.platform.startswith("linux"):
+            assert got["tasks"] == 1
+
+    def test_explicit_setting_wins(self, tmp_path):
+        assert _probe(tmp_path, self.ARGV, _probe_env(OPENBLAS_NUM_THREADS="2"))["blas"] == "2"
+
+    def test_importing_the_library_sets_nothing(self):
+        probe = "import os, swapsim.protocol; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=_probe_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "None\n"
 
 
 @pytest.mark.skipif(shutil.which("swapsim") is None, reason="console script not installed")

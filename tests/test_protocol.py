@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 
 import oracles
+from swapsim.analysis import chsh_exact, correlation_exact
 from swapsim.measure import CHUNK, BsmMode, BsmOutcome
-from swapsim.cli import _scan_grid, main
+from swapsim.cli import _scan_config, _scan_grid, main
 from swapsim.protocol import (
     ExperimentConfig,
     Ordering,
     TrialRecord,
     _frontiers,
+    _setting_joint,
     _setting_joints,
     _walk,
+    exact_cell_distribution,
     exact_joint_distribution,
     preparation_density,
     run_batch,
@@ -205,15 +209,37 @@ class TestSettingJointsBitExact:
             assert _bits(_setting_joints(key)) == _bits(oracles.setting_joints_reference(key, memo)), key
 
     def test_frontier_cache_stays_bounded_over_a_fine_scan(self, capsys):
-        _setting_joints.cache_clear()
+        _setting_joint.cache_clear()
         _frontiers.cache_clear()
         assert main(["report", "--exact", "--scan", "--scan-step", "1.8", "--visibility", "0.9"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 51
         info = _frontiers.cache_info()
         assert info.currsize <= info.maxsize
-        # bsm-first: the root, the Bell step and one prefix per photon-0
-        # angle, each computed once for all 51 points
-        assert info.misses == 4
+        # bsm-first, cell (0,0) only: the root, the Bell step and the prefix
+        # with photon 0 at 0 degrees, each computed once for all 51 points
+        assert info.misses == 3
+
+
+class TestOneCellScan:
+    """report --exact --scan walks cell (0,0) alone; its E equals that of the whole table, bit for bit."""
+
+    DELTAS = sorted(set(_scan_grid(7.5)) | set(_scan_grid(1.8)) | set(_scan_grid(45.0)))
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("mode", list(BsmMode))
+    @pytest.mark.parametrize("visibility", [1.0, 0.9, 0.5, 1.0 / 3.0, 0.0])
+    def test_cell_matches_the_whole_table(self, ordering, mode, visibility):
+        args = argparse.Namespace(ordering=ordering.value, bsm_mode=mode.value, seed=None,
+                                  visibility=visibility)
+        for delta in self.DELTAS:
+            cfg = _scan_config(delta, args, trials=1)
+            cell = exact_cell_distribution(cfg, 0, 0)
+            _setting_joint.cache_clear()  # the whole table walks cell (0,0) again, among the four
+            whole = exact_joint_distribution(cfg)
+            assert list(cell.items()) == [(key, p) for key, p in whole.items() if key[:2] == (0, 0)]
+            for label in (BsmOutcome.PSI_MINUS, None):
+                got = correlation_exact(cell, (0, 0), label)
+                assert got.hex() == chsh_exact(whole, label)[0][(0, 0)].hex(), (delta, label)
 
 
 class TestExactJointDistribution:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import swapsim
-from swapsim import classical, measure, protocol, qstate, records
+from swapsim import classical, measure, protocol, qstate, records, rng
 from swapsim.records import AnalyzerAngle, setting_pair
 
 
@@ -65,6 +65,7 @@ class TestLazyPackage:
         assert qstate.BellKind is records.BellKind
         assert protocol.Ordering is records.Ordering and protocol.TrialRecord is records.TrialRecord
         assert classical.ClassicalRecord is records.ClassicalRecord
+        assert measure.RandomSource is rng.RandomSource is swapsim.RandomSource
 
     def test_star_import_and_dir_list_every_name(self):
         namespace = {}
