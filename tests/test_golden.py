@@ -4,8 +4,10 @@ The writer and sampled-report digests were produced before the vectorized
 sampling engine replaced the per-trial generators; the analyze, scan,
 exact-report and blind-check digests were produced before the columnar
 record reader replaced the per-line parse; the EXACT_MORE digests were
-produced before the exact tables moved to the prefix-shared branch walk.
-So they pin the byte contract
+produced before the exact tables moved to the prefix-shared branch walk;
+the DISCARD_MORE digests were produced before the sampling tables became
+flat arrays and the two discard loops became one.  So they pin the byte
+contract
 across engine changes: identical flags and seed must keep giving identical
 bytes.  N = 10 000 spans the 8192-trial chunk boundary and is not a
 multiple of it.
@@ -50,6 +52,20 @@ DISCARD = {
     "quantum-mimic": (
         "ae438b385d88bb90a45ccd751c2f4e3aacabf959152d44ebc3e9696b3cab4749",
         "b9a0911a0817b535c79cef5d2659e6d5380b0257a64be13d2cec5cfbc813e342",
+    ),
+}
+
+# `classical discard` over inputs the DISCARD runs leave out: quantum records
+# (the reader's chunks one after another) and the sign model's records.
+# (input command, rule) -> (kept records digest, stdout digest).
+DISCARD_MORE = {
+    ("simulate --ordering pol-first --bsm-mode partial --visibility 0.9", "quantum-mimic"): (
+        "f58605450ef2e960d5d3016ce4189c416278d524f29711ef691352f800003456",
+        "b9a0911a0817b535c79cef5d2659e6d5380b0257a64be13d2cec5cfbc813e342",
+    ),
+    ("classical generate --model sign", "pr-box"): (
+        "16acd3dabd10bec25d0263430286b384860f28f4662cf553c682b4c4cbad4426",
+        "833b319436b055d9083cdea3338d2753abd04871bbd39932bd16c9f002e80792",
     ),
 }
 
@@ -199,6 +215,15 @@ def test_classical_discard_kept_and_stdout(rule, tmp_path, monkeypatch, capsys):
     stdout = _run(["classical", "discard", "--rule", rule, "--in", "lhv.jsonl", "--seed", str(SEED),
                    "--out", "kept.jsonl"], capsys)
     assert (_sha256((tmp_path / "kept.jsonl").read_bytes()), _sha256(stdout)) == DISCARD[rule]
+
+
+@pytest.mark.parametrize("source, rule", sorted(DISCARD_MORE))
+def test_classical_discard_more_inputs(source, rule, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _run([*source.split(), "--trials", str(N), "--seed", str(SEED), "--out", "in.jsonl"], capsys)
+    stdout = _run(["classical", "discard", "--rule", rule, "--in", "in.jsonl", "--seed", str(SEED),
+                   "--out", "kept.jsonl"], capsys)
+    assert (_sha256((tmp_path / "kept.jsonl").read_bytes()), _sha256(stdout)) == DISCARD_MORE[(source, rule)]
 
 
 def test_sampled_report(capsys):
