@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,13 +29,15 @@ from .records import (
     kind_templates,
     setting_pair,
 )
-from .rng import RandomSource
+from .rng import RandomSource, trial_draws
 
 # Keep-decision draws live far above any trial's generation stream so a rule
 # seeded like the generator never replays the generator's own uniforms.
 _KEEP_STREAM_OFFSET = 1 << 48
 
-_DRAWS_PER_TRIAL = 4  # setting0, setting3, lambda0, lambda1
+# setting0, setting3 (picked by rng.trial_draws, as in the quantum protocol),
+# then the two hidden variables, scaled onto [0, pi)
+_DRAWS_PER_TRIAL = 4
 
 
 @dataclass(frozen=True)
@@ -82,23 +84,6 @@ class HiddenVariableModel:
         object.__setattr__(self, "marker_labels", labels)
 
 
-def _raw_chunks(config: ClassicalConfig) -> Iterator[tuple]:
-    """Per-chunk trial arrays (trial_ids, i0, i3, lam0, lam1).
-
-    Trial t consumes 4 uniforms from stream (seed, t): setting0, setting3
-    (u < 0.5 picks index 0, matching the quantum protocol), then the two
-    hidden variables scaled onto [0, pi).
-    """
-    for start in range(0, config.trials, CHUNK):
-        trial_ids = np.arange(start, min(start + CHUNK, config.trials), dtype=np.int64)
-        u = RandomSource(config.seed, trial_ids).uniforms(_DRAWS_PER_TRIAL)
-        i0 = (u[:, 0] >= 0.5).astype(np.int64)
-        i3 = (u[:, 1] >= 0.5).astype(np.int64)
-        lam0 = u[:, 2] * np.pi
-        lam1 = u[:, 3] * np.pi
-        yield trial_ids, i0, i3, lam0, lam1
-
-
 def _evaluate(
     model: HiddenVariableModel,
     rad0: np.ndarray,
@@ -135,8 +120,8 @@ def lhv_chunks(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[
     rad0 = np.array([config.angles0[0].radians, config.angles0[1].radians])
     rad3 = np.array([config.angles3[0].radians, config.angles3[1].radians])
     templates = _kind_table(model, config)
-    for trial_ids, i0, i3, lam0, lam1 in _raw_chunks(config):
-        o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
+    for trial_ids, i0, i3, draws in trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL):
+        o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
         kinds = kind_index(i0, i3, o0, o3, marks, len(model.marker_labels))
         yield RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
 
@@ -186,20 +171,36 @@ def keep_mask(rule: DiscardRule, seed: int, trial_ids: Sequence[int], weights: n
     return RandomSource(seed, np.array(streams, dtype=np.uint64)).uniform() < weights
 
 
+def discard_chunks(chunks: Iterable[RecordChunk], rule: DiscardRule, seed: int) -> Iterator[RecordChunk]:
+    """The rows of each chunk that the rule keeps, as chunks sharing its templates.
+
+    The rule weighs each template once, so it may read every field but
+    trial_id, which its rows do not share; decisions are keep_mask's.
+    """
+    for chunk in chunks:
+        kinds = np.array(chunk.kinds, dtype=np.intp)
+        weights = np.array([rule.checked_weight(template) for template in chunk.templates])
+        keep = keep_mask(rule, seed, chunk.trial_ids, weights[kinds])
+        yield RecordChunk(list(compress(chunk.trial_ids, keep.tolist())), kinds[keep].tolist(), chunk.templates)
+
+
 def apply_discard(records: Iterable, rule: DiscardRule, seed: int = 0) -> tuple[list, float]:
     """Retain records per the rule; returns (kept records, keep fraction).
 
-    keep_weight is called once per record; decisions are keep_mask's,
-    taken CHUNK records at a time.
+    discard_chunks over CHUNK records at a time, each record its own
+    template: keep_weight is called once per record, and the kept records
+    are the input objects.
     """
-    kept: list = []
     total = 0
     records = iter(records)
-    while chunk := list(islice(records, CHUNK)):
-        total += len(chunk)
-        weights = np.array([rule.checked_weight(record) for record in chunk])
-        keep = keep_mask(rule, seed, [record.trial_id for record in chunk], weights)
-        kept.extend(record for record, keep_it in zip(chunk, keep.tolist()) if keep_it)
+
+    def chunks():
+        nonlocal total
+        while chunk := list(islice(records, CHUNK)):
+            total += len(chunk)
+            yield RecordChunk([record.trial_id for record in chunk], list(range(len(chunk))), chunk)
+
+    kept = [chunk.templates[kind] for chunk in discard_chunks(chunks(), rule, seed) for kind in chunk.kinds]
     return kept, (len(kept) / total if total else 0.0)
 
 
@@ -396,7 +397,8 @@ def settings_blind_check(
 
     # counts[m][k]: rows of model m's records of kind k
     counts = [np.zeros(16 * len(m.marker_labels), dtype=np.int64) for m in models]
-    for _, i0, i3, lam0, lam1 in _raw_chunks(config):
+    for _, i0, i3, draws in trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL):
+        lam0, lam1 = draws[:, 2] * np.pi, draws[:, 3] * np.pi
         for index, model in enumerate(models):
             o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
             kinds = kind_index(i0, i3, o0, o3, marks, len(model.marker_labels))

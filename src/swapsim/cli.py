@@ -19,7 +19,6 @@ import re
 import sys
 from collections import Counter
 from functools import partial
-from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -69,16 +68,13 @@ def _record_line(record) -> str:
     return json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n"
 
 
-def _record_from_doc(doc: dict):
-    if doc.get("ordering") == "classical":
-        return ClassicalRecord.from_json_dict(doc)
-    return TrialRecord.from_json_dict(doc)
-
-
 def _parse_line(text: str, line_number: int):
     """The record of one stripped line, by json.loads; RecordFormatError if it has none."""
     try:
-        return _record_from_doc(json.loads(text))
+        doc = json.loads(text)
+        if doc.get("ordering") == "classical":
+            return ClassicalRecord.from_json_dict(doc)
+        return TrialRecord.from_json_dict(doc)
     except (ValueError, KeyError, TypeError) as exc:
         raise RecordFormatError(line_number, str(exc)) from exc
 
@@ -243,11 +239,9 @@ def _render_report_doc(doc: dict) -> str:
     return json.dumps(_round12(doc), indent=2) + "\n"
 
 
-def _manifest_path(records_path: str) -> str:
-    return records_path + ".manifest.json"
-
-
-def _write_manifest(records_path: str, command: str, config_doc: dict, seed: int, count: int) -> None:
+def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) -> int:
+    """Write the records, then the manifest beside them, then name both on stdout."""
+    count = _write_records(out, chunks)
     manifest = {
         "artifact": "swapsim",
         "version": __version__,
@@ -257,10 +251,14 @@ def _write_manifest(records_path: str, command: str, config_doc: dict, seed: int
         "trial_start": 0,
         "trial_end": count,
         "record_count": count,
-        "outputs": {"records": records_path},
+        "outputs": {"records": out},
     }
-    with _atomic_open(_manifest_path(records_path)) as handle:
+    manifest_path = out + ".manifest.json"
+    with _atomic_open(manifest_path) as handle:
         handle.write(_render_report_doc(manifest))
+    sys.stdout.write(f"wrote {count} records to {out}\n")
+    sys.stdout.write(f"manifest: {manifest_path}\n")
+    return 0
 
 
 def _resolve_seed(flag_value) -> int:
@@ -293,14 +291,14 @@ _FILTERS = {"none": SelectionFilter.none} | {
 }
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args, angles, trials: int) -> ExperimentConfig:
     from .protocol import ExperimentConfig
 
-    angles0, angles3 = args.angles
+    angles0, angles3 = angles
     return ExperimentConfig(
         angles0=angles0,
         angles3=angles3,
-        trials=args.trials,
+        trials=trials,
         ordering=Ordering(args.ordering),
         bsm_mode=BsmMode(args.bsm_mode),
         seed=_resolve_seed(args.seed),
@@ -308,10 +306,16 @@ def _experiment_config(args) -> ExperimentConfig:
     )
 
 
-def _experiment_config_doc(config: ExperimentConfig) -> dict:
+def _angles_doc(config) -> dict:
     return {
         "angles0": [config.angles0[0].degrees, config.angles0[1].degrees],
         "angles3": [config.angles3[0].degrees, config.angles3[1].degrees],
+    }
+
+
+def _experiment_config_doc(config: ExperimentConfig) -> dict:
+    return {
+        **_angles_doc(config),
         "trials": config.trials,
         "ordering": config.ordering.value,
         "bsm_mode": config.bsm_mode.value,
@@ -324,14 +328,10 @@ def _experiment_config_doc(config: ExperimentConfig) -> dict:
 def cmd_simulate(args) -> int:
     from .protocol import run_chunks
 
-    config = _experiment_config(args)
+    config = _experiment_config(args, args.angles, args.trials)
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    count = _write_records(args.out, run_chunks(config))
-    _write_manifest(args.out, "simulate", _experiment_config_doc(config), config.seed, count)
-    sys.stdout.write(f"wrote {count} records to {args.out}\n")
-    sys.stdout.write(f"manifest: {_manifest_path(args.out)}\n")
-    return 0
+    return _write_batch(args.out, run_chunks(config), "simulate", _experiment_config_doc(config), config.seed)
 
 
 def _kind_counts(chunks):
@@ -359,19 +359,9 @@ def _scan_grid(step: float) -> list[float]:
 
 
 def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
-    from .protocol import ExperimentConfig
-
     # Cell (0,0) carries the pair (alpha=0, delta); the unused second
     # settings just need to be distinct mod 180.
-    return ExperimentConfig(
-        angles0=(0.0, 45.0),
-        angles3=(delta, delta + 90.0),
-        trials=trials,
-        ordering=Ordering(args.ordering),
-        bsm_mode=BsmMode(args.bsm_mode),
-        seed=_resolve_seed(args.seed),
-        visibility=args.visibility,
-    )
+    return _experiment_config(args, ((0.0, 45.0), (delta, delta + 90.0)), trials)
 
 
 def _scan_csv(args) -> str:
@@ -395,7 +385,7 @@ def _scan_csv(args) -> str:
 def _summary_text(args) -> str:
     from .protocol import exact_joint_distribution, run_chunks, stage_entanglement_report
 
-    config = _experiment_config(args)
+    config = _experiment_config(args, args.angles, args.trials)
     lines = []
     lines.append(f"swapsim report (ordering={config.ordering.value}, bsm-mode={config.bsm_mode.value}, "
                  f"visibility={_fmt(config.visibility)})")
@@ -474,18 +464,8 @@ def _cmd_classical_generate(args) -> int:
 
     config = _classical_config(args)
     model = _model(args)
-    count = _write_records(args.out, lhv_chunks(model, config))
-    config_doc = {
-        "model": model.name,
-        "angles0": [config.angles0[0].degrees, config.angles0[1].degrees],
-        "angles3": [config.angles3[0].degrees, config.angles3[1].degrees],
-        "trials": config.trials,
-        "seed": config.seed,
-    }
-    _write_manifest(args.out, "classical-generate", config_doc, config.seed, count)
-    sys.stdout.write(f"wrote {count} records to {args.out}\n")
-    sys.stdout.write(f"manifest: {_manifest_path(args.out)}\n")
-    return 0
+    config_doc = {"model": model.name, **_angles_doc(config), "trials": config.trials, "seed": config.seed}
+    return _write_batch(args.out, lhv_chunks(model, config), "classical-generate", config_doc, config.seed)
 
 
 # Both rules read only settings and outcomes, never trial_id, so one
@@ -494,25 +474,19 @@ _RULES = ("pr-box", "quantum-mimic")
 
 
 def _cmd_classical_discard(args) -> int:
-    import numpy as np
-
-    from .classical import keep_mask, pr_box_rule, quantum_mimic_rule
+    from .classical import discard_chunks, pr_box_rule, quantum_mimic_rule
 
     rule = pr_box_rule() if args.rule == "pr-box" else quantum_mimic_rule()
     seed = _resolve_seed(args.seed)
     total = 0
 
-    def kept_rows():
+    def counted(chunks):
         nonlocal total
-        for chunk in read_record_chunks(args.input):
+        for chunk in chunks:
             total += len(chunk.trial_ids)
-            kinds = np.array(chunk.kinds, dtype=np.intp)
-            weights = np.array([rule.checked_weight(template) for template in chunk.templates])
-            keep = keep_mask(rule, seed, chunk.trial_ids, weights[kinds])
-            kept_ids = list(compress(chunk.trial_ids, keep.tolist()))
-            yield RecordChunk(kept_ids, kinds[keep].tolist(), chunk.templates)
+            yield chunk
 
-    kept = _write_records(args.out, kept_rows())
+    kept = _write_records(args.out, discard_chunks(counted(read_record_chunks(args.input)), rule, seed))
     doc = {
         "rule": rule.description,
         "kind": rule.kind,
@@ -536,10 +510,6 @@ def _cmd_classical_blind_check(args) -> int:
     if report.all_within_bound and unchecked:
         raise InsufficientDataError(f"no checkable label for {', '.join(unchecked)}")
     return 0 if report.all_within_bound else 1
-
-
-def cmd_classical(args) -> int:
-    return args.classical_handler(args)
 
 
 def _add_common_angles(parser) -> None:
@@ -608,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--model-seed", type=int, default=0,
                           help="construction seed for the fourier model family")
     generate.add_argument("--out", required=True)
-    generate.set_defaults(handler=cmd_classical, classical_handler=_cmd_classical_generate)
+    generate.set_defaults(handler=_cmd_classical_generate)
 
     discard = classical_sub.add_parser("discard", help="apply a record-comparing discard rule")
     discard.add_argument("--in", dest="input", required=True, help="records path (classical or quantum)")
@@ -616,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     discard.add_argument("--seed", type=int, default=None,
                          help="keep-decision seed for probabilistic rules")
     discard.add_argument("--out", required=True, help="kept records path")
-    discard.set_defaults(handler=cmd_classical, classical_handler=_cmd_classical_discard)
+    discard.set_defaults(handler=_cmd_classical_discard)
 
     blind = classical_sub.add_parser("blind-check",
                                      help="stress settings-blind markers against the local bound")
@@ -624,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     blind.add_argument("--trials", type=int, default=100_000)
     blind.add_argument("--models", type=int, default=20)
     blind.add_argument("--out", default=None)
-    blind.set_defaults(handler=cmd_classical, classical_handler=_cmd_classical_blind_check)
+    blind.set_defaults(handler=_cmd_classical_blind_check)
 
     return parser
 

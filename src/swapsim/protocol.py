@@ -10,18 +10,20 @@ checks exercise.
 Randomness contract, fixed: trial t uses the stream (config.seed, t).  The
 draw order within a trial is setting for photon 0, setting for photon 3
 (u < 0.5 picks index 0), then one draw per measurement in the applied
-order.  Sampling walks the exact conditional distribution of the trial's
+order.  Sampling picks from the exact conditional distribution of the trial's
 measurement sequence (same branch enumeration as the exact tables), so a
 batch is reproducible from (config, seed) alone on any platform.  Batches
-run in chunks of CHUNK trials: one array of streams draws a chunk's
-uniforms at once and the table walk runs on arrays, so a chunk of any size,
-one trial included, gives the same records.
+run in chunks of CHUNK trials: rng.trial_draws draws a chunk's uniforms at
+once, and sampling is one inverse-CDF gather per plan step over all four
+setting cells, so a chunk of any size, one trial included, gives the same
+records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import starmap
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +32,6 @@ from .entanglement import TwoQubitMetrics, metrics_for
 from .measure import BellSpec, PolarizationSpec, bell_projectors, extend_frontier
 from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, tensor
 from .records import (
-    CHUNK,
     AnalyzerAngle,
     BsmMode,
     BsmOutcome,
@@ -42,7 +43,7 @@ from .records import (
     kind_templates,
     setting_pair,
 )
-from .rng import RandomSource
+from .rng import trial_draws
 
 _PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
@@ -169,62 +170,38 @@ def _setting_joint(key: tuple, i0: int, i3: int) -> dict[tuple, float]:
     return merged
 
 
-def _setting_joints(key: tuple) -> dict[tuple[int, int], dict[tuple, float]]:
-    """_setting_joint of every setting pair, keyed by (i0, i3)."""
-    return {pair: _setting_joint(key, *pair) for pair in _SETTING_PAIRS}
-
-
-def _step_outcomes(key: tuple, depth: int) -> tuple:
-    _, _, ordering, bsm_mode, _ = key
-    pol_depths = (1, 2) if ordering is Ordering.BSM_FIRST else (0, 1)
-    if depth in pol_depths:
-        return (+1, -1)
-    return bsm_outcomes(bsm_mode)
-
-
 @lru_cache(maxsize=16)
-def _sampling_tables(key: tuple):
-    """Inverse-CDF tables of the chain-rule conditionals of each setting's joint.
+def _sampling_tables(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse-CDF edges of the chain-rule conditionals of all four setting cells.
 
-    tables[(i0, i3)] is a triple of levels; level d maps an outcome prefix to
-    (outcomes, cumulative probabilities) for the d-th measurement in plan
-    order.  Every sampled trial walks these, in chunks of any size.
+    Shapes (4, n0), (4, n0, n1) and (4, n0, n1, n2): cell 2 * i0 + i3, then
+    the picks of the earlier plan steps; the last axis holds the cumulative
+    conditional probabilities of the next step's outcomes, in plan outcome
+    order.  Marginals are running sums in that order, np.cumsum(...)[..., -1]
+    rather than np.sum, whose pairwise summation rounds differently.  Every
+    prefix has mass: each outer photon is unpolarized and the Bell outcomes
+    have probabilities 1/4 or 1/2, before and after one other step, so each
+    mass is at least 1/8.
     """
-    joints = _setting_joints(key)
-    tables = {}
-    for pair, joint in joints.items():
-        margin1: dict[tuple, float] = {}
-        margin2: dict[tuple, float] = {}
-        for outcomes, p in joint.items():
-            margin1[outcomes[:1]] = margin1.get(outcomes[:1], 0.0) + p
-            margin2[outcomes[:2]] = margin2.get(outcomes[:2], 0.0) + p
-
-        def cdf(prefix: tuple, depth: int, margins: dict, total: float):
-            probs = [margins.get(prefix + (o,), 0.0) / total for o in _step_outcomes(key, depth)]
-            return (_step_outcomes(key, depth), tuple(np.cumsum(probs)))
-
-        level0 = {(): cdf((), 0, margin1, 1.0)}
-        level1 = {p1: cdf(p1, 1, margin2, m) for p1, m in margin1.items() if m > 0.0}
-        level2 = {p2: cdf(p2, 2, joint, m) for p2, m in margin2.items() if m > 0.0}
-        tables[pair] = (level0, level1, level2)
-    return tables
+    _, _, ordering, bsm_mode, _ = key
+    labels = len(bsm_outcomes(bsm_mode))
+    shape = (labels, 2, 2) if ordering is Ordering.BSM_FIRST else (2, 2, labels)
+    joint = np.array([list(_setting_joint(key, *pair).values()) for pair in _SETTING_PAIRS]).reshape(4, *shape)
+    margin2 = np.cumsum(joint, axis=-1)[..., -1]
+    margin1 = np.cumsum(joint.reshape(4, shape[0], -1), axis=-1)[..., -1]
+    return (np.cumsum(margin1, axis=-1),
+            np.cumsum(margin2 / margin1[..., None], axis=-1),
+            np.cumsum(joint / margin2[..., None], axis=-1))
 
 
-def _walk(levels, depth: int, prefix: tuple, rows: np.ndarray, draws: np.ndarray, picks: np.ndarray) -> None:
-    """Inverse-CDF picks at one level for ``rows`` sharing ``prefix``, then each subtree.
+def _pick(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF pick of each row: the index of its first edge above u[row].
 
-    searchsorted(side="right") counts the edges <= u, which is the index of
-    the first edge above u; clipping to the last index covers u beyond the
-    last edge by float dust.
+    Counting the edges <= u is searchsorted(side="right") on each row's
+    ascending edges; clipping to the last index covers u beyond the last
+    edge by float dust.
     """
-    outcomes, cums = levels[depth][prefix]
-    index = np.minimum(np.searchsorted(cums, draws[rows, 2 + depth], side="right"), len(cums) - 1)
-    picks[rows, depth] = index
-    if depth + 1 < len(levels):
-        # the picked indices in ascending order, as np.unique gives them
-        # without its lazy numpy.ma import
-        for k in np.flatnonzero(np.bincount(index, minlength=len(cums))).tolist():
-            _walk(levels, depth + 1, prefix + (outcomes[k],), rows[index == k], draws, picks)
+    return np.minimum((edges <= u[:, None]).sum(1), edges.shape[1] - 1)
 
 
 @lru_cache(maxsize=16)
@@ -242,32 +219,38 @@ def _kind_table(key: tuple) -> tuple[TrialRecord, ...]:
     return kind_templates(make, len(labels))
 
 
-def _sample_chunk(config: ExperimentConfig, tables, templates: tuple, start: int, stop: int) -> RecordChunk:
-    trial_ids = np.arange(start, stop, dtype=np.int64)
-    draws = RandomSource(config.seed, trial_ids).uniforms(_DRAWS_PER_TRIAL)
-    setting0 = (draws[:, 0] >= 0.5).astype(np.int64)
-    setting3 = (draws[:, 1] >= 0.5).astype(np.int64)
-    picks = np.empty((len(trial_ids), 3), dtype=np.int64)
-    for (i0, i3), levels in tables.items():
-        rows = np.flatnonzero((setting0 == i0) & (setting3 == i3))
-        if len(rows):
-            _walk(levels, 0, (), rows, draws, picks)
+def _sample_chunk(config: ExperimentConfig, tables: tuple, templates: tuple, trial_ids: np.ndarray,
+                  setting0: np.ndarray, setting3: np.ndarray, draws: np.ndarray) -> RecordChunk:
+    """The records of one chunk of rng.trial_draws: one gather per plan step over all four cells."""
+    edges0, edges1, edges2 = tables
+    cell = 2 * setting0 + setting3
+    first = _pick(edges0[cell], draws[:, 2])
+    second = _pick(edges1[cell, first], draws[:, 3])
+    third = _pick(edges2[cell, first, second], draws[:, 4])
     if config.ordering is Ordering.BSM_FIRST:
-        bsm, pick0, pick3 = picks.T
+        bsm, pick0, pick3 = first, second, third
     else:
-        pick0, pick3, bsm = picks.T
+        pick0, pick3, bsm = first, second, third
     # polarization steps sample (+1, -1), so pick k is outcome 1 - 2k
     label_count = len(bsm_outcomes(config.bsm_mode))
     kinds = kind_index(setting0, setting3, 1 - 2 * pick0, 1 - 2 * pick3, bsm, label_count)
     return RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
 
 
+def _chunks(config: ExperimentConfig, start: int, stop: int) -> Iterator[RecordChunk]:
+    """Trials start..stop-1 in RecordChunks sharing one kind table.
+
+    starmap keeps no chunk's arrays once its records are built, so they are
+    freed before the next chunk is drawn.
+    """
+    key = config._table_key()
+    sample = partial(_sample_chunk, config, _sampling_tables(key), _kind_table(key))
+    return starmap(sample, trial_draws(config.seed, start, stop, _DRAWS_PER_TRIAL))
+
+
 def run_chunks(config: ExperimentConfig) -> Iterator[RecordChunk]:
     """Lazily yield the batch in chunks of CHUNK trials, in trial_id order, sharing one kind table."""
-    tables = _sampling_tables(config._table_key())
-    templates = _kind_table(config._table_key())
-    for start in range(0, config.trials, CHUNK):
-        yield _sample_chunk(config, tables, templates, start, min(start + CHUNK, config.trials))
+    yield from _chunks(config, 0, config.trials)
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
@@ -277,9 +260,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     """
     if trial_id < 0:
         raise ValueError(f"trial_id must be >= 0, got {trial_id}")
-    tables = _sampling_tables(config._table_key())
-    templates = _kind_table(config._table_key())
-    return next(_sample_chunk(config, tables, templates, trial_id, trial_id + 1).records())
+    return next(next(_chunks(config, trial_id, trial_id + 1)).records())
 
 
 def run_batch(config: ExperimentConfig) -> Iterator[TrialRecord]:

@@ -2,16 +2,20 @@
 
 ``RandomSource`` supplies every uniform swapsim draws, one stream or many:
 identical (seed, stream) pairs reproduce identical draws on any platform,
-and distinct streams are independent.  This module needs nothing from the
-quantum stack, so the classical engine reaches the kernel without loading
-it; ``swapsim.measure`` re-exports the same class.
+and distinct streams are independent.  ``trial_draws`` is the one place
+that keys per-trial streams and picks a trial's settings, for the quantum
+sampler, the classical generator and blind-check alike.  This module needs
+nothing from the quantum stack, so the classical engine reaches the kernel
+without loading it; ``swapsim.measure`` re-exports the same class.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
+
+from .records import CHUNK
 
 _MASK64 = (1 << 64) - 1
 
@@ -102,3 +106,18 @@ class RandomSource:
         offset = first - 4 * block
         draws = (words[:, offset:offset + count] >> _DOUBLE_SHIFT) * _DOUBLE_UNIT
         return draws if np.ndim(self.stream) else draws[0]
+
+
+def trial_draws(seed: int, start: int, stop: int, count: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(trial_ids, setting0, setting3, draws) for trials start..stop-1, CHUNK trials at a time.
+
+    Trial t reads ``count`` uniforms from the stream (seed, t); row r of
+    ``draws`` holds those of trial_ids[r].  The first two pick its settings:
+    u < 0.5 picks index 0.  Streams are counter-based, so every chunking,
+    one trial included, gives each trial the same draws.
+    """
+    for first in range(start, stop, CHUNK):
+        trial_ids = np.arange(first, min(first + CHUNK, stop), dtype=np.int64)
+        draws = RandomSource(seed, trial_ids).uniforms(count)
+        yield trial_ids, (draws[:, 0] >= 0.5).astype(np.int64), (draws[:, 1] >= 0.5).astype(np.int64), draws
+        del trial_ids, draws  # freed before the next chunk is drawn

@@ -359,6 +359,25 @@ def setting_joints_reference(key: tuple, memo: dict) -> dict:
     return joints
 
 
+def sampling_tables_reference(joint: dict, step_outcomes: tuple) -> tuple[dict, dict, dict]:
+    """Per-prefix inverse-CDF edges of one setting pair's joint, level by level.
+
+    Level d maps each outcome prefix of length d with positive mass to the
+    running sums of the conditional probabilities of step d's outcomes, in
+    ``step_outcomes[d]`` order.  Margins add the joint's entries one after
+    another in its key order.
+    """
+    margins = [{(): 1.0}, {}, {}, joint]
+    for outcomes, p in joint.items():
+        for depth in (1, 2):
+            margins[depth][outcomes[:depth]] = margins[depth].get(outcomes[:depth], 0.0) + p
+    return tuple(
+        {prefix: tuple(np.cumsum([margins[depth + 1].get(prefix + (o,), 0.0) / mass for o in step_outcomes[depth]]))
+         for prefix, mass in margins[depth].items() if mass > 0.0}
+        for depth in range(3)
+    )
+
+
 def pick(outcomes, cums, u: float):
     """Inverse-CDF pick: the first outcome whose cumulative edge lies above ``u``.
 

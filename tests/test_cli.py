@@ -12,7 +12,7 @@ import pytest
 from oracles import read_records_reference
 from swapsim import cli
 from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
-from swapsim.classical import ClassicalRecord, apply_discard, quantum_mimic_rule
+from swapsim.classical import ClassicalRecord, apply_discard, pr_box_rule, quantum_mimic_rule
 from swapsim.cli import RecordFormatError, iter_records_file, main
 from swapsim.protocol import ExperimentConfig, TrialRecord, run_batch
 
@@ -328,6 +328,20 @@ class TestClassicalCommands:
         manifest = json.loads((tmp_path / "lhv.jsonl.manifest.json").read_text())
         assert manifest["command"] == "classical-generate"
         assert manifest["config"]["model"] == "uniform"
+
+    @pytest.mark.parametrize("rule", ["pr-box", "quantum-mimic"])
+    def test_apply_discard_keeps_the_input_records_the_command_keeps(self, rule, tmp_path, capsys):
+        lhv, kept_path = tmp_path / "lhv.jsonl", tmp_path / "kept.jsonl"
+        assert main(["classical", "generate", "--model", "sign", "--trials", "9000", "--seed", "5",
+                     "--out", str(lhv)]) == 0
+        assert main(["classical", "discard", "--rule", rule, "--seed", "8", "--in", str(lhv),
+                     "--out", str(kept_path)]) == 0
+        records = list(iter_records_file(str(lhv)))
+        kept, _ = apply_discard(records, pr_box_rule() if rule == "pr-box" else quantum_mimic_rule(), seed=8)
+        inputs = {id(record) for record in records}
+        assert kept and all(id(record) in inputs for record in kept)
+        written = iter_records_file(str(kept_path))
+        assert [record.trial_id for record in kept] == [record.trial_id for record in written]
 
     def test_pr_box_discard_reaches_the_algebraic_maximum(self, tmp_path, capsys):
         lhv = tmp_path / "lhv.jsonl"

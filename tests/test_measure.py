@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from swapsim.measure import (
+    CHUNK,
     AnalyzerAngle,
     BellSpec,
     BsmMode,
@@ -17,6 +18,7 @@ from swapsim.measure import (
     polarization_observable,
 )
 from swapsim.qstate import BellKind, PureState, bell_state, partial_trace, prepare_swap_input, to_density
+from swapsim.rng import trial_draws
 
 
 class TestAnalyzerAngle:
@@ -156,6 +158,21 @@ class TestRandomSourceArray:
             RandomSource(0, np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             RandomSource(0, np.zeros((2, 2), dtype=np.int64))
+
+
+class TestTrialDraws:
+    def test_chunks_across_a_boundary_give_each_trial_its_own_stream(self):
+        seed, start, stop, count = 13, 5, CHUNK + 9, 4
+        chunks = list(trial_draws(seed, start, stop, count))
+        assert [len(chunk[0]) for chunk in chunks] == [CHUNK, 4]
+        trial_ids, setting0, setting3, draws = (np.concatenate(column) for column in zip(*chunks))
+        assert trial_ids.tolist() == list(range(start, stop))
+        # every 61st row, and the rows on each side of the boundary
+        rows = sorted(set(range(0, stop - start, 61)) | {CHUNK - 2, CHUNK - 1, CHUNK, stop - start - 1})
+        expected = np.array([RandomSource(seed, start + row).uniforms(count) for row in rows])
+        assert np.array_equal(draws[rows], expected)
+        assert setting0[rows].tolist() == (expected[:, 0] >= 0.5).tolist()
+        assert setting3[rows].tolist() == (expected[:, 1] >= 0.5).tolist()
 
 
 def _draws(seed: int, trials: int, count: int) -> np.ndarray:

@@ -8,16 +8,17 @@ import pytest
 
 import oracles
 from swapsim.analysis import chsh_exact, correlation_exact
-from swapsim.measure import CHUNK, BsmMode, BsmOutcome
+from swapsim.measure import CHUNK, BsmMode, BsmOutcome, bsm_outcomes
 from swapsim.cli import _scan_config, _scan_grid, main
 from swapsim.protocol import (
     ExperimentConfig,
     Ordering,
     TrialRecord,
+    _SETTING_PAIRS,
     _frontiers,
+    _pick,
+    _sampling_tables,
     _setting_joint,
-    _setting_joints,
-    _walk,
     exact_cell_distribution,
     exact_joint_distribution,
     preparation_density,
@@ -170,7 +171,7 @@ class TestRunBatch:
 
 
 class TestArrayWalk:
-    """The searchsorted walk picks what the scalar inverse-CDF loop picks.
+    """The array pick chooses what the scalar inverse-CDF loop chooses.
 
     Zero-probability outcomes make tied edges (u = 0.5 on [0.5, 0.5, 1.0]
     must skip "b"), and float dust can leave u beyond the last edge.
@@ -180,11 +181,29 @@ class TestArrayWalk:
     def test_matches_scalar_pick(self, cums):
         outcomes = ("a", "b", "c")
         u = np.array([0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.99999995, 1.0 - 2**-53])
-        draws = np.zeros((len(u), 5))
-        draws[:, 2] = u
-        picks = np.full((len(u), 3), -1)
-        _walk(({(): (outcomes, cums)},), 0, (), np.arange(len(u)), draws, picks)
-        assert [outcomes[k] for k in picks[:, 0]] == [oracles.pick(outcomes, cums, x) for x in u]
+        picks = _pick(np.tile(cums, (len(u), 1)), u)
+        assert [outcomes[k] for k in picks] == [oracles.pick(outcomes, cums, x) for x in u]
+
+
+class TestSamplingTablesBitExact:
+    """The flat edge arrays hold the per-prefix dict tables' edges, bit for bit."""
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("mode", list(BsmMode))
+    def test_edges_match_the_per_prefix_tables(self, ordering, mode):
+        pol = (+1, -1)
+        labels = bsm_outcomes(mode)
+        steps = (labels, pol, pol) if ordering is Ordering.BSM_FIRST else (pol, pol, labels)
+        for visibility, delta in itertools.product((1.0, 0.9, 0.5, 1.0 / 3.0, 0.0), (0.0, 10.0, 22.5, 33.3, 67.5)):
+            key = config(angles3=(delta, delta + 90.0), ordering=ordering, bsm_mode=mode,
+                         visibility=visibility)._table_key()
+            edges = _sampling_tables(key)
+            for cell, pair in enumerate(_SETTING_PAIRS):
+                levels = oracles.sampling_tables_reference(_setting_joint(key, *pair), steps)
+                for depth, level in enumerate(levels):
+                    for prefix, cums in level.items():
+                        row = edges[depth][(cell, *(steps[d].index(o) for d, o in enumerate(prefix)))]
+                        assert [x.hex() for x in row.tolist()] == [float(x).hex() for x in cums], (key, prefix)
 
 
 def _bits(joints: dict) -> list:
@@ -206,7 +225,8 @@ class TestSettingJointsBitExact:
         for ordering, mode, angles0, visibility, delta in grid:
             key = config(angles0=angles0, angles3=(delta, delta + 90.0), ordering=ordering,
                          bsm_mode=mode, visibility=visibility)._table_key()
-            assert _bits(_setting_joints(key)) == _bits(oracles.setting_joints_reference(key, memo)), key
+            joints = {pair: _setting_joint(key, *pair) for pair in _SETTING_PAIRS}
+            assert _bits(joints) == _bits(oracles.setting_joints_reference(key, memo)), key
 
     def test_frontier_cache_stays_bounded_over_a_fine_scan(self, capsys):
         _setting_joint.cache_clear()
