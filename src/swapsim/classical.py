@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress, islice, starmap
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,11 @@ _KEEP_STREAM_OFFSET = 1 << 48
 # then the two hidden variables, scaled onto [0, pi)
 _DRAWS_PER_TRIAL = 4
 
+# Blind-check draws half chunks: its harmonic basis (18 float64 rows) then
+# takes 590 KB, and its peak memory stays below that of the per-model
+# closures, which ran on full chunks.  Draws do not depend on the chunking.
+_BLIND_CHECK_ROWS = CHUNK // 2
+
 
 @dataclass(frozen=True)
 class ClassicalConfig:
@@ -58,6 +63,26 @@ class ClassicalConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
+_HARMONICS = 3  # Fourier orders in a random model's marker
+
+
+@dataclass(frozen=True, eq=False)
+class FourierTerms:
+    """A Fourier model's closures as coefficients over the shared harmonic basis.
+
+    ``marker`` holds one weight per row of _harmonic_basis: amp*cos(phase)
+    and -amp*sin(phase) for each term amp*cos(2k*x + phase) of the marker
+    series, whose value is negative exactly for label 1; ``marker_scale``
+    is the sum of the |amp|.  Station s's outcome is
+    sgn cos(2*(angle - lam) + phase_s).
+    """
+
+    marker: np.ndarray
+    marker_scale: float
+    phase0: float
+    phase3: float
+
+
 @dataclass(frozen=True)
 class HiddenVariableModel:
     """Local deterministic outcome functions plus a settings-blind marker.
@@ -66,7 +91,8 @@ class HiddenVariableModel:
     arrays to +-1 arrays; each sees only its own station's angle and its own
     pair's hidden variable.  ``marker(lam0, lam1)`` maps to indices into
     ``marker_labels``; its signature is the blindness guarantee — no angle or
-    outcome ever reaches it.
+    outcome ever reaches it.  ``terms``, when given, states the same
+    functions as Fourier coefficients; the closures stay the reference.
     """
 
     name: str
@@ -74,6 +100,7 @@ class HiddenVariableModel:
     outcome3: Callable[[np.ndarray, np.ndarray], np.ndarray]
     marker: Callable[[np.ndarray, np.ndarray], np.ndarray]
     marker_labels: tuple[str, ...]
+    terms: Optional[FourierTerms] = None
 
     def __post_init__(self) -> None:
         labels = tuple(str(l) for l in self.marker_labels)
@@ -103,6 +130,109 @@ def _evaluate(
     return o0.astype(np.int64), o3.astype(np.int64), marks
 
 
+# A Fourier model's fast value sits within about 1e-14 * sum|amp| of the
+# exact series, and so does its closure's.  The closure forms arguments
+# 2k*x + phase below 6*pi + 2*pi ~ 25 rad, to a few ulp (~6e-15 rad), and
+# np.cos adds about an ulp per term.  The basis takes cos and sin of 2*lam
+# to an ulp and reaches 4*lam, 6*lam and the differences by angle
+# addition, a few ulp more; the 18 products amp*cos(phase) * cos(2k*x),
+# summed in any order (BLAS picks the order, which may change with the
+# thread count), add at most about 18 * 1.1e-16 * sqrt(2) * sum|amp|.  An
+# outcome's value cos(2a + phase)*cos 2lam + sin(2a + phase)*sin 2lam has
+# amplitude 1 and errors below 1e-14 likewise.  A row whose fast value lies
+# farther from 0 than the bound below (1e-9, relative to the amplitude)
+# therefore has the closure's sign, tie rule included, and every other row
+# is decided by the closure itself.
+_FALLBACK_BOUND = 1e-9
+
+
+def _harmonic_basis(lam0: np.ndarray, lam1: np.ndarray) -> np.ndarray:
+    """cos and sin of 2k*x for k = 1.._HARMONICS, x in (lam0, lam1, lam0 - lam1).
+
+    Shape (_HARMONICS * 6, rows), row 6*(k-1) + 2*j + (0 for cos, 1 for sin)
+    for x number j: the rows FourierTerms.marker weighs.  Four trig calls;
+    the rest by angle addition.
+    """
+    basis = np.empty((_HARMONICS, 3, 2, len(lam0)))
+    for j, lam in enumerate((lam0, lam1)):
+        twice = 2.0 * lam
+        np.cos(twice, out=basis[0, j, 0])
+        np.sin(twice, out=basis[0, j, 1])
+    cos1, sin1 = basis[0, :2, 0], basis[0, :2, 1]
+    for k in range(1, _HARMONICS):  # 2(k+1)x = 2kx + 2x
+        cos_k, sin_k = basis[k - 1, :2, 0], basis[k - 1, :2, 1]
+        basis[k, :2, 0] = cos_k * cos1 - sin_k * sin1
+        basis[k, :2, 1] = sin_k * cos1 + cos_k * sin1
+    cos0, sin0, cos1, sin1 = basis[:, 0, 0], basis[:, 0, 1], basis[:, 1, 0], basis[:, 1, 1]
+    basis[:, 2, 0] = cos0 * cos1 + sin0 * sin1  # 2k(lam0 - lam1)
+    basis[:, 2, 1] = sin0 * cos1 - cos0 * sin1
+    return basis.reshape(_HARMONICS * 6, len(lam0))
+
+
+def _fourier_evaluate(
+    model: HiddenVariableModel,
+    basis: np.ndarray,
+    rad0: np.ndarray,
+    rad3: np.ndarray,
+    i0: np.ndarray,
+    i3: np.ndarray,
+    lam0: np.ndarray,
+    lam1: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_evaluate's decisions from the model's terms and the chunk's basis.
+
+    Rows whose marker or outcome value lies within _FALLBACK_BOUND of 0 are
+    evaluated again, on those rows only, by the model's closures.
+    """
+    terms = model.terms
+    value = terms.marker @ basis
+    unsure = np.abs(value) <= _FALLBACK_BOUND * terms.marker_scale
+    marks = (value < 0.0).astype(np.int64)
+    outcomes = []
+    # cos(2(a - lam) + phase) = cos(2a + phase) cos 2lam + sin(2a + phase) sin 2lam
+    for rad, index, phase, cos_row in ((rad0, i0, terms.phase0, 0), (rad3, i3, terms.phase3, 2)):
+        shifted = 2.0 * rad + phase
+        value = np.cos(shifted)[index] * basis[cos_row] + np.sin(shifted)[index] * basis[cos_row + 1]
+        unsure |= np.abs(value) <= _FALLBACK_BOUND
+        outcomes.append(1 - 2 * (value < 0.0))  # _sign's, as value is finite
+    o0, o3 = outcomes
+    rows = np.flatnonzero(unsure)
+    if len(rows):
+        reference = _evaluate(model, rad0, rad3, i0[rows], i3[rows], lam0[rows], lam1[rows])
+        o0[rows], o3[rows], marks[rows] = reference
+    return o0, o3, marks
+
+
+def _evaluations(
+    models: Sequence[HiddenVariableModel],
+    rad0: np.ndarray,
+    rad3: np.ndarray,
+    i0: np.ndarray,
+    i3: np.ndarray,
+    lam0: np.ndarray,
+    lam1: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(o0, o3, marks) of each model on one chunk, in turn: the one evaluation path.
+
+    Models with terms share one harmonic basis, built at the first of them;
+    the others run _evaluate.  Lazy, so one model's arrays live at a time.
+    """
+    basis = None
+    for model in models:
+        if model.terms is None:
+            yield _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
+            continue
+        if basis is None:
+            basis = _harmonic_basis(lam0, lam1)
+        yield _fourier_evaluate(model, basis, rad0, rad3, i0, i3, lam0, lam1)
+
+
+def _radians(config: ClassicalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The two analyzer angles of each station, in radians."""
+    return (np.array([config.angles0[0].radians, config.angles0[1].radians]),
+            np.array([config.angles3[0].radians, config.angles3[1].radians]))
+
+
 def _kind_table(model: HiddenVariableModel, config: ClassicalConfig) -> tuple[ClassicalRecord, ...]:
     """One record per kind_index of the model's records, with trial_id 0."""
     deg0 = (config.angles0[0].degrees, config.angles0[1].degrees)
@@ -116,14 +246,20 @@ def _kind_table(model: HiddenVariableModel, config: ClassicalConfig) -> tuple[Cl
 
 
 def lhv_chunks(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[RecordChunk]:
-    """Lazily yield the batch in CHUNK-trial chunks that share one kind table; deterministic per seed."""
-    rad0 = np.array([config.angles0[0].radians, config.angles0[1].radians])
-    rad3 = np.array([config.angles3[0].radians, config.angles3[1].radians])
+    """Lazily yield the batch in CHUNK-trial chunks that share one kind table; deterministic per seed.
+
+    starmap keeps no chunk's arrays once its records are built, so they are
+    freed before the next chunk is drawn.
+    """
+    rad0, rad3 = _radians(config)
     templates = _kind_table(model, config)
-    for trial_ids, i0, i3, draws in trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL):
-        o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
-        kinds = kind_index(i0, i3, o0, o3, marks, len(model.marker_labels))
-        yield RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
+
+    def chunk(trial_ids, i0, i3, draws) -> RecordChunk:
+        (evaluated,) = _evaluations((model,), rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
+        kinds = kind_index(i0, i3, *evaluated, len(model.marker_labels))
+        return RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
+
+    yield from starmap(chunk, trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL))
 
 
 def run_lhv(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[ClassicalRecord]:
@@ -167,8 +303,13 @@ def keep_mask(rule: DiscardRule, seed: int, trial_ids: Sequence[int], weights: n
     """
     if rule.kind == "deterministic":
         return weights >= 0.5
-    streams = [(int(trial_id) + _KEEP_STREAM_OFFSET) % (1 << 64) for trial_id in trial_ids]
-    return RandomSource(seed, np.array(streams, dtype=np.uint64)).uniform() < weights
+    try:
+        ids = np.array(trial_ids, dtype=np.int64)
+    except OverflowError:  # an id past int64, which only a hand-written file holds
+        ids = np.array([int(trial_id) % (1 << 64) for trial_id in trial_ids], dtype=np.uint64)
+    # int64 to uint64 and uint64 array sums both wrap, so this is mod 2**64
+    streams = ids.astype(np.uint64) + np.uint64(_KEEP_STREAM_OFFSET)
+    return RandomSource(seed, streams).uniform() < weights
 
 
 def discard_chunks(chunks: Iterable[RecordChunk], rule: DiscardRule, seed: int) -> Iterator[RecordChunk]:
@@ -273,9 +414,6 @@ def uniform_model() -> HiddenVariableModel:
     )
 
 
-_HARMONICS = 3  # Fourier orders in a random model's marker
-
-
 def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     """Randomized stress model with a Fourier-series marker.
 
@@ -284,6 +422,13 @@ def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     and their difference.  Everything is fixed at construction from
     ``model_seed``, so the model is data, not code: its marker cannot read a
     setting because no setting is ever passed to it.
+
+    The closures are the reference.  The same coefficients ride along as
+    ``terms``, so the classical engine scores every such model of a chunk
+    from one shared basis of cos and sin of 2k*x, one matrix-vector product
+    per model; a row whose value is too close to 0 for that float order to
+    be trusted (see _FALLBACK_BOUND) is scored by the closures, so every
+    decision is the closures'.
     """
     rng = np.random.default_rng(model_seed)
     phase0, phase3 = rng.uniform(0.0, np.pi, size=2)
@@ -299,12 +444,19 @@ def random_fourier_model(model_seed: int) -> HiddenVariableModel:
             value += amps[k, 2] * np.cos(freq * (lam0 - lam1) + phases[k, 2])
         return (value < 0.0).astype(np.int64)
 
+    terms = FourierTerms(
+        marker=np.stack([amps * np.cos(phases), -amps * np.sin(phases)], axis=-1).reshape(-1),
+        marker_scale=float(np.abs(amps).sum()),
+        phase0=float(phase0),
+        phase3=float(phase3),
+    )
     return HiddenVariableModel(
         name=f"fourier-{model_seed}",
         outcome0=lambda angle, lam: _sign(np.cos(2.0 * (angle - lam) + phase0)),
         outcome3=lambda angle, lam: _sign(np.cos(2.0 * (angle - lam) + phase3)),
         marker=marker,
         marker_labels=("plus", "minus"),
+        terms=terms,
     )
 
 
@@ -382,27 +534,33 @@ def settings_blind_check(
     """Post-select on every settings-blind marker and test |S| <= 2 + 5 sigma.
 
     Every model is evaluated on the same trial stream (one pass over the
-    hidden variables, all models scored per chunk).  A label is starved
-    exactly when chsh_weighted over its records raises
+    hidden variables, all models scored per chunk).  Models with Fourier
+    terms share one harmonic basis per chunk and fall back to their own
+    closures on the rows where the fast value is too near 0 to trust, so
+    the counts are the closures' whatever the BLAS thread count.  A label
+    is starved exactly when chsh_weighted over its records raises
     InsufficientDataError (it never occurs, or leaves a setting cell
     empty); it is reported and excluded from the bound rather than
-    silently passed.  An
-    empty model list raises ValueError: a check of nothing cannot pass.
+    silently passed.  An empty model list raises ValueError: a check of
+    nothing cannot pass.
     """
     models = list(models)
     if not models:
         raise ValueError("settings-blind check needs at least one model")
-    rad0 = np.array([config.angles0[0].radians, config.angles0[1].radians])
-    rad3 = np.array([config.angles3[0].radians, config.angles3[1].radians])
+    rad0, rad3 = _radians(config)
+
+    def chunk_counts(trial_ids, i0, i3, draws) -> list[np.ndarray]:
+        evaluations = _evaluations(models, rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
+        return [np.bincount(kind_index(i0, i3, *evaluated, len(model.marker_labels)),
+                            minlength=16 * len(model.marker_labels))
+                for model, evaluated in zip(models, evaluations)]
 
     # counts[m][k]: rows of model m's records of kind k
     counts = [np.zeros(16 * len(m.marker_labels), dtype=np.int64) for m in models]
-    for _, i0, i3, draws in trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL):
-        lam0, lam1 = draws[:, 2] * np.pi, draws[:, 3] * np.pi
-        for index, model in enumerate(models):
-            o0, o3, marks = _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
-            kinds = kind_index(i0, i3, o0, o3, marks, len(model.marker_labels))
-            counts[index] += np.bincount(kinds, minlength=len(counts[index]))
+    chunks = trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL, _BLIND_CHECK_ROWS)
+    for chunk in starmap(chunk_counts, chunks):
+        for total, count in zip(counts, chunk):
+            total += count
 
     checks = []
     for index, model in enumerate(models):

@@ -600,8 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # No swapsim matrix is larger than 16x16, too small for BLAS threads to
-    # pay off, yet OpenBLAS starts its thread pool when numpy is imported.
+    # The quantum matrices are at most 16x16 and blind-check's one larger
+    # product, 18 coefficients times a chunk's (18 x rows) harmonic basis,
+    # is a matrix-vector product: BLAS threads do not pay off, yet OpenBLAS
+    # starts its thread pool when numpy is imported.  The thread count
+    # changes no byte: blind-check decides a row from that product only
+    # when it lies beyond a certified bound of 0 for any summation order.
     # The handlers import numpy, so this comes first; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import oracles
+from swapsim import classical
 from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
 from swapsim.classical import (
     BlindCheckReport,
@@ -14,6 +16,8 @@ from swapsim.classical import (
     DiscardRule,
     HiddenVariableModel,
     apply_discard,
+    keep_mask,
+    lhv_chunks,
     pr_box_rule,
     quantum_mimic_rule,
     random_fourier_model,
@@ -23,6 +27,7 @@ from swapsim.classical import (
     uniform_model,
 )
 from swapsim.measure import RandomSource
+from swapsim.rng import trial_draws
 
 CANONICAL = dict(angles0=(0.0, 45.0), angles3=(22.5, 67.5))
 
@@ -171,6 +176,132 @@ class TestRunLhv:
         )
         with pytest.raises(ValueError):
             list(run_lhv(broken, config()))
+
+
+def _traced_peak_kb(run) -> float:
+    """Peak KB of memory numpy and Python allocate while ``run()`` runs."""
+    run()  # caches, lazily imported modules
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkLifetime:
+    """No chunk's arrays outlive it: they are freed before the next chunk is drawn."""
+
+    def test_lhv_chunks_hold_one_chunk_at_a_time(self):
+        # One 8192-row chunk's draws, Philox words and records peak at about
+        # 1600 KB; keeping the previous chunk's arrays alive while the next
+        # is drawn took the peak to about 2300 KB.
+        def run():
+            for _ in lhv_chunks(sign_model(), config(trials=20_000)):
+                pass
+
+        assert _traced_peak_kb(run) < 2000
+
+    def test_blind_check_basis_does_not_raise_the_peak(self):
+        # 20 Fourier models from half-chunk bases peak at about 1200 KB; the
+        # per-model closures over full chunks peaked at about 2060 KB.
+        models = [random_fourier_model(model_seed) for model_seed in range(20)]
+        peak = _traced_peak_kb(lambda: settings_blind_check(models, config(trials=20_000)))
+        assert peak < 1600
+
+
+class TestKeepMask:
+    # ids the reader accepts (tests/test_cli.py BENIGN): "-5", "-0", 18 and
+    # 19 digits, and past 2**64
+    IDS = [-5, int("-0"), int("9" * 18), int("9" * 19), 2**64 + 3, 5, 12]
+
+    @pytest.mark.parametrize("ids", [IDS, [-5, 0, int("9" * 18), 5, 12]], ids=["past-int64", "int64"])
+    def test_decisions_follow_the_per_id_stream(self, ids):
+        weights = np.linspace(0.05, 0.95, len(ids))
+        got = keep_mask(quantum_mimic_rule(), 77, ids, weights)
+        want = [RandomSource(77, (t + KEEP_OFFSET) % 2**64).uniform() < w for t, w in zip(ids, weights)]
+        assert got.tolist() == want
+
+
+class TestFourierFastPath:
+    """Fourier models scored from the shared basis decide every row as their closures do."""
+
+    @staticmethod
+    def _chunks(cfg):
+        rad0, rad3 = classical._radians(cfg)
+        for _, i0, i3, draws in trial_draws(cfg.seed, 0, cfg.trials, 4, classical._BLIND_CHECK_ROWS):
+            yield rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi
+
+    def _assert_closure_decisions(self, models, cfg):
+        for args in self._chunks(cfg):
+            for model, fast in zip(models, classical._evaluations(models, *args)):
+                reference = classical._evaluate(model, *args)
+                for got, want in zip(fast, reference):
+                    assert np.array_equal(got, want), model.name
+
+    @pytest.mark.parametrize("cfg", [
+        ClassicalConfig(trials=20_000, seed=20_260_817, **CANONICAL),  # acceptance criterion 7
+        ClassicalConfig(trials=20_000, seed=0),  # the in-memory bench's blind-check, seeds 0, 31, 63
+        ClassicalConfig(trials=20_000, seed=31),
+        ClassicalConfig(trials=20_000, seed=63),
+    ], ids=["criterion-7", "bench-0", "bench-31", "bench-63"])
+    def test_fast_decisions_equal_the_closures_without_fallback(self, cfg, monkeypatch):
+        monkeypatch.setattr(classical, "_FALLBACK_BOUND", 0.0)
+        self._assert_closure_decisions([random_fourier_model(s) for s in range(20)], cfg)
+
+    def test_no_fallback_and_all_fallback_give_the_same_report(self, monkeypatch):
+        models = [random_fourier_model(s) for s in range(5)]
+        cfg = config(trials=20_000)
+        documents = []
+        for bound in (0.0, math.inf, classical._FALLBACK_BOUND):
+            monkeypatch.setattr(classical, "_FALLBACK_BOUND", bound)
+            documents.append(json.dumps(settings_blind_check(models, cfg).to_json_dict()))
+        assert documents[0] == documents[1] == documents[2]
+
+    def test_closures_on_scattered_rows_match_the_whole_chunk(self, monkeypatch):
+        # a loose bound sends scattered rows (about four in five) to the
+        # closures, which must decide them as they do within the whole chunk
+        monkeypatch.setattr(classical, "_FALLBACK_BOUND", 0.3)
+        fallback_rows = []
+        evaluate = classical._evaluate
+
+        def counting_evaluate(model, rad0, rad3, i0, i3, lam0, lam1):
+            fallback_rows.append(len(lam0))
+            return evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
+
+        models = [random_fourier_model(s) for s in range(3)]
+        cfg = config(trials=10_000)
+        for args in self._chunks(cfg):
+            monkeypatch.setattr(classical, "_evaluate", counting_evaluate)
+            fast = list(classical._evaluations(models, *args))
+            monkeypatch.setattr(classical, "_evaluate", evaluate)
+            for model, got in zip(models, fast):
+                for column, want in zip(got, evaluate(model, *args)):
+                    assert np.array_equal(column, want), model.name
+        assert len(fallback_rows) == 3 * 3
+        assert 0 < sum(fallback_rows) < 3 * cfg.trials
+
+    def test_mixed_list_reports_each_model_as_alone(self):
+        models = [sign_model(), random_fourier_model(3), uniform_model()]
+        cfg = config(trials=20_000)
+        together = settings_blind_check(models, cfg)
+        alone = [settings_blind_check([model], cfg).checks[0] for model in models]
+        assert together.checks == tuple(alone)
+
+    def test_basis_is_the_direct_trig_within_a_few_ulp(self):
+        rng = np.random.default_rng(3)
+        lam0, lam1 = rng.uniform(0.0, np.pi, size=(2, 5000))
+        basis = classical._harmonic_basis(lam0, lam1).reshape(3, 3, 2, -1)
+        for k in range(3):
+            for j, x in enumerate((lam0, lam1, lam0 - lam1)):
+                assert np.abs(basis[k, j, 0] - np.cos(2 * (k + 1) * x)).max() < 1e-14
+                assert np.abs(basis[k, j, 1] - np.sin(2 * (k + 1) * x)).max() < 1e-14
+
+    def test_generated_records_equal_the_closure_records(self):
+        model = random_fourier_model(5)
+        plain = HiddenVariableModel(model.name, model.outcome0, model.outcome3, model.marker, model.marker_labels)
+        cfg = config(trials=20_000)
+        assert list(run_lhv(model, cfg)) == list(run_lhv(plain, cfg))
 
 
 class TestApplyDiscard:

@@ -730,6 +730,19 @@ class TestBlasThreads:
     def test_explicit_setting_wins(self, tmp_path):
         assert _probe(tmp_path, self.ARGV, _probe_env(OPENBLAS_NUM_THREADS="2"))["blas"] == "2"
 
+    def test_blind_check_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # the shared-basis product is a BLAS call; its certified fallback
+        # bound makes every decision independent of the summation order
+        argv = [sys.executable, "-m", "swapsim.cli", "classical", "blind-check", "--models", "4",
+                "--trials", "20000", "--seed", "3"]
+        stdout = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(argv, cwd=tmp_path, env=_probe_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        assert stdout[0] == stdout[1]
+
     def test_importing_the_library_sets_nothing(self):
         probe = "import os, swapsim.protocol; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
         proc = subprocess.run([sys.executable, "-c", probe], env=_probe_env(), capture_output=True, text=True,
