@@ -212,7 +212,7 @@ def _evaluations(
     lam0: np.ndarray,
     lam1: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(o0, o3, marks) of each model on one chunk, in turn: the one evaluation path.
+    """(o0, o3, marks) of each model on one chunk, in turn: settings_blind_check's evaluation path.
 
     Models with terms share one harmonic basis, built at the first of them;
     the others run _evaluate.  Lazy, so one model's arrays live at a time.
@@ -255,7 +255,7 @@ def lhv_chunks(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[
     templates = _kind_table(model, config)
 
     def chunk(trial_ids, i0, i3, draws) -> RecordChunk:
-        (evaluated,) = _evaluations((model,), rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
+        evaluated = _evaluate(model, rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
         kinds = kind_index(i0, i3, *evaluated, len(model.marker_labels))
         return RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
 

@@ -7,9 +7,14 @@ temporal order.  "Time" here is logical: ordering is the sequence in which
 collapses are applied, which is exactly the thing the order-invariance
 checks exercise.
 
+The plan map _EVENTS, which names each ordering's steps ("bsm", "pol0",
+"pol3") in applied order, is the one place that says when the joint
+measurement happens.  The plan, the table shapes, the records' events and
+the outcome names are read from it; tables and sampler loop over its steps.
+
 Randomness contract, fixed: trial t uses the stream (config.seed, t).  The
 draw order within a trial is setting for photon 0, setting for photon 3
-(u < 0.5 picks index 0), then one draw per measurement in the applied
+(u < 0.5 picks index 0), then one draw per plan step in the applied
 order.  Sampling picks from the exact conditional distribution of the trial's
 measurement sequence (same branch enumeration as the exact tables), so a
 batch is reproducible from (config, seed) alone on any platform.  Batches
@@ -47,7 +52,13 @@ from .rng import trial_draws
 
 _PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
-_DRAWS_PER_TRIAL = 5  # setting0, setting3, then three measurement draws
+
+# The plan map: each ordering's measurement steps by event name, in applied order.
+_EVENTS = {
+    Ordering.BSM_FIRST: ("bsm", "pol0", "pol3"),
+    Ordering.POLARIZATIONS_FIRST: ("pol0", "pol3", "bsm"),
+}
+(_DRAWS_PER_TRIAL,) = {2 + len(events) for events in _EVENTS.values()}  # setting0, setting3, one per step
 
 
 @dataclass(frozen=True)
@@ -97,10 +108,6 @@ class StageSnapshot:
     metrics: TwoQubitMetrics
 
 
-_EVENTS_BSM_FIRST = ("bsm", "pol0", "pol3")
-_EVENTS_POL_FIRST = ("pol0", "pol3", "bsm")
-
-
 def _preparation_components(visibility: float) -> tuple[tuple[float, PureState], ...]:
     """The source state as a pure-state mixture.
 
@@ -124,12 +131,10 @@ def _preparation_components(visibility: float) -> tuple[tuple[float, PureState],
 
 def _measurement_plan(key: tuple, i0: int, i3: int):
     angles0, angles3, ordering, bsm_mode, _ = key
-    pol0 = PolarizationSpec(0, angles0[i0])
-    pol3 = PolarizationSpec(3, angles3[i3])
-    joint = BellSpec(_BSM_PAIR, bsm_mode)
-    if ordering is Ordering.BSM_FIRST:
-        return (joint, pol0, pol3)
-    return (pol0, pol3, joint)
+    specs = {"bsm": BellSpec(_BSM_PAIR, bsm_mode),
+             "pol0": PolarizationSpec(0, angles0[i0]),
+             "pol3": PolarizationSpec(3, angles3[i3])}
+    return tuple(specs[event] for event in _EVENTS[ordering])
 
 
 # Holds interior frontiers only: a scan point needs at most seven (the root,
@@ -171,27 +176,26 @@ def _setting_joint(key: tuple, i0: int, i3: int) -> dict[tuple, float]:
 
 
 @lru_cache(maxsize=16)
-def _sampling_tables(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sampling_tables(key: tuple) -> tuple[np.ndarray, ...]:
     """Inverse-CDF edges of the chain-rule conditionals of all four setting cells.
 
-    Shapes (4, n0), (4, n0, n1) and (4, n0, n1, n2): cell 2 * i0 + i3, then
-    the picks of the earlier plan steps; the last axis holds the cumulative
-    conditional probabilities of the next step's outcomes, in plan outcome
-    order.  Marginals are running sums in that order, np.cumsum(...)[..., -1]
-    rather than np.sum, whose pairwise summation rounds differently.  Every
-    prefix has mass: each outer photon is unpolarized and the Bell outcomes
-    have probabilities 1/4 or 1/2, before and after one other step, so each
+    One edge array per plan step of _EVENTS[ordering], step d's of shape
+    (4, n0, ..., nd): cell 2 * i0 + i3, the picks of the earlier steps, then
+    the cumulative conditional probabilities of step d's outcomes in plan
+    outcome order.  Marginals are running sums in that order,
+    np.cumsum(...)[..., -1] rather than np.sum, whose pairwise summation
+    rounds differently; the empty prefix has mass exactly 1.  Every prefix
+    has mass: each outer photon is unpolarized and the Bell outcomes have
+    probabilities 1/4 or 1/2, before and after one other step, so each
     mass is at least 1/8.
     """
     _, _, ordering, bsm_mode, _ = key
-    labels = len(bsm_outcomes(bsm_mode))
-    shape = (labels, 2, 2) if ordering is Ordering.BSM_FIRST else (2, 2, labels)
+    sizes = {"bsm": len(bsm_outcomes(bsm_mode)), "pol0": 2, "pol3": 2}
+    shape = tuple(sizes[event] for event in _EVENTS[ordering])
     joint = np.array([list(_setting_joint(key, *pair).values()) for pair in _SETTING_PAIRS]).reshape(4, *shape)
-    margin2 = np.cumsum(joint, axis=-1)[..., -1]
-    margin1 = np.cumsum(joint.reshape(4, shape[0], -1), axis=-1)[..., -1]
-    return (np.cumsum(margin1, axis=-1),
-            np.cumsum(margin2 / margin1[..., None], axis=-1),
-            np.cumsum(joint / margin2[..., None], axis=-1))
+    masses = [np.ones(4)] + [np.cumsum(joint.reshape(4, *shape[:d], -1), axis=-1)[..., -1]
+                             for d in range(1, len(shape) + 1)]
+    return tuple(np.cumsum(mass / prefix[..., None], axis=-1) for prefix, mass in zip(masses, masses[1:]))
 
 
 def _pick(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -211,7 +215,7 @@ def _kind_table(key: tuple) -> tuple[TrialRecord, ...]:
     deg0 = (angles0[0].degrees, angles0[1].degrees)
     deg3 = (angles3[0].degrees, angles3[1].degrees)
     labels = bsm_outcomes(bsm_mode)
-    events = _EVENTS_BSM_FIRST if ordering is Ordering.BSM_FIRST else _EVENTS_POL_FIRST
+    events = _EVENTS[ordering]
 
     def make(i0, i3, o0, o3, b):
         return TrialRecord(0, ordering, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[b], events)
@@ -221,19 +225,18 @@ def _kind_table(key: tuple) -> tuple[TrialRecord, ...]:
 
 def _sample_chunk(config: ExperimentConfig, tables: tuple, templates: tuple, trial_ids: np.ndarray,
                   setting0: np.ndarray, setting3: np.ndarray, draws: np.ndarray) -> RecordChunk:
-    """The records of one chunk of rng.trial_draws: one gather per plan step over all four cells."""
-    edges0, edges1, edges2 = tables
-    cell = 2 * setting0 + setting3
-    first = _pick(edges0[cell], draws[:, 2])
-    second = _pick(edges1[cell, first], draws[:, 3])
-    third = _pick(edges2[cell, first, second], draws[:, 4])
-    if config.ordering is Ordering.BSM_FIRST:
-        bsm, pick0, pick3 = first, second, third
-    else:
-        pick0, pick3, bsm = first, second, third
+    """The records of one chunk of rng.trial_draws: one gather per plan step over all four cells.
+
+    Step d gathers edge rows at the prefix (cell, pick 0, ..., pick d-1) and
+    picks with draw 2 + d; the plan map's events name the picks.
+    """
+    prefix = (2 * setting0 + setting3,)
+    for step, edges in enumerate(tables):
+        prefix += (_pick(edges[prefix], draws[:, 2 + step]),)
+    picks = dict(zip(_EVENTS[config.ordering], prefix[1:]))
     # polarization steps sample (+1, -1), so pick k is outcome 1 - 2k
-    label_count = len(bsm_outcomes(config.bsm_mode))
-    kinds = kind_index(setting0, setting3, 1 - 2 * pick0, 1 - 2 * pick3, bsm, label_count)
+    kinds = kind_index(setting0, setting3, 1 - 2 * picks["pol0"], 1 - 2 * picks["pol3"], picks["bsm"],
+                       len(bsm_outcomes(config.bsm_mode)))
     return RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
 
 
@@ -275,17 +278,16 @@ def exact_cell_distribution(
     """The (i0, i3) setting cell of exact_joint_distribution, the same entries in the same order.
 
     Only that setting pair's plan is walked, so one cell costs a quarter of
-    the whole table or less.
+    the whole table or less.  Both indices must be 0 or 1.
     """
+    if (i0, i3) not in _SETTING_PAIRS:
+        raise ValueError(f"setting indices must be 0 or 1, got ({i0!r}, {i3!r})")
     joint = _setting_joint(config._table_key(), i0, i3)
-    bsm_first = config.ordering is Ordering.BSM_FIRST
+    events = _EVENTS[config.ordering]
     table: dict[tuple[int, int, int, int, BsmOutcome], float] = {}
     for outcomes, p in joint.items():
-        if bsm_first:
-            bsm, o0, o3 = outcomes
-        else:
-            o0, o3, bsm = outcomes
-        table[(i0, i3, o0, o3, bsm)] = 0.25 * p
+        named = dict(zip(events, outcomes))
+        table[(i0, i3, named["pol0"], named["pol3"], named["bsm"])] = 0.25 * p
     return table
 
 
@@ -329,17 +331,14 @@ def stage_entanglement_report(config: ExperimentConfig) -> list[StageSnapshot]:
     rho_full = preparation_density(config)
     pre = partial_trace(rho_full, (0, 3))
     snapshots = [StageSnapshot("pre-bsm", pre, metrics_for(pre))]
-    if config.ordering is not Ordering.BSM_FIRST:
+    if _EVENTS[config.ordering][0] != "bsm":
         return snapshots
 
     projectors = bell_projectors(config.bsm_mode)
     for outcome in bsm_outcomes(config.bsm_mode):
         proj = _embed_on_bsm_pair(projectors[outcome])
         unnormalized = proj @ rho_full.entries @ proj
-        prob = float(np.trace(unnormalized).real)
-        if prob < 1e-12:  # unreachable outcome; nothing to report
-            continue
-        conditional = DensityMatrix(4, unnormalized / prob)
-        reduced = partial_trace(conditional, (0, 3))
+        prob = float(np.trace(unnormalized).real)  # 1/4 per Bell label, 1/2 for "other"
+        reduced = partial_trace(DensityMatrix(4, unnormalized / prob), (0, 3))
         snapshots.append(StageSnapshot(f"post-bsm:{outcome.value}", reduced, metrics_for(reduced)))
     return snapshots

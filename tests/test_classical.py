@@ -192,12 +192,14 @@ def _traced_peak_kb(run) -> float:
 class TestChunkLifetime:
     """No chunk's arrays outlive it: they are freed before the next chunk is drawn."""
 
-    def test_lhv_chunks_hold_one_chunk_at_a_time(self):
+    @pytest.mark.parametrize("model", [sign_model(), random_fourier_model(0)], ids=["sign", "fourier"])
+    def test_lhv_chunks_hold_one_chunk_at_a_time(self, model):
         # One 8192-row chunk's draws, Philox words and records peak at about
         # 1600 KB; keeping the previous chunk's arrays alive while the next
-        # is drawn took the peak to about 2300 KB.
+        # is drawn took the peak to about 2300 KB, and a Fourier model's
+        # full-chunk harmonic basis to about 2750 KB.
         def run():
-            for _ in lhv_chunks(sign_model(), config(trials=20_000)):
+            for _ in lhv_chunks(model, config(trials=20_000)):
                 pass
 
         assert _traced_peak_kb(run) < 2000

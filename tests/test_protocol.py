@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from swapsim.analysis import chsh_exact, correlation_exact
-from swapsim.measure import CHUNK, BsmMode, BsmOutcome, bsm_outcomes
+from swapsim.measure import CHUNK, BellSpec, BsmMode, BsmOutcome, PolarizationSpec, bsm_outcomes
 from swapsim.cli import _scan_config, _scan_grid, main
 from swapsim.protocol import (
     ExperimentConfig,
@@ -16,6 +16,7 @@ from swapsim.protocol import (
     TrialRecord,
     _SETTING_PAIRS,
     _frontiers,
+    _measurement_plan,
     _pick,
     _sampling_tables,
     _setting_joint,
@@ -23,10 +24,12 @@ from swapsim.protocol import (
     exact_joint_distribution,
     preparation_density,
     run_batch,
+    run_chunks,
     run_trial,
     stage_entanglement_report,
 )
 from swapsim.qstate import BellKind, bell_state, partial_trace, prepare_swap_input, to_density
+from swapsim.rng import RandomSource
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -206,6 +209,54 @@ class TestSamplingTablesBitExact:
                         assert [x.hex() for x in row.tolist()] == [float(x).hex() for x in cums], (key, prefix)
 
 
+class TestOutcomeNaming:
+    """Sampled records name each pick by its plan step's spec, whatever the ordering.
+
+    The reference walks each trial's measurement plan with the scalar pick
+    over the per-prefix tables and names every pick from its spec alone: a
+    BellSpec is the bsm label and a PolarizationSpec on qubit q is outcome q.
+    """
+
+    TRIALS = 300
+    ANGLES = [((0.0, 45.0), (22.5, 67.5)), ((15.0, 60.0), (10.0, 100.0))]
+
+    @staticmethod
+    def _reference(cfg: ExperimentConfig) -> list:
+        key = cfg._table_key()
+        draws = RandomSource(cfg.seed, np.arange(cfg.trials)).uniforms(5)
+        records = []
+        for trial_id, u in enumerate(draws.tolist()):
+            i0, i3 = int(u[0] >= 0.5), int(u[1] >= 0.5)
+            plan = _measurement_plan(key, i0, i3)
+            steps = [bsm_outcomes(spec.mode) if isinstance(spec, BellSpec) else (+1, -1) for spec in plan]
+            levels = oracles.sampling_tables_reference(_setting_joint(key, i0, i3), steps)
+            prefix, named, events = (), {}, []
+            for depth, spec in enumerate(plan):
+                outcome = oracles.pick(steps[depth], levels[depth][prefix], u[2 + depth])
+                prefix += (outcome,)
+                if isinstance(spec, BellSpec):
+                    named["bsm"] = outcome
+                    events.append("bsm")
+                else:
+                    assert isinstance(spec, PolarizationSpec) and spec.qubit in (0, 3)
+                    named[f"outcome{spec.qubit}"] = outcome
+                    events.append(f"pol{spec.qubit}")
+            records.append(TrialRecord(trial_id, cfg.ordering, i0, cfg.angles0[i0].degrees, i3,
+                                       cfg.angles3[i3].degrees, named["outcome0"], named["outcome3"],
+                                       named["bsm"], tuple(events)))
+        return records
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("mode", list(BsmMode))
+    @pytest.mark.parametrize("visibility", [1.0, 0.9, 1.0 / 3.0])
+    @pytest.mark.parametrize("angles", ANGLES, ids=["canonical", "skewed"])
+    def test_records_match_the_per_trial_plan_walk(self, ordering, mode, visibility, angles):
+        cfg = config(angles0=angles[0], angles3=angles[1], ordering=ordering, bsm_mode=mode,
+                     visibility=visibility, trials=self.TRIALS, seed=29)
+        got = [record for chunk in run_chunks(cfg) for record in chunk.records()]
+        assert got == self._reference(cfg)
+
+
 def _bits(joints: dict) -> list:
     """Keys and float bits of per-setting joints, in dict order."""
     return [(pair, [(key, p.hex()) for key, p in joint.items()]) for pair, joint in joints.items()]
@@ -260,6 +311,19 @@ class TestOneCellScan:
             for label in (BsmOutcome.PSI_MINUS, None):
                 got = correlation_exact(cell, (0, 0), label)
                 assert got.hex() == chsh_exact(whole, label)[0][(0, 0)].hex(), (delta, label)
+
+
+class TestExactCellIndices:
+    """A setting index other than 0 or 1 is refused before any walk or cache entry."""
+
+    @pytest.mark.parametrize("i0, i3", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+    def test_rejects_out_of_range_setting_index(self, i0, i3):
+        _setting_joint.cache_clear()
+        _frontiers.cache_clear()
+        with pytest.raises(ValueError, match="setting indices"):
+            exact_cell_distribution(config(), i0, i3)
+        assert _setting_joint.cache_info().currsize == 0
+        assert _frontiers.cache_info().currsize == 0
 
 
 class TestExactJointDistribution:
