@@ -7,22 +7,30 @@ order and give exact Born probabilities; sampling draws by inverse CDF from
 those tables (see ``protocol``), never by collapsing states one trial at a
 time.  ``RandomSource``, the seeded Philox4x64-10 stream engine, lives in
 ``swapsim.rng`` and is re-exported here as the same class.
+
+A frontier is two arrays: ``joints``, shaped (rows,), and ``amps``, shaped
+(rows, 2**n), one row per branch.  A plan step is one gather of every row,
+one np.matmul of the stacked projectors with all of them and one batched
+norm, so a mixture's components walk together as consecutive row blocks.
+The batch changes no bit.  np.matmul makes, row by row, the BLAS gemm call
+that np.dot makes on one branch.  The norm conj(x) . x by np.matmul is one
+zdotu of conj(x) and x per row; its real part sums a*a - (-b)*b over the
+amplitudes a + bi, which is, term for term, the sum a*a + b*b that zdotc
+(np.vdot) forms, so it rounds alike.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from itertools import product
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .qstate import BellKind, PureState, bell_state
 from .records import CHUNK, AnalyzerAngle, BsmMode, BsmOutcome, as_angle, bsm_outcomes  # noqa: F401 (re-exported)
 from .rng import RandomSource  # noqa: F401 (re-exported)
-
-log = logging.getLogger(__name__)
 
 
 def polarization_observable(theta: Union[AnalyzerAngle, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -72,10 +80,12 @@ def _check_qubit(num_qubits: int, qubit: int) -> None:
 def _gather_index(n: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Flat amplitude indices with ``axes`` moved to the front (C order), and their inverse.
 
-    amps.take(forward).reshape(2 ** len(axes), -1) is the contiguous operand
-    that np.tensordot builds by transpose and reshape, so one np.dot on it
-    does the same floating-point operations in the same order; taking the
-    inverse indices of the product puts it back in register order.
+    Row by row, amps.take(forward, axis=1) reshaped to 2 ** len(axes) rows
+    of columns is the contiguous operand that np.tensordot builds by
+    transpose and reshape, so one np.matmul over all rows does, per row, the
+    floating-point operations of np.dot on that row's operand, in the same
+    order; taking the inverse indices of the products puts each row back in
+    register order.
     """
     order = axes + tuple(q for q in range(n) if q not in axes)
     forward = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(-1)
@@ -83,31 +93,6 @@ def _gather_index(n: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     forward.setflags(write=False)
     inverse.setflags(write=False)
     return forward, inverse
-
-
-def _apply(amps: np.ndarray, gather: tuple[np.ndarray, np.ndarray], op: np.ndarray) -> np.ndarray:
-    """``op`` on the qubits that ``gather`` brings to the front, back in register order.
-
-    Two-qubit operators are indexed 2*q_i + q_j for gathered axes (i, j),
-    matching the global convention that the lower-numbered qubit is the
-    more significant bit.
-    """
-    forward, inverse = gather
-    return np.dot(op, amps.take(forward).reshape(op.shape[1], -1)).reshape(-1).take(inverse)
-
-
-def _norm_sq(amps: np.ndarray) -> float:
-    return float(np.vdot(amps, amps).real)
-
-
-def _clamped(p: float) -> float:
-    """Clamp a tiny negative probability to zero; anything worse is an error."""
-    if p < 0.0:
-        if p < -1e-12:
-            raise ValueError(f"negative probability {p!r} in outcome distribution")
-        log.debug("clamped probability %r to 0 in outcome distribution", p)
-        return 0.0
-    return p
 
 
 @dataclass(frozen=True)
@@ -139,70 +124,70 @@ class BellSpec:
 MeasurementSpec = Union[PolarizationSpec, BellSpec]
 
 
-def _step_operators(spec: MeasurementSpec, n: int) -> tuple[tuple[np.ndarray, np.ndarray], list]:
-    """Gather indices and (outcome, projector) pairs of one plan step, in sampling order."""
+def step_outcomes(spec: MeasurementSpec) -> tuple:
+    """The outcomes of one plan step, in sampling order."""
+    return bsm_outcomes(spec.mode) if isinstance(spec, BellSpec) else (+1, -1)
+
+
+def _step_operators(spec: MeasurementSpec, n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Gather indices and the stacked projectors of one plan step, in sampling order.
+
+    Two-qubit projectors are indexed 2*q_i + q_j for the gathered axes
+    (i, j), matching the global convention that the lower-numbered qubit is
+    the more significant bit.
+    """
     if isinstance(spec, PolarizationSpec):
         _check_qubit(n, spec.qubit)
-        p_plus_op, p_minus_op = polarization_observable(spec.angle)
-        return _gather_index(n, (spec.qubit,)), [(+1, p_plus_op), (-1, p_minus_op)]
+        return _gather_index(n, (spec.qubit,)), np.array(polarization_observable(spec.angle))
     if isinstance(spec, BellSpec):
         i, j = spec.qubits
         _check_qubit(n, i)
         _check_qubit(n, j)
         projectors = bell_projectors(spec.mode)
-        return _gather_index(n, (i, j)), [(o, projectors[o]) for o in bsm_outcomes(spec.mode)]
+        return _gather_index(n, (i, j)), np.array([projectors[o] for o in step_outcomes(spec)])
     raise TypeError(f"unknown measurement spec: {spec!r}")
 
 
-# One branch of an exact walk: (outcomes so far, joint probability,
-# normalized post-measurement amplitudes or None).
-Branch = tuple[tuple, float, Optional[np.ndarray]]
-
-
 def extend_frontier(
-    frontier: Sequence[Branch],
+    joints: np.ndarray,
+    amps: np.ndarray,
     spec: MeasurementSpec,
     num_qubits: int,
     keep_states: bool = True,
-) -> list[Branch]:
-    """Apply one plan step to every branch of a frontier, in outcome order.
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Apply one plan step to every row of a frontier; returns the children's (joints, amps).
 
-    Each branch splits into one child per outcome of ``spec``, children
-    listed in sampling order right after one another, so a frontier grown
-    from ``[((), 1.0, amplitudes)]`` lists full outcome tuples in
-    lexicographic (depth-first) order.  A child carries joint * p, its
-    Born probability p times its parent's joint.  A zero-probability child,
-    and every child of a branch without a state, carries joint 0.0 and no
-    state, so every outcome combination stays present.  ``keep_states=False``
-    keeps no states at all, for a plan's last step.
+    Each row splits into one child per outcome of ``spec``, children listed
+    in sampling order right after one another, so a frontier grown from one
+    row lists full outcome tuples in lexicographic (depth-first) order, that
+    of itertools.product over the steps' outcomes.  A child's joint is its
+    Born probability p times its parent's joint.  A zero-probability child
+    has joint 0.0 and an all-zero row, and an all-zero row's children have
+    p = 0, so every outcome combination stays present.  ``keep_states=False``
+    returns no amplitudes, for a plan's last step.
     """
-    gather, operators = _step_operators(spec, num_qubits)
-    children: list[Branch] = []
-    for outcomes, joint, amps in frontier:
-        for outcome, op in operators:
-            key = outcomes + (outcome,)
-            if amps is None:
-                children.append((key, 0.0, None))
-                continue
-            branch = _apply(amps, gather, op)
-            p = _clamped(_norm_sq(branch))
-            if p == 0.0:
-                children.append((key, 0.0, None))
-            else:
-                children.append((key, joint * p, branch / np.sqrt(p) if keep_states else None))
-    return children
+    (forward, inverse), ops = _step_operators(spec, num_qubits)
+    gathered = amps.take(forward, axis=1).reshape(len(amps), 1, ops.shape[-1], -1)
+    products = np.matmul(ops, gathered).reshape(len(amps) * len(ops), -1).take(inverse, axis=1)
+    p = np.matmul(products.conj()[:, None, :], products[:, :, None])[:, 0, 0].real
+    children = np.repeat(joints, len(ops)) * p  # 0.0 wherever p == 0: joints are finite
+    if not keep_states:
+        return children, None
+    states = np.divide(products, np.sqrt(p)[:, None], out=np.zeros_like(products), where=(p > 0.0)[:, None])
+    return children, states
 
 
 def outcome_distribution(state: PureState, plan: Iterable[MeasurementSpec]) -> dict[tuple, float]:
     """Exact joint distribution of a sequence of measurements.
 
-    Walks every branch of the plan in order, multiplying Born probabilities.
-    The result maps each full outcome tuple (one entry per plan step, in plan
-    order) to its probability; impossible combinations appear with 0.0 so the
-    key set is the full cartesian product of step outcomes.
+    A fold of extend_frontier over the plan from the state's one row, which
+    multiplies Born probabilities branch by branch.  The result maps each
+    full outcome tuple (one entry per plan step, in plan order) to its
+    probability; impossible combinations appear with 0.0 so the key set is
+    the full cartesian product of step outcomes.
     """
     steps = tuple(plan)
-    frontier: list[Branch] = [((), 1.0, state.amplitudes)]
+    joints, amps = np.ones(1), state.amplitudes[None, :]
     for depth, spec in enumerate(steps):
-        frontier = extend_frontier(frontier, spec, state.num_qubits, keep_states=depth + 1 < len(steps))
-    return {outcomes: joint for outcomes, joint, _ in frontier}
+        joints, amps = extend_frontier(joints, amps, spec, state.num_qubits, keep_states=depth + 1 < len(steps))
+    return dict(zip(product(*map(step_outcomes, steps)), joints.tolist()))

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import starmap
-from typing import Iterator
+from itertools import product, starmap
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .entanglement import TwoQubitMetrics, metrics_for
-from .measure import BellSpec, PolarizationSpec, bell_projectors, extend_frontier
+from .measure import BellSpec, PolarizationSpec, bell_projectors, extend_frontier, step_outcomes
 from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, tensor
 from .records import (
     AnalyzerAngle,
@@ -49,6 +48,9 @@ from .records import (
     setting_pair,
 )
 from .rng import trial_draws
+
+if TYPE_CHECKING:
+    from .entanglement import TwoQubitMetrics
 
 _PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
@@ -140,20 +142,21 @@ def _measurement_plan(key: tuple, i0: int, i3: int):
 # Holds interior frontiers only: a scan point needs at most seven (the root,
 # two single-step and four two-step prefixes), and plan leaves never enter.
 @lru_cache(maxsize=8)
-def _frontiers(visibility: float, steps: tuple) -> tuple[tuple[float, list], ...]:
-    """(weight, frontier) of every preparation component after the plan prefix ``steps``.
+def _frontiers(visibility: float, steps: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, joints, amps) of the preparation mixture after the plan prefix ``steps``.
 
+    One frontier holds every component: component c's branches are the c-th
+    of len(weights) equal, consecutive row blocks of ``joints`` and ``amps``.
     Setting pairs and scan points that share a prefix share its branches:
     under bsm-first every plan starts with the same Bell step, so its
     branches are computed once per run.  Only interior prefixes are cached;
     the plan's last step is extended by the caller and not kept.
     """
     if not steps:
-        return tuple((w, [((), 1.0, c.amplitudes)]) for w, c in _preparation_components(visibility))
-    return tuple(
-        (w, extend_frontier(frontier, steps[-1], _PHOTONS))
-        for w, frontier in _frontiers(visibility, steps[:-1])
-    )
+        weights, components = zip(*_preparation_components(visibility))
+        return np.array(weights), np.ones(len(components)), np.array([c.amplitudes for c in components])
+    weights, joints, amps = _frontiers(visibility, steps[:-1])
+    return (weights, *extend_frontier(joints, amps, steps[-1], _PHOTONS))
 
 
 _SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -163,16 +166,18 @@ _SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 def _setting_joint(key: tuple, i0: int, i3: int) -> dict[tuple, float]:
     """Exact joint distribution of one setting pair, keyed by plan order of the config.
 
-    The preparation mixture of the components' walks, weight * p summed
-    component by component in plan outcome order.  Each setting pair is
-    built on its own, so a caller that needs one cell walks only its plan.
+    The preparation mixture of the components' walks: from zeros, weight *
+    p is added component by component, in component order, to each entry,
+    keyed in plan outcome order.  Each setting pair is built on its own, so
+    a caller that needs one cell walks only its plan.
     """
     plan = _measurement_plan(key, i0, i3)
-    merged: dict[tuple, float] = {}
-    for weight, frontier in _frontiers(key[4], plan[:-1]):
-        for outcomes, p, _ in extend_frontier(frontier, plan[-1], _PHOTONS, keep_states=False):
-            merged[outcomes] = merged.get(outcomes, 0.0) + weight * p
-    return merged
+    weights, joints, amps = _frontiers(key[4], plan[:-1])
+    leaves, _ = extend_frontier(joints, amps, plan[-1], _PHOTONS, keep_states=False)
+    merged = np.zeros(len(leaves) // len(weights))
+    for weight, row in zip(weights.tolist(), leaves.reshape(len(weights), -1)):
+        merged = merged + weight * row
+    return dict(zip(product(*map(step_outcomes, plan)), merged.tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -328,6 +333,8 @@ def stage_entanglement_report(config: ExperimentConfig) -> list[StageSnapshot]:
     bsm-first ordering, where the joint measurement really does act on the
     undisturbed state; one snapshot per outcome of the configured analyzer.
     """
+    from .entanglement import metrics_for  # only this report needs it
+
     rho_full = preparation_density(config)
     pre = partial_trace(rho_full, (0, 3))
     snapshots = [StageSnapshot("pre-bsm", pre, metrics_for(pre))]

@@ -15,8 +15,9 @@ are kept to check the package's one CHSH core against them bit for bit.
 The tensordot routes at the end are the package's former measurement
 kernels: a recursive, depth-first exact walk and the sampled collapses.
 The walk takes the analyzer operators from the package, because the
-package gathers amplitudes and calls np.dot on the very operands tensordot
-builds, and tests require bit-identical exact tables from both.  The
+package gathers amplitudes into the very operands tensordot builds and
+multiplies them by np.matmul, one np.dot-equal gemm per row, and tests
+require bit-identical exact tables from both.  The
 package samples only from exact tables, so these collapses are the only
 trial-by-trial sampling code: the measurement physics tests run on them.
 """
@@ -386,23 +387,32 @@ def pick(outcomes, cums, u: float):
     return next((o for o, edge in zip(outcomes, cums) if u < edge), outcomes[-1])
 
 
+def analyzer_branches_tensordot(amps: np.ndarray, n: int, spec):
+    """What a sampled collapse by ``spec`` knows before its draw: (outcomes, cumulative edges, states).
+
+    Outcomes are in sampling order, edges are the running sums of their
+    Born probabilities, and each state is its collapsed, normalized
+    amplitudes (None at probability 0).  All of it depends on ``amps``
+    alone, so a caller may keep it per outcome prefix of a fixed plan.
+    """
+    branches = [apply(amps) for _, apply in _branches(spec, n)]
+    probs = [_norm_sq(branch) for branch in branches]
+    states = [branch / np.sqrt(p) if p > 0.0 else None for branch, p in zip(branches, probs)]
+    return _outcomes(spec), np.cumsum([_clamp(p) for p in probs]), states
+
+
+def pick_branch(branches, u: float):
+    """(outcome, collapsed amplitudes) of the draw ``u`` on analyzer_branches_tensordot's result."""
+    outcomes, cums, states = branches
+    outcome = pick(outcomes, cums, u)
+    return outcome, states[outcomes.index(outcome)]
+
+
 def measure_qubit_tensordot(amps: np.ndarray, n: int, qubit: int, theta, u: float):
     """(outcome, collapsed amplitudes) of one analyzer given its uniform draw ``u``."""
-    p_plus_op, p_minus_op = polarization_observable(theta)
-    branch_plus = apply_single_tensordot(amps, n, qubit, p_plus_op)
-    if u < min(max(_norm_sq(branch_plus), 0.0), 1.0):
-        outcome, branch = +1, branch_plus
-    else:
-        outcome, branch = -1, apply_single_tensordot(amps, n, qubit, p_minus_op)
-    return outcome, branch / np.sqrt(_norm_sq(branch))
+    return pick_branch(analyzer_branches_tensordot(amps, n, PolarizationSpec(qubit, theta)), u)
 
 
 def bell_measurement_tensordot(amps: np.ndarray, n: int, qubits, mode, u: float):
     """(outcome, collapsed amplitudes) of a Bell analyzer given its uniform draw ``u``."""
-    i, j = qubits
-    projectors = bell_projectors(mode)
-    order = bsm_outcomes(mode)
-    branches = [apply_pair_tensordot(amps, n, i, j, projectors[o]) for o in order]
-    outcome = pick(order, np.cumsum([_clamp(_norm_sq(b)) for b in branches]), u)
-    branch = branches[order.index(outcome)]
-    return outcome, branch / np.sqrt(_norm_sq(branch))
+    return pick_branch(analyzer_branches_tensordot(amps, n, BellSpec(qubits, mode)), u)

@@ -682,7 +682,9 @@ _NUMERIC = ("numpy", "swapsim.protocol", "swapsim.measure", "swapsim.qstate", "s
             "swapsim.classical")
 _QUANTUM = ("swapsim.classical",)
 # np.unique imports numpy.ma lazily; sampling finds its branches without it
-_SAMPLING = _QUANTUM + ("numpy.ma",)
+_SAMPLING = _QUANTUM + ("numpy.ma", "logging")
+# only the summary report's stage entanglement needs the witnesses
+_NO_STAGES = _SAMPLING + ("swapsim.entanglement",)
 # the classical engine reaches the Philox kernel in swapsim.rng, not through the quantum stack
 _CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging")
 
@@ -703,9 +705,9 @@ class TestImportGraph:
         ("analyze --in runs.jsonl --select psi-minus", _NUMERIC),
         ("analyze --in kept.jsonl", _NUMERIC),
         ("--version", _NUMERIC),
-        ("simulate --trials 50 --out sim.jsonl", _SAMPLING),
+        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES),
         ("report --trials 2000", _SAMPLING),
-        ("report --exact --scan --scan-step 45", _SAMPLING),
+        ("report --exact --scan --scan-step 45", _NO_STAGES),
         ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL),
         ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _CLASSICAL),
         ("classical blind-check --trials 200 --models 2", _CLASSICAL),
@@ -714,6 +716,9 @@ class TestImportGraph:
         modules = set(_probe(workdir, argv.split(), _probe_env())["modules"])
         assert "swapsim.cli" in modules
         assert sorted(name for name in forbidden if name in modules) == []
+
+    def test_summary_report_loads_the_witnesses(self, workdir):
+        assert "swapsim.entanglement" in _probe(workdir, ["report", "--trials", "200"], _probe_env())["modules"]
 
 
 class TestBlasThreads:
@@ -739,6 +744,17 @@ class TestBlasThreads:
         for threads in ("1", "2"):
             proc = subprocess.run(argv, cwd=tmp_path, env=_probe_env(OPENBLAS_NUM_THREADS=threads),
                                   capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        assert stdout[0] == stdout[1]
+
+    @pytest.mark.parametrize("argv", ["report --exact", "report --exact --scan --visibility 0.9"])
+    def test_exact_report_bytes_do_not_depend_on_the_thread_count(self, tmp_path, argv):
+        # each branch's products and norm are one BLAS call of its own, at any batch size
+        stdout = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "swapsim.cli", *argv.split()], cwd=tmp_path,
+                                  env=_probe_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             stdout.append(proc.stdout)
         assert stdout[0] == stdout[1]

@@ -14,6 +14,7 @@ from swapsim.measure import (
     RandomSource,
     bell_projectors,
     bsm_outcomes,
+    extend_frontier,
     outcome_distribution,
     polarization_observable,
 )
@@ -388,12 +389,29 @@ class TestOutcomeDistribution:
         ]
         exact = outcome_distribution(state, plan)
         n = 100_000
-        counts = {key: 0 for key in exact}
-        for u_bsm, u0, u3 in _draws(555, n, 3).tolist():
+        draws = _draws(555, n, 3).tolist()
+        # a trial's state before each step depends only on its outcomes so
+        # far, so each prefix's branches are computed once
+        branches = {}
+        outcomes = []
+        for u in draws:
+            prefix, amps = (), state.amplitudes
+            for spec, u_step in zip(plan, u):
+                if prefix not in branches:
+                    branches[prefix] = oracles.analyzer_branches_tensordot(amps, 4, spec)
+                outcome, amps = oracles.pick_branch(branches[prefix], u_step)
+                prefix += (outcome,)
+            outcomes.append(prefix)
+        uncached = []
+        for u_bsm, u0, u3 in draws[:2000]:
             bsm, after_bsm = oracles.bell_measurement_tensordot(state.amplitudes, 4, (1, 2), BsmMode.PARTIAL, u_bsm)
             o0, after_pol0 = oracles.measure_qubit_tensordot(after_bsm, 4, 0, 30.0, u0)
             o3, _ = oracles.measure_qubit_tensordot(after_pol0, 4, 3, 75.0, u3)
-            counts[(bsm, o0, o3)] += 1
+            uncached.append((bsm, o0, o3))
+        assert outcomes[:2000] == uncached
+        counts = {key: 0 for key in exact}
+        for key in outcomes:
+            counts[key] += 1
         for key, p in exact.items():
             sigma = np.sqrt(p * (1.0 - p) / n)
             assert abs(counts[key] / n - p) <= 5.0 * sigma + 1e-12
@@ -444,6 +462,36 @@ class TestTensordotReference:
                 assert _hex_items(got) == _hex_items(want)
                 zeros += sum(p == 0.0 for p in got.values())
         assert zeros > 0
+
+
+class TestBatchedStep:
+    """A row of a stacked frontier extends to the bits it gets extended alone."""
+
+    @staticmethod
+    def _bits(joints: np.ndarray, amps) -> tuple:
+        return [x.hex() for x in joints.tolist()], None if amps is None else amps.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    @pytest.mark.parametrize("n", [2, 4, 7, 12])
+    def test_each_row_extends_as_if_alone(self, n, rows):
+        rng = np.random.default_rng(1000 * n + rows)
+        amps = np.array([oracles.random_state(rng, n) for _ in range(rows)])
+        joints = rng.uniform(0.01, 1.0, size=rows)
+        zero = np.arange(rows) % 3 == 1  # every third row from the second has no state
+        amps[zero], joints[zero] = 0.0, 0.0
+        i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
+        specs = [PolarizationSpec(i, AnalyzerAngle(float(rng.uniform(0, 180)))),
+                 BellSpec((i, j), BsmMode.FULL), BellSpec((j, i), BsmMode.PARTIAL)]
+        for spec, keep in itertools.product(specs, (True, False)):
+            got_joints, got_amps = extend_frontier(joints, amps, spec, n, keep_states=keep)
+            k = len(got_joints) // rows
+            for row in range(rows):
+                alone = extend_frontier(joints[row:row + 1], amps[row:row + 1], spec, n, keep_states=keep)
+                block = slice(k * row, k * (row + 1))
+                got = (got_joints[block], None if got_amps is None else got_amps[block])
+                assert self._bits(*got) == self._bits(*alone), (spec, row)
+                if zero[row]:
+                    assert not got_joints[block].any() and (got_amps is None or not got_amps[block].any())
 
 
 def tensor_h_first() -> PureState:
