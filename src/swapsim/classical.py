@@ -39,12 +39,6 @@ _KEEP_STREAM_OFFSET = 1 << 48
 # then the two hidden variables, scaled onto [0, pi)
 _DRAWS_PER_TRIAL = 4
 
-# Blind-check draws half chunks: its harmonic basis (18 float64 rows) then
-# takes 590 KB, and its peak memory stays below that of the per-model
-# closures, which ran on full chunks.  Draws do not depend on the chunking.
-_BLIND_CHECK_ROWS = CHUNK // 2
-
-
 @dataclass(frozen=True)
 class ClassicalConfig:
     """Batch description for hidden-variable runs: settings, size, seed."""
@@ -557,7 +551,7 @@ def settings_blind_check(
 
     # counts[m][k]: rows of model m's records of kind k
     counts = [np.zeros(16 * len(m.marker_labels), dtype=np.int64) for m in models]
-    chunks = trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL, _BLIND_CHECK_ROWS)
+    chunks = trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL)
     for chunk in starmap(chunk_counts, chunks):
         for total, count in zip(counts, chunk):
             total += count

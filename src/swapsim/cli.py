@@ -43,10 +43,6 @@ class RecordFormatError(ValueError):
         self.line_number = line_number
 
 
-class UsageError(ValueError):
-    """Bad flag combination or environment discovered after parsing."""
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
@@ -177,12 +173,15 @@ def _atomic_open(path: str):
 
     The temporary file sits beside ``path`` (same file system, so the rename
     is atomic); on any exception it is removed and ``path`` is left as it was.
+    Its mode is open(path, "w")'s, 0o666 less the umask, not mkstemp's 0o600.
     """
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.umask(umask := os.umask(0))  # reads the umask, which only setting it returns
+        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
         os.replace(tmp_path, path)
@@ -207,8 +206,8 @@ def _tails(records) -> list[str]:
     return tails
 
 
-def _write_records(path: str, chunks) -> int:
-    """Write RecordChunks as JSONL, atomically; returns the record count.
+def _write_records(handle, chunks) -> int:
+    """Write RecordChunks as JSONL to ``handle``; returns the record count.
 
     Row r is the line '{"trial_id":<trial_ids[r]>' + the tail of
     templates[kinds[r]].  Tails are cut by _tails once per templates list,
@@ -217,13 +216,12 @@ def _write_records(path: str, chunks) -> int:
     """
     count = 0
     templates = tails = None
-    with _atomic_open(path) as handle:
-        for chunk in chunks:
-            if chunk.templates is not templates:
-                templates, tails = chunk.templates, _tails(chunk.templates)
-            handle.writelines([f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"
-                               for trial_id, kind in zip(chunk.trial_ids, chunk.kinds)])
-            count += len(chunk.trial_ids)
+    for chunk in chunks:
+        if chunk.templates is not templates:
+            templates, tails = chunk.templates, _tails(chunk.templates)
+        handle.writelines([f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"
+                           for trial_id, kind in zip(chunk.trial_ids, chunk.kinds)])
+        count += len(chunk.trial_ids)
     return count
 
 
@@ -240,22 +238,25 @@ def _render_report_doc(doc: dict) -> str:
 
 
 def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) -> int:
-    """Write the records, then the manifest beside them, then name both on stdout."""
-    count = _write_records(out, chunks)
-    manifest = {
-        "artifact": "swapsim",
-        "version": __version__,
-        "command": command,
-        "config": config_doc,
-        "seed": seed,
-        "trial_start": 0,
-        "trial_end": count,
-        "record_count": count,
-        "outputs": {"records": out},
-    }
+    """Write the records and the manifest beside them, then name both on stdout.
+
+    Neither target is replaced before both temporary files are complete.
+    """
     manifest_path = out + ".manifest.json"
-    with _atomic_open(manifest_path) as handle:
-        handle.write(_render_report_doc(manifest))
+    with _atomic_open(out) as handle, _atomic_open(manifest_path) as manifest_handle:
+        count = _write_records(handle, chunks)
+        manifest = {
+            "artifact": "swapsim",
+            "version": __version__,
+            "command": command,
+            "config": config_doc,
+            "seed": seed,
+            "trial_start": 0,
+            "trial_end": count,
+            "record_count": count,
+            "outputs": {"records": out},
+        }
+        manifest_handle.write(_render_report_doc(manifest))
     sys.stdout.write(f"wrote {count} records to {out}\n")
     sys.stdout.write(f"manifest: {manifest_path}\n")
     return 0
@@ -270,7 +271,7 @@ def _resolve_seed(flag_value) -> int:
     try:
         return int(env)
     except ValueError:
-        raise UsageError(f"SWAPSIM_SEED must be an integer, got {env!r}") from None
+        raise ValueError(f"SWAPSIM_SEED must be an integer, got {env!r}") from None
 
 
 def _angles_flag(text: str):
@@ -330,7 +331,7 @@ def cmd_simulate(args) -> int:
 
     config = _experiment_config(args, args.angles, args.trials)
     if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     return _write_batch(args.out, run_chunks(config), "simulate", _experiment_config_doc(config), config.seed)
 
 
@@ -349,7 +350,7 @@ def cmd_analyze(args) -> int:
 
 def _scan_grid(step: float) -> list[float]:
     if not 0.0 < step < float("inf"):  # false for NaN too
-        raise UsageError(f"--scan-step must be a finite positive number, got {step}")
+        raise ValueError(f"--scan-step must be a finite positive number, got {step}")
     deltas = []
     delta = 0.0
     while delta <= 90.0 + 1e-9:
@@ -486,7 +487,8 @@ def _cmd_classical_discard(args) -> int:
             total += len(chunk.trial_ids)
             yield chunk
 
-    kept = _write_records(args.out, discard_chunks(counted(read_record_chunks(args.input)), rule, seed))
+    with _atomic_open(args.out) as handle:
+        kept = _write_records(handle, discard_chunks(counted(read_record_chunks(args.input)), rule, seed))
     doc = {
         "rule": rule.description,
         "kind": rule.kind,
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(simulate, default_trials=1000)
     simulate.add_argument("--out", required=True, help="records path (manifest written alongside)")
     simulate.add_argument("--threads", type=int, default=None,
-                          help="accepted for compatibility (must be >= 1); changes neither bytes nor speed")
+                          help="deprecated: accepted (must be >= 1), changes neither bytes nor speed")
     simulate.set_defaults(handler=cmd_simulate)
 
     analyze = commands.add_parser("analyze", help="CHSH report over a JSONL record file")
@@ -621,13 +623,10 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"swapsim: insufficient data: {exc}", file=sys.stderr)
         return 4
-    except UsageError as exc:
-        print(f"swapsim: error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"swapsim: i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # bad config values assembled from flags
+    except ValueError as exc:  # bad flags, environment or config values found after parsing
         print(f"swapsim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -162,7 +162,6 @@ def _frontiers(visibility: float, steps: tuple) -> tuple[np.ndarray, np.ndarray,
 _SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@lru_cache(maxsize=64)
 def _setting_joint(key: tuple, i0: int, i3: int) -> dict[tuple, float]:
     """Exact joint distribution of one setting pair, keyed by plan order of the config.
 
@@ -194,9 +193,7 @@ def _sampling_tables(key: tuple) -> tuple[np.ndarray, ...]:
     probabilities 1/4 or 1/2, before and after one other step, so each
     mass is at least 1/8.
     """
-    _, _, ordering, bsm_mode, _ = key
-    sizes = {"bsm": len(bsm_outcomes(bsm_mode)), "pol0": 2, "pol3": 2}
-    shape = tuple(sizes[event] for event in _EVENTS[ordering])
+    shape = tuple(len(step_outcomes(spec)) for spec in _measurement_plan(key, 0, 0))
     joint = np.array([list(_setting_joint(key, *pair).values()) for pair in _SETTING_PAIRS]).reshape(4, *shape)
     masses = [np.ones(4)] + [np.cumsum(joint.reshape(4, *shape[:d], -1), axis=-1)[..., -1]
                              for d in range(1, len(shape) + 1)]

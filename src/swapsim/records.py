@@ -15,10 +15,10 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence, Union
 
-# Trials per chunk: every batch path draws, samples and renders this many
-# trials at a time, and the reader parses this many records at a time, so
-# memory stays flat and per-trial Python work is small.
-CHUNK = 8192
+# Trials per chunk: every batch path, blind-check included, draws, samples
+# and renders this many trials at a time, and the reader parses this many
+# records at a time, so memory stays flat and per-trial Python work is small.
+CHUNK = 4096
 
 
 class BellKind(Enum):
@@ -136,17 +136,28 @@ def _wire_doc(record, ordering: str, label: str, events: list) -> dict:
     }
 
 
+def _wire_int(doc: dict, name: str) -> int:
+    """doc[name] as an int; ValueError for a string, a bool or a number with a fractional part."""
+    value = doc[name]
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _wire_outcomes_and_id(doc: dict) -> tuple[int, int, int]:
     """outcome0, outcome3 (checked to be +-1) and trial_id of a wire document, parsed in that order."""
-    outcome0, outcome3 = int(doc["outcome0"]), int(doc["outcome3"])
+    outcome0, outcome3 = _wire_int(doc, "outcome0"), _wire_int(doc, "outcome3")
     if outcome0 not in (-1, +1) or outcome3 not in (-1, +1):
         raise ValueError(f"outcomes must be +-1, got {outcome0}, {outcome3}")
-    return outcome0, outcome3, int(doc["trial_id"])
+    return outcome0, outcome3, _wire_int(doc, "trial_id")
 
 
 def _wire_settings(doc: dict) -> tuple[int, float, int, float]:
-    return (int(doc["setting0_index"]), float(doc["setting0_deg"]),
-            int(doc["setting3_index"]), float(doc["setting3_deg"]))
+    """setting0_index, setting0_deg, setting3_index, setting3_deg; each index is checked to be 0 or 1."""
+    index0, index3 = _wire_int(doc, "setting0_index"), _wire_int(doc, "setting3_index")
+    if index0 not in (0, 1) or index3 not in (0, 1):
+        raise ValueError(f"setting indices must be 0 or 1, got {index0}, {index3}")
+    return index0, float(doc["setting0_deg"]), index3, float(doc["setting3_deg"])
 
 
 @dataclass(frozen=True, slots=True)

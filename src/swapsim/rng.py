@@ -108,18 +108,16 @@ class RandomSource:
         return draws if np.ndim(self.stream) else draws[0]
 
 
-def trial_draws(
-    seed: int, start: int, stop: int, count: int, rows: int = CHUNK
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """(trial_ids, setting0, setting3, draws) for trials start..stop-1, ``rows`` trials at a time.
+def trial_draws(seed: int, start: int, stop: int, count: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(trial_ids, setting0, setting3, draws) for trials start..stop-1, CHUNK trials at a time.
 
     Trial t reads ``count`` uniforms from the stream (seed, t); row r of
     ``draws`` holds those of trial_ids[r].  The first two pick its settings:
     u < 0.5 picks index 0.  Streams are counter-based, so every chunking,
     one trial included, gives each trial the same draws.
     """
-    for first in range(start, stop, rows):
-        trial_ids = np.arange(first, min(first + rows, stop), dtype=np.int64)
+    for first in range(start, stop, CHUNK):
+        trial_ids = np.arange(first, min(first + CHUNK, stop), dtype=np.int64)
         draws = RandomSource(seed, trial_ids).uniforms(count)
         yield trial_ids, (draws[:, 0] >= 0.5).astype(np.int64), (draws[:, 1] >= 0.5).astype(np.int64), draws
         del trial_ids, draws  # freed before the next chunk is drawn

@@ -24,6 +24,7 @@ trial-by-trial sampling code: the measurement physics tests run on them.
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -305,12 +306,17 @@ def _outcomes(spec) -> tuple:
     return (+1, -1) if isinstance(spec, PolarizationSpec) else bsm_outcomes(spec.mode)
 
 
-def outcome_distribution_recursive(amps: np.ndarray, n: int, plan) -> dict:
-    """Exact joint distribution by a depth-first walk that recomputes every branch.
+def outcome_distribution_recursive(amps: np.ndarray, n: int, plan, memo=None) -> dict:
+    """Exact joint distribution by a depth-first walk of every branch.
 
-    A zero-probability branch fills its whole subtree with 0.0.
+    A zero-probability branch fills its whole subtree with 0.0.  ``memo``,
+    if given, keeps each interior step's collapsed branches by (amplitudes,
+    plan prefix, outcome prefix), so walks that share a plan prefix collapse
+    it once: the same tensordot calls on the same states, so the same bits.
     """
     steps = tuple(plan)
+    root = amps.tobytes()
+    memo = {} if memo is None else memo
     table = {}
 
     def fill_zeros(prefix: tuple, depth: int) -> None:
@@ -320,31 +326,49 @@ def outcome_distribution_recursive(amps: np.ndarray, n: int, plan) -> dict:
         for outcome in _outcomes(steps[depth]):
             fill_zeros(prefix + (outcome,), depth + 1)
 
+    def collapse(state: np.ndarray, depth: int) -> list:
+        """(outcome, p, normalized branch or None) of step ``depth`` on ``state``."""
+        branches = []
+        for outcome, apply in _branches(steps[depth], n):
+            branch = apply(state)
+            p = _clamp(_norm_sq(branch))
+            branches.append((outcome, p, branch / np.sqrt(p) if p else None))
+        return branches
+
     def walk(state: np.ndarray, prefix: tuple, joint: float) -> None:
         depth = len(prefix)
         if depth == len(steps):
             table[prefix] = joint
             return
-        for outcome, apply in _branches(steps[depth], n):
-            branch = apply(state)
-            p = _clamp(_norm_sq(branch))
+        if depth + 1 < len(steps):  # the last step's branches are not shared, so not kept
+            key = (root, steps[:depth + 1], prefix)
+            if key not in memo:
+                memo[key] = collapse(state, depth)
+            branches = memo[key]
+        else:
+            branches = collapse(state, depth)
+        for outcome, p, branch in branches:
             if p == 0.0:
                 fill_zeros(prefix + (outcome,), depth + 1)
             else:
-                walk(branch / np.sqrt(p), prefix + (outcome,), joint * p)
+                walk(branch, prefix + (outcome,), joint * p)
 
     walk(amps, (), 1.0)
     return table
+
+
+_components = lru_cache(maxsize=None)(_preparation_components)  # the grid's keys share six visibilities
 
 
 def setting_joints_reference(key: tuple, memo: dict) -> dict:
     """Per-setting joints of a protocol table key: the component mixture summed in order.
 
     Each component's walk is a pure function of its amplitudes and the plan,
-    so ``memo`` keeps it across keys: the components at every V < 1 are the
-    same 16 Bell products, only their weights differ.
+    so ``memo`` keeps it across keys, and the walks keep their interior
+    branches in it too: the components at every V < 1 are the same 16 Bell
+    products, only their weights differ, and plans share their prefixes.
     """
-    components = _preparation_components(key[4])
+    components = _components(key[4])
     joints = {}
     for i0 in (0, 1):
         for i3 in (0, 1):
@@ -353,7 +377,7 @@ def setting_joints_reference(key: tuple, memo: dict) -> dict:
             for weight, component in components:
                 walk_key = (component.amplitudes.tobytes(), plan)
                 if walk_key not in memo:
-                    memo[walk_key] = outcome_distribution_recursive(component.amplitudes, 4, plan)
+                    memo[walk_key] = outcome_distribution_recursive(component.amplitudes, 4, plan, memo)
                 for outcomes, p in memo[walk_key].items():
                     merged[outcomes] = merged.get(outcomes, 0.0) + weight * p
             joints[(i0, i3)] = merged

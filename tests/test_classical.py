@@ -27,6 +27,7 @@ from swapsim.classical import (
     uniform_model,
 )
 from swapsim.measure import RandomSource
+from swapsim.records import CHUNK
 from swapsim.rng import trial_draws
 
 CANONICAL = dict(angles0=(0.0, 45.0), angles3=(22.5, 67.5))
@@ -194,19 +195,35 @@ class TestChunkLifetime:
 
     @pytest.mark.parametrize("model", [sign_model(), random_fourier_model(0)], ids=["sign", "fourier"])
     def test_lhv_chunks_hold_one_chunk_at_a_time(self, model):
-        # One 8192-row chunk's draws, Philox words and records peak at about
-        # 1600 KB; keeping the previous chunk's arrays alive while the next
-        # is drawn took the peak to about 2300 KB, and a Fourier model's
-        # full-chunk harmonic basis to about 2750 KB.
+        # One 4096-row chunk's draws, Philox words and records peak at about
+        # 800 KB, well under this pin, which was set for 8192-row chunks:
+        # there, keeping the previous chunk's arrays alive while the next was
+        # drawn took the peak from about 1600 to 2300 KB, and a Fourier
+        # model's harmonic basis to about 2750 KB.  The next test checks the
+        # same at any chunk size.
         def run():
             for _ in lhv_chunks(model, config(trials=20_000)):
                 pass
 
         assert _traced_peak_kb(run) < 2000
 
+    @pytest.mark.parametrize("model", [sign_model(), random_fourier_model(0)], ids=["sign", "fourier"])
+    def test_many_chunks_peak_about_as_high_as_one(self, model):
+        # Over several chunks the peak is about 1.3 times one chunk's, since
+        # the loop variable keeps the last chunk's records; keeping that
+        # chunk's arrays alive too takes it to about 1.7.
+        def peak(trials):
+            def run():
+                for _ in lhv_chunks(model, config(trials=trials)):
+                    pass
+
+            return _traced_peak_kb(run)
+
+        assert peak(3 * CHUNK + 7) < 1.5 * peak(CHUNK)
+
     def test_blind_check_basis_does_not_raise_the_peak(self):
-        # 20 Fourier models from half-chunk bases peak at about 1200 KB; the
-        # per-model closures over full chunks peaked at about 2060 KB.
+        # 20 Fourier models from 4096-row bases peak at about 1200 KB; the
+        # per-model closures over 8192-row chunks peaked at about 2060 KB.
         models = [random_fourier_model(model_seed) for model_seed in range(20)]
         peak = _traced_peak_kb(lambda: settings_blind_check(models, config(trials=20_000)))
         assert peak < 1600
@@ -231,7 +248,7 @@ class TestFourierFastPath:
     @staticmethod
     def _chunks(cfg):
         rad0, rad3 = classical._radians(cfg)
-        for _, i0, i3, draws in trial_draws(cfg.seed, 0, cfg.trials, 4, classical._BLIND_CHECK_ROWS):
+        for _, i0, i3, draws in trial_draws(cfg.seed, 0, cfg.trials, 4):
             yield rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi
 
     def _assert_closure_decisions(self, models, cfg):

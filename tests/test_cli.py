@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -501,6 +502,12 @@ def _bad_outcome(line: str) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _with_field(line: str, name: str, value) -> str:
+    doc = json.loads(line)
+    doc[name] = value
+    return json.dumps(doc, separators=(",", ":"))
+
+
 # Rewrites of one record line that keep it a valid record.
 BENIGN = {
     "spaces": lambda line, rng: json.dumps(json.loads(line)),
@@ -528,6 +535,12 @@ BROKEN = {
     "duplicate-id-null": lambda line, rng: line[:-1] + ',"trial_id":null}',
     "garbled": lambda line, rng: line[: len(line) // 2],
     "outcome-3": lambda line, rng: _bad_outcome(line),
+    "outcome-fraction": lambda line, rng: _with_field(line, "outcome0", 1.5),
+    "outcome-bool": lambda line, rng: _with_field(line, "outcome3", True),
+    "setting-index-fraction": lambda line, rng: _with_field(line, "setting0_index", 0.7),
+    "setting-index-string": lambda line, rng: _with_field(line, "setting3_index", "1"),
+    "setting-index-2": lambda line, rng: _with_field(line, "setting0_index", 2),
+    "id-fraction": lambda line, rng: _with_field(line, "trial_id", 3.9),
 }
 
 
@@ -646,6 +659,66 @@ class TestRecordReader:
         capsys.readouterr()
         assert main(["analyze", "--in", str(bad)]) == 3
         assert "line 8:" in capsys.readouterr().err
+
+
+# Garbled values of one field of a record, given its document.  But for the
+# index 2, int() would coerce each back to the document's own value, so a
+# reader that coerced would accept the line.
+GARBLED = {
+    "setting-index-2": lambda doc: ("setting0_index", 2),
+    "setting-index-fraction": lambda doc: ("setting0_index", doc["setting0_index"] + 0.25),
+    "setting-index-string": lambda doc: ("setting3_index", str(doc["setting3_index"])),
+    "outcome-fraction": lambda doc: ("outcome0", doc["outcome0"] * 1.5),
+    "id-fraction": lambda doc: ("trial_id", doc["trial_id"] + 0.9),
+}
+
+
+class TestGarbledFields:
+    """A garbled field fails where its line is parsed, in every command that reads records."""
+
+    @pytest.mark.parametrize("name", sorted(GARBLED))
+    @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
+    def test_exits_3_naming_the_line(self, name, command, tmp_path, capsys):
+        lines = simulate(tmp_path, trials=5).read_text().splitlines()
+        lines[1] = _with_field(lines[1], *GARBLED[name](json.loads(lines[1])))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        kept = tmp_path / "kept.jsonl"
+        if command == "analyze":
+            argv = ["analyze", "--in", str(bad)]
+        else:
+            argv = ["classical", "discard", "--rule", command, "--in", str(bad), "--out", str(kept)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "line 2:" in capsys.readouterr().err
+        assert not kept.exists()
+
+
+class TestAtomicWrites:
+    def test_failed_manifest_leaves_the_records_as_they_were(self, tmp_path, capsys):
+        records = simulate(tmp_path, "runs.jsonl", trials=50)
+        before = records.read_bytes()
+        manifest = tmp_path / "runs.jsonl.manifest.json"
+        manifest.unlink()
+        manifest.mkdir()
+        capsys.readouterr()
+        assert main(["simulate", "--trials", "60", "--seed", "7", "--out", str(records)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert records.read_bytes() == before
+        assert manifest.is_dir() and list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["022", "077", "002"])
+    def test_new_files_get_the_mode_open_would_give(self, umask, mode, tmp_path):
+        report = tmp_path / "report.json"
+        previous = os.umask(umask)
+        try:
+            records = simulate(tmp_path, "runs.jsonl", trials=20)
+            assert main(["analyze", "--in", str(records), "--out", str(report)]) == 0
+        finally:
+            os.umask(previous)
+        for path in (records, tmp_path / "runs.jsonl.manifest.json", report):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
 # Runs one command in a fresh interpreter as the console script does, then

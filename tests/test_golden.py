@@ -9,8 +9,8 @@ the DISCARD_MORE digests were produced before the sampling tables became
 flat arrays and the two discard loops became one.  So they pin the byte
 contract
 across engine changes: identical flags and seed must keep giving identical
-bytes.  N = 10 000 spans the 8192-trial chunk boundary and is not a
-multiple of it.
+bytes.  N = 10 000 spans two 4096-trial chunk boundaries and is not a
+multiple of the chunk.
 
 Commands run in a temporary working directory with relative paths, so the
 command's standard output does not depend on where the test runs.

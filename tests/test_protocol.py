@@ -223,13 +223,14 @@ class TestOutcomeNaming:
     @staticmethod
     def _reference(cfg: ExperimentConfig) -> list:
         key = cfg._table_key()
+        joints = {pair: _setting_joint(key, *pair) for pair in _SETTING_PAIRS}
         draws = RandomSource(cfg.seed, np.arange(cfg.trials)).uniforms(5)
         records = []
         for trial_id, u in enumerate(draws.tolist()):
             i0, i3 = int(u[0] >= 0.5), int(u[1] >= 0.5)
             plan = _measurement_plan(key, i0, i3)
             steps = [bsm_outcomes(spec.mode) if isinstance(spec, BellSpec) else (+1, -1) for spec in plan]
-            levels = oracles.sampling_tables_reference(_setting_joint(key, i0, i3), steps)
+            levels = oracles.sampling_tables_reference(joints[i0, i3], steps)
             prefix, named, events = (), {}, []
             for depth, spec in enumerate(plan):
                 outcome = oracles.pick(steps[depth], levels[depth][prefix], u[2 + depth])
@@ -280,7 +281,6 @@ class TestSettingJointsBitExact:
             assert _bits(joints) == _bits(oracles.setting_joints_reference(key, memo)), key
 
     def test_frontier_cache_stays_bounded_over_a_fine_scan(self, capsys):
-        _setting_joint.cache_clear()
         _frontiers.cache_clear()
         assert main(["report", "--exact", "--scan", "--scan-step", "1.8", "--visibility", "0.9"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 51
@@ -305,7 +305,6 @@ class TestOneCellScan:
         for delta in self.DELTAS:
             cfg = _scan_config(delta, args, trials=1)
             cell = exact_cell_distribution(cfg, 0, 0)
-            _setting_joint.cache_clear()  # the whole table walks cell (0,0) again, among the four
             whole = exact_joint_distribution(cfg)
             assert list(cell.items()) == [(key, p) for key, p in whole.items() if key[:2] == (0, 0)]
             for label in (BsmOutcome.PSI_MINUS, None):
@@ -318,11 +317,9 @@ class TestExactCellIndices:
 
     @pytest.mark.parametrize("i0, i3", [(-1, 0), (2, 0), (0, -1), (0, 2)])
     def test_rejects_out_of_range_setting_index(self, i0, i3):
-        _setting_joint.cache_clear()
         _frontiers.cache_clear()
         with pytest.raises(ValueError, match="setting indices"):
             exact_cell_distribution(config(), i0, i3)
-        assert _setting_joint.cache_info().currsize == 0
         assert _frontiers.cache_info().currsize == 0
 
 
