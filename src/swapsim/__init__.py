@@ -21,7 +21,6 @@ _EXPORTS = {
     "analysis": (
         "ChshReport",
         "CorrelationEstimate",
-        "InsufficientDataError",
         "SelectionFilter",
         "UndefinedPredictionError",
         "chsh",
@@ -31,17 +30,14 @@ _EXPORTS = {
     "classical": (
         "BlindCheckReport",
         "ClassicalConfig",
-        "DiscardRule",
         "HiddenVariableModel",
-        "apply_discard",
-        "pr_box_rule",
-        "quantum_mimic_rule",
         "random_fourier_model",
         "run_lhv",
         "settings_blind_check",
         "sign_model",
         "uniform_model",
     ),
+    "discard": ("DiscardRule", "apply_discard", "pr_box_rule", "quantum_mimic_rule"),
     "entanglement": ("TwoQubitMetrics", "concurrence", "metrics_for", "negativity"),
     "measure": ("outcome_distribution", "polarization_observable"),
     "protocol": (
@@ -67,6 +63,7 @@ _EXPORTS = {
         "BsmMode",
         "BsmOutcome",
         "ClassicalRecord",
+        "InsufficientDataError",
         "Ordering",
         "TrialRecord",
     ),

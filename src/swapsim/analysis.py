@@ -12,15 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .records import AnalyzerAngle, BsmOutcome, as_angle
+from .records import AnalyzerAngle, BsmOutcome, InsufficientDataError, as_angle
 
 # Cell roles in S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); the minus sign
 # sits on the (a, b') cell.  Fixed convention; reports carry |S| alongside.
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-class InsufficientDataError(ValueError):
-    """A requested estimate has an empty setting cell after filtering."""
 
 
 class UndefinedPredictionError(ValueError):

@@ -18,18 +18,17 @@ import os
 import re
 import sys
 from collections import Counter
-from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import (InsufficientDataError, SelectionFilter, chsh_exact, chsh_weighted, correlation_exact,
-                       correlation_weighted)
-from .records import (CHUNK, BsmMode, BsmOutcome, ClassicalRecord, Ordering, RecordChunk, TrialRecord,
-                      bsm_outcomes)
+from .records import (CHUNK, BsmMode, BsmOutcome, ClassicalRecord, InsufficientDataError, Ordering, RecordChunk,
+                      TrialRecord, bsm_outcomes)
 
-# Each command imports numpy, protocol and classical where it uses them, so
-# analyze and --version start on the standard library alone and the quantum
-# and classical commands never load each other's engine.
+# Each command imports numpy, protocol, classical, discard and analysis where
+# it uses them, so analyze and --version start on the standard library alone,
+# the quantum and classical commands never load each other's engine, discard
+# loads the rules without the hidden-variable engine, and only the commands
+# that tally load analysis.
 if TYPE_CHECKING:
     from .classical import ClassicalConfig
     from .protocol import ExperimentConfig
@@ -191,6 +190,46 @@ def _atomic_open(path: str):
         raise
 
 
+@contextlib.contextmanager
+def _restored_on_error(path: str):
+    """Yield a function that moves the file at ``path`` aside, to be called just before ``path`` is replaced.
+
+    If the block raises after the call, the old file goes back to ``path``,
+    or the new file there is removed when there was none; if it succeeds,
+    the old file is deleted.  A directory at ``path`` stays where it is, so
+    its replace fails.  The old file waits beside ``path`` under a temporary
+    name, as _atomic_open's temporary files do.
+    """
+    import tempfile
+
+    called = False
+    aside = None
+
+    def set_aside() -> None:
+        nonlocal called, aside
+        called = True
+        if os.path.isfile(path):
+            fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            os.close(fd)
+            try:
+                os.replace(path, tmp_path)
+            except BaseException:
+                os.unlink(tmp_path)
+                raise
+            aside = tmp_path
+
+    try:
+        yield set_aside
+    except BaseException:
+        if aside is not None:
+            os.replace(aside, path)
+        elif called and os.path.isfile(path):
+            os.unlink(path)
+        raise
+    if aside is not None:
+        os.unlink(aside)
+
+
 _TRIAL_ID_KEY = '{"trial_id":'
 
 
@@ -241,9 +280,13 @@ def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) ->
     """Write the records and the manifest beside them, then name both on stdout.
 
     Neither target is replaced before both temporary files are complete.
+    The manifest is replaced first and the records last; if the records'
+    replace fails, the manifest is put back as it was, so no manifest ever
+    describes records that were not written.
     """
     manifest_path = out + ".manifest.json"
-    with _atomic_open(out) as handle, _atomic_open(manifest_path) as manifest_handle:
+    with (_restored_on_error(manifest_path) as set_aside_manifest, _atomic_open(out) as handle,
+          _atomic_open(manifest_path) as manifest_handle):
         count = _write_records(handle, chunks)
         manifest = {
             "artifact": "swapsim",
@@ -257,6 +300,7 @@ def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) ->
             "outputs": {"records": out},
         }
         manifest_handle.write(_render_report_doc(manifest))
+        set_aside_manifest()  # the two replaces follow, manifest first, as the blocks exit
     sys.stdout.write(f"wrote {count} records to {out}\n")
     sys.stdout.write(f"manifest: {manifest_path}\n")
     return 0
@@ -287,9 +331,8 @@ def _angles_flag(text: str):
 
 _DEFAULT_ANGLES = ((0.0, 45.0), (22.5, 67.5))
 
-_FILTERS = {"none": SelectionFilter.none} | {
-    label.value: partial(SelectionFilter.bsm_equals, label) for label in BsmOutcome
-}
+# analyze --select: every label, or "none" for no selection
+_SELECTIONS = sorted(["none", *(label.value for label in BsmOutcome)])
 
 
 def _experiment_config(args, angles, trials: int) -> ExperimentConfig:
@@ -342,7 +385,9 @@ def _kind_counts(chunks):
 
 
 def cmd_analyze(args) -> int:
-    selection = _FILTERS[args.select]()
+    from .analysis import SelectionFilter, chsh_weighted
+
+    selection = SelectionFilter.none() if args.select == "none" else SelectionFilter.bsm_equals(args.select)
     report = chsh_weighted(_kind_counts(read_record_chunks(args.input)), selection)
     _emit(_render_report_doc(report.to_json_dict()), args.out)
     return 0
@@ -366,6 +411,7 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
 
 
 def _scan_csv(args) -> str:
+    from .analysis import SelectionFilter, correlation_exact, correlation_weighted
     from .protocol import exact_cell_distribution, run_chunks
 
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
@@ -384,6 +430,7 @@ def _scan_csv(args) -> str:
 
 
 def _summary_text(args) -> str:
+    from .analysis import SelectionFilter, chsh_exact, chsh_weighted
     from .protocol import exact_joint_distribution, run_chunks, stage_entanglement_report
 
     config = _experiment_config(args, args.angles, args.trials)
@@ -475,7 +522,7 @@ _RULES = ("pr-box", "quantum-mimic")
 
 
 def _cmd_classical_discard(args) -> int:
-    from .classical import discard_chunks, pr_box_rule, quantum_mimic_rule
+    from .discard import discard_chunks, pr_box_rule, quantum_mimic_rule
 
     rule = pr_box_rule() if args.rule == "pr-box" else quantum_mimic_rule()
     seed = _resolve_seed(args.seed)
@@ -554,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser("analyze", help="CHSH report over a JSONL record file")
     analyze.add_argument("--in", dest="input", required=True, help="records path")
-    analyze.add_argument("--select", choices=sorted(_FILTERS), default="none",
+    analyze.add_argument("--select", choices=_SELECTIONS, default="none",
                          help="post-selection on the joint-outcome label")
     analyze.add_argument("--out", default=None, help="write report here instead of stdout")
     analyze.set_defaults(handler=cmd_analyze)

@@ -21,6 +21,14 @@ from typing import Callable, Sequence, Union
 CHUNK = 4096
 
 
+class InsufficientDataError(ValueError):
+    """A requested estimate has an empty setting cell after filtering.
+
+    Defined here, beside the records, so the CLI maps it to its exit code
+    without loading ``analysis``, which re-exports the same class.
+    """
+
+
 class BellKind(Enum):
     """The four maximally entangled two-qubit states.
 

@@ -616,7 +616,7 @@ class TestRecordReader:
     def test_analyze_of_fuzzed_files_matches_chsh_of_the_reference(self, base_lines, select,
                                                                  tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "CHUNK", 7)
-        selection = cli._FILTERS[select]()
+        selection = SelectionFilter.none() if select == "none" else SelectionFilter.bsm_equals(select)
         for seed in range(2 * len(BROKEN) + 8):
             path = self._fuzzed(base_lines, seed, tmp_path)
             try:
@@ -707,6 +707,24 @@ class TestAtomicWrites:
         assert records.read_bytes() == before
         assert manifest.is_dir() and list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("old_manifest", [False, True], ids=["no-manifest", "old-manifest"])
+    def test_failed_records_leave_the_manifest_as_it_was(self, old_manifest, tmp_path, capsys):
+        records = simulate(tmp_path, "runs.jsonl", trials=50)
+        manifest = tmp_path / "runs.jsonl.manifest.json"
+        before = manifest.read_bytes()
+        if not old_manifest:
+            manifest.unlink()
+        records.unlink()
+        records.mkdir()
+        capsys.readouterr()
+        assert main(["simulate", "--trials", "60", "--seed", "7", "--out", str(records)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        if old_manifest:
+            assert manifest.read_bytes() == before
+        else:
+            assert not manifest.exists()
+        assert records.is_dir() and list(tmp_path.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
                              ids=["022", "077", "002"])
     def test_new_files_get_the_mode_open_would_give(self, umask, mode, tmp_path):
@@ -760,10 +778,17 @@ _SAMPLING = _QUANTUM + ("numpy.ma", "logging")
 _NO_STAGES = _SAMPLING + ("swapsim.entanglement",)
 # the classical engine reaches the Philox kernel in swapsim.rng, not through the quantum stack
 _CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging")
+# only analyze, report and blind-check tally records
+_NO_TALLY = ("swapsim.analysis",)
+# discard needs the rules, not the hidden-variable engine
+_DISCARD = _CLASSICAL + _NO_TALLY + ("swapsim.classical",)
 
 
 class TestImportGraph:
-    """Each command loads only the modules it runs; analyze needs neither numpy nor an engine."""
+    """Each command loads only the modules it runs; analyze needs neither numpy nor an engine.
+
+    Only the commands that tally load analysis, and discard loads the rules without the classical engine.
+    """
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -777,12 +802,12 @@ class TestImportGraph:
     @pytest.mark.parametrize("argv, forbidden", [
         ("analyze --in runs.jsonl --select psi-minus", _NUMERIC),
         ("analyze --in kept.jsonl", _NUMERIC),
-        ("--version", _NUMERIC),
-        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES),
+        ("--version", _NUMERIC + _NO_TALLY),
+        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY),
         ("report --trials 2000", _SAMPLING),
         ("report --exact --scan --scan-step 45", _NO_STAGES),
-        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL),
-        ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _CLASSICAL),
+        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL + _NO_TALLY),
+        ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _DISCARD),
         ("classical blind-check --trials 200 --models 2", _CLASSICAL),
     ])
     def test_command_loads_none_of_the_forbidden_modules(self, workdir, argv, forbidden):

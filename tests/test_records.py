@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import swapsim
-from swapsim import classical, measure, protocol, qstate, records, rng
+from swapsim import analysis, classical, discard, measure, protocol, qstate, records, rng
 from swapsim.records import AnalyzerAngle, setting_pair
 
 
@@ -67,6 +67,13 @@ class TestLazyPackage:
         assert classical.ClassicalRecord is records.ClassicalRecord
         assert measure.RandomSource is rng.RandomSource is swapsim.RandomSource
 
+    def test_discard_rules_and_the_data_error_keep_one_class_each(self):
+        for name in ("DiscardRule", "apply_discard", "discard_chunks", "keep_mask", "pr_box_rule",
+                     "quantum_mimic_rule"):
+            assert getattr(classical, name) is getattr(discard, name), name
+        assert classical._KEEP_STREAM_OFFSET == discard._KEEP_STREAM_OFFSET
+        assert analysis.InsufficientDataError is records.InsufficientDataError is swapsim.InsufficientDataError
+
     def test_star_import_and_dir_list_every_name(self):
         namespace = {}
         exec("from swapsim import *", namespace)
@@ -89,6 +96,15 @@ class TestLazyPackage:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["['swapsim']", "swapsim.protocol"]
+
+    def test_discard_names_load_no_classical_engine(self):
+        src = str(Path(swapsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, swapsim; swapsim.apply_discard, swapsim.quantum_mimic_rule; "
+                 "print(*sorted(m for m in sys.modules if m.startswith('swapsim')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["swapsim", "swapsim.discard", "swapsim.records", "swapsim.rng"]
 
 
 class TestKindTables:
