@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 import numpy as np
 
 from .discard import (  # noqa: F401 (re-exported)
-    _KEEP_STREAM_OFFSET,
     DiscardRule,
     apply_discard,
     discard_chunks,

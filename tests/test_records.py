@@ -71,7 +71,6 @@ class TestLazyPackage:
         for name in ("DiscardRule", "apply_discard", "discard_chunks", "keep_mask", "pr_box_rule",
                      "quantum_mimic_rule"):
             assert getattr(classical, name) is getattr(discard, name), name
-        assert classical._KEEP_STREAM_OFFSET == discard._KEEP_STREAM_OFFSET
         assert analysis.InsufficientDataError is records.InsufficientDataError is swapsim.InsufficientDataError
 
     def test_star_import_and_dir_list_every_name(self):
