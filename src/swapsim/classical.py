@@ -9,7 +9,7 @@ probabilistic rule reproducing the singlet's 2*sqrt(2) — while
 settings-blind markers, the honest classical stand-in for a joint
 measurement outcome used as a label, never push |S| past the local bound 2.
 The rules and their keep loop live in ``swapsim.discard``, which loads
-without this engine; this module re-exports the same objects.
+without this engine; this module gives the same objects on first use.
 """
 
 from __future__ import annotations
@@ -20,20 +20,26 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 import numpy as np
 
-from .discard import (  # noqa: F401 (re-exported)
-    DiscardRule,
-    apply_discard,
-    discard_chunks,
-    keep_mask,
-    pr_box_rule,
-    quantum_mimic_rule,
-)
 from .records import AnalyzerAngle, ClassicalRecord, RecordChunk, kind_index, kind_templates, setting_pair
 from .rng import trial_draws
 
 # Only blind-check tallies, so it imports analysis itself: generate runs without it.
 if TYPE_CHECKING:
     from .analysis import ChshReport
+
+# Names of swapsim.discard this module gives on first use (PEP 562), so
+# generate and blind-check never load the rules.
+_DISCARD_NAMES = frozenset({"DiscardRule", "apply_discard", "discard_chunks", "keep_mask", "pr_box_rule",
+                            "quantum_mimic_rule"})
+
+
+def __getattr__(name: str):
+    if name in _DISCARD_NAMES:
+        from . import discard
+
+        return getattr(discard, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # setting0, setting3 (picked by rng.trial_draws, as in the quantum protocol),
 # then the two hidden variables, scaled onto [0, pi)

@@ -771,7 +771,7 @@ def _probe(workdir: Path, argv: list[str], env: dict) -> dict:
 
 _NUMERIC = ("numpy", "swapsim.protocol", "swapsim.measure", "swapsim.qstate", "swapsim.entanglement",
             "swapsim.classical")
-_QUANTUM = ("swapsim.classical",)
+_QUANTUM = ("swapsim.classical", "swapsim.discard")
 # np.unique imports numpy.ma lazily; sampling finds its branches without it
 _SAMPLING = _QUANTUM + ("numpy.ma", "logging")
 # only the summary report's stage entanglement needs the witnesses
@@ -780,8 +780,9 @@ _NO_STAGES = _SAMPLING + ("swapsim.entanglement",)
 _CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging")
 # only analyze, report and blind-check tally records
 _NO_TALLY = ("swapsim.analysis",)
-# discard needs the rules, not the hidden-variable engine
+# discard needs the rules, not the hidden-variable engine, and the engine needs no rules
 _DISCARD = _CLASSICAL + _NO_TALLY + ("swapsim.classical",)
+_NO_RULES = ("swapsim.discard",)
 
 
 class TestImportGraph:
@@ -806,9 +807,9 @@ class TestImportGraph:
         ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY),
         ("report --trials 2000", _SAMPLING),
         ("report --exact --scan --scan-step 45", _NO_STAGES),
-        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL + _NO_TALLY),
+        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL + _NO_TALLY + _NO_RULES),
         ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _DISCARD),
-        ("classical blind-check --trials 200 --models 2", _CLASSICAL),
+        ("classical blind-check --trials 200 --models 2", _CLASSICAL + _NO_RULES),
     ])
     def test_command_loads_none_of_the_forbidden_modules(self, workdir, argv, forbidden):
         modules = set(_probe(workdir, argv.split(), _probe_env())["modules"])
