@@ -9,7 +9,6 @@ cells and silence there would corrupt a conclusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .records import AnalyzerAngle, BsmOutcome, InsufficientDataError, as_angle
@@ -23,8 +22,7 @@ class UndefinedPredictionError(ValueError):
     """No closed-form correlation exists for the requested outcome label."""
 
 
-@dataclass(frozen=True)
-class SelectionFilter:
+class SelectionFilter(NamedTuple):
     """Deterministic record predicate used for post-selection."""
 
     description: str
@@ -43,8 +41,7 @@ class SelectionFilter:
         return self.predicate(record)
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
+class CorrelationEstimate(NamedTuple):
     """E = (N++ + N-- - N+- - N-+)/N with binomial standard error."""
 
     e_value: float
@@ -55,8 +52,7 @@ class CorrelationEstimate:
         return {"e": self.e_value, "n": self.n, "std_err": self.std_err}
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     """Four correlations, the combined S statistic, and selection bookkeeping."""
 
     e_ab: CorrelationEstimate

@@ -54,7 +54,7 @@ def _round12(value):
         return float(_fmt(value))
     if isinstance(value, dict):
         return {key: _round12(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a NamedTuple: a report object must not pass as a list
         return [_round12(item) for item in value]
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
@@ -258,8 +258,8 @@ def _write_records(handle, chunks) -> int:
     for chunk in chunks:
         if chunk.templates is not templates:
             templates, tails = chunk.templates, _tails(chunk.templates)
-        handle.writelines([f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"
-                           for trial_id, kind in zip(chunk.trial_ids, chunk.kinds)])
+        handle.writelines(f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"  # streamed: no chunk-long list of lines
+                          for trial_id, kind in zip(chunk.trial_ids, chunk.kinds))
         count += len(chunk.trial_ids)
     return count
 

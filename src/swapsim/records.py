@@ -6,14 +6,15 @@ label and the event order.  This module owns those fields and the value
 sets behind them (orderings, Bell outcomes, analyzer angles), so reading
 and tallying a record file needs no numerical code.  ``measure``,
 ``qstate``, ``protocol`` and ``classical`` re-export the same objects.
+The classes are NamedTuples and ``__slots__`` classes, not dataclasses, so
+``analyze`` imports neither ``dataclasses`` nor the ``inspect`` behind it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 # Trials per chunk: every batch path, blind-check included, draws, samples
 # and renders this many trials at a time, and the reader parses this many
@@ -84,18 +85,45 @@ def bsm_outcomes(mode: BsmMode) -> tuple[BsmOutcome, ...]:
     return _FULL_OUTCOMES if BsmMode(mode) is BsmMode.FULL else _PARTIAL_OUTCOMES
 
 
-@dataclass(frozen=True)
-class AnalyzerAngle:
+class _Frozen:
+    """Immutable fields named, in order, by ``__slots__``, compared, hashed and shown as a frozen dataclass's."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AnalyzerAngle(_Frozen):
     """Polarizer orientation in degrees, canonicalized to [0, 180).
 
     A polarization analyzer is invariant under a half turn, so angles are
     stored mod 180; 181 degrees and 1 degree are the same setting.
     """
 
-    degrees: float
+    __slots__ = __match_args__ = ("degrees",)
 
-    def __post_init__(self) -> None:
-        value = float(self.degrees)
+    def __init__(self, degrees: float) -> None:
+        value = float(degrees)
         if not math.isfinite(value):
             raise ValueError(f"angle must be finite, got {value!r}")
         object.__setattr__(self, "degrees", value % 180.0)
@@ -168,8 +196,7 @@ def _wire_settings(doc: dict) -> tuple[int, float, int, float]:
     return index0, float(doc["setting0_deg"]), index3, float(doc["setting3_deg"])
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One simulated run, complete enough to redo any analysis."""
 
     trial_id: int
@@ -197,8 +224,7 @@ class TrialRecord:
                    BsmOutcome(doc["bsm"]), tuple(doc["events"]))
 
 
-@dataclass(frozen=True, slots=True)
-class ClassicalRecord:
+class ClassicalRecord(NamedTuple):
     """One hidden-variable trial; same wire schema as a quantum record."""
 
     trial_id: int
@@ -247,8 +273,7 @@ def kind_templates(make: Callable, label_count: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class RecordChunk:
+class RecordChunk(_Frozen):
     """Consecutive records, as columns: the one form from sampler to file to tally.
 
     Row r is ``templates[kinds[r]]`` with trial_id ``trial_ids[r]``, so rows
@@ -257,16 +282,18 @@ class RecordChunk:
     the kinds it met, numbered by first appearance.
     """
 
-    trial_ids: list[int]
-    kinds: list[int]
-    templates: Sequence
+    __slots__ = __match_args__ = ("trial_ids", "kinds", "templates")
+
+    def __init__(self, trial_ids: list[int], kinds: list[int], templates: Sequence) -> None:
+        for name, value in zip(self.__slots__, (trial_ids, kinds, templates)):
+            object.__setattr__(self, name, value)
 
     def records(self):
         """The rows as records, in row order."""
-        rows = {}  # kind -> (record class, the template's fields after trial_id), for kinds met
+        rows = {}  # kind -> (the record class's _make, the template's fields after trial_id), for kinds met
         for trial_id, kind in zip(self.trial_ids, self.kinds):
             row = rows.get(kind)
             if row is None:
                 template = self.templates[kind]
-                row = rows[kind] = (type(template), [getattr(template, f.name) for f in fields(template)[1:]])
-            yield row[0](trial_id, *row[1])
+                row = rows[kind] = (template._make, template[1:])
+            yield row[0]((trial_id, *row[1]))

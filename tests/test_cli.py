@@ -239,6 +239,18 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("swapsim ")
 
 
+class TestReportDocument:
+    def test_lists_and_tuples_render_with_rounded_floats(self):
+        assert cli._round12({"a": (0.1 + 0.2, [1 / 3]), "b": None}) == {"a": [0.3, [0.333333333333]], "b": None}
+
+    def test_a_report_object_is_not_rendered_as_a_list(self):
+        report = chsh([ClassicalRecord(0, i0, 45.0 * i0, i3, 22.5 + 45.0 * i3, 1, -1, "mark")
+                       for i0 in (0, 1) for i3 in (0, 1)])
+        for value in (report, report.e_ab, SelectionFilter.none()):
+            with pytest.raises(TypeError, match=f"cannot render {type(value).__name__}"):
+                cli._round12({"report": value})
+
+
 class TestReport:
     def test_exact_summary_states_the_stage_story(self, capsys):
         assert main(["report", "--exact"]) == 0
@@ -783,12 +795,15 @@ _NO_TALLY = ("swapsim.analysis",)
 # discard needs the rules, not the hidden-variable engine, and the engine needs no rules
 _DISCARD = _CLASSICAL + _NO_TALLY + ("swapsim.classical",)
 _NO_RULES = ("swapsim.discard",)
+# the record and report classes are built without dataclasses, and numpy is what would load inspect
+_NO_INTROSPECTION = ("dataclasses", "inspect")
 
 
 class TestImportGraph:
     """Each command loads only the modules it runs; analyze needs neither numpy nor an engine.
 
     Only the commands that tally load analysis, and discard loads the rules without the classical engine.
+    analyze and --version load neither dataclasses nor inspect.
     """
 
     @pytest.fixture(scope="class")
@@ -801,9 +816,9 @@ class TestImportGraph:
         return path
 
     @pytest.mark.parametrize("argv, forbidden", [
-        ("analyze --in runs.jsonl --select psi-minus", _NUMERIC),
-        ("analyze --in kept.jsonl", _NUMERIC),
-        ("--version", _NUMERIC + _NO_TALLY),
+        ("analyze --in runs.jsonl --select psi-minus", _NUMERIC + _NO_INTROSPECTION),
+        ("analyze --in kept.jsonl", _NUMERIC + _NO_INTROSPECTION),
+        ("--version", _NUMERIC + _NO_TALLY + _NO_INTROSPECTION),
         ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY),
         ("report --trials 2000", _SAMPLING),
         ("report --exact --scan --scan-step 45", _NO_STAGES),

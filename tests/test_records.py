@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import swapsim
 from swapsim import analysis, classical, discard, measure, protocol, qstate, records, rng
-from swapsim.records import AnalyzerAngle, setting_pair
+from swapsim.records import AnalyzerAngle, BsmOutcome, ClassicalRecord, Ordering, TrialRecord, setting_pair
 
 
 class TestAnalyzerAngleMatchesNumpy:
@@ -144,3 +145,69 @@ class TestKindTables:
             records.ClassicalRecord(9, 0, 0.0, 1, 67.5, 1, -1, "near"),
             records.ClassicalRecord(4, 1, 45.0, 0, 22.5, -1, -1, "far"),
         ]
+
+
+def _quantum_record(trial_id=7):
+    return TrialRecord(trial_id, Ordering.BSM_FIRST, 0, 0.0, 1, 67.5, 1, -1, BsmOutcome.PSI_MINUS,
+                       ("bsm", "pol0", "pol3"))
+
+
+def _classical_record(trial_id=7):
+    return ClassicalRecord(trial_id, 0, 0.0, 1, 67.5, 1, -1, "psi-minus")
+
+
+def _value_objects():
+    report = analysis.chsh_from_counts({cell: (3, 1) for cell in analysis._CELLS}, "none", 16, 20)
+    return [_quantum_record(), _classical_record(), AnalyzerAngle(10.0),
+            records.RecordChunk([3, 9], [0, 0], (_classical_record(),)),
+            analysis.SelectionFilter.none(), report.e_ab, report]
+
+
+class TestValueClasses:
+    """What the record and report classes promise, whatever builds them."""
+
+    @pytest.mark.parametrize("value", _value_objects(), ids=lambda value: type(value).__name__)
+    def test_assignment_raises(self, value):
+        name = next(iter(type(value).__match_args__))
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+
+    @pytest.mark.parametrize("value", _value_objects(), ids=lambda value: type(value).__name__)
+    def test_new_attribute_raises(self, value):
+        # a frozen slots dataclass raised TypeError here on CPython 3.11
+        with pytest.raises(AttributeError):
+            value.no_such_field = 1
+
+    @pytest.mark.parametrize("value", [value for value in _value_objects()  # a lambda predicate does not pickle
+                                       if not isinstance(value, analysis.SelectionFilter)],
+                             ids=lambda value: type(value).__name__)
+    def test_pickle_round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+
+    @pytest.mark.parametrize("record", [_quantum_record(), _classical_record()], ids=lambda r: type(r).__name__)
+    def test_wire_round_trip_is_equal_with_an_equal_hash(self, record):
+        again = type(record).from_json_dict(record.to_json_dict())
+        assert again == record and hash(again) == hash(record)
+        assert again.bsm_label == record.bsm_label == "psi-minus"
+
+    def test_field_order_is_the_wire_order(self):
+        wire = tuple(_quantum_record().to_json_dict())
+        assert TrialRecord.__match_args__ == wire
+        shared = tuple("marker" if key == "bsm" else key for key in wire if key not in ("ordering", "events"))
+        assert ClassicalRecord.__match_args__ == shared
+
+    def test_a_quantum_record_never_equals_a_classical_one(self):
+        quantum, classical_ = _quantum_record(), _classical_record()
+        assert quantum != classical_ and classical_ != quantum
+        assert quantum.to_json_dict() | {"ordering": "classical", "events": []} == classical_.to_json_dict()
+
+    def test_angles_equal_mod_180_with_equal_hashes(self):
+        assert AnalyzerAngle(181.0) == AnalyzerAngle(1.0)
+        assert hash(AnalyzerAngle(181.0)) == hash(AnalyzerAngle(1.0))
+        assert AnalyzerAngle(1.0) != AnalyzerAngle(2.0) and AnalyzerAngle(1.0) != 1.0
+        assert len({AnalyzerAngle(-179.0), AnalyzerAngle(1.0), AnalyzerAngle(361.0)}) == 1
+
+    def test_angle_repr(self):
+        assert repr(AnalyzerAngle(190.0)) == "AnalyzerAngle(degrees=10.0)"
+        assert AnalyzerAngle.__match_args__ == ("degrees",)
