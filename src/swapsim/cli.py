@@ -1,9 +1,10 @@
 """Command-line front end: run batches, persist records, analyze, report.
 
 Commands: simulate, analyze, report, classical (generate | discard |
-blind-check).  Records travel as JSONL, reports as a single JSON document,
-scan data as CSV.  Every numeric lands in the output with 12 significant
-digits, and all outputs are byte-stable for fixed inputs.
+blind-check).  Records travel as JSONL, which ``swapsim.records`` reads
+and writes; reports as a single JSON document, scan data as CSV.  Every
+numeric lands in the output with 12 significant digits, and all outputs are
+byte-stable for fixed inputs.
 
 Exit codes: 0 ok, 1 failed check, 2 usage, 3 I/O or garbled input,
 4 insufficient data.
@@ -15,14 +16,13 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import sys
 from collections import Counter
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .records import (CHUNK, BsmMode, BsmOutcome, ClassicalRecord, InsufficientDataError, Ordering, RecordChunk,
-                      TrialRecord, bsm_outcomes)
+from .records import (BsmMode, BsmOutcome, InsufficientDataError, Ordering, RecordFormatError, bsm_outcomes,
+                      read_record_chunks, write_records)
 
 # Each command imports numpy, protocol, classical, discard and analysis where
 # it uses them, so analyze and --version start on the standard library alone,
@@ -32,14 +32,6 @@ from .records import (CHUNK, BsmMode, BsmOutcome, ClassicalRecord, InsufficientD
 if TYPE_CHECKING:
     from .classical import ClassicalConfig
     from .protocol import ExperimentConfig
-
-
-class RecordFormatError(ValueError):
-    """A record line could not be parsed; carries its 1-based line number."""
-
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 def _fmt(value: float) -> str:
@@ -57,113 +49,6 @@ def _round12(value):
     if type(value) in (list, tuple):  # not a NamedTuple: a report object must not pass as a list
         return [_round12(item) for item in value]
     raise TypeError(f"cannot render {type(value).__name__} in a report")
-
-
-def _record_line(record) -> str:
-    return json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n"
-
-
-def _parse_line(text: str, line_number: int):
-    """The record of one stripped line, by json.loads; RecordFormatError if it has none."""
-    try:
-        doc = json.loads(text)
-        if doc.get("ordering") == "classical":
-            return ClassicalRecord.from_json_dict(doc)
-        return TrialRecord.from_json_dict(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise RecordFormatError(line_number, str(exc)) from exc
-
-
-# A line as the writers emit it: '{"trial_id":<t>' plus a tail that the
-# record's other fields fix.  Ids of at most 18 digits fit in int64.
-_CANONICAL_LINE = re.compile(r'\{"trial_id":(0|[1-9][0-9]{0,17})(,.*)')
-
-# Tails remembered per file.  Past this many, a new tail takes the full
-# parse, so memory stays flat on files whose lines share no tails.
-_MAX_TAILS = 4096
-
-
-def _templatable(tail: str) -> bool:
-    """Whether every line '{"trial_id":<t>' + tail is one record up to its trial_id.
-
-    json.loads keeps the last of repeated keys, so a "trial_id" key inside
-    the tail, escaped or not, would override the leading id.  With null in
-    the leading id's place such a key shows as a value that is not None; a
-    null one fails the parse of the line itself, which the caller has run.
-    """
-    return json.loads('{"trial_id":null' + tail)["trial_id"] is None
-
-
-def _check_angles(angles: dict, record, line_number: int) -> None:
-    """Note the record's setting angles in ``angles``; RecordFormatError if an index had another angle.
-
-    A record file comes from one experiment, so each setting index of each
-    station carries one analyzer angle throughout.  A NaN angle equals no
-    angle, itself included, so it is rejected on its first line.
-    """
-    for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
-                                    (3, record.setting3_index, record.setting3_deg)):
-        seen = angles.setdefault((station, index), degrees)
-        if seen != degrees:
-            raise RecordFormatError(line_number, f"setting{station}_index {index} has angle {degrees!r} "
-                                                 f"here but {seen!r} above: not one experiment")
-
-
-def read_record_chunks(path: str):
-    """Yield a JSONL record file as RecordChunks of up to CHUNK records.
-
-    A line in the writers' form costs a match and a dict lookup: json.loads
-    runs on its tail's first line only.  Any other line (other spacing or
-    key order, an id that is not a plain non-negative integer) is parsed
-    whole and becomes a kind of its own.  Every parsed record must give
-    each setting index the angle it had above (_check_angles).  The
-    records, and the line number and message of a RecordFormatError, are
-    those of parsing every line with json.loads and that check; before the
-    error, the records above the bad line are yielded.  Blank lines are
-    skipped.
-    """
-    known: dict[str, object] = {}  # templatable tail -> its record
-    angles: dict[tuple[int, int], float] = {}  # (station, setting index) -> degrees
-    with open(path, encoding="utf-8") as handle:
-        trial_ids, kinds, templates, local = [], [], [], {}
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            match = _CANONICAL_LINE.fullmatch(stripped)
-            tail = match[2] if match else None
-            kind = local.get(tail)
-            if kind is None:  # the first line of its kind in this chunk
-                template = known.get(tail)
-                if template is None:  # a new tail, or not the writers' form: the full parse
-                    try:
-                        template = _parse_line(stripped, line_number)
-                        _check_angles(angles, template, line_number)
-                    except RecordFormatError:
-                        if trial_ids:
-                            yield RecordChunk(trial_ids, kinds, templates)
-                        raise
-                    if tail is not None and len(known) < _MAX_TAILS and _templatable(tail):
-                        known[tail] = template
-                    else:
-                        tail = None  # a kind of its own, with the parsed trial_id
-                kind = len(templates)
-                templates.append(template)
-                if tail is not None:
-                    local[tail] = kind
-            trial_ids.append(int(match[1]) if tail is not None else template.trial_id)
-            kinds.append(kind)
-            if len(trial_ids) == CHUNK:
-                yield RecordChunk(trial_ids, kinds, templates)
-                trial_ids, kinds, templates, local = [], [], [], {}
-        if trial_ids:
-            yield RecordChunk(trial_ids, kinds, templates)
-
-
-def iter_records_file(path: str):
-    """Yield records from a JSONL file, failing loudly with a line number."""
-    for chunk in read_record_chunks(path):
-        yield from chunk.records()
 
 
 @contextlib.contextmanager
@@ -230,40 +115,6 @@ def _restored_on_error(path: str):
         os.unlink(aside)
 
 
-_TRIAL_ID_KEY = '{"trial_id":'
-
-
-def _tails(records) -> list[str]:
-    """Each record's line after '{"trial_id":<t>', cut from its _record_line."""
-    tails = []
-    for record in records:
-        line = _record_line(record)
-        head = f"{_TRIAL_ID_KEY}{record.trial_id}"
-        if not line.startswith(head):
-            raise RuntimeError(f"record line does not start with its trial_id: {line!r}")
-        tails.append(line[len(head):])
-    return tails
-
-
-def _write_records(handle, chunks) -> int:
-    """Write RecordChunks as JSONL to ``handle``; returns the record count.
-
-    Row r is the line '{"trial_id":<trial_ids[r]>' + the tail of
-    templates[kinds[r]].  Tails are cut by _tails once per templates list,
-    so once per file for a sampler's shared kind table, and every line
-    equals _record_line of its record by construction.
-    """
-    count = 0
-    templates = tails = None
-    for chunk in chunks:
-        if chunk.templates is not templates:
-            templates, tails = chunk.templates, _tails(chunk.templates)
-        handle.writelines(f"{_TRIAL_ID_KEY}{trial_id}{tails[kind]}"  # streamed: no chunk-long list of lines
-                          for trial_id, kind in zip(chunk.trial_ids, chunk.kinds))
-        count += len(chunk.trial_ids)
-    return count
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         with _atomic_open(out_path) as handle:
@@ -287,7 +138,7 @@ def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) ->
     manifest_path = out + ".manifest.json"
     with (_restored_on_error(manifest_path) as set_aside_manifest, _atomic_open(out) as handle,
           _atomic_open(manifest_path) as manifest_handle):
-        count = _write_records(handle, chunks)
+        count = write_records(handle, chunks)
         manifest = {
             "artifact": "swapsim",
             "version": __version__,
@@ -309,9 +160,7 @@ def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) ->
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return int(flag_value)
-    env = os.environ.get("SWAPSIM_SEED")
-    if env is None:
-        return 0
+    env = os.environ.get("SWAPSIM_SEED", "0")
     try:
         return int(env)
     except ValueError:
@@ -333,6 +182,10 @@ _DEFAULT_ANGLES = ((0.0, 45.0), (22.5, 67.5))
 
 # analyze --select: every label, or "none" for no selection
 _SELECTIONS = sorted(["none", *(label.value for label in BsmOutcome)])
+
+# report --scan: most steps from 0 to 90 degrees.  The grid sums its step, so
+# a step too small to move the sum would grow the grid until memory runs out.
+_MAX_SCAN_STEPS = 100_000
 
 
 def _experiment_config(args, angles, trials: int) -> ExperimentConfig:
@@ -394,8 +247,8 @@ def cmd_analyze(args) -> int:
 
 
 def _scan_grid(step: float) -> list[float]:
-    if not 0.0 < step < float("inf"):  # false for NaN too
-        raise ValueError(f"--scan-step must be a finite positive number, got {step}")
+    if not 0.0 < step < float("inf") or 90.0 / step > _MAX_SCAN_STEPS:  # the first test is false for NaN too
+        raise ValueError(f"--scan-step must be finite and take at most {_MAX_SCAN_STEPS} steps over 0..90, got {step}")
     deltas = []
     delta = 0.0
     while delta <= 90.0 + 1e-9:
@@ -477,10 +330,7 @@ def _summary_text(args) -> str:
 
 
 def cmd_report(args) -> int:
-    if args.scan:
-        _emit(_scan_csv(args), args.out)
-    else:
-        _emit(_summary_text(args), args.out)
+    _emit(_scan_csv(args) if args.scan else _summary_text(args), args.out)
     return 0
 
 
@@ -535,7 +385,7 @@ def _cmd_classical_discard(args) -> int:
             yield chunk
 
     with _atomic_open(args.out) as handle:
-        kept = _write_records(handle, discard_chunks(counted(read_record_chunks(args.input)), rule, seed))
+        kept = write_records(handle, discard_chunks(counted(read_record_chunks(args.input)), rule, seed))
     doc = {
         "rule": rule.description,
         "kind": rule.kind,

@@ -1,18 +1,23 @@
-"""The record wire schema and its labels, on the standard library alone.
+"""The record wire schema, its labels and its JSONL line form, on the standard library alone.
 
 Every record file carries the same fields: trial id, ordering, the two
 setting indices with their analyzer angles, the two +-1 outcomes, the joint
-label and the event order.  This module owns those fields and the value
-sets behind them (orderings, Bell outcomes, analyzer angles), so reading
-and tallying a record file needs no numerical code.  ``measure``,
-``qstate``, ``protocol`` and ``classical`` re-export the same objects.
-The classes are NamedTuples and ``__slots__`` classes, not dataclasses, so
-``analyze`` imports neither ``dataclasses`` nor the ``inspect`` behind it.
+label and the event order.  This module owns those fields, their value sets
+(orderings, Bell outcomes, analyzer angles) and both forms of a record: the
+dict (``to_json_dict``) and the line (``write_records``,
+``read_record_chunks``, whose fast path depends on ``_wire_doc`` putting
+``trial_id`` first).  So record files are read, written and tallied without
+numerical code or the command-line parser.  ``measure``, ``qstate``,
+``protocol`` and ``classical`` re-export the same objects.  The classes are
+NamedTuples and ``__slots__`` classes, not dataclasses, so ``analyze``
+imports neither ``dataclasses`` nor the ``inspect`` behind it.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -28,6 +33,14 @@ class InsufficientDataError(ValueError):
     Defined here, beside the records, so the CLI maps it to its exit code
     without loading ``analysis``, which re-exports the same class.
     """
+
+
+class RecordFormatError(ValueError):
+    """A record line could not be parsed; carries its 1-based line number."""
+
+    def __init__(self, line_number: int, message: str) -> None:
+        super().__init__(f"line {line_number}: {message}")
+        self.line_number = line_number
 
 
 class BellKind(Enum):
@@ -297,3 +310,138 @@ class RecordChunk(_Frozen):
                 template = self.templates[kind]
                 row = rows[kind] = (template._make, template[1:])
             yield row[0]((trial_id, *row[1]))
+
+
+# A line as write_records writes it: the prefix of _wire_doc's leading trial_id,
+# the id (at most 18 digits fit in int64) and a tail the other fields fix.
+_TRIAL_ID_PREFIX = '{"trial_id":'
+_CANONICAL_LINE = re.compile(re.escape(_TRIAL_ID_PREFIX) + r"(0|[1-9][0-9]{0,17})(,.*)")
+
+# Tails remembered per file.  Past this many, a new tail takes the full
+# parse, so memory stays flat on files whose lines share no tails.
+_MAX_TAILS = 4096
+
+
+def _record_line(record) -> str:
+    return json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n"
+
+
+def _parse_line(text: str, line_number: int):
+    """The record of one stripped line, by json.loads; RecordFormatError if it has none."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError(f"a record must be a JSON object, not {type(doc).__name__}")
+        if doc.get("ordering") == "classical":
+            return ClassicalRecord.from_json_dict(doc)
+        return TrialRecord.from_json_dict(doc)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise RecordFormatError(line_number, str(exc)) from exc
+
+
+def _templatable(tail: str) -> bool:
+    """Whether every line _TRIAL_ID_PREFIX + <t> + tail is one record up to its trial_id.
+
+    json.loads keeps the last of repeated keys, so a "trial_id" key inside
+    the tail, escaped or not, would override the leading id.  With null in
+    the leading id's place such a key shows as a value that is not None; a
+    null one fails the parse of the line itself, which the caller has run.
+    """
+    return json.loads(_TRIAL_ID_PREFIX + "null" + tail)["trial_id"] is None
+
+
+def _check_angles(angles: dict, record, line_number: int) -> None:
+    """Note the record's setting angles in ``angles``; RecordFormatError if an index had another angle.
+
+    A record file comes from one experiment, so each setting index of each
+    station carries one analyzer angle throughout.  A NaN angle equals no
+    angle, itself included, so it is rejected on its first line.
+    """
+    for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
+                                    (3, record.setting3_index, record.setting3_deg)):
+        seen = angles.setdefault((station, index), degrees)
+        if seen != degrees:
+            raise RecordFormatError(line_number, f"setting{station}_index {index} has angle {degrees!r} "
+                                                 f"here but {seen!r} above: not one experiment")
+
+
+def read_record_chunks(path: str):
+    """Yield a JSONL record file as RecordChunks of up to CHUNK records.
+
+    A line in the writers' form costs a match and a dict lookup: json.loads
+    runs on its tail's first line only.  Any other line (other spacing or
+    key order, an id that is not a plain non-negative integer) is parsed
+    whole and becomes a kind of its own.  Every parsed record must give
+    each setting index the angle it had above (_check_angles).  The
+    records, and the line number and message of a RecordFormatError, are
+    those of parsing every line with json.loads and that check; before the
+    error, the records above the bad line are yielded.  Blank lines are
+    skipped.
+    """
+    known: dict[str, object] = {}  # templatable tail -> its record
+    angles: dict[tuple[int, int], float] = {}  # (station, setting index) -> degrees
+    with open(path, encoding="utf-8") as handle:
+        trial_ids, kinds, templates, local = [], [], [], {}
+        for line_number, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            match = _CANONICAL_LINE.fullmatch(stripped)
+            tail = match[2] if match else None
+            kind = local.get(tail)
+            if kind is None:  # the first line of its kind in this chunk
+                template = known.get(tail)
+                if template is None:  # a new tail, or not the writers' form: the full parse
+                    try:
+                        template = _parse_line(stripped, line_number)
+                        _check_angles(angles, template, line_number)
+                    except RecordFormatError:
+                        if trial_ids:
+                            yield RecordChunk(trial_ids, kinds, templates)
+                        raise
+                    if tail is not None and len(known) < _MAX_TAILS and _templatable(tail):
+                        known[tail] = template
+                    else:
+                        tail = None  # a kind of its own, with the parsed trial_id
+                kind = len(templates)
+                templates.append(template)
+                if tail is not None:
+                    local[tail] = kind
+            trial_ids.append(int(match[1]) if tail is not None else template.trial_id)
+            kinds.append(kind)
+            if len(trial_ids) == CHUNK:
+                yield RecordChunk(trial_ids, kinds, templates)
+                trial_ids, kinds, templates, local = [], [], [], {}
+        if trial_ids:
+            yield RecordChunk(trial_ids, kinds, templates)
+
+
+def _tails(records) -> list[str]:
+    """Each record's line after _TRIAL_ID_PREFIX and its trial_id, cut from its _record_line."""
+    tails = []
+    for record in records:
+        line = _record_line(record)
+        head = f"{_TRIAL_ID_PREFIX}{record.trial_id}"
+        if not line.startswith(head):
+            raise RuntimeError(f"record line does not start with its trial_id: {line!r}")
+        tails.append(line[len(head):])
+    return tails
+
+
+def write_records(handle, chunks) -> int:
+    """Write RecordChunks as JSONL to ``handle``; returns the record count.
+
+    Row r is the line _TRIAL_ID_PREFIX + trial_ids[r] + the tail of
+    templates[kinds[r]].  Tails are cut by _tails once per templates list,
+    so once per file for a sampler's shared kind table, and every line
+    equals _record_line of its record by construction.
+    """
+    count = 0
+    templates = tails = None
+    for chunk in chunks:
+        if chunk.templates is not templates:
+            templates, tails = chunk.templates, _tails(chunk.templates)
+        handle.writelines(f"{_TRIAL_ID_PREFIX}{trial_id}{tails[kind]}"  # streamed: no chunk-long list of lines
+                          for trial_id, kind in zip(chunk.trial_ids, chunk.kinds))
+        count += len(chunk.trial_ids)
+    return count

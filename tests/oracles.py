@@ -30,10 +30,10 @@ import numpy as np
 
 from swapsim.analysis import ChshReport, CorrelationEstimate, InsufficientDataError
 from swapsim.classical import ClassicalRecord, HiddenVariableModel
-from swapsim.cli import RecordFormatError
 from swapsim.measure import BellSpec, PolarizationSpec, bell_projectors, bsm_outcomes, polarization_observable
 from swapsim.protocol import TrialRecord, _measurement_plan, _preparation_components
 from swapsim.qstate import PureState
+from swapsim.records import RecordFormatError
 
 
 def basis_state(num_qubits: int, index: int) -> PureState:
@@ -198,6 +198,8 @@ def read_records_reference(path):
                 continue
             try:
                 doc = json.loads(stripped)
+                if not isinstance(doc, dict):
+                    raise TypeError(f"a record must be a JSON object, not {type(doc).__name__}")
                 if doc.get("ordering") == "classical":
                     record = ClassicalRecord.from_json_dict(doc)
                 else:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import shutil
 import stat
 import subprocess
@@ -10,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swapsim.records
 from oracles import read_records_reference
 from swapsim import cli
 from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
 from swapsim.classical import ClassicalRecord, apply_discard, pr_box_rule, quantum_mimic_rule
-from swapsim.cli import RecordFormatError, iter_records_file, main
+from swapsim.cli import main
 from swapsim.protocol import ExperimentConfig, TrialRecord, run_batch
+from swapsim.records import RecordFormatError, read_record_chunks
 
 
 def round12(value):
@@ -26,6 +29,12 @@ def round12(value):
     if isinstance(value, list):
         return [round12(v) for v in value]
     return value
+
+
+def read_records(path):
+    """The records of a file, chunk by chunk, as the library reader yields them."""
+    for chunk in read_record_chunks(path):
+        yield from chunk.records()
 
 
 def simulate(tmp_path, name="records.jsonl", trials=4000, seed=42, extra=()):
@@ -75,7 +84,7 @@ class TestSimulate:
                        extra=("--ordering", "pol-first", "--bsm-mode", "partial"))
         cfg = ExperimentConfig(angles0=(0.0, 45.0), angles3=(22.5, 67.5), trials=300,
                                ordering="pol-first", bsm_mode="partial", seed=9)
-        assert list(iter_records_file(str(out))) == list(run_batch(cfg))
+        assert list(read_records(str(out))) == list(run_batch(cfg))
 
     def test_manifest_is_a_complete_recipe(self, tmp_path):
         out = simulate(tmp_path, trials=400, seed=11,
@@ -134,7 +143,7 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--in", str(out), "--select", "psi-minus"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        records = list(iter_records_file(str(out)))
+        records = list(read_records(str(out)))
         want = chsh(records, SelectionFilter.bsm_equals("psi-minus")).to_json_dict()
         assert doc == round12(want)
         assert doc["filter"] == "bsm=psi-minus"
@@ -187,7 +196,7 @@ class TestAnalyze:
         records = simulate(tmp_path, trials=200)
         padded = tmp_path / "padded.jsonl"
         padded.write_text(records.read_text().replace("\n", "\n\n") + "\n\n")
-        assert len(list(iter_records_file(str(padded)))) == 200
+        assert len(list(read_records(str(padded)))) == 200
 
     def test_two_experiments_in_one_file_are_rejected(self, tmp_path, capsys):
         # each setting index carries two angles, so the file is no one experiment
@@ -199,7 +208,7 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(pooled), "--select", "psi-minus"]) == 3
         err = capsys.readouterr().err
         assert "line 201:" in err and "setting0_index" in err
-        got = _outcome(iter_records_file(str(pooled)))
+        got = _outcome(read_records(str(pooled)))
         assert got == _outcome(read_records_reference(str(pooled)))
         assert len(got[0]) == 200
 
@@ -320,7 +329,11 @@ class TestReport:
     def test_bad_scan_step(self):
         assert main(["report", "--scan", "--exact", "--scan-step", "0"]) == 2
 
-    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_scan_step_past_the_step_bound_is_rejected(self):
+        with pytest.raises(ValueError):
+            cli._scan_grid(1e-4)
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "1e-300"])
     def test_non_finite_scan_step_is_rejected(self, tmp_path, step):
         out = tmp_path / "scan.csv"
         assert main(["report", "--scan", "--exact", "--scan-step", step, "--out", str(out)]) == 2
@@ -349,11 +362,11 @@ class TestClassicalCommands:
                      "--out", str(lhv)]) == 0
         assert main(["classical", "discard", "--rule", rule, "--seed", "8", "--in", str(lhv),
                      "--out", str(kept_path)]) == 0
-        records = list(iter_records_file(str(lhv)))
+        records = list(read_records(str(lhv)))
         kept, _ = apply_discard(records, pr_box_rule() if rule == "pr-box" else quantum_mimic_rule(), seed=8)
         inputs = {id(record) for record in records}
         assert kept and all(id(record) in inputs for record in kept)
-        written = iter_records_file(str(kept_path))
+        written = read_records(str(kept_path))
         assert [record.trial_id for record in kept] == [record.trial_id for record in written]
 
     def test_pr_box_discard_reaches_the_algebraic_maximum(self, tmp_path, capsys):
@@ -396,7 +409,7 @@ class TestClassicalCommands:
         kept_path = tmp_path / "kept.jsonl"
         kept_path.write_bytes(b"earlier kept records\n")
         rendered = []
-        record_line = cli._record_line
+        record_line = swapsim.records._record_line
 
         def render_then_fail(record):
             rendered.append(record)
@@ -404,7 +417,7 @@ class TestClassicalCommands:
                 raise OSError("no space left on device")
             return record_line(record)
 
-        monkeypatch.setattr(cli, "_record_line", render_then_fail)
+        monkeypatch.setattr(swapsim.records, "_record_line", render_then_fail)
         capsys.readouterr()
         code = main(["classical", "discard", "--rule", "pr-box", "--in", str(lhv), "--out", str(kept_path)])
         assert code == 3
@@ -440,7 +453,7 @@ class TestClassicalCommands:
         assert main(["analyze", "--in", str(kept_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["s"] == 4.0
-        kept_records = list(iter_records_file(str(kept_path)))
+        kept_records = list(read_records(str(kept_path)))
         assert all(isinstance(rec, TrialRecord) for rec in kept_records)
 
     def test_blind_check_passes_and_reports(self, tmp_path, capsys):
@@ -487,7 +500,7 @@ class TestMixedRecordFiles:
               "--seed", "1", "--out", str(lhv)])
         mixed = tmp_path / "mixed.jsonl"
         mixed.write_text(quantum.read_text() + lhv.read_text())
-        records = list(iter_records_file(str(mixed)))
+        records = list(read_records(str(mixed)))
         assert [type(r) for r in records] == [TrialRecord] * 3 + [ClassicalRecord] * 3
 
 
@@ -553,6 +566,9 @@ BROKEN = {
     "setting-index-string": lambda line, rng: _with_field(line, "setting3_index", "1"),
     "setting-index-2": lambda line, rng: _with_field(line, "setting0_index", 2),
     "id-fraction": lambda line, rng: _with_field(line, "trial_id", 3.9),
+    "json-array": lambda line, rng: "[1,2]",
+    "json-number": lambda line, rng: "5",
+    "json-null": lambda line, rng: "null",
 }
 
 
@@ -596,15 +612,16 @@ class TestRecordReader:
         path.write_bytes(text.encode("utf-8"))
         return str(path)
 
-    @pytest.mark.parametrize("chunk, max_tails", [(7, 2), (7, cli._MAX_TAILS), (cli.CHUNK, cli._MAX_TAILS)])
+    @pytest.mark.parametrize("chunk, max_tails", [(7, 2), (7, swapsim.records._MAX_TAILS),
+                                                  (swapsim.records.CHUNK, swapsim.records._MAX_TAILS)])
     def test_fuzzed_files_read_like_the_reference(self, base_lines, chunk, max_tails, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "CHUNK", chunk)
-        monkeypatch.setattr(cli, "_MAX_TAILS", max_tails)
+        monkeypatch.setattr(swapsim.records, "CHUNK", chunk)
+        monkeypatch.setattr(swapsim.records, "_MAX_TAILS", max_tails)
         errors = 0
         for seed in range(2 * len(BROKEN) + 8):
             path = self._fuzzed(base_lines, seed, tmp_path)
             want = _outcome(read_records_reference(path))
-            assert _outcome(iter_records_file(path)) == want, seed
+            assert _outcome(read_records(path)) == want, seed
             errors += want[1] is not None
         assert errors == len(BROKEN) + 4
 
@@ -614,20 +631,36 @@ class TestRecordReader:
             path = tmp_path / "broken.jsonl"
             lines = base_lines[:3] + [rewrite(base_lines[0], None)] + base_lines[4:6]
             path.write_text("\n".join(lines) + "\n")
-            got, error = _outcome(iter_records_file(str(path)))
+            got, error = _outcome(read_records(str(path)))
             assert (got, error) == _outcome(read_records_reference(str(path))), name
             assert len(got) == 3 and error[0] == 4, name
+
+    def test_library_reader_loads_no_cli(self, tmp_path):
+        out = simulate(tmp_path, trials=300, seed=9)
+        result = tmp_path / "read.pickle"
+        probe = ("import pickle, sys\n"
+                 "from swapsim.records import read_record_chunks\n"
+                 "records = [record for chunk in read_record_chunks(sys.argv[1]) for record in chunk.records()]\n"
+                 "with open(sys.argv[2], 'wb') as handle:\n"
+                 "    pickle.dump((records, sorted(sys.modules)), handle)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(out), str(result)], env=_probe_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        records, modules = pickle.loads(result.read_bytes())
+        cfg = ExperimentConfig(angles0=(0.0, 45.0), angles3=(22.5, 67.5), trials=300, seed=9)
+        assert records == list(run_batch(cfg))
+        assert [name for name in ("swapsim.cli", "argparse") if name in modules] == []
 
     def test_repeated_tail_with_second_trial_id_keeps_the_tail_id(self, base_lines, tmp_path):
         line = base_lines[0][:-1] + ',"trial_id":7}'
         path = tmp_path / "dup.jsonl"
         path.write_text(_with_id(line, "1") + "\n" + _with_id(line, "2") + "\n")
-        assert [record.trial_id for record in iter_records_file(str(path))] == [7, 7]
+        assert [record.trial_id for record in read_records(str(path))] == [7, 7]
 
     @pytest.mark.parametrize("select", ["none", "psi-minus", "other"])
     def test_analyze_of_fuzzed_files_matches_chsh_of_the_reference(self, base_lines, select,
                                                                  tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "CHUNK", 7)
+        monkeypatch.setattr(swapsim.records, "CHUNK", 7)
         selection = SelectionFilter.none() if select == "none" else SelectionFilter.bsm_equals(select)
         for seed in range(2 * len(BROKEN) + 8):
             path = self._fuzzed(base_lines, seed, tmp_path)
@@ -644,7 +677,7 @@ class TestRecordReader:
 
     def test_discard_of_fuzzed_files_matches_apply_discard_of_the_reference(self, base_lines, tmp_path,
                                                                            monkeypatch, capsys):
-        monkeypatch.setattr(cli, "CHUNK", 7)
+        monkeypatch.setattr(swapsim.records, "CHUNK", 7)
         for seed in range(2 * len(BROKEN) + 8):
             path = self._fuzzed(base_lines, seed, tmp_path)
             out = tmp_path / f"kept{seed}.jsonl"
@@ -657,13 +690,13 @@ class TestRecordReader:
                 assert code == 3 and not out.exists(), seed
                 continue
             assert code == 0, seed
-            assert out.read_text() == "".join(cli._record_line(record) for record in kept), seed
+            assert out.read_text() == "".join(swapsim.records._record_line(record) for record in kept), seed
             summary = json.loads(capsys.readouterr().out)
             assert (summary["kept"], summary["keep_fraction"]) == (len(kept), cli._round12(fraction))
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_garbled_line_after_a_full_chunk_keeps_its_number(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "CHUNK", 4)
+        monkeypatch.setattr(swapsim.records, "CHUNK", 4)
         records = simulate(tmp_path, trials=10)
         lines = records.read_text().splitlines()
         bad = tmp_path / "bad.jsonl"
@@ -900,4 +933,4 @@ class TestConsoleScript:
         assert manifest["seed"] == 31
         cfg = ExperimentConfig(angles0=(0.0, 45.0), angles3=(22.5, 67.5),
                                trials=100, seed=31)
-        assert list(iter_records_file(str(out))) == list(run_batch(cfg))
+        assert list(read_records(str(out))) == list(run_batch(cfg))
