@@ -14,13 +14,12 @@ without this engine; this module gives the same objects on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .records import AnalyzerAngle, ClassicalRecord, RecordChunk, kind_index, kind_templates, setting_pair
+from .records import AnalyzerAngle, ClassicalRecord, RecordChunk, _Frozen, kind_index, kind_templates, setting_pair
 from .rng import trial_draws
 
 # Only blind-check tallies, so it imports analysis itself: generate runs without it.
@@ -45,46 +44,47 @@ def __getattr__(name: str):
 # then the two hidden variables, scaled onto [0, pi)
 _DRAWS_PER_TRIAL = 4
 
-@dataclass(frozen=True)
-class ClassicalConfig:
+
+class ClassicalConfig(_Frozen):
     """Batch description for hidden-variable runs: settings, size, seed."""
 
-    angles0: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(0.0), AnalyzerAngle(45.0))
-    angles3: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(22.5), AnalyzerAngle(67.5))
-    trials: int = 1
-    seed: int = 0
+    __slots__ = __match_args__ = ("angles0", "angles3", "trials", "seed")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angles0", setting_pair("angles0", self.angles0))
-        object.__setattr__(self, "angles3", setting_pair("angles3", self.angles3))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+    def __init__(
+        self,
+        angles0: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(0.0), AnalyzerAngle(45.0)),
+        angles3: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(22.5), AnalyzerAngle(67.5)),
+        trials: int = 1,
+        seed: int = 0,
+    ) -> None:
+        angles0, angles3 = setting_pair("angles0", angles0), setting_pair("angles3", angles3)
+        trials, seed = int(trials), int(seed)
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        self._set(angles0, angles3, trials, seed)
 
 
 _HARMONICS = 3  # Fourier orders in a random model's marker
 
 
-@dataclass(frozen=True, eq=False)
-class FourierTerms:
+class FourierTerms(_Frozen):
     """A Fourier model's closures as coefficients over the shared harmonic basis.
 
     ``marker`` holds one weight per row of _harmonic_basis: amp*cos(phase)
     and -amp*sin(phase) for each term amp*cos(2k*x + phase) of the marker
     series, whose value is negative exactly for label 1; ``marker_scale``
     is the sum of the |amp|.  Station s's outcome is
-    sgn cos(2*(angle - lam) + phase_s).
+    sgn cos(2*(angle - lam) + phase_s).  Terms compare by identity.
     """
 
-    marker: np.ndarray
-    marker_scale: float
-    phase0: float
-    phase3: float
+    __slots__ = __match_args__ = ("marker", "marker_scale", "phase0", "phase3")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, marker: np.ndarray, marker_scale: float, phase0: float, phase3: float) -> None:
+        self._set(marker, marker_scale, phase0, phase3)
 
 
-@dataclass(frozen=True)
-class HiddenVariableModel:
+class HiddenVariableModel(_Frozen):
     """Local deterministic outcome functions plus a settings-blind marker.
 
     ``outcome0(angle_rad, lam0)`` and ``outcome3(angle_rad, lam1)`` map numpy
@@ -95,20 +95,23 @@ class HiddenVariableModel:
     functions as Fourier coefficients; the closures stay the reference.
     """
 
-    name: str
-    outcome0: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    outcome3: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    marker: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    marker_labels: tuple[str, ...]
-    terms: Optional[FourierTerms] = None
+    __slots__ = __match_args__ = ("name", "outcome0", "outcome3", "marker", "marker_labels", "terms")
 
-    def __post_init__(self) -> None:
-        labels = tuple(str(l) for l in self.marker_labels)
+    def __init__(
+        self,
+        name: str,
+        outcome0: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        outcome3: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        marker: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        marker_labels: tuple[str, ...],
+        terms: Optional[FourierTerms] = None,
+    ) -> None:
+        labels = tuple(str(l) for l in marker_labels)
         if not labels:
             raise ValueError("model needs at least one marker label")
         if len(set(labels)) != len(labels):
             raise ValueError(f"marker labels must be distinct, got {labels}")
-        object.__setattr__(self, "marker_labels", labels)
+        self._set(name, outcome0, outcome3, marker, labels, terms)
 
 
 def _evaluate(
@@ -350,25 +353,26 @@ def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     )
 
 
-@dataclass(frozen=True)
-class LabelCheck:
+class LabelCheck(_Frozen):
     """Post-selected CHSH of one marker label of one model."""
 
-    label: str
-    report: ChshReport
+    __slots__ = __match_args__ = ("label", "report")
+
+    def __init__(self, label: str, report: ChshReport) -> None:
+        self._set(label, report)
 
     @property
     def within_bound(self) -> bool:
         return self.report.s_abs <= 2.0 + 5.0 * self.report.s_std_err
 
 
-@dataclass(frozen=True)
-class ModelCheck:
+class ModelCheck(_Frozen):
     """Bound verdict for one model across all its usable marker labels."""
 
-    model: str
-    labels: tuple[LabelCheck, ...]
-    starved: tuple[str, ...]
+    __slots__ = __match_args__ = ("model", "labels", "starved")
+
+    def __init__(self, model: str, labels: tuple[LabelCheck, ...], starved: tuple[str, ...]) -> None:
+        self._set(model, labels, starved)
 
     @property
     def max_s_abs(self) -> float:
@@ -379,12 +383,13 @@ class ModelCheck:
         return all(check.within_bound for check in self.labels)
 
 
-@dataclass(frozen=True)
-class BlindCheckReport:
+class BlindCheckReport(_Frozen):
     """Outcome of the settings-blind selection stress test."""
 
-    trials: int
-    checks: tuple[ModelCheck, ...]
+    __slots__ = __match_args__ = ("trials", "checks")
+
+    def __init__(self, trials: int, checks: tuple[ModelCheck, ...]) -> None:
+        self._set(trials, checks)
 
     @property
     def all_within_bound(self) -> bool:

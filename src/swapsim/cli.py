@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -529,7 +530,12 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # Frozen objects are out of the shutdown collection's reach: it skips
+    # numpy's heap, which the OS reclaims.  atexit handlers and stream flushing
+    # still run; main() leaves the collector alone for in-process callers.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,13 +13,12 @@ re-exports the same objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .records import CHUNK, RecordChunk
+from .records import CHUNK, RecordChunk, _Frozen
 from .rng import RandomSource
 
 # Keep-decision draws live far above any trial's generation stream so a rule
@@ -27,21 +26,19 @@ from .rng import RandomSource
 _KEEP_STREAM_OFFSET = 1 << 48
 
 
-@dataclass(frozen=True)
-class DiscardRule:
+class DiscardRule(_Frozen):
     """Run-retention rule that sees nothing but the record's own fields.
 
     ``kind`` is "deterministic" (keep_weight gives 0 or 1) or "probabilistic"
     (keep each record independently with its weight).
     """
 
-    kind: str
-    description: str
-    keep_weight: Callable[[object], float]
+    __slots__ = __match_args__ = ("kind", "description", "keep_weight")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("deterministic", "probabilistic"):
-            raise ValueError(f"rule kind must be deterministic|probabilistic, got {self.kind!r}")
+    def __init__(self, kind: str, description: str, keep_weight: Callable[[object], float]) -> None:
+        if kind not in ("deterministic", "probabilistic"):
+            raise ValueError(f"rule kind must be deterministic|probabilistic, got {kind!r}")
+        self._set(kind, description, keep_weight)
 
     def checked_weight(self, record) -> float:
         """keep_weight(record), rejected unless it lies in [0, 1]."""

@@ -8,11 +8,10 @@ before the swap and 1 (concurrence) after a resolving Bell outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qstate import DensityMatrix
+from .records import _Frozen
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -21,13 +20,13 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 _EIG_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class TwoQubitMetrics:
+class TwoQubitMetrics(_Frozen):
     """Entanglement scores of one reduced state."""
 
-    concurrence: float
-    negativity: float
-    purity: float
+    __slots__ = __match_args__ = ("concurrence", "negativity", "purity")
+
+    def __init__(self, concurrence: float, negativity: float, purity: float) -> None:
+        self._set(concurrence, negativity, purity)
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str) -> None:

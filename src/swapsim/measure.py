@@ -21,7 +21,6 @@ amplitudes a + bi, which is, term for term, the sum a*a + b*b that zdotc
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional, Union
@@ -30,6 +29,7 @@ import numpy as np
 
 from .qstate import BellKind, PureState, bell_state
 from .records import CHUNK, AnalyzerAngle, BsmMode, BsmOutcome, as_angle, bsm_outcomes  # noqa: F401 (re-exported)
+from .records import _Frozen
 from .rng import RandomSource  # noqa: F401 (re-exported)
 
 
@@ -95,30 +95,25 @@ def _gather_index(n: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     return forward, inverse
 
 
-@dataclass(frozen=True)
-class PolarizationSpec:
+class PolarizationSpec(_Frozen):
     """Plan step: analyzer at ``angle`` on one qubit; outcomes +1/-1."""
 
-    qubit: int
-    angle: AnalyzerAngle
+    __slots__ = __match_args__ = ("qubit", "angle")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", as_angle(self.angle))
+    def __init__(self, qubit: int, angle: AnalyzerAngle) -> None:
+        self._set(qubit, as_angle(angle))
 
 
-@dataclass(frozen=True)
-class BellSpec:
+class BellSpec(_Frozen):
     """Plan step: joint Bell analyzer on a qubit pair."""
 
-    qubits: tuple[int, int]
-    mode: BsmMode = BsmMode.FULL
+    __slots__ = __match_args__ = ("qubits", "mode")
 
-    def __post_init__(self) -> None:
-        pair = (int(self.qubits[0]), int(self.qubits[1]))
+    def __init__(self, qubits: tuple[int, int], mode: BsmMode = BsmMode.FULL) -> None:
+        pair = (int(qubits[0]), int(qubits[1]))
         if pair[0] == pair[1]:
             raise ValueError("bell spec needs two distinct qubits")
-        object.__setattr__(self, "qubits", pair)
-        object.__setattr__(self, "mode", BsmMode(self.mode))
+        self._set(pair, BsmMode(mode))
 
 
 MeasurementSpec = Union[PolarizationSpec, BellSpec]

@@ -26,7 +26,6 @@ records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product, starmap
 from typing import TYPE_CHECKING, Iterator
@@ -42,6 +41,7 @@ from .records import (
     Ordering,
     RecordChunk,
     TrialRecord,
+    _Frozen,
     bsm_outcomes,
     kind_index,
     kind_templates,
@@ -63,8 +63,7 @@ _EVENTS = {
 (_DRAWS_PER_TRIAL,) = {2 + len(events) for events in _EVENTS.values()}  # setting0, setting3, one per step
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Frozen):
     """Complete description of one batch.
 
     ``angles0`` are the two candidate settings (a, a') for photon 0 and
@@ -74,40 +73,39 @@ class ExperimentConfig:
     is the ideal experiment.
     """
 
-    angles0: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(0.0), AnalyzerAngle(45.0))
-    angles3: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(22.5), AnalyzerAngle(67.5))
-    trials: int = 1
-    ordering: Ordering = Ordering.BSM_FIRST
-    bsm_mode: BsmMode = BsmMode.FULL
-    seed: int = 0
-    visibility: float = 1.0
+    __slots__ = __match_args__ = ("angles0", "angles3", "trials", "ordering", "bsm_mode", "seed", "visibility")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angles0", setting_pair("angles0", self.angles0))
-        object.__setattr__(self, "angles3", setting_pair("angles3", self.angles3))
-        object.__setattr__(self, "ordering", Ordering(self.ordering))
-        object.__setattr__(self, "bsm_mode", BsmMode(self.bsm_mode))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        vis = float(self.visibility)
-        if not 0.0 <= vis <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {vis}")
-        object.__setattr__(self, "visibility", vis)
+    def __init__(
+        self,
+        angles0: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(0.0), AnalyzerAngle(45.0)),
+        angles3: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(22.5), AnalyzerAngle(67.5)),
+        trials: int = 1,
+        ordering: Ordering = Ordering.BSM_FIRST,
+        bsm_mode: BsmMode = BsmMode.FULL,
+        seed: int = 0,
+        visibility: float = 1.0,
+    ) -> None:
+        angles0, angles3 = setting_pair("angles0", angles0), setting_pair("angles3", angles3)
+        ordering, bsm_mode, trials, seed = Ordering(ordering), BsmMode(bsm_mode), int(trials), int(seed)
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        visibility = float(visibility)
+        if not 0.0 <= visibility <= 1.0:
+            raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+        self._set(angles0, angles3, trials, ordering, bsm_mode, seed, visibility)
 
     def _table_key(self) -> tuple:
         """Everything the per-trial distribution depends on (not trials/seed)."""
         return (self.angles0, self.angles3, self.ordering, self.bsm_mode, self.visibility)
 
 
-@dataclass(frozen=True)
-class StageSnapshot:
+class StageSnapshot(_Frozen):
     """Reduced state of photons (0,3) at one logical stage of the protocol."""
 
-    stage: str
-    rho03: DensityMatrix
-    metrics: TwoQubitMetrics
+    __slots__ = __match_args__ = ("stage", "rho03", "metrics")
+
+    def __init__(self, stage: str, rho03: DensityMatrix, metrics: TwoQubitMetrics) -> None:
+        self._set(stage, rho03, metrics)
 
 
 def _preparation_components(visibility: float) -> tuple[tuple[float, PureState], ...]:

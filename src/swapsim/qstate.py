@@ -11,12 +11,11 @@ in and marked read-only, so values can be shared freely between callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .records import BellKind
+from .records import BellKind, _Frozen
 
 MAX_QUBITS = 12
 
@@ -42,48 +41,47 @@ def _read_only(values, length: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Frozen):
     """Normalized state vector on ``num_qubits`` qubits.
 
     The amplitude vector is validated on construction: length ``2**num_qubits``,
-    finite entries, squared norm within ``ATOL`` of 1.
+    finite entries, squared norm within ``ATOL`` of 1.  States compare by identity.
     """
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = __match_args__ = ("num_qubits", "amplitudes")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray) -> None:
+        if not 1 <= num_qubits <= MAX_QUBITS:
             raise RegisterSizeError(
-                f"register must hold 1..{MAX_QUBITS} qubits, got {self.num_qubits}"
+                f"register must hold 1..{MAX_QUBITS} qubits, got {num_qubits}"
             )
-        arr = _read_only(self.amplitudes, 2**self.num_qubits)
+        arr = _read_only(amplitudes, 2**num_qubits)
         norm_sq = float(np.vdot(arr, arr).real)
         if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", arr)
+        self._set(num_qubits, arr)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Density operator on ``num_qubits`` qubits.
 
     Construction validates hermiticity and unit trace to ``ATOL`` and
     positive semidefiniteness down to ``-PSD_SLACK`` on the spectrum, so a
-    DensityMatrix in hand is always a usable physical state.
+    DensityMatrix in hand is always a usable physical state.  Matrices
+    compare by identity.
     """
 
-    num_qubits: int
-    entries: np.ndarray
+    __slots__ = __match_args__ = ("num_qubits", "entries")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
+    def __init__(self, num_qubits: int, entries: np.ndarray) -> None:
+        if not 1 <= num_qubits <= MAX_QUBITS:
             raise RegisterSizeError(
-                f"register must hold 1..{MAX_QUBITS} qubits, got {self.num_qubits}"
+                f"register must hold 1..{MAX_QUBITS} qubits, got {num_qubits}"
             )
-        dim = 2**self.num_qubits
-        arr = np.array(self.entries, dtype=complex)
+        dim = 2**num_qubits
+        arr = np.array(entries, dtype=complex)
         if arr.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -96,7 +94,7 @@ class DensityMatrix:
         if float(np.linalg.eigvalsh(arr).min()) < -PSD_SLACK:
             raise ValueError("matrix is not positive semidefinite")
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        self._set(num_qubits, arr)
 
     def purity(self) -> float:
         """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""

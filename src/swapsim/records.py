@@ -9,8 +9,9 @@ dict (``to_json_dict``) and the line (``write_records``,
 ``trial_id`` first).  So record files are read, written and tallied without
 numerical code or the command-line parser.  ``measure``, ``qstate``,
 ``protocol`` and ``classical`` re-export the same objects.  The classes are
-NamedTuples and ``__slots__`` classes, not dataclasses, so ``analyze``
-imports neither ``dataclasses`` nor the ``inspect`` behind it.
+NamedTuples and ``__slots__`` classes on ``_Frozen``, as are the engine's
+value classes, so no command imports ``dataclasses`` and ``analyze`` does
+not import the ``inspect`` behind it either.
 """
 
 from __future__ import annotations
@@ -99,9 +100,17 @@ def bsm_outcomes(mode: BsmMode) -> tuple[BsmOutcome, ...]:
 
 
 class _Frozen:
-    """Immutable fields named, in order, by ``__slots__``, compared, hashed and shown as a frozen dataclass's."""
+    """Immutable fields named, in order, by ``__slots__``, compared, hashed and shown as a frozen dataclass's.
+
+    A subclass's ``__init__`` validates and hands the fields, in order, to
+    ``_set``; one holding arrays takes object's ``__eq__`` and ``__hash__``.
+    """
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -139,7 +148,7 @@ class AnalyzerAngle(_Frozen):
         value = float(degrees)
         if not math.isfinite(value):
             raise ValueError(f"angle must be finite, got {value!r}")
-        object.__setattr__(self, "degrees", value % 180.0)
+        self._set(value % 180.0)
 
     @property
     def radians(self) -> float:
@@ -298,8 +307,7 @@ class RecordChunk(_Frozen):
     __slots__ = __match_args__ = ("trial_ids", "kinds", "templates")
 
     def __init__(self, trial_ids: list[int], kinds: list[int], templates: Sequence) -> None:
-        for name, value in zip(self.__slots__, (trial_ids, kinds, templates)):
-            object.__setattr__(self, name, value)
+        self._set(trial_ids, kinds, templates)
 
     def records(self):
         """The rows as records, in row order."""

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -828,15 +829,16 @@ _NO_TALLY = ("swapsim.analysis",)
 # discard needs the rules, not the hidden-variable engine, and the engine needs no rules
 _DISCARD = _CLASSICAL + _NO_TALLY + ("swapsim.classical",)
 _NO_RULES = ("swapsim.discard",)
-# the record and report classes are built without dataclasses, and numpy is what would load inspect
-_NO_INTROSPECTION = ("dataclasses", "inspect")
+# no swapsim class is a dataclass; numpy loads inspect itself, so only the stdlib commands go without it
+_NO_DATACLASSES = ("dataclasses",)
+_NO_INTROSPECTION = _NO_DATACLASSES + ("inspect",)
 
 
 class TestImportGraph:
     """Each command loads only the modules it runs; analyze needs neither numpy nor an engine.
 
     Only the commands that tally load analysis, and discard loads the rules without the classical engine.
-    analyze and --version load neither dataclasses nor inspect.
+    No command loads dataclasses; analyze and --version load no inspect either.
     """
 
     @pytest.fixture(scope="class")
@@ -852,12 +854,12 @@ class TestImportGraph:
         ("analyze --in runs.jsonl --select psi-minus", _NUMERIC + _NO_INTROSPECTION),
         ("analyze --in kept.jsonl", _NUMERIC + _NO_INTROSPECTION),
         ("--version", _NUMERIC + _NO_TALLY + _NO_INTROSPECTION),
-        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY),
-        ("report --trials 2000", _SAMPLING),
-        ("report --exact --scan --scan-step 45", _NO_STAGES),
-        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL + _NO_TALLY + _NO_RULES),
-        ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _DISCARD),
-        ("classical blind-check --trials 200 --models 2", _CLASSICAL + _NO_RULES),
+        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY + _NO_DATACLASSES),
+        ("report --trials 2000", _SAMPLING + _NO_DATACLASSES),
+        ("report --exact --scan --scan-step 45", _NO_STAGES + _NO_DATACLASSES),
+        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL + _NO_TALLY + _NO_RULES + _NO_DATACLASSES),
+        ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _DISCARD + _NO_DATACLASSES),
+        ("classical blind-check --trials 200 --models 2", _CLASSICAL + _NO_RULES + _NO_DATACLASSES),
     ])
     def test_command_loads_none_of_the_forbidden_modules(self, workdir, argv, forbidden):
         modules = set(_probe(workdir, argv.split(), _probe_env())["modules"])
@@ -912,6 +914,70 @@ class TestBlasThreads:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "None\n"
+
+
+# Runs console_main as the console script does, with an atexit handler that
+# reports whether the heap was frozen and the collector left on.
+_EXIT_PROBE = """
+import atexit, gc, sys
+from swapsim.cli import console_main
+atexit.register(lambda: print("atexit: frozen", gc.get_freeze_count() > 0, "enabled", gc.isenabled()))
+sys.argv[0] = "swapsim"
+console_main()
+"""
+
+
+class TestExitPath:
+    """console_main freezes the heap before exit; bytes, exit codes and atexit stay what main gives."""
+
+    @staticmethod
+    def _run(cwd, argv):
+        return subprocess.run([sys.executable, "-m", "swapsim.cli", *argv], cwd=cwd, env=_probe_env(),
+                              capture_output=True, timeout=120)
+
+    def test_simulate_writes_the_bytes_main_writes(self, tmp_path, monkeypatch, capsys):
+        argv = ["simulate", "--trials", "300", "--seed", "8", "--out", "runs.jsonl"]
+        for side in ("cli", "main"):
+            (tmp_path / side).mkdir()
+        proc = self._run(tmp_path / "cli", argv)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.chdir(tmp_path / "main")
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+        for name in ("runs.jsonl", "runs.jsonl.manifest.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "main" / name).read_bytes(), name
+
+    def test_exact_report_writes_the_bytes_main_writes(self, tmp_path, capsys):
+        proc = self._run(tmp_path, ["report", "--exact"])
+        assert proc.returncode == 0, proc.stderr
+        assert main(["report", "--exact"]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "--no-such-flag"], 2),
+        (["analyze", "--in", "missing.jsonl"], 3),
+        (["analyze", "--in", "empty.jsonl"], 4),
+    ], ids=["bad-flag", "missing-file", "empty-file"])
+    def test_exit_codes_survive_the_console_entry(self, tmp_path, monkeypatch, argv, code):
+        (tmp_path / "empty.jsonl").write_text("")
+        proc = self._run(tmp_path, argv)
+        assert proc.returncode == code, proc.stderr
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+
+    @pytest.mark.parametrize("argv, code, output", [(["--version"], 0, "swapsim "), (["analyze"], 2, "")])
+    def test_console_main_freezes_the_heap_and_still_runs_atexit(self, tmp_path, argv, code, output):
+        proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv], cwd=tmp_path, env=_probe_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith(output) and proc.stdout.endswith("atexit: frozen True enabled True\n")
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["simulate", "--trials", "50", "--out", str(tmp_path / "runs.jsonl")]) == 0
+        assert main(["analyze", "--in", str(tmp_path / "runs.jsonl")]) == 0
+        assert main(["simulate"]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 @pytest.mark.skipif(shutil.which("swapsim") is None, reason="console script not installed")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import swapsim
-from swapsim import analysis, classical, discard, measure, protocol, qstate, records, rng
+from swapsim import analysis, classical, discard, entanglement, measure, protocol, qstate, records, rng
 from swapsim.records import AnalyzerAngle, BsmOutcome, ClassicalRecord, Ordering, TrialRecord, setting_pair
 
 
@@ -211,3 +211,145 @@ class TestValueClasses:
     def test_angle_repr(self):
         assert repr(AnalyzerAngle(190.0)) == "AnalyzerAngle(degrees=10.0)"
         assert AnalyzerAngle.__match_args__ == ("degrees",)
+
+
+def _engine_values():
+    """One of each engine value class: configs, plan steps, states, witnesses, discard rule, checks."""
+    report = analysis.chsh_from_counts({cell: (3, 1) for cell in analysis._CELLS}, "none", 16, 20)
+    rho = qstate.to_density(qstate.bell_state(records.BellKind.PSI_MINUS))
+    metrics = entanglement.TwoQubitMetrics(1.0, 1.0, 1.0)
+    label = classical.LabelCheck("plus", report)
+    check = classical.ModelCheck("sign", (label,), ("minus",))
+    terms = classical.FourierTerms(np.zeros(6), 1.0, 0.0, 0.5)
+    return [protocol.ExperimentConfig(), protocol.StageSnapshot("pre-bsm", rho, metrics),
+            measure.PolarizationSpec(0, 10.0), measure.BellSpec((1, 2)),
+            qstate.bell_state(records.BellKind.PSI_MINUS), rho, metrics, discard.pr_box_rule(),
+            classical.ClassicalConfig(), terms, classical.sign_model(), label, check,
+            classical.BlindCheckReport(20, (check,))]
+
+
+def _picklable(value) -> bool:
+    """Whether every field is a plain value: no closure, and no state that compares by identity."""
+    identity = (qstate.PureState, qstate.DensityMatrix, classical.FourierTerms, protocol.StageSnapshot,
+                discard.DiscardRule, classical.HiddenVariableModel)
+    return not isinstance(value, identity)
+
+
+class TestEngineValueClasses:
+    """What the engine's value classes promise, whatever builds them: frozen, keyword-built, validated."""
+
+    @pytest.mark.parametrize("value", _engine_values(), ids=lambda value: type(value).__name__)
+    def test_assignment_and_deletion_raise(self, value):
+        name = type(value).__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.no_such_field = 1
+
+    def test_experiment_config_keyword_defaults(self):
+        cfg = protocol.ExperimentConfig()
+        assert protocol.ExperimentConfig.__match_args__ == (
+            "angles0", "angles3", "trials", "ordering", "bsm_mode", "seed", "visibility")
+        assert (cfg.angles0, cfg.angles3) == ((AnalyzerAngle(0.0), AnalyzerAngle(45.0)),
+                                              (AnalyzerAngle(22.5), AnalyzerAngle(67.5)))
+        assert (cfg.trials, cfg.ordering, cfg.bsm_mode, cfg.seed, cfg.visibility) == (
+            1, Ordering.BSM_FIRST, records.BsmMode.FULL, 0, 1.0)
+        cfg = protocol.ExperimentConfig(visibility=1, seed="5", ordering="pol-first", bsm_mode="partial",
+                                        trials=3.0, angles3=(181.0, 90.0))
+        assert (cfg.trials, cfg.ordering, cfg.bsm_mode, cfg.seed) == (
+            3, Ordering.POLARIZATIONS_FIRST, records.BsmMode.PARTIAL, 5)
+        assert type(cfg.visibility) is float and cfg.angles3 == (AnalyzerAngle(1.0), AnalyzerAngle(90.0))
+        assert protocol.ExperimentConfig((0.0, 45.0), (22.5, 67.5), 7) == protocol.ExperimentConfig(trials=7)
+
+    def test_classical_config_keyword_defaults(self):
+        cfg = classical.ClassicalConfig()
+        assert classical.ClassicalConfig.__match_args__ == ("angles0", "angles3", "trials", "seed")
+        assert cfg == classical.ClassicalConfig((0.0, 45.0), (22.5, 67.5), 1, 0)
+        cfg = classical.ClassicalConfig(seed=2.0, trials="4")
+        assert (cfg.trials, cfg.seed) == (4, 2) and type(cfg.seed) is int
+
+    @pytest.mark.parametrize("make, kwargs, message", [
+        (protocol.ExperimentConfig, {"trials": 0}, "trials must be >= 1, got 0"),
+        (protocol.ExperimentConfig, {"visibility": 1.5}, "visibility must lie in [0, 1], got 1.5"),
+        (protocol.ExperimentConfig, {"ordering": "late"}, "'late' is not a valid Ordering"),
+        (classical.ClassicalConfig, {"trials": -2}, "trials must be >= 1, got -2"),
+        (measure.BellSpec, {"qubits": (2, 2)}, "bell spec needs two distinct qubits"),
+        (discard.DiscardRule, {"kind": "maybe", "description": "", "keep_weight": float},
+         "rule kind must be deterministic|probabilistic, got 'maybe'"),
+    ], ids=["trials", "visibility", "ordering", "classical-trials", "bell-pair", "rule-kind"])
+    def test_validation_messages(self, make, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            make(**kwargs)
+        assert str(info.value) == message
+
+    def test_unknown_or_missing_fields_raise_type_error(self):
+        with pytest.raises(TypeError):
+            protocol.ExperimentConfig(shots=3)
+        with pytest.raises(TypeError):
+            entanglement.TwoQubitMetrics(1.0, 1.0)
+
+    def test_equal_configs_hash_equal(self):
+        one = protocol.ExperimentConfig(angles0=(360.0, 45.0), trials=5, ordering="pol-first")
+        two = protocol.ExperimentConfig(trials=5.0, ordering=Ordering.POLARIZATIONS_FIRST)
+        assert one == two and hash(one) == hash(two) and len({one, two}) == 1
+        assert one != protocol.ExperimentConfig(trials=5) and one != classical.ClassicalConfig(trials=5)
+        assert classical.ClassicalConfig(angles0=(180.0, 45.0)) == classical.ClassicalConfig()
+        assert hash(classical.ClassicalConfig(angles0=(180.0, 45.0))) == hash(classical.ClassicalConfig())
+        assert measure.BellSpec([1.0, 2], "full") == measure.BellSpec((1, 2))
+        assert hash(measure.PolarizationSpec(3, 200.0)) == hash(measure.PolarizationSpec(3, AnalyzerAngle(20.0)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: qstate.bell_state(records.BellKind.PSI_PLUS),
+        lambda: qstate.to_density(qstate.bell_state(records.BellKind.PSI_PLUS)),
+        lambda: classical.FourierTerms(np.ones(3), 3.0, 0.0, 0.0),
+    ], ids=["PureState", "DensityMatrix", "FourierTerms"])
+    def test_array_holders_compare_by_identity(self, make):
+        one, two = make(), make()
+        assert one == one and one != two
+        assert hash(one) == object.__hash__(one)
+
+    @pytest.mark.parametrize("value", [value for value in _engine_values() if _picklable(value)],
+                             ids=lambda value: type(value).__name__)
+    def test_pickle_round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value) and type(copy) is type(value)
+
+    def test_states_pickle_to_equal_entries(self):
+        rho = qstate.to_density(qstate.bell_state(records.BellKind.PHI_PLUS))
+        copy = pickle.loads(pickle.dumps(rho))
+        assert type(copy) is qstate.DensityMatrix and copy.num_qubits == 2
+        assert np.array_equal(copy.entries, rho.entries)
+
+    def test_unpickled_states_stay_read_only(self):
+        # unpickling runs the constructor, which validates and freezes the array again
+        state = qstate.bell_state(records.BellKind.PSI_MINUS)
+        for value, array in ((state, "amplitudes"), (qstate.to_density(state), "entries")):
+            copy = pickle.loads(pickle.dumps(value))
+            assert not getattr(copy, array).flags.writeable
+
+    def test_repr_text(self):
+        assert repr(protocol.ExperimentConfig(trials=3)) == (
+            "ExperimentConfig(angles0=(AnalyzerAngle(degrees=0.0), AnalyzerAngle(degrees=45.0)), "
+            "angles3=(AnalyzerAngle(degrees=22.5), AnalyzerAngle(degrees=67.5)), trials=3, "
+            "ordering=<Ordering.BSM_FIRST: 'bsm-first'>, bsm_mode=<BsmMode.FULL: 'full'>, seed=0, "
+            "visibility=1.0)")
+        assert repr(classical.ClassicalConfig(seed=4)) == (
+            "ClassicalConfig(angles0=(AnalyzerAngle(degrees=0.0), AnalyzerAngle(degrees=45.0)), "
+            "angles3=(AnalyzerAngle(degrees=22.5), AnalyzerAngle(degrees=67.5)), trials=1, seed=4)")
+        assert repr(measure.BellSpec((2, 1), "partial")) == "BellSpec(qubits=(2, 1), mode=<BsmMode.PARTIAL: 'partial'>)"
+        assert repr(entanglement.TwoQubitMetrics(1.0, 0.5, 0.25)) == (
+            "TwoQubitMetrics(concurrence=1.0, negativity=0.5, purity=0.25)")
+        assert repr(qstate.PureState(1, [1.0, 0.0])) == (
+            "PureState(num_qubits=1, amplitudes=array([1.+0.j, 0.+0.j]))")
+
+    def test_match_args(self):
+        match measure.PolarizationSpec(3, 20.0):
+            case measure.PolarizationSpec(qubit, angle):
+                assert (qubit, angle) == (3, AnalyzerAngle(20.0))
+        assert classical.HiddenVariableModel.__match_args__ == (
+            "name", "outcome0", "outcome3", "marker", "marker_labels", "terms")
+        assert classical.sign_model().terms is None
+        assert protocol.StageSnapshot.__match_args__ == ("stage", "rho03", "metrics")
+        assert classical.BlindCheckReport.__match_args__ == ("trials", "checks")
