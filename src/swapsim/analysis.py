@@ -11,11 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .records import AnalyzerAngle, BsmOutcome, InsufficientDataError, as_angle
-
-# Cell roles in S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); the minus sign
-# sits on the (a, b') cell.  Fixed convention; reports carry |S| alongside.
-_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+from .records import _SETTING_PAIRS, AnalyzerAngle, BsmOutcome, InsufficientDataError, as_angle
 
 
 class UndefinedPredictionError(ValueError):
@@ -97,8 +93,8 @@ def _tally(entries: Iterable[tuple[Union[tuple[int, int], None], int, object]]) 
     tables; the signed sum is accumulated as such.  A None cell marks weight
     the selection dropped, which counts only toward the returned total.
     """
-    signed = dict.fromkeys(_CELLS, 0)
-    weights = dict.fromkeys(_CELLS, 0)
+    signed = dict.fromkeys(_SETTING_PAIRS, 0)
+    weights = dict.fromkeys(_SETTING_PAIRS, 0)
     total = 0
     for cell, product, weight in entries:
         total += weight
@@ -129,7 +125,7 @@ def _estimate(tally: _Tally, cell: tuple[int, int], filter_description: str) -> 
 
 
 def _report(tally: _Tally, filter_description: str, kept: int, total: int) -> ChshReport:
-    estimates = {cell: _estimate(tally, cell, filter_description) for cell in _CELLS}
+    estimates = {cell: _estimate(tally, cell, filter_description) for cell in _SETTING_PAIRS}
     s = _s({cell: estimate.e_value for cell, estimate in estimates.items()})
     s_err = math.sqrt(sum(estimate.std_err ** 2 for estimate in estimates.values()))
     return ChshReport(*estimates.values(), s_value=float(s), s_std_err=float(s_err),
@@ -154,7 +150,7 @@ def correlation_weighted(
     """Estimate E for one setting cell over filtered (record, count) pairs; other cells may be empty."""
     selection = selection or SelectionFilter.none()
     pair = (int(setting_pair[0]), int(setting_pair[1]))
-    if pair not in _CELLS:
+    if pair not in _SETTING_PAIRS:
         raise ValueError(f"setting pair {pair} outside the two-by-two design")
     return _estimate(_tally(_record_entries(weighted, selection)), pair, selection.description)
 
@@ -174,7 +170,7 @@ def chsh_from_counts(cell_counts, filter_description: str, kept: int, total: int
     Counts summed across any partition of the records give the identical
     report.  Raises on any empty cell.
     """
-    entries = ((cell, product, n) for cell in _CELLS for product, n in zip((+1, -1), cell_counts[cell]))
+    entries = ((cell, product, n) for cell in _SETTING_PAIRS for product, n in zip((+1, -1), cell_counts[cell]))
     return _report(_tally(entries), filter_description, kept, total)
 
 
@@ -220,7 +216,7 @@ def chsh_exact(
     condition raises InsufficientDataError, as an empty sampled cell does.
     """
     tally, description = _exact_tally(table, label)
-    e = {cell: _correlation(tally, cell, description) for cell in _CELLS}
+    e = {cell: _correlation(tally, cell, description) for cell in _SETTING_PAIRS}
     return e, _s(e)
 
 

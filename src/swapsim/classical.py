@@ -14,13 +14,14 @@ without this engine; this module gives the same objects on first use.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .records import AnalyzerAngle, ClassicalRecord, RecordChunk, _Frozen, kind_index, kind_templates, setting_pair
-from .rng import trial_draws
+from .rng import record_chunks, trial_draws
 
 # Only blind-check tallies, so it imports analysis itself: generate runs without it.
 if TYPE_CHECKING:
@@ -238,31 +239,18 @@ def _radians(config: ClassicalConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _kind_table(model: HiddenVariableModel, config: ClassicalConfig) -> tuple[ClassicalRecord, ...]:
     """One record per kind_index of the model's records, with trial_id 0."""
-    deg0 = (config.angles0[0].degrees, config.angles0[1].degrees)
-    deg3 = (config.angles3[0].degrees, config.angles3[1].degrees)
-    labels = model.marker_labels
-
-    def make(i0, i3, o0, o3, mark):
-        return ClassicalRecord(0, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[mark])
-
-    return kind_templates(make, len(labels))
+    return kind_templates(config.angles0, config.angles3, model.marker_labels, partial(ClassicalRecord, 0))
 
 
 def lhv_chunks(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[RecordChunk]:
-    """Lazily yield the batch in CHUNK-trial chunks that share one kind table; deterministic per seed.
-
-    starmap keeps no chunk's arrays once its records are built, so they are
-    freed before the next chunk is drawn.
-    """
+    """Lazily yield the batch in CHUNK-trial chunks that share one kind table; deterministic per seed."""
     rad0, rad3 = _radians(config)
-    templates = _kind_table(model, config)
 
-    def chunk(trial_ids, i0, i3, draws) -> RecordChunk:
+    def kinds(i0, i3, draws) -> np.ndarray:
         evaluated = _evaluate(model, rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
-        kinds = kind_index(i0, i3, *evaluated, len(model.marker_labels))
-        return RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
+        return kind_index(i0, i3, *evaluated, len(model.marker_labels))
 
-    yield from starmap(chunk, trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL))
+    yield from record_chunks(config.seed, 0, config.trials, _DRAWS_PER_TRIAL, _kind_table(model, config), kinds)
 
 
 def run_lhv(model: HiddenVariableModel, config: ClassicalConfig) -> Iterator[ClassicalRecord]:
@@ -445,23 +433,23 @@ def settings_blind_check(
     if not models:
         raise ValueError("settings-blind check needs at least one model")
     rad0, rad3 = _radians(config)
+    tables = [_kind_table(model, config) for model in models]
 
     def chunk_counts(trial_ids, i0, i3, draws) -> list[np.ndarray]:
         evaluations = _evaluations(models, rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
-        return [np.bincount(kind_index(i0, i3, *evaluated, len(model.marker_labels)),
-                            minlength=16 * len(model.marker_labels))
-                for model, evaluated in zip(models, evaluations)]
+        return [np.bincount(kind_index(i0, i3, *evaluated, len(model.marker_labels)), minlength=len(table))
+                for model, table, evaluated in zip(models, tables, evaluations)]
 
     # counts[m][k]: rows of model m's records of kind k
-    counts = [np.zeros(16 * len(m.marker_labels), dtype=np.int64) for m in models]
+    counts = [np.zeros(len(table), dtype=np.int64) for table in tables]
     chunks = trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL)
     for chunk in starmap(chunk_counts, chunks):
         for total, count in zip(counts, chunk):
             total += count
 
     checks = []
-    for index, model in enumerate(models):
-        weighted = list(zip(_kind_table(model, config), counts[index].tolist()))
+    for model, table, count in zip(models, tables, counts):
+        weighted = list(zip(table, count.tolist()))
         label_checks = []
         starved = []
         for label in model.marker_labels:

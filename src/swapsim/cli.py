@@ -53,72 +53,58 @@ def _round12(value):
 
 
 @contextlib.contextmanager
-def _atomic_open(path: str):
-    """Text handle on a temporary file that replaces ``path`` only when the block succeeds.
+def _atomic_open(*paths: str):
+    """Text handles, one per path, on temporary files that replace the paths, in order, when the block succeeds.
 
-    The temporary file sits beside ``path`` (same file system, so the rename
-    is atomic); on any exception it is removed and ``path`` is left as it was.
-    Its mode is open(path, "w")'s, 0o666 less the umask, not mkstemp's 0o600.
+    Each temporary file sits beside its path (same file system, so each
+    rename is atomic) with open(path, "w")'s mode, 0o666 less the umask, not
+    mkstemp's 0o600.  If the block raises, no path is touched.  If a replace
+    fails, each path already replaced gets its old file back, or is removed
+    if it had none: until the last replace, an old file waits beside its
+    path under a temporary name.  A directory at a path stays where it is,
+    so its replace fails.  After any failure no temporary file is left.
     """
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        os.umask(umask := os.umask(0))  # reads the umask, which only setting it returns
+    temps = []  # every temporary file made; after a failure, those no replace consumed are removed
+    undo = []  # (path, its old file set aside or None) for each path replaced before the last
+
+    def temporary(path: str) -> tuple[int, str]:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        temps.append(tmp_path)
         os.chmod(tmp_path, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            yield handle
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        return fd, tmp_path
 
-
-@contextlib.contextmanager
-def _restored_on_error(path: str):
-    """Yield a function that moves the file at ``path`` aside, to be called just before ``path`` is replaced.
-
-    If the block raises after the call, the old file goes back to ``path``,
-    or the new file there is removed when there was none; if it succeeds,
-    the old file is deleted.  A directory at ``path`` stays where it is, so
-    its replace fails.  The old file waits beside ``path`` under a temporary
-    name, as _atomic_open's temporary files do.
-    """
-    import tempfile
-
-    called = False
-    aside = None
-
-    def set_aside() -> None:
-        nonlocal called, aside
-        called = True
-        if os.path.isfile(path):
-            fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-            os.close(fd)
-            try:
-                os.replace(path, tmp_path)
-            except BaseException:
-                os.unlink(tmp_path)
-                raise
-            aside = tmp_path
-
+    os.umask(umask := os.umask(0))  # reads the umask, which only setting it returns
     try:
-        yield set_aside
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(os.fdopen(temporary(path)[0], "w", encoding="utf-8")) for path in paths]
+        for index, (path, tmp_path) in enumerate(zip(paths, temps[:len(paths)])):
+            if index < len(paths) - 1:  # a later replace may fail, and this one must then be undone
+                aside = None
+                if os.path.isfile(path):
+                    fd, aside = temporary(path)
+                    os.close(fd)
+                    os.replace(path, aside)
+                undo.append((path, aside))
+            os.replace(tmp_path, path)
     except BaseException:
-        if aside is not None:
-            os.replace(aside, path)
-        elif called and os.path.isfile(path):
-            os.unlink(path)
+        for path, aside in reversed(undo):
+            if aside is not None:
+                os.replace(aside, path)
+            elif os.path.isfile(path):
+                os.unlink(path)
+        for tmp_path in temps:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
         raise
-    if aside is not None:
+    for aside in temps[len(paths):]:
         os.unlink(aside)
 
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with _atomic_open(out_path) as handle:
+        with _atomic_open(out_path) as (handle,):
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -131,14 +117,13 @@ def _render_report_doc(doc: dict) -> str:
 def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) -> int:
     """Write the records and the manifest beside them, then name both on stdout.
 
-    Neither target is replaced before both temporary files are complete.
-    The manifest is replaced first and the records last; if the records'
-    replace fails, the manifest is put back as it was, so no manifest ever
-    describes records that were not written.
+    One _atomic_open commits both: the manifest is replaced first and the
+    records last, and if the records' replace fails the manifest is put
+    back as it was, so no manifest ever describes records that were not
+    written.
     """
     manifest_path = out + ".manifest.json"
-    with (_restored_on_error(manifest_path) as set_aside_manifest, _atomic_open(out) as handle,
-          _atomic_open(manifest_path) as manifest_handle):
+    with _atomic_open(manifest_path, out) as (manifest_handle, handle):
         count = write_records(handle, chunks)
         manifest = {
             "artifact": "swapsim",
@@ -152,7 +137,6 @@ def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) ->
             "outputs": {"records": out},
         }
         manifest_handle.write(_render_report_doc(manifest))
-        set_aside_manifest()  # the two replaces follow, manifest first, as the blocks exit
     sys.stdout.write(f"wrote {count} records to {out}\n")
     sys.stdout.write(f"manifest: {manifest_path}\n")
     return 0
@@ -385,7 +369,7 @@ def _cmd_classical_discard(args) -> int:
             total += len(chunk.trial_ids)
             yield chunk
 
-    with _atomic_open(args.out) as handle:
+    with _atomic_open(args.out) as (handle,):
         kept = write_records(handle, discard_chunks(counted(read_record_chunks(args.input)), rule, seed))
     doc = {
         "rule": rule.description,

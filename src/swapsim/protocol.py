@@ -27,7 +27,7 @@ records.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product, starmap
+from itertools import product
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -42,12 +42,13 @@ from .records import (
     RecordChunk,
     TrialRecord,
     _Frozen,
+    _SETTING_PAIRS,
     bsm_outcomes,
     kind_index,
     kind_templates,
     setting_pair,
 )
-from .rng import trial_draws
+from .rng import record_chunks
 
 if TYPE_CHECKING:
     from .entanglement import TwoQubitMetrics
@@ -157,9 +158,6 @@ def _frontiers(visibility: float, steps: tuple) -> tuple[np.ndarray, np.ndarray,
     return (weights, *extend_frontier(joints, amps, steps[-1], _PHOTONS))
 
 
-_SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def _setting_joint(key: tuple, i0: int, i3: int) -> dict[tuple, float]:
     """Exact joint distribution of one setting pair, keyed by plan order of the config.
 
@@ -212,20 +210,14 @@ def _pick(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _kind_table(key: tuple) -> tuple[TrialRecord, ...]:
     """One record per kind_index of the records of a config with this _table_key, with trial_id 0."""
     angles0, angles3, ordering, bsm_mode, _ = key
-    deg0 = (angles0[0].degrees, angles0[1].degrees)
-    deg3 = (angles3[0].degrees, angles3[1].degrees)
-    labels = bsm_outcomes(bsm_mode)
     events = _EVENTS[ordering]
-
-    def make(i0, i3, o0, o3, b):
-        return TrialRecord(0, ordering, i0, deg0[i0], i3, deg3[i3], o0, o3, labels[b], events)
-
-    return kind_templates(make, len(labels))
+    return kind_templates(angles0, angles3, bsm_outcomes(bsm_mode),
+                          lambda *fields: TrialRecord(0, ordering, *fields, events))
 
 
-def _sample_chunk(config: ExperimentConfig, tables: tuple, templates: tuple, trial_ids: np.ndarray,
-                  setting0: np.ndarray, setting3: np.ndarray, draws: np.ndarray) -> RecordChunk:
-    """The records of one chunk of rng.trial_draws: one gather per plan step over all four cells.
+def _sample_kinds(config: ExperimentConfig, tables: tuple, setting0: np.ndarray, setting3: np.ndarray,
+                  draws: np.ndarray) -> np.ndarray:
+    """The kinds of one chunk of rng.trial_draws: one gather per plan step over all four cells.
 
     Step d gathers edge rows at the prefix (cell, pick 0, ..., pick d-1) and
     picks with draw 2 + d; the plan map's events name the picks.
@@ -235,20 +227,15 @@ def _sample_chunk(config: ExperimentConfig, tables: tuple, templates: tuple, tri
         prefix += (_pick(edges[prefix], draws[:, 2 + step]),)
     picks = dict(zip(_EVENTS[config.ordering], prefix[1:]))
     # polarization steps sample (+1, -1), so pick k is outcome 1 - 2k
-    kinds = kind_index(setting0, setting3, 1 - 2 * picks["pol0"], 1 - 2 * picks["pol3"], picks["bsm"],
-                       len(bsm_outcomes(config.bsm_mode)))
-    return RecordChunk(trial_ids.tolist(), kinds.tolist(), templates)
+    return kind_index(setting0, setting3, 1 - 2 * picks["pol0"], 1 - 2 * picks["pol3"], picks["bsm"],
+                      len(bsm_outcomes(config.bsm_mode)))
 
 
 def _chunks(config: ExperimentConfig, start: int, stop: int) -> Iterator[RecordChunk]:
-    """Trials start..stop-1 in RecordChunks sharing one kind table.
-
-    starmap keeps no chunk's arrays once its records are built, so they are
-    freed before the next chunk is drawn.
-    """
+    """Trials start..stop-1 in RecordChunks sharing one kind table."""
     key = config._table_key()
-    sample = partial(_sample_chunk, config, _sampling_tables(key), _kind_table(key))
-    return starmap(sample, trial_draws(config.seed, start, stop, _DRAWS_PER_TRIAL))
+    kinds = partial(_sample_kinds, config, _sampling_tables(key))
+    return record_chunks(config.seed, start, stop, _DRAWS_PER_TRIAL, _kind_table(key), kinds)
 
 
 def run_chunks(config: ExperimentConfig) -> Iterator[RecordChunk]:

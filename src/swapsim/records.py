@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -26,6 +27,11 @@ from typing import Callable, NamedTuple, Sequence, Union
 # and renders this many trials at a time, and the reader parses this many
 # records at a time, so memory stays flat and per-trial Python work is small.
 CHUNK = 4096
+
+# The four setting cells (setting0 index, setting3 index), in the order every
+# table, tally and kind table lists them.  Cell roles in S = E(a,b) - E(a,b')
+# + E(a',b) + E(a',b'): the minus sign sits on the (a, b') cell.
+_SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class InsufficientDataError(ValueError):
@@ -210,12 +216,28 @@ def _wire_outcomes_and_id(doc: dict) -> tuple[int, int, int]:
     return outcome0, outcome3, _wire_int(doc, "trial_id")
 
 
+def _wire_degrees(doc: dict, name: str) -> float:
+    """doc[name] as a float; ValueError unless it is a finite JSON number (a bool or a string is not)."""
+    value = doc[name]
+    if type(value) is float and math.isfinite(value) or type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _wire_settings(doc: dict) -> tuple[int, float, int, float]:
     """setting0_index, setting0_deg, setting3_index, setting3_deg; each index is checked to be 0 or 1."""
     index0, index3 = _wire_int(doc, "setting0_index"), _wire_int(doc, "setting3_index")
     if index0 not in (0, 1) or index3 not in (0, 1):
         raise ValueError(f"setting indices must be 0 or 1, got {index0}, {index3}")
-    return index0, float(doc["setting0_deg"]), index3, float(doc["setting3_deg"])
+    return index0, _wire_degrees(doc, "setting0_deg"), index3, _wire_degrees(doc, "setting3_deg")
+
+
+def _wire_events(doc: dict) -> tuple[str, ...]:
+    """doc["events"] as a tuple; ValueError unless it is a list of strings."""
+    events = doc["events"]
+    if type(events) is not list or not all(type(event) is str for event in events):
+        raise ValueError(f"events must be a list of strings, got {events!r}")
+    return tuple(events)
 
 
 class TrialRecord(NamedTuple):
@@ -243,7 +265,7 @@ class TrialRecord(NamedTuple):
     def from_json_dict(cls, doc: dict) -> "TrialRecord":
         outcome0, outcome3, trial_id = _wire_outcomes_and_id(doc)
         return cls(trial_id, Ordering(doc["ordering"]), *_wire_settings(doc), outcome0, outcome3,
-                   BsmOutcome(doc["bsm"]), tuple(doc["events"]))
+                   BsmOutcome(doc["bsm"]), _wire_events(doc))
 
 
 class ClassicalRecord(NamedTuple):
@@ -271,7 +293,11 @@ class ClassicalRecord(NamedTuple):
         if doc.get("ordering") != "classical":
             raise ValueError(f"not a classical record: ordering={doc.get('ordering')!r}")
         outcome0, outcome3, trial_id = _wire_outcomes_and_id(doc)
-        return cls(trial_id, *_wire_settings(doc), outcome0, outcome3, str(doc["bsm"]))
+        _wire_events(doc)  # checked, not kept: a classical record's events are always empty
+        marker = doc["bsm"]
+        if type(marker) is not str:
+            raise ValueError(f"bsm must be a string, got {marker!r}")
+        return cls(trial_id, *_wire_settings(doc), outcome0, outcome3, marker)
 
 
 def kind_index(i0, i3, o0, o3, label, label_count: int):
@@ -283,15 +309,21 @@ def kind_index(i0, i3, o0, o3, label, label_count: int):
     return ((i0 * 2 + i3) * 4 + (o0 < 0) * 2 + (o3 < 0)) * label_count + label
 
 
-def kind_templates(make: Callable, label_count: int) -> tuple:
-    """``make(i0, i3, o0, o3, label)`` for every kind, in kind_index order."""
+def kind_templates(angles0: Sequence[AnalyzerAngle], angles3: Sequence[AnalyzerAngle], labels: Sequence,
+                   make: Callable) -> tuple:
+    """The kind table of a batch: ``make(i0, deg0, i3, deg3, o0, o3, label)`` for every kind, in kind_index order.
+
+    deg0 and deg3 are the degrees of angles0[i0] and angles3[i3], and label
+    runs over ``labels``: the record's fields from setting0_index to its
+    label, in wire order, so ``make`` only adds what its record family adds.
+    """
+    deg0, deg3 = [angle.degrees for angle in angles0], [angle.degrees for angle in angles3]
     return tuple(
-        make(i0, i3, o0, o3, label)
-        for i0 in (0, 1)
-        for i3 in (0, 1)
+        make(i0, deg0[i0], i3, deg3[i3], o0, o3, label)
+        for i0, i3 in _SETTING_PAIRS
         for o0 in (+1, -1)
         for o3 in (+1, -1)
-        for label in range(label_count)
+        for label in labels
     )
 
 
@@ -362,8 +394,9 @@ def _check_angles(angles: dict, record, line_number: int) -> None:
     """Note the record's setting angles in ``angles``; RecordFormatError if an index had another angle.
 
     A record file comes from one experiment, so each setting index of each
-    station carries one analyzer angle throughout.  A NaN angle equals no
-    angle, itself included, so it is rejected on its first line.
+    station carries one analyzer angle throughout.  The wire check has
+    rejected every non-finite angle on its own line, so no NaN, which
+    equals no angle, reaches the comparison.
     """
     for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
                                     (3, record.setting3_index, record.setting3_deg)):

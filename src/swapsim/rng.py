@@ -4,18 +4,21 @@
 identical (seed, stream) pairs reproduce identical draws on any platform,
 and distinct streams are independent.  ``trial_draws`` is the one place
 that keys per-trial streams and picks a trial's settings, for the quantum
-sampler, the classical generator and blind-check alike.  This module needs
-nothing from the quantum stack, so the classical engine reaches the kernel
-without loading it; ``swapsim.measure`` re-exports the same class.
+sampler, the classical generator and blind-check alike.  ``record_chunks``
+is the one place that turns those chunks into RecordChunks, so each
+sampler supplies only a kind table and the kinds of a chunk.  This module
+needs nothing from the quantum stack, so the classical engine reaches the
+kernel without loading it; ``swapsim.measure`` re-exports the same class.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from itertools import starmap
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .records import CHUNK
+from .records import CHUNK, RecordChunk
 
 _MASK64 = (1 << 64) - 1
 
@@ -121,3 +124,17 @@ def trial_draws(seed: int, start: int, stop: int, count: int) -> Iterator[tuple[
         draws = RandomSource(seed, trial_ids).uniforms(count)
         yield trial_ids, (draws[:, 0] >= 0.5).astype(np.int64), (draws[:, 1] >= 0.5).astype(np.int64), draws
         del trial_ids, draws  # freed before the next chunk is drawn
+
+
+def record_chunks(seed: int, start: int, stop: int, count: int, templates: Sequence,
+                  kinds: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Iterator[RecordChunk]:
+    """Trials start..stop-1 of trial_draws(seed, start, stop, count) as RecordChunks sharing ``templates``.
+
+    ``kinds(setting0, setting3, draws)`` gives each row's kind_index into
+    ``templates``.  starmap keeps no chunk's arrays once its RecordChunk is
+    built, so they are freed before the next chunk is drawn.
+    """
+    def chunk(trial_ids, setting0, setting3, draws) -> RecordChunk:
+        return RecordChunk(trial_ids.tolist(), kinds(setting0, setting3, draws).tolist(), templates)
+
+    return starmap(chunk, trial_draws(seed, start, stop, count))

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swapsim.classical
+import swapsim.protocol
 import swapsim.records
 from oracles import read_records_reference
 from swapsim import cli
@@ -567,6 +569,10 @@ BROKEN = {
     "setting-index-string": lambda line, rng: _with_field(line, "setting3_index", "1"),
     "setting-index-2": lambda line, rng: _with_field(line, "setting0_index", 2),
     "id-fraction": lambda line, rng: _with_field(line, "trial_id", 3.9),
+    "angle-infinite": lambda line, rng: _with_field(line, "setting0_deg", math.inf),
+    "angle-string": lambda line, rng: _with_field(line, "setting3_deg", "22.5"),
+    "label-number": lambda line, rng: _with_field(line, "bsm", 5),
+    "events-string": lambda line, rng: _with_field(line, "events", "xyz"),
     "json-array": lambda line, rng: "[1,2]",
     "json-number": lambda line, rng: "5",
     "json-null": lambda line, rng: "null",
@@ -707,15 +713,26 @@ class TestRecordReader:
         assert "line 8:" in capsys.readouterr().err
 
 
-# Garbled values of one field of a record, given its document.  But for the
-# index 2, int() would coerce each back to the document's own value, so a
-# reader that coerced would accept the line.
+# Garbled values of one field of a record, given its document.  A reader that
+# coerced would accept each: int() takes the index 2 and turns the others back
+# into the document's own value, float() takes a string or a bool for an
+# angle, and str() and tuple() take a number for a label and a string for the
+# events; an infinite angle passes any coercion, and float() of an integer
+# past the largest double raises OverflowError, which is no format error.
 GARBLED = {
     "setting-index-2": lambda doc: ("setting0_index", 2),
     "setting-index-fraction": lambda doc: ("setting0_index", doc["setting0_index"] + 0.25),
     "setting-index-string": lambda doc: ("setting3_index", str(doc["setting3_index"])),
     "outcome-fraction": lambda doc: ("outcome0", doc["outcome0"] * 1.5),
     "id-fraction": lambda doc: ("trial_id", doc["trial_id"] + 0.9),
+    "angle-infinite": lambda doc: ("setting0_deg", math.inf),
+    "angle-minus-infinite": lambda doc: ("setting3_deg", -math.inf),
+    "angle-string": lambda doc: ("setting0_deg", str(doc["setting0_deg"])),
+    "angle-bool": lambda doc: ("setting3_deg", True),
+    "angle-past-float": lambda doc: ("setting0_deg", 10**400),
+    "label-number": lambda doc: ("bsm", 5),
+    "events-string": lambda doc: ("events", "xyz"),
+    "events-number": lambda doc: ("events", [5]),
 }
 
 
@@ -724,8 +741,14 @@ class TestGarbledFields:
 
     @pytest.mark.parametrize("name", sorted(GARBLED))
     @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
-    def test_exits_3_naming_the_line(self, name, command, tmp_path, capsys):
-        lines = simulate(tmp_path, trials=5).read_text().splitlines()
+    @pytest.mark.parametrize("source", ["simulate", "generate"])
+    def test_exits_3_naming_the_line(self, source, name, command, tmp_path, capsys):
+        if source == "simulate":
+            records = simulate(tmp_path, trials=5)
+        else:
+            records = tmp_path / "lhv.jsonl"
+            assert main(["classical", "generate", "--trials", "5", "--seed", "3", "--out", str(records)]) == 0
+        lines = records.read_text().splitlines()
         lines[1] = _with_field(lines[1], *GARBLED[name](json.loads(lines[1])))
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
@@ -770,6 +793,39 @@ class TestAtomicWrites:
         else:
             assert not manifest.exists()
         assert records.is_dir() and list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("old_manifest", [False, True], ids=["no-manifest", "old-manifest"])
+    @pytest.mark.parametrize("command", ["simulate", "generate"])
+    def test_failed_record_stream_leaves_both_files_as_they_were(self, command, old_manifest, tmp_path,
+                                                                 monkeypatch, capsys):
+        records = tmp_path / "runs.jsonl"
+        manifest = tmp_path / "runs.jsonl.manifest.json"
+        prefix = ["simulate"] if command == "simulate" else ["classical", "generate"]
+        assert main([*prefix, "--trials", "50", "--seed", "3", "--out", str(records)]) == 0
+        before = records.read_bytes(), manifest.read_bytes()
+        if not old_manifest:
+            manifest.unlink()
+        module, name = (swapsim.protocol, "run_chunks") if command == "simulate" else (swapsim.classical, "lhv_chunks")
+        stream = getattr(module, name)
+        written = []
+
+        def fails_after_one_chunk(*args):
+            chunk = next(stream(*args))
+            yield chunk
+            written.append(len(chunk.trial_ids))  # the writer has taken the chunk's rows
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(module, name, fails_after_one_chunk)
+        capsys.readouterr()
+        assert main([*prefix, "--trials", "60", "--seed", "7", "--out", str(records)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert written == [60]
+        assert records.read_bytes() == before[0]
+        if old_manifest:
+            assert manifest.read_bytes() == before[1]
+        else:
+            assert not manifest.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
                              ids=["022", "077", "002"])

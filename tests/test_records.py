@@ -157,7 +157,7 @@ def _classical_record(trial_id=7):
 
 
 def _value_objects():
-    report = analysis.chsh_from_counts({cell: (3, 1) for cell in analysis._CELLS}, "none", 16, 20)
+    report = analysis.chsh_from_counts({cell: (3, 1) for cell in records._SETTING_PAIRS}, "none", 16, 20)
     return [_quantum_record(), _classical_record(), AnalyzerAngle(10.0),
             records.RecordChunk([3, 9], [0, 0], (_classical_record(),)),
             analysis.SelectionFilter.none(), report.e_ab, report]
@@ -215,7 +215,7 @@ class TestValueClasses:
 
 def _engine_values():
     """One of each engine value class: configs, plan steps, states, witnesses, discard rule, checks."""
-    report = analysis.chsh_from_counts({cell: (3, 1) for cell in analysis._CELLS}, "none", 16, 20)
+    report = analysis.chsh_from_counts({cell: (3, 1) for cell in records._SETTING_PAIRS}, "none", 16, 20)
     rho = qstate.to_density(qstate.bell_state(records.BellKind.PSI_MINUS))
     metrics = entanglement.TwoQubitMetrics(1.0, 1.0, 1.0)
     label = classical.LabelCheck("plus", report)
