@@ -1,4 +1,7 @@
-"""Correlation and CHSH estimation over trial records and exact tables, with post-selection.
+"""Correlation and CHSH estimation over (record, weight) pairs, with post-selection.
+
+A weight is a count for sampled records and a probability for an exact
+table (protocol.exact_records); both go through the one tally, _tally.
 
 The estimators are plain mergeable counters: any partition of the records,
 aggregated in any order, yields the same report.  Empty setting cells are a
@@ -107,26 +110,19 @@ def _tally(entries: Iterable[tuple[Union[tuple[int, int], None], int, object]]) 
     return _Tally(signed, weights, total)
 
 
-def _correlation(tally: _Tally, cell: tuple[int, int], filter_description: str) -> float:
-    """E of one cell, signed over total weight; InsufficientDataError when the cell has none."""
-    if not tally.weights[cell] > 0:
-        raise InsufficientDataError(f"setting cell {cell} is empty with filter {filter_description}")
-    return tally.signed[cell] / tally.weights[cell]
-
-
-def _s(e: dict[tuple[int, int], float]) -> float:
-    return e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
-
-
 def _estimate(tally: _Tally, cell: tuple[int, int], filter_description: str) -> CorrelationEstimate:
-    e = _correlation(tally, cell, filter_description)
+    """E of one cell, signed over total weight, with its error; InsufficientDataError when the cell has none."""
     n = tally.weights[cell]
+    if not n > 0:
+        raise InsufficientDataError(f"setting cell {cell} is empty with filter {filter_description}")
+    e = tally.signed[cell] / n
     return CorrelationEstimate(e, n, math.sqrt(max(0.0, 1.0 - e * e) / n))
 
 
 def _report(tally: _Tally, filter_description: str, kept: int, total: int) -> ChshReport:
     estimates = {cell: _estimate(tally, cell, filter_description) for cell in _SETTING_PAIRS}
-    s = _s({cell: estimate.e_value for cell, estimate in estimates.items()})
+    e = {cell: estimate.e_value for cell, estimate in estimates.items()}
+    s = e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
     s_err = math.sqrt(sum(estimate.std_err ** 2 for estimate in estimates.values()))
     return ChshReport(*estimates.values(), s_value=float(s), s_std_err=float(s_err),
                       filter_description=filter_description, kept=kept, total=total)
@@ -182,6 +178,8 @@ def chsh_weighted(
 
     Equal to chsh over the expanded records, so a caller that groups
     identical records (a columnar reader) pays one filter call per group.
+    A count may be a probability (protocol.exact_records): each E and S is
+    then exact, and ``kept`` is the probability the selection keeps.
     """
     selection = selection or SelectionFilter.none()
     tally = _tally(_record_entries(weighted, selection))
@@ -191,47 +189,6 @@ def chsh_weighted(
 def chsh(records: Iterable, selection: Union[SelectionFilter, None] = None) -> ChshReport:
     """Single-pass CHSH estimate: S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
     return chsh_weighted(_each_once(records), selection)
-
-
-def _exact_tally(
-    table: dict[tuple[int, int, int, int, BsmOutcome], float],
-    label: Union[BsmOutcome, None],
-) -> tuple[_Tally, str]:
-    """The tally of an exact table's entries with bsm == label (every entry for None), and its description."""
-    description = "none" if label is None else f"bsm={label.value}"
-    tally = _tally(((i0, i3), o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
-                   if label is None or bsm is label)
-    return tally, description
-
-
-def chsh_exact(
-    table: dict[tuple[int, int, int, int, BsmOutcome], float],
-    label: Union[BsmOutcome, None],
-) -> tuple[dict[tuple[int, int], float], float]:
-    """Exact per-cell correlations and S of a joint table, conditioned on bsm == label.
-
-    ``table`` maps (setting0, setting3, outcome0, outcome3, bsm) to a
-    probability, as protocol.exact_joint_distribution gives it; ``label``
-    None keeps every outcome.  A cell with no probability left after the
-    condition raises InsufficientDataError, as an empty sampled cell does.
-    """
-    tally, description = _exact_tally(table, label)
-    e = {cell: _correlation(tally, cell, description) for cell in _SETTING_PAIRS}
-    return e, _s(e)
-
-
-def correlation_exact(
-    table: dict[tuple[int, int, int, int, BsmOutcome], float],
-    setting_pair: tuple[int, int],
-    label: Union[BsmOutcome, None],
-) -> float:
-    """Exact E of one setting cell, conditioned on bsm == label; other cells may be absent.
-
-    ``table`` is a joint table or one cell of it (protocol.exact_cell_distribution);
-    the value equals chsh_exact's E of that cell over the whole table, bit for bit.
-    """
-    tally, description = _exact_tally(table, label)
-    return _correlation(tally, setting_pair, description)
 
 
 def predicted_correlation(

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 import numpy as np
 
-from .records import AnalyzerAngle, ClassicalRecord, RecordChunk, _Frozen, kind_index, kind_templates, setting_pair
+from .records import (_DEFAULT_ANGLES, AnalyzerAngle, ClassicalRecord, RecordChunk, _Frozen, kind_index,
+                      kind_templates, setting_pair)
 from .rng import record_chunks, trial_draws
 
 # Only blind-check tallies, so it imports analysis itself: generate runs without it.
@@ -53,8 +54,8 @@ class ClassicalConfig(_Frozen):
 
     def __init__(
         self,
-        angles0: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(0.0), AnalyzerAngle(45.0)),
-        angles3: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(22.5), AnalyzerAngle(67.5)),
+        angles0: tuple[AnalyzerAngle, AnalyzerAngle] = _DEFAULT_ANGLES[0],
+        angles3: tuple[AnalyzerAngle, AnalyzerAngle] = _DEFAULT_ANGLES[1],
         trials: int = 1,
         seed: int = 0,
     ) -> None:

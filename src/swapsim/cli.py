@@ -22,8 +22,8 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .records import (BsmMode, BsmOutcome, InsufficientDataError, Ordering, RecordFormatError, bsm_outcomes,
-                      read_record_chunks, write_records)
+from .records import (_DEFAULT_ANGLES, BsmMode, BsmOutcome, InsufficientDataError, Ordering, RecordFormatError,
+                      bsm_outcomes, read_record_chunks, write_records)
 
 # Each command imports numpy, protocol, classical, discard and analysis where
 # it uses them, so analyze and --version start on the standard library alone,
@@ -163,8 +163,6 @@ def _angles_flag(text: str):
     return ((a, a_prime), (b, b_prime))
 
 
-_DEFAULT_ANGLES = ((0.0, 45.0), (22.5, 67.5))
-
 # analyze --select: every label, or "none" for no selection
 _SELECTIONS = sorted(["none", *(label.value for label in BsmOutcome)])
 
@@ -249,27 +247,25 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
 
 
 def _scan_csv(args) -> str:
-    from .analysis import SelectionFilter, correlation_exact, correlation_weighted
-    from .protocol import exact_cell_distribution, run_chunks
+    from .analysis import SelectionFilter, correlation_weighted
+    from .protocol import exact_cell_records, run_chunks
 
+    psi_minus = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
     for delta in _scan_grid(args.scan_step):
         if args.exact:  # the scan prints cell (0,0) only, so only its plan is walked
-            table = exact_cell_distribution(_scan_config(delta, args, trials=1), 0, 0)
-            e_filtered = correlation_exact(table, (0, 0), BsmOutcome.PSI_MINUS)
-            e_all = correlation_exact(table, (0, 0), None)
+            weighted = exact_cell_records(_scan_config(delta, args, trials=1), 0, 0)
         else:
             weighted = list(_kind_counts(run_chunks(_scan_config(delta, args, trials=args.trials))))
-            psi_minus = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
-            e_filtered = correlation_weighted(weighted, (0, 0), psi_minus).e_value
-            e_all = correlation_weighted(weighted, (0, 0)).e_value
+        e_filtered = correlation_weighted(weighted, (0, 0), psi_minus).e_value
+        e_all = correlation_weighted(weighted, (0, 0)).e_value
         lines.append(f"{_fmt(delta)},{_fmt(e_filtered)},{_fmt(e_all)}")
     return "\n".join(lines) + "\n"
 
 
 def _summary_text(args) -> str:
-    from .analysis import SelectionFilter, chsh_exact, chsh_weighted
-    from .protocol import exact_joint_distribution, run_chunks, stage_entanglement_report
+    from .analysis import SelectionFilter, chsh_weighted
+    from .protocol import exact_records, run_chunks, stage_entanglement_report
 
     config = _experiment_config(args, args.angles, args.trials)
     lines = []
@@ -286,23 +282,20 @@ def _summary_text(args) -> str:
     lines.append("")
 
     labels = bsm_outcomes(config.bsm_mode)
+    # held for one chsh_weighted per selection: outcome probabilities, or counts of sampled kinds
+    weighted = exact_records(config) if args.exact else list(_kind_counts(run_chunks(config)))
+    selections = [SelectionFilter.bsm_equals(label) for label in labels] + [SelectionFilter.none()]
+    reports = [chsh_weighted(weighted, selection) for selection in selections]
     if args.exact:
-        table = exact_joint_distribution(config)
         lines.append("exact joint-measurement outcome probabilities:")
-        for label in labels:
-            p = sum(p for key, p in table.items() if key[4] is label)
-            lines.append(f"  P(bsm={label.value}) = {_fmt(p)}")
+        for label, report in zip(labels, reports):
+            lines.append(f"  P(bsm={label.value}) = {_fmt(report.kept)}")
         lines.append("")
         lines.append("exact CHSH S by selection:")
-        for label in labels:
-            _, s = chsh_exact(table, label)
-            lines.append(f"  filter bsm={label.value}: S = {_fmt(s)}  |S| = {_fmt(abs(s))}")
-        _, s_all = chsh_exact(table, None)
-        lines.append(f"  filter none: S = {_fmt(s_all)}  |S| = {_fmt(abs(s_all))}")
+        for report in reports:
+            lines.append(f"  filter {report.filter_description}: S = {_fmt(report.s_value)}  "
+                         f"|S| = {_fmt(report.s_abs)}")
     else:
-        weighted = list(_kind_counts(run_chunks(config)))  # held for one chsh_weighted per selection
-        selections = [SelectionFilter.bsm_equals(label) for label in labels] + [SelectionFilter.none()]
-        reports = [chsh_weighted(weighted, selection) for selection in selections]
         lines.append(f"sampled outcome frequencies (N={config.trials}, seed={config.seed}):")
         for label, report in zip(labels, reports):
             lines.append(f"  f(bsm={label.value}) = {_fmt(report.kept / config.trials)}")

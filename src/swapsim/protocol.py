@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .measure import BellSpec, PolarizationSpec, bell_projectors, extend_frontier, step_outcomes
-from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, tensor
+from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, tensor
 from .records import (
     AnalyzerAngle,
     BsmMode,
@@ -41,6 +41,7 @@ from .records import (
     Ordering,
     RecordChunk,
     TrialRecord,
+    _DEFAULT_ANGLES,
     _Frozen,
     _SETTING_PAIRS,
     bsm_outcomes,
@@ -78,8 +79,8 @@ class ExperimentConfig(_Frozen):
 
     def __init__(
         self,
-        angles0: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(0.0), AnalyzerAngle(45.0)),
-        angles3: tuple[AnalyzerAngle, AnalyzerAngle] = (AnalyzerAngle(22.5), AnalyzerAngle(67.5)),
+        angles0: tuple[AnalyzerAngle, AnalyzerAngle] = _DEFAULT_ANGLES[0],
+        angles3: tuple[AnalyzerAngle, AnalyzerAngle] = _DEFAULT_ANGLES[1],
         trials: int = 1,
         ordering: Ordering = Ordering.BSM_FIRST,
         bsm_mode: BsmMode = BsmMode.FULL,
@@ -115,9 +116,8 @@ def _preparation_components(visibility: float) -> tuple[tuple[float, PureState],
     Each degraded pair V psi- + (1-V) I/4 is rewritten as a Bell-diagonal
     mixture (weight V + (1-V)/4 on psi-, (1-V)/4 on each other kind), so the
     four-photon state is a weighted sum over at most 16 pure products.
+    Products of weight 0 are left out, so V = 1 leaves psi- (x) psi- alone.
     """
-    if visibility == 1.0:
-        return ((1.0, prepare_swap_input()),)
     base = (1.0 - visibility) / 4.0
     weights = {kind: base for kind in BellKind}
     weights[BellKind.PSI_MINUS] += visibility
@@ -259,23 +259,35 @@ def run_batch(config: ExperimentConfig) -> Iterator[TrialRecord]:
         yield from chunk.records()
 
 
-def exact_cell_distribution(
-    config: ExperimentConfig, i0: int, i3: int,
-) -> dict[tuple[int, int, int, int, BsmOutcome], float]:
-    """The (i0, i3) setting cell of exact_joint_distribution, the same entries in the same order.
+def exact_cell_records(config: ExperimentConfig, i0: int, i3: int) -> list[tuple[TrialRecord, float]]:
+    """The (i0, i3) setting cell of exact_records: (record, probability) pairs in plan outcome order.
 
-    Only that setting pair's plan is walked, so one cell costs a quarter of
-    the whole table or less.  Both indices must be 0 or 1.
+    Each record has trial_id 0 and the config's ordering and events; its
+    weight is 1/4 (the uniform setting draw) times the probability of its
+    outcomes.  Only that setting pair's plan is walked, so one cell costs a
+    quarter of the whole table or less.  Both indices must be 0 or 1.
     """
     if (i0, i3) not in _SETTING_PAIRS:
         raise ValueError(f"setting indices must be 0 or 1, got ({i0!r}, {i3!r})")
-    joint = _setting_joint(config._table_key(), i0, i3)
     events = _EVENTS[config.ordering]
-    table: dict[tuple[int, int, int, int, BsmOutcome], float] = {}
-    for outcomes, p in joint.items():
+    deg0, deg3 = config.angles0[i0].degrees, config.angles3[i3].degrees
+    cell = []
+    for outcomes, p in _setting_joint(config._table_key(), i0, i3).items():
         named = dict(zip(events, outcomes))
-        table[(i0, i3, named["pol0"], named["pol3"], named["bsm"])] = 0.25 * p
-    return table
+        record = TrialRecord(0, config.ordering, i0, deg0, i3, deg3, named["pol0"], named["pol3"], named["bsm"],
+                             events)
+        cell.append((record, 0.25 * p))
+    return cell
+
+
+def exact_records(config: ExperimentConfig) -> list[tuple[TrialRecord, float]]:
+    """Every outcome of a trial as a (record, probability) pair: the input of analysis.chsh_weighted.
+
+    Computed by branch enumeration, never sampling; outcomes impossible
+    under the state appear with probability 0.0.  The four
+    exact_cell_records cells, in _SETTING_PAIRS order.
+    """
+    return [pair for i0, i3 in _SETTING_PAIRS for pair in exact_cell_records(config, i0, i3)]
 
 
 def exact_joint_distribution(
@@ -283,15 +295,11 @@ def exact_joint_distribution(
 ) -> dict[tuple[int, int, int, int, BsmOutcome], float]:
     """Exact probability of every (setting0, setting3, outcome0, outcome3, bsm) cell.
 
-    Computed by branch enumeration, never sampling; cells impossible under
-    the state appear with probability 0.0.  Keys use setting indices; both
-    settings carry the uniform 1/4 weight of the per-trial random choice.
-    The table is the union of the four exact_cell_distribution cells.
+    The entries of exact_records, in its order, keyed by setting indices;
+    both settings carry the uniform 1/4 weight of the per-trial random choice.
     """
-    table: dict[tuple[int, int, int, int, BsmOutcome], float] = {}
-    for i0, i3 in _SETTING_PAIRS:
-        table.update(exact_cell_distribution(config, i0, i3))
-    return table
+    return {(record.setting0_index, record.setting3_index, record.outcome0, record.outcome3, record.bsm): p
+            for record, p in exact_records(config)}
 
 
 def _embed_on_bsm_pair(op4: np.ndarray) -> np.ndarray:

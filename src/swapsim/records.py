@@ -33,6 +33,10 @@ CHUNK = 4096
 # + E(a',b) + E(a',b'): the minus sign sits on the (a, b') cell.
 _SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# The default analyzer angles in degrees, (a, a') for photon 0 and (b, b')
+# for photon 3: the canonical CHSH settings of both engines and the CLI.
+_DEFAULT_ANGLES = ((0.0, 45.0), (22.5, 67.5))
+
 
 class InsufficientDataError(ValueError):
     """A requested estimate has an empty setting cell after filtering.
@@ -293,7 +297,8 @@ class ClassicalRecord(NamedTuple):
         if doc.get("ordering") != "classical":
             raise ValueError(f"not a classical record: ordering={doc.get('ordering')!r}")
         outcome0, outcome3, trial_id = _wire_outcomes_and_id(doc)
-        _wire_events(doc)  # checked, not kept: a classical record's events are always empty
+        if _wire_events(doc):  # none are kept, so a rewritten record would lose them
+            raise ValueError(f"a classical record's events must be empty, got {doc['events']!r}")
         marker = doc["bsm"]
         if type(marker) is not str:
             raise ValueError(f"bsm must be a string, got {marker!r}")
@@ -357,6 +362,9 @@ class RecordChunk(_Frozen):
 _TRIAL_ID_PREFIX = '{"trial_id":'
 _CANONICAL_LINE = re.compile(re.escape(_TRIAL_ID_PREFIX) + r"(0|[1-9][0-9]{0,17})(,.*)")
 
+# What surrogateescape makes of the bytes 0x80-0xff that do not decode as UTF-8.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
 # Tails remembered per file.  Past this many, a new tail takes the full
 # parse, so memory stays flat on files whose lines share no tails.
 _MAX_TAILS = 4096
@@ -367,15 +375,22 @@ def _record_line(record) -> str:
 
 
 def _parse_line(text: str, line_number: int):
-    """The record of one stripped line, by json.loads; RecordFormatError if it has none."""
+    """The record of one stripped line, by json.loads; RecordFormatError if it has none.
+
+    The reader decodes with surrogateescape, so a byte that is not UTF-8
+    arrives as a lone surrogate, which is refused here.
+    """
     try:
+        bad = _NOT_UTF8.search(text)
+        if bad:
+            raise ValueError(f"byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise TypeError(f"a record must be a JSON object, not {type(doc).__name__}")
         if doc.get("ordering") == "classical":
             return ClassicalRecord.from_json_dict(doc)
         return TrialRecord.from_json_dict(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise RecordFormatError(line_number, str(exc)) from exc
 
 
@@ -415,13 +430,13 @@ def read_record_chunks(path: str):
     whole and becomes a kind of its own.  Every parsed record must give
     each setting index the angle it had above (_check_angles).  The
     records, and the line number and message of a RecordFormatError, are
-    those of parsing every line with json.loads and that check; before the
+    those of parsing every line with _parse_line and that check; before the
     error, the records above the bad line are yielded.  Blank lines are
     skipped.
     """
     known: dict[str, object] = {}  # templatable tail -> its record
     angles: dict[tuple[int, int], float] = {}  # (station, setting index) -> degrees
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         trial_ids, kinds, templates, local = [], [], [], {}
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()

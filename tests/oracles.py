@@ -204,7 +204,7 @@ def read_records_reference(path):
                     record = ClassicalRecord.from_json_dict(doc)
                 else:
                     record = TrialRecord.from_json_dict(doc)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise RecordFormatError(line_number, str(exc)) from exc
             for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
                                             (3, record.setting3_index, record.setting3_deg)):

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from swapsim import analysis
 from swapsim.analysis import (
     CorrelationEstimate,
     InsufficientDataError,
     SelectionFilter,
     UndefinedPredictionError,
     chsh,
-    chsh_exact,
     chsh_from_counts,
     chsh_weighted,
     correlation,
@@ -20,7 +18,8 @@ from swapsim.analysis import (
 )
 from swapsim.cli import _kind_counts
 from swapsim.measure import AnalyzerAngle, BsmMode, BsmOutcome, bsm_outcomes
-from swapsim.protocol import ExperimentConfig, Ordering, exact_joint_distribution, run_batch, run_chunks
+from swapsim.protocol import (ExperimentConfig, Ordering, _SETTING_PAIRS, exact_joint_distribution, exact_records,
+                              run_batch, run_chunks)
 
 CANONICAL = dict(angles0=(0.0, 45.0), angles3=(22.5, 67.5))
 
@@ -229,34 +228,49 @@ class TestChshWeighted:
             chsh_weighted([(FakeRecord(2, 0, 1, 1), 3)])
 
 
+def _selection(label):
+    return SelectionFilter.none() if label is None else SelectionFilter.bsm_equals(label)
+
+
+def _estimates(report):
+    """The report's estimate of every setting cell, keyed by cell."""
+    return dict(zip(_SETTING_PAIRS, (report.e_ab, report.e_ab_prime, report.e_a_prime_b, report.e_a_prime_b_prime)))
+
+
 class TestChshExact:
+    """chsh_weighted over exact_records: each weight a probability, each E and S exact."""
+
     def test_matches_sums_over_the_table(self):
-        table = exact_joint_distribution(ExperimentConfig(angles0=(17.3, 49.2), angles3=(63.1, 5.8)))
+        config = ExperimentConfig(angles0=(17.3, 49.2), angles3=(63.1, 5.8))
+        table = exact_joint_distribution(config)
         for label in (BsmOutcome.PSI_MINUS, BsmOutcome.PHI_PLUS, None):
-            e, s = chsh_exact(table, label)
+            report = chsh_weighted(exact_records(config), _selection(label))
+            e = {cell: estimate.e_value for cell, estimate in _estimates(report).items()}
             for cell in e:
                 rows = [(o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
                         if (i0, i3) == cell and label in (None, bsm)]
                 want = sum(x * p for x, p in rows) / sum(p for _, p in rows)
                 assert e[cell] == pytest.approx(want, abs=1e-15)
-            assert s == e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
+            assert report.s_value == e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
+            assert report.kept == pytest.approx(sum(p for key, p in table.items() if label in (None, key[4])),
+                                                abs=1e-15)
 
     def test_singlet_reaches_tsirelson(self):
-        _, s = chsh_exact(exact_joint_distribution(ExperimentConfig(**CANONICAL)), BsmOutcome.PSI_MINUS)
-        assert s == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
+        report = chsh_weighted(exact_records(ExperimentConfig(**CANONICAL)), _selection(BsmOutcome.PSI_MINUS))
+        assert report.s_value == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_empty_cell_raises(self):
-        # psi- never occurs in cell (1, 0): a hand-built table
-        table = {}
+        # psi- never occurs in cell (1, 0): hand-built (record, probability) pairs
+        weighted = []
         for i0 in (0, 1):
             for i3 in (0, 1):
-                for bsm in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS):
-                    p = 0.0 if (i0, i3, bsm) == (1, 0, BsmOutcome.PSI_MINUS) else 1.0 / 32.0
-                    table[(i0, i3, +1, -1, bsm)] = table[(i0, i3, -1, +1, bsm)] = p
-        assert chsh_exact(table, BsmOutcome.PSI_PLUS)[1] == -2.0
-        assert chsh_exact(table, None)[1] == -2.0
+                for bsm in ("psi-minus", "psi-plus"):
+                    p = 0.0 if (i0, i3, bsm) == (1, 0, "psi-minus") else 1.0 / 32.0
+                    weighted += [(FakeRecord(i0, i3, +1, -1, bsm), p), (FakeRecord(i0, i3, -1, +1, bsm), p)]
+        assert chsh_weighted(weighted, _selection("psi-plus")).s_value == -2.0
+        assert chsh_weighted(weighted).s_value == -2.0
         with pytest.raises(InsufficientDataError) as err:
-            chsh_exact(table, BsmOutcome.PSI_MINUS)
+            chsh_weighted(weighted, _selection("psi-minus"))
         assert "(1, 0)" in str(err.value) and "bsm=psi-minus" in str(err.value)
 
 
@@ -285,18 +299,18 @@ class TestOneCoreMatchesFormerRoutes:
             for mode in BsmMode:
                 for visibility in (1.0, 0.9, 0.8, 0.5, 1.0 / 3.0, 0.0):
                     for offset in self.OFFSETS:
-                        table = exact_joint_distribution(ExperimentConfig(
+                        config = ExperimentConfig(
                             angles0=(offset, 45.0 + offset), angles3=(22.5 + offset / 2.0, 67.5 + offset),
-                            ordering=ordering, bsm_mode=mode, visibility=visibility))
+                            ordering=ordering, bsm_mode=mode, visibility=visibility)
+                        records = exact_records(config)
+                        table = exact_joint_distribution(config)
                         for label in bsm_outcomes(mode) + (None,):
                             weights, e, s = oracles.chsh_exact_reference(table, label)
-                            core_weights = analysis._tally(
-                                ((i0, i3), o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
-                                if label in (None, bsm)).weights
-                            core_e, core_s = chsh_exact(table, label)
-                            assert {c: w.hex() for c, w in core_weights.items()} == {c: w.hex() for c, w in weights.items()}
-                            assert {c: x.hex() for c, x in core_e.items()} == {c: x.hex() for c, x in e.items()}
-                            assert core_s.hex() == s.hex()
+                            report = chsh_weighted(records, _selection(label))
+                            estimates = _estimates(report)
+                            assert {c: x.n.hex() for c, x in estimates.items()} == {c: w.hex() for c, w in weights.items()}
+                            assert {c: x.e_value.hex() for c, x in estimates.items()} == {c: x.hex() for c, x in e.items()}
+                            assert report.s_value.hex() == s.hex()
                             checked += 1
         assert checked == 1080
 

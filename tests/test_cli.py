@@ -576,6 +576,7 @@ BROKEN = {
     "json-array": lambda line, rng: "[1,2]",
     "json-number": lambda line, rng: "5",
     "json-null": lambda line, rng: "null",
+    "json-nested-too-deep": lambda line, rng: "[" * 200_000,
 }
 
 
@@ -760,6 +761,61 @@ class TestGarbledFields:
         capsys.readouterr()
         assert main(argv) == 3
         assert "line 2:" in capsys.readouterr().err
+        assert not kept.exists()
+
+
+    @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
+    def test_classical_events_must_be_empty(self, command, tmp_path, capsys):
+        # only a classical record keeps no events, so a rewrite would drop them
+        records = tmp_path / "lhv.jsonl"
+        assert main(["classical", "generate", "--trials", "6", "--seed", "3", "--out", str(records)]) == 0
+        lines = [_with_field(line, "events", ["bsm", "pol0"]) for line in records.read_text().splitlines()]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        kept = tmp_path / "kept.jsonl"
+        if command == "analyze":
+            argv = ["analyze", "--in", str(bad)]
+        else:
+            argv = ["classical", "discard", "--rule", command, "--in", str(bad), "--out", str(kept)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "line 1: a classical record's events must be empty" in capsys.readouterr().err
+        assert not kept.exists()
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 fails its own line, after the records above it, in every command that reads."""
+
+    @staticmethod
+    def _with_bad_byte(records: Path, where: str, tmp_path: Path) -> Path:
+        lines = records.read_bytes().split(b"\n")
+        line = bytearray(lines[3])
+        # the tail's label, or the first digit of the id: line 4 lies inside the reader's first 8 KB buffer
+        line[line.index(b'"bsm":"') + 7 if where == "tail" else len(b'{"trial_id":')] = 0xFF
+        lines[3] = bytes(line)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        return bad
+
+    @pytest.mark.parametrize("where", ["tail", "id"])
+    def test_records_above_the_bad_line_are_yielded(self, where, tmp_path):
+        records = simulate(tmp_path, trials=300)
+        got, error = _outcome(read_records(str(self._with_bad_byte(records, where, tmp_path))))
+        assert got == list(read_records(str(records)))[:3]
+        assert error == (4, "line 4: byte 0xff is not UTF-8")
+
+    @pytest.mark.parametrize("where", ["tail", "id"])
+    @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
+    def test_exits_3_naming_the_line(self, command, where, tmp_path, capsys):
+        bad = self._with_bad_byte(simulate(tmp_path, trials=300), where, tmp_path)
+        kept = tmp_path / "kept.jsonl"
+        if command == "analyze":
+            argv = ["analyze", "--in", str(bad)]
+        else:
+            argv = ["classical", "discard", "--rule", command, "--in", str(bad), "--out", str(kept)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "line 4: byte 0xff is not UTF-8" in capsys.readouterr().err
         assert not kept.exists()
 
 

@@ -7,21 +7,23 @@ import numpy as np
 import pytest
 
 import oracles
-from swapsim.analysis import chsh_exact, correlation_exact
+from swapsim.analysis import SelectionFilter, chsh_weighted, correlation_weighted
 from swapsim.measure import CHUNK, BellSpec, BsmMode, BsmOutcome, PolarizationSpec, bsm_outcomes
 from swapsim.cli import _scan_config, _scan_grid, main
 from swapsim.protocol import (
     ExperimentConfig,
     Ordering,
     TrialRecord,
+    _EVENTS,
     _SETTING_PAIRS,
     _frontiers,
     _measurement_plan,
     _pick,
     _sampling_tables,
     _setting_joint,
-    exact_cell_distribution,
+    exact_cell_records,
     exact_joint_distribution,
+    exact_records,
     preparation_density,
     run_batch,
     run_chunks,
@@ -305,12 +307,14 @@ class TestOneCellScan:
                                   visibility=visibility)
         for delta in self.DELTAS:
             cfg = _scan_config(delta, args, trials=1)
-            cell = exact_cell_distribution(cfg, 0, 0)
-            whole = exact_joint_distribution(cfg)
-            assert list(cell.items()) == [(key, p) for key, p in whole.items() if key[:2] == (0, 0)]
-            for label in (BsmOutcome.PSI_MINUS, None):
-                got = correlation_exact(cell, (0, 0), label)
-                assert got.hex() == chsh_exact(whole, label)[0][(0, 0)].hex(), (delta, label)
+            cell = exact_cell_records(cfg, 0, 0)
+            whole = exact_records(cfg)
+            assert [(record, p.hex()) for record, p in cell] == \
+                [(record, p.hex()) for record, p in whole if (record.setting0_index, record.setting3_index) == (0, 0)]
+            for selection in (SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS), SelectionFilter.none()):
+                got = correlation_weighted(cell, (0, 0), selection).e_value
+                want = chsh_weighted(whole, selection).e_ab.e_value
+                assert got.hex() == want.hex(), (delta, selection.description)
 
 
 class TestExactCellIndices:
@@ -320,11 +324,23 @@ class TestExactCellIndices:
     def test_rejects_out_of_range_setting_index(self, i0, i3):
         _frontiers.cache_clear()
         with pytest.raises(ValueError, match="setting indices"):
-            exact_cell_distribution(config(), i0, i3)
+            exact_cell_records(config(), i0, i3)
         assert _frontiers.cache_info().currsize == 0
 
 
 class TestExactJointDistribution:
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("mode", list(BsmMode))
+    def test_is_the_dict_of_exact_records(self, ordering, mode):
+        cfg = config(angles0=(17.3, 49.2), angles3=(63.1, 5.8), ordering=ordering, bsm_mode=mode, visibility=0.8)
+        records = exact_records(cfg)
+        assert [(key, p.hex()) for key, p in exact_joint_distribution(cfg).items()] == [
+            ((r.setting0_index, r.setting3_index, r.outcome0, r.outcome3, r.bsm), p.hex()) for r, p in records]
+        for record, _ in records:
+            assert (record.trial_id, record.ordering, record.events) == (0, ordering, _EVENTS[ordering])
+            assert record.setting0_deg == cfg.angles0[record.setting0_index].degrees
+            assert record.setting3_deg == cfg.angles3[record.setting3_index].degrees
+
     @pytest.mark.parametrize("ordering", list(Ordering))
     @pytest.mark.parametrize("mode", list(BsmMode))
     @pytest.mark.parametrize("visibility", [1.0, 0.7])
