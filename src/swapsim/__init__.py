@@ -18,15 +18,7 @@ __version__ = "0.1.0"
 
 # Home module of every public name.
 _EXPORTS = {
-    "analysis": (
-        "ChshReport",
-        "CorrelationEstimate",
-        "SelectionFilter",
-        "UndefinedPredictionError",
-        "chsh",
-        "correlation",
-        "predicted_correlation",
-    ),
+    "analysis": ("ChshReport", "CorrelationEstimate", "SelectionFilter", "chsh"),
     "classical": (
         "BlindCheckReport",
         "ClassicalConfig",
@@ -39,7 +31,7 @@ _EXPORTS = {
     ),
     "discard": ("DiscardRule", "apply_discard", "pr_box_rule", "quantum_mimic_rule"),
     "entanglement": ("TwoQubitMetrics", "concurrence", "metrics_for", "negativity"),
-    "measure": ("outcome_distribution", "polarization_observable"),
+    "measure": ("polarization_observable",),
     "protocol": (
         "ExperimentConfig",
         "StageSnapshot",
@@ -48,15 +40,7 @@ _EXPORTS = {
         "run_trial",
         "stage_entanglement_report",
     ),
-    "qstate": (
-        "DensityMatrix",
-        "PureState",
-        "bell_state",
-        "partial_trace",
-        "prepare_swap_input",
-        "tensor",
-        "to_density",
-    ),
+    "qstate": ("DensityMatrix", "PureState", "bell_state", "partial_trace", "tensor"),
     "records": (
         "AnalyzerAngle",
         "BellKind",

@@ -14,11 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .records import _SETTING_PAIRS, AnalyzerAngle, BsmOutcome, InsufficientDataError, as_angle
-
-
-class UndefinedPredictionError(ValueError):
-    """No closed-form correlation exists for the requested outcome label."""
+from .records import _SETTING_PAIRS, BsmOutcome, InsufficientDataError
 
 
 class SelectionFilter(NamedTuple):
@@ -134,10 +130,6 @@ def _record_entries(weighted: Iterable[tuple[object, int]], selection: Selection
              record.outcome0 * record.outcome3, count) for record, count in weighted)
 
 
-def _each_once(records: Iterable) -> Iterable[tuple[object, int]]:
-    return ((record, 1) for record in records)
-
-
 def correlation_weighted(
     weighted: Iterable[tuple[object, int]],
     setting_pair: tuple[int, int],
@@ -149,15 +141,6 @@ def correlation_weighted(
     if pair not in _SETTING_PAIRS:
         raise ValueError(f"setting pair {pair} outside the two-by-two design")
     return _estimate(_tally(_record_entries(weighted, selection)), pair, selection.description)
-
-
-def correlation(
-    records: Iterable,
-    setting_pair: tuple[int, int],
-    selection: Union[SelectionFilter, None] = None,
-) -> CorrelationEstimate:
-    """Estimate E for one setting cell over the filtered records."""
-    return correlation_weighted(_each_once(records), setting_pair, selection)
 
 
 def chsh_from_counts(cell_counts, filter_description: str, kept: int, total: int) -> ChshReport:
@@ -188,32 +171,5 @@ def chsh_weighted(
 
 def chsh(records: Iterable, selection: Union[SelectionFilter, None] = None) -> ChshReport:
     """Single-pass CHSH estimate: S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    return chsh_weighted(_each_once(records), selection)
+    return chsh_weighted(((record, 1) for record in records), selection)
 
-
-def predicted_correlation(
-    bsm: BsmOutcome,
-    alpha: Union[AnalyzerAngle, float],
-    delta: Union[AnalyzerAngle, float],
-) -> float:
-    """Closed-form E(alpha, delta) for photons (0,3) given a resolving outcome.
-
-    psi- and phi+ carry the angle difference, psi+ and phi- the angle sum;
-    the psi states anticorrelate at equal angles, the phi states correlate.
-    The coarse OTHER bucket mixes phi+ and phi-, whose correlations cancel
-    at generic angles, so no single closed form applies.
-    """
-    a = as_angle(alpha).radians
-    d = as_angle(delta).radians
-    bsm = BsmOutcome(bsm)
-    if bsm is BsmOutcome.PSI_MINUS:
-        return -math.cos(2.0 * (a - d))
-    if bsm is BsmOutcome.PSI_PLUS:
-        return -math.cos(2.0 * (a + d))
-    if bsm is BsmOutcome.PHI_PLUS:
-        return math.cos(2.0 * (a - d))
-    if bsm is BsmOutcome.PHI_MINUS:
-        return math.cos(2.0 * (a + d))
-    raise UndefinedPredictionError(
-        "the coarse 'other' outcome has no single closed-form correlation"
-    )

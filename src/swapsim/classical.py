@@ -312,6 +312,8 @@ def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     be trusted (see _FALLBACK_BOUND) is scored by the closures, so every
     decision is the closures'.
     """
+    if model_seed < 0:
+        raise ValueError(f"model seed must be a non-negative integer, got {model_seed}")
     rng = np.random.default_rng(model_seed)
     phase0, phase3 = rng.uniform(0.0, np.pi, size=2)
     amps = rng.normal(size=(_HARMONICS, 3))

@@ -17,6 +17,7 @@ import contextlib
 import gc
 import json
 import os
+import signal
 import sys
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -506,7 +507,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def _terminate(signum, frame):
+    signal.signal(signum, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
 def console_main() -> None:
+    # SIGTERM's default action ends the process without unwinding; as
+    # SystemExit it runs _atomic_open's cleanup and exits with the status a
+    # shell reports for a TERM-killed job.  main() leaves signals alone.
+    signal.signal(signal.SIGTERM, _terminate)
     code = main()
     # Frozen objects are out of the shutdown collection's reach: it skips
     # numpy's heap, which the OS reclaims.  atexit handlers and stream flushing

@@ -1,11 +1,11 @@
 """Projective polarization and Bell-basis measurements and exact branch walks.
 
 Outcomes come in a fixed order (binary: +1 then -1; full Bell: psi-, psi+,
-phi-, phi+; partial Bell: psi-, psi+, other).  ``extend_frontier`` and
-``outcome_distribution`` walk every branch of a measurement plan in that
-order and give exact Born probabilities; sampling draws by inverse CDF from
-those tables (see ``protocol``), never by collapsing states one trial at a
-time.  ``RandomSource``, the seeded Philox4x64-10 stream engine, lives in
+phi-, phi+; partial Bell: psi-, psi+, other).  ``extend_frontier``,
+folded over a measurement plan, walks every branch in that order and gives
+exact Born probabilities; sampling draws by inverse CDF from those tables
+(see ``protocol``), never by collapsing states one trial at a time.
+``RandomSource``, the seeded Philox4x64-10 stream engine, lives in
 ``swapsim.rng`` and is re-exported here as the same class.
 
 A frontier is two arrays: ``joints``, shaped (rows,), and ``amps``, shaped
@@ -22,12 +22,11 @@ amplitudes a + bi, which is, term for term, the sum a*a + b*b that zdotc
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .qstate import BellKind, PureState, bell_state
+from .qstate import BellKind, bell_state
 from .records import CHUNK, AnalyzerAngle, BsmMode, BsmOutcome, as_angle, bsm_outcomes  # noqa: F401 (re-exported)
 from .records import _Frozen
 from .rng import RandomSource  # noqa: F401 (re-exported)
@@ -171,18 +170,3 @@ def extend_frontier(
     states = np.divide(products, np.sqrt(p)[:, None], out=np.zeros_like(products), where=(p > 0.0)[:, None])
     return children, states
 
-
-def outcome_distribution(state: PureState, plan: Iterable[MeasurementSpec]) -> dict[tuple, float]:
-    """Exact joint distribution of a sequence of measurements.
-
-    A fold of extend_frontier over the plan from the state's one row, which
-    multiplies Born probabilities branch by branch.  The result maps each
-    full outcome tuple (one entry per plan step, in plan order) to its
-    probability; impossible combinations appear with 0.0 so the key set is
-    the full cartesian product of step outcomes.
-    """
-    steps = tuple(plan)
-    joints, amps = np.ones(1), state.amplitudes[None, :]
-    for depth, spec in enumerate(steps):
-        joints, amps = extend_frontier(joints, amps, spec, state.num_qubits, keep_states=depth + 1 < len(steps))
-    return dict(zip(product(*map(step_outcomes, steps)), joints.tolist()))

@@ -122,21 +122,6 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(total, np.kron(a.amplitudes, b.amplitudes))
 
 
-def prepare_swap_input() -> PureState:
-    """Four-photon source state psi-(0,1) (x) psi-(2,3).
-
-    Photons 0,1 form one singlet pair and photons 2,3 the other; photons 0 and 3
-    share no correlations until a joint measurement on 1 and 2 creates them.
-    """
-    pair = bell_state(BellKind.PSI_MINUS)
-    return tensor(pair, pair)
-
-
-def to_density(state: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi|."""
-    return DensityMatrix(state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every qubit not listed in ``keep``.
 

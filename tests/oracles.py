@@ -6,8 +6,10 @@ package's linear-algebra helpers or its record reader, so a test comparing
 both routes genuinely checks two independent computations of the same
 number.
 
-The small constructors (basis kets, the Werner closed form, a constant
-hidden-variable model) exist only for tests, so they live here too.
+The small constructors and closed forms (basis kets, the swap input, the
+rank-one density projector, the Werner concurrence, the per-outcome
+correlations, a constant hidden-variable model) exist only for tests, so
+they live here too.
 
 The former CHSH routes (the exact loop and the two-slot sampled tally)
 are kept to check the package's one CHSH core against them bit for bit.
@@ -32,8 +34,8 @@ from swapsim.analysis import ChshReport, CorrelationEstimate, InsufficientDataEr
 from swapsim.classical import ClassicalRecord, HiddenVariableModel
 from swapsim.measure import BellSpec, PolarizationSpec, bell_projectors, bsm_outcomes, polarization_observable
 from swapsim.protocol import TrialRecord, _measurement_plan, _preparation_components
-from swapsim.qstate import PureState
-from swapsim.records import RecordFormatError
+from swapsim.qstate import DensityMatrix, PureState
+from swapsim.records import BsmOutcome, RecordFormatError
 
 
 def basis_state(num_qubits: int, index: int) -> PureState:
@@ -174,6 +176,46 @@ def bell_projector_explicit(label: str) -> np.ndarray:
 def werner_matrix(p: float) -> np.ndarray:
     singlet = bell_projector_explicit("psi-minus")
     return p * singlet + (1.0 - p) * np.eye(4) / 4.0
+
+
+def prepare_swap_input() -> PureState:
+    """Four-photon source state psi-(0,1) (x) psi-(2,3), from the explicit singlet vector.
+
+    Photons 0,1 form one singlet pair and photons 2,3 the other; photons 0 and 3
+    share no correlations until a joint measurement on 1 and 2 creates them.
+    """
+    singlet = BELL_VECTORS["psi-minus"]
+    return PureState(4, np.kron(singlet, singlet))
+
+
+def to_density(state: PureState) -> DensityMatrix:
+    """Rank-one projector |psi><psi|."""
+    return DensityMatrix(state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
+class UndefinedPredictionError(ValueError):
+    """No closed-form correlation exists for the requested outcome label."""
+
+
+def predicted_correlation(bsm: BsmOutcome, alpha, delta) -> float:
+    """Closed-form E(alpha, delta) for photons (0,3) given a resolving outcome; angles in degrees or AnalyzerAngle.
+
+    psi- and phi+ carry the angle difference, psi+ and phi- the angle sum;
+    the psi states anticorrelate at equal angles, the phi states correlate.
+    The coarse OTHER bucket mixes phi+ and phi-, whose correlations cancel
+    at generic angles, so no single closed form applies.
+    """
+    a, d = (math.radians(float(getattr(angle, "degrees", angle))) for angle in (alpha, delta))
+    bsm = BsmOutcome(bsm)
+    if bsm is BsmOutcome.PSI_MINUS:
+        return -math.cos(2.0 * (a - d))
+    if bsm is BsmOutcome.PSI_PLUS:
+        return -math.cos(2.0 * (a + d))
+    if bsm is BsmOutcome.PHI_PLUS:
+        return math.cos(2.0 * (a - d))
+    if bsm is BsmOutcome.PHI_MINUS:
+        return math.cos(2.0 * (a + d))
+    raise UndefinedPredictionError("the coarse 'other' outcome has no single closed-form correlation")
 
 
 def philox_uniforms(seed: int, stream: int, count: int) -> np.ndarray:

@@ -9,12 +9,10 @@ from swapsim.analysis import (
     CorrelationEstimate,
     InsufficientDataError,
     SelectionFilter,
-    UndefinedPredictionError,
     chsh,
     chsh_from_counts,
     chsh_weighted,
-    correlation,
-    predicted_correlation,
+    correlation_weighted,
 )
 from swapsim.cli import _kind_counts
 from swapsim.measure import AnalyzerAngle, BsmMode, BsmOutcome, bsm_outcomes
@@ -42,6 +40,11 @@ def cell_records(cell, aligned, opposed, label="psi-minus"):
     for _ in range(opposed):
         out.append(FakeRecord(cell[0], cell[1], +1, -1, label))
     return out
+
+
+def once(records):
+    """Each record as a (record, 1) pair, the count-1 input form of correlation_weighted."""
+    return [(record, 1) for record in records]
 
 
 def all_cells(aligned_by_cell, opposed_by_cell):
@@ -74,35 +77,35 @@ class TestSelectionFilter:
 
 class TestCorrelation:
     def test_perfect_alignment(self):
-        est = correlation(cell_records((0, 0), aligned=40, opposed=0), (0, 0))
+        est = correlation_weighted(once(cell_records((0, 0), aligned=40, opposed=0)), (0, 0))
         assert est == CorrelationEstimate(1.0, 40, 0.0)
 
     def test_balanced_counts(self):
-        est = correlation(cell_records((1, 1), aligned=50, opposed=50), (1, 1))
+        est = correlation_weighted(once(cell_records((1, 1), aligned=50, opposed=50)), (1, 1))
         assert est.e_value == 0.0
         assert est.n == 100
         assert est.std_err == pytest.approx(0.1, abs=1e-15)
 
     def test_binomial_error_formula(self):
-        est = correlation(cell_records((0, 1), aligned=3, opposed=1), (0, 1))
+        est = correlation_weighted(once(cell_records((0, 1), aligned=3, opposed=1)), (0, 1))
         assert est.e_value == pytest.approx(0.5)
         assert est.std_err == pytest.approx(math.sqrt((1.0 - 0.25) / 4.0))
 
     def test_empty_cell_names_cell_and_filter(self):
         records = cell_records((0, 0), 5, 5, label="psi-plus")
         with pytest.raises(InsufficientDataError) as err:
-            correlation(records, (0, 0), SelectionFilter.bsm_equals("psi-minus"))
+            correlation_weighted(once(records), (0, 0), SelectionFilter.bsm_equals("psi-minus"))
         assert "(0, 0)" in str(err.value)
         assert "bsm=psi-minus" in str(err.value)
 
     def test_rejects_setting_pair_outside_design(self):
         with pytest.raises(ValueError):
-            correlation(cell_records((0, 0), 1, 0), (0, 2))
+            correlation_weighted(once(cell_records((0, 0), 1, 0)), (0, 2))
 
     def test_rejects_record_with_out_of_design_indices(self):
         bad = [FakeRecord(3, 0, 1, 1)]
         with pytest.raises(ValueError):
-            correlation(bad, (0, 0))
+            correlation_weighted(once(bad), (0, 0))
 
 
 class TestChsh:
@@ -332,25 +335,25 @@ class TestOneCoreMatchesFormerRoutes:
 
 class TestPredictedCorrelation:
     def test_equal_angle_values(self):
-        assert predicted_correlation(BsmOutcome.PSI_MINUS, 30.0, 30.0) == pytest.approx(-1.0)
-        assert predicted_correlation(BsmOutcome.PHI_PLUS, 17.0, 17.0) == pytest.approx(+1.0)
+        assert oracles.predicted_correlation(BsmOutcome.PSI_MINUS, 30.0, 30.0) == pytest.approx(-1.0)
+        assert oracles.predicted_correlation(BsmOutcome.PHI_PLUS, 17.0, 17.0) == pytest.approx(+1.0)
 
     def test_orthogonal_offset_vanishes(self):
-        assert abs(predicted_correlation(BsmOutcome.PSI_MINUS, 0.0, 45.0)) <= 1e-12
+        assert abs(oracles.predicted_correlation(BsmOutcome.PSI_MINUS, 0.0, 45.0)) <= 1e-12
 
     def test_angle_sum_family(self):
-        assert predicted_correlation(BsmOutcome.PSI_PLUS, 10.0, 20.0) == pytest.approx(
+        assert oracles.predicted_correlation(BsmOutcome.PSI_PLUS, 10.0, 20.0) == pytest.approx(
             -math.cos(math.radians(60.0)))
-        assert predicted_correlation(BsmOutcome.PHI_MINUS, 10.0, 20.0) == pytest.approx(
+        assert oracles.predicted_correlation(BsmOutcome.PHI_MINUS, 10.0, 20.0) == pytest.approx(
             +math.cos(math.radians(60.0)))
 
     def test_accepts_analyzer_angles(self):
-        value = predicted_correlation(BsmOutcome.PSI_MINUS, AnalyzerAngle(0.0), AnalyzerAngle(22.5))
+        value = oracles.predicted_correlation(BsmOutcome.PSI_MINUS, AnalyzerAngle(0.0), AnalyzerAngle(22.5))
         assert value == pytest.approx(-math.cos(math.radians(45.0)))
 
     def test_other_has_no_prediction(self):
-        with pytest.raises(UndefinedPredictionError):
-            predicted_correlation(BsmOutcome.OTHER, 0.0, 22.5)
+        with pytest.raises(oracles.UndefinedPredictionError):
+            oracles.predicted_correlation(BsmOutcome.OTHER, 0.0, 22.5)
 
     def test_matches_exact_tables_at_generic_angles(self):
         # dual route: closed forms against the branch-enumeration tables
@@ -365,6 +368,6 @@ class TestPredictedCorrelation:
                         if (a, b) == (i0, i3) and bsm is outcome:
                             num += o0 * o3 * p
                             den += p
-                    want = predicted_correlation(
+                    want = oracles.predicted_correlation(
                         outcome, cfg.angles0[i0], cfg.angles3[i3])
                     assert abs(num / den - want) <= 1e-12

@@ -478,6 +478,10 @@ class TestModels:
         b = model.outcome0(np.full_like(lam, 1.2), lam)
         assert np.array_equal(a, b)
 
+    def test_fourier_model_rejects_a_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match=r"^model seed must be a non-negative integer, got -1$"):
+            random_fourier_model(-1)
+
     def test_fourier_model_is_reproducible_from_its_seed(self):
         lam0 = np.linspace(0.0, np.pi, 200, endpoint=False)
         lam1 = lam0[::-1].copy()

@@ -3,10 +3,13 @@ import json
 import math
 import os
 import pickle
+import platform
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +493,13 @@ class TestClassicalCommands:
         assert doc["models"][0]["labels"] == []
         assert doc["models"][0]["starved"] == ["plus", "minus"]
 
+    def test_negative_model_seed_is_a_usage_error_naming_it(self, tmp_path, capsys):
+        code = main(["classical", "generate", "--model", "fourier", "--model-seed", "-1",
+                     "--out", str(tmp_path / "lhv.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == "swapsim: error: model seed must be a non-negative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_discard_rejects_unknown_rule(self, tmp_path):
         assert main(["classical", "discard", "--rule", "magic",
                      "--in", "x", "--out", "y"]) == 2
@@ -944,6 +954,8 @@ _NO_RULES = ("swapsim.discard",)
 # no swapsim class is a dataclass; numpy loads inspect itself, so only the stdlib commands go without it
 _NO_DATACLASSES = ("dataclasses",)
 _NO_INTROSPECTION = _NO_DATACLASSES + ("inspect",)
+# only the Fourier model's coefficients are drawn by numpy.random: blind-check and generate --model fourier
+_NO_NUMPY_RANDOM = ("numpy.random",)
 
 
 class TestImportGraph:
@@ -963,14 +975,16 @@ class TestImportGraph:
         return path
 
     @pytest.mark.parametrize("argv, forbidden", [
-        ("analyze --in runs.jsonl --select psi-minus", _NUMERIC + _NO_INTROSPECTION),
-        ("analyze --in kept.jsonl", _NUMERIC + _NO_INTROSPECTION),
-        ("--version", _NUMERIC + _NO_TALLY + _NO_INTROSPECTION),
-        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY + _NO_DATACLASSES),
-        ("report --trials 2000", _SAMPLING + _NO_DATACLASSES),
-        ("report --exact --scan --scan-step 45", _NO_STAGES + _NO_DATACLASSES),
-        ("classical generate --trials 50 --out gen.jsonl", _CLASSICAL + _NO_TALLY + _NO_RULES + _NO_DATACLASSES),
-        ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl", _DISCARD + _NO_DATACLASSES),
+        ("analyze --in runs.jsonl --select psi-minus", _NUMERIC + _NO_INTROSPECTION + _NO_NUMPY_RANDOM),
+        ("analyze --in kept.jsonl", _NUMERIC + _NO_INTROSPECTION + _NO_NUMPY_RANDOM),
+        ("--version", _NUMERIC + _NO_TALLY + _NO_INTROSPECTION + _NO_NUMPY_RANDOM),
+        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+        ("report --trials 2000", _SAMPLING + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+        ("report --exact --scan --scan-step 45", _NO_STAGES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+        ("classical generate --trials 50 --out gen.jsonl",
+         _CLASSICAL + _NO_TALLY + _NO_RULES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+        ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl",
+         _DISCARD + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
         ("classical blind-check --trials 200 --models 2", _CLASSICAL + _NO_RULES + _NO_DATACLASSES),
     ])
     def test_command_loads_none_of_the_forbidden_modules(self, workdir, argv, forbidden):
@@ -980,6 +994,23 @@ class TestImportGraph:
 
     def test_summary_report_loads_the_witnesses(self, workdir):
         assert "swapsim.entanglement" in _probe(workdir, ["report", "--trials", "200"], _probe_env())["modules"]
+
+
+def _switchable_openblas() -> bool:
+    """Whether OPENBLAS_CORETYPE picks numpy's BLAS kernel here.
+
+    That needs x86-64, an OpenBLAS built with DYNAMIC_ARCH, and AVX2 to run the Haswell kernel.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = set(config.get("SIMD Extensions", {}).get("found") or ())
+    return ("openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and bool(simd & {"AVX2", "X86_V3"}))
 
 
 class TestBlasThreads:
@@ -1019,6 +1050,18 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             stdout.append(proc.stdout)
         assert stdout[0] == stdout[1]
+
+    @pytest.mark.skipif(not _switchable_openblas(), reason="needs x86-64 numpy on a DYNAMIC_ARCH OpenBLAS and AVX2")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 13: the exact summary's float dust depends on the OpenBLAS kernel")
+    def test_exact_report_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        outputs = {}
+        for argv in ("report --exact", "report --exact --visibility 0.8 --ordering pol-first"):
+            for core in ("Haswell", "Sandybridge", "Prescott"):
+                proc = subprocess.run([sys.executable, "-m", "swapsim.cli", *argv.split()], cwd=tmp_path, check=True,
+                                      env=_probe_env(OPENBLAS_CORETYPE=core), capture_output=True, timeout=120)
+                outputs.setdefault(argv, set()).add(proc.stdout)
+        assert {argv: len(distinct) for argv, distinct in outputs.items()} == dict.fromkeys(outputs, 1)
 
     def test_importing_the_library_sets_nothing(self):
         probe = "import os, swapsim.protocol; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
@@ -1083,6 +1126,25 @@ class TestExitPath:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.startswith(output) and proc.stdout.endswith("atexit: frozen True enabled True\n")
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGTERM is delivered by POSIX kill")
+    def test_sigterm_leaves_no_temporary_file_and_exits_143(self, tmp_path):
+        # a batch far too long to finish, sent SIGTERM once its first temporary file exists
+        argv = [sys.executable, "-m", "swapsim.cli", "simulate", "--trials", "100000000", "--out", "runs.jsonl"]
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=_probe_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline, "no temporary file appeared"
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        assert proc.returncode == 143, stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
         before = gc.get_freeze_count(), gc.isenabled()

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from swapsim.entanglement import TwoQubitMetrics, concurrence, metrics_for, negativity
-from swapsim.qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, prepare_swap_input, to_density
+from swapsim.qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace
 
 
 def random_two_qubit_density(rng, rank=3) -> DensityMatrix:
@@ -13,21 +13,21 @@ def random_two_qubit_density(rng, rank=3) -> DensityMatrix:
 class TestConcurrence:
     def test_bell_states_maximal(self):
         for kind in BellKind:
-            assert abs(concurrence(to_density(bell_state(kind))) - 1.0) <= 1e-9
+            assert abs(concurrence(oracles.to_density(bell_state(kind))) - 1.0) <= 1e-9
 
     def test_maximally_mixed_zero(self):
         rho = DensityMatrix(2, np.eye(4) / 4)
         assert concurrence(rho) <= 1e-9
 
     def test_swap_input_outer_pair_zero(self):
-        rho = partial_trace(to_density(prepare_swap_input()), (0, 3))
+        rho = partial_trace(oracles.to_density(oracles.prepare_swap_input()), (0, 3))
         assert concurrence(rho) <= 1e-9
 
     def test_matches_pure_state_closed_form(self, rng):
         # dual route: for pure states the concurrence is 2|ad - bc|
         for _ in range(100):
             amps = oracles.random_state(rng, 2)
-            ours = concurrence(to_density(PureState(2, amps)))
+            ours = concurrence(oracles.to_density(PureState(2, amps)))
             assert abs(ours - oracles.pure_concurrence(amps)) <= 1e-9
 
     def test_werner_closed_form_on_grid(self):
@@ -41,21 +41,21 @@ class TestConcurrence:
         for _ in range(100):
             a = oracles.random_state(rng, 1)
             b = oracles.random_state(rng, 1)
-            rho = to_density(PureState(2, np.kron(a, b)))
+            rho = oracles.to_density(PureState(2, np.kron(a, b)))
             assert concurrence(rho) <= 1e-9
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
-            concurrence(to_density(PureState(1, np.array([1.0, 0.0]))))
+            concurrence(oracles.to_density(PureState(1, np.array([1.0, 0.0]))))
 
 
 class TestNegativity:
     def test_bell_states_half(self):
         for kind in BellKind:
-            assert abs(negativity(to_density(bell_state(kind))) - 0.5) <= 1e-9
+            assert abs(negativity(oracles.to_density(bell_state(kind))) - 0.5) <= 1e-9
 
     def test_singlet_partial_transpose_spectrum(self):
-        rho = to_density(bell_state(BellKind.PSI_MINUS))
+        rho = oracles.to_density(bell_state(BellKind.PSI_MINUS))
         pt = rho.entries.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
         eigs = np.sort(np.linalg.eigvalsh(pt))
         assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-9)
@@ -72,7 +72,7 @@ class TestNegativity:
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
-            negativity(to_density(PureState(1, np.array([0.0, 1.0]))))
+            negativity(oracles.to_density(PureState(1, np.array([0.0, 1.0]))))
 
 
 def test_local_unitary_invariance():

@@ -15,10 +15,10 @@ from swapsim.measure import (
     bell_projectors,
     bsm_outcomes,
     extend_frontier,
-    outcome_distribution,
     polarization_observable,
+    step_outcomes,
 )
-from swapsim.qstate import BellKind, PureState, bell_state, partial_trace, prepare_swap_input, to_density
+from swapsim.qstate import BellKind, PureState, bell_state, partial_trace
 from swapsim.rng import trial_draws
 
 
@@ -176,6 +176,19 @@ class TestTrialDraws:
         assert setting3[rows].tolist() == (expected[:, 1] >= 0.5).tolist()
 
 
+def walk(state: PureState, plan) -> dict:
+    """Exact table of ``plan`` on ``state``: extend_frontier folded from the state's one row, as the commands walk.
+
+    Maps each full outcome tuple (one entry per step, in plan order) to its
+    probability; impossible combinations appear with 0.0.
+    """
+    steps = list(plan)
+    joints, amps = np.ones(1), state.amplitudes[None, :]
+    for depth, spec in enumerate(steps):
+        joints, amps = extend_frontier(joints, amps, spec, state.num_qubits, keep_states=depth + 1 < len(steps))
+    return dict(zip(itertools.product(*map(step_outcomes, steps)), joints.tolist()))
+
+
 def _draws(seed: int, trials: int, count: int) -> np.ndarray:
     """Row t holds the first ``count`` uniforms of stream (seed, t), drawn in one array call."""
     return RandomSource(seed, np.arange(trials)).uniforms(count)
@@ -255,7 +268,7 @@ class TestBellMeasurement:
     """Born statistics and collapse of the joint analyzer, on the reference collapse in oracles."""
 
     def test_quarter_probabilities_on_swap_input(self):
-        state = prepare_swap_input()
+        state = oracles.prepare_swap_input()
         n = 20_000
         counts = {}
         for u in _draws(31, n, 1)[:, 0]:
@@ -266,18 +279,18 @@ class TestBellMeasurement:
             assert abs(counts[outcome] / n - 0.25) <= 5 * sigma
 
     def test_collapse_projects_outer_pair_onto_matching_bell_state(self):
-        state = prepare_swap_input()
+        state = oracles.prepare_swap_input()
         seen = set()
         for u in _draws(8, 64, 1)[:, 0]:
             outcome, collapsed = _bell_measurement(state, (1, 2), BsmMode.FULL, u)
             seen.add(outcome)
-            reduced = partial_trace(to_density(collapsed), (0, 3))
-            expected = to_density(bell_state(outcome.bell_kind)).entries
+            reduced = partial_trace(oracles.to_density(collapsed), (0, 3))
+            expected = oracles.to_density(bell_state(outcome.bell_kind)).entries
             assert np.abs(reduced.entries - expected).max() <= 1e-12
         assert seen == set(bsm_outcomes(BsmMode.FULL))
 
     def test_partial_mode_probabilities(self):
-        state = prepare_swap_input()
+        state = oracles.prepare_swap_input()
         n = 20_000
         counts = {o: 0 for o in bsm_outcomes(BsmMode.PARTIAL)}
         for u in _draws(13, n, 1)[:, 0]:
@@ -288,12 +301,12 @@ class TestBellMeasurement:
             assert abs(counts[outcome] / n - p) <= 5 * sigma
 
     def test_other_outcome_leaves_outer_pair_separable_mixture(self):
-        state = prepare_swap_input()
+        state = oracles.prepare_swap_input()
         for u in _draws(99, 40, 1)[:, 0]:
             outcome, collapsed = _bell_measurement(state, (1, 2), BsmMode.PARTIAL, u)
             if outcome is not BsmOutcome.OTHER:
                 continue
-            reduced = partial_trace(to_density(collapsed), (0, 3))
+            reduced = partial_trace(oracles.to_density(collapsed), (0, 3))
             assert np.abs(reduced.entries - np.diag([0.5, 0, 0, 0.5])).max() <= 1e-12
 
 
@@ -305,13 +318,13 @@ class TestOutcomeDistribution:
     ], ids=["pol-qubit-out-of-range", "bell-pair-out-of-range", "bell-pair-repeated"])
     def test_rejects_bad_qubits(self, make_spec):
         with pytest.raises(ValueError):
-            outcome_distribution(prepare_swap_input(), [make_spec()])
+            walk(oracles.prepare_swap_input(), [make_spec()])
 
     def test_empty_plan(self):
-        assert outcome_distribution(prepare_swap_input(), []) == {(): 1.0}
+        assert walk(oracles.prepare_swap_input(), []) == {(): 1.0}
 
     def test_bsm_plan_gives_quarters(self):
-        table = outcome_distribution(prepare_swap_input(), [BellSpec((1, 2), BsmMode.FULL)])
+        table = walk(oracles.prepare_swap_input(), [BellSpec((1, 2), BsmMode.FULL)])
         assert set(table) == {(o,) for o in bsm_outcomes(BsmMode.FULL)}
         for p in table.values():
             assert abs(p - 0.25) <= 1e-12
@@ -320,7 +333,7 @@ class TestOutcomeDistribution:
         state = tensor_h_first()
         for _ in range(20):
             theta = float(rng.uniform(0.0, 180.0))
-            table = outcome_distribution(state, [PolarizationSpec(0, AnalyzerAngle(theta))])
+            table = walk(state, [PolarizationSpec(0, AnalyzerAngle(theta))])
             t = np.deg2rad(theta)
             assert abs(table[(+1,)] - np.cos(t) ** 2) <= 1e-12
             assert abs(table[(-1,)] - np.sin(t) ** 2) <= 1e-12
@@ -335,7 +348,7 @@ class TestOutcomeDistribution:
                 BellSpec((1, 2), BsmMode.FULL if rng.integers(2) else BsmMode.PARTIAL),
                 PolarizationSpec(3, AnalyzerAngle(float(rng.uniform(0, 180)))),
             ]
-            table = outcome_distribution(state, plan)
+            table = walk(state, plan)
             assert abs(sum(table.values()) - 1.0) <= 1e-12
 
     def test_matches_explicit_matrix_products(self, rng):
@@ -349,7 +362,7 @@ class TestOutcomeDistribution:
                 PolarizationSpec(0, AnalyzerAngle(alpha)),
                 PolarizationSpec(3, AnalyzerAngle(delta)),
             ]
-            table = outcome_distribution(state, plan)
+            table = walk(state, plan)
 
             pol0 = oracles.polarization_projectors_explicit(np.deg2rad(alpha))
             pol3 = oracles.polarization_projectors_explicit(np.deg2rad(delta))
@@ -373,7 +386,7 @@ class TestOutcomeDistribution:
     def test_repeated_measurement_of_same_qubit_is_consistent(self):
         state = bell_state(BellKind.PSI_MINUS)
         spec = PolarizationSpec(0, AnalyzerAngle(30.0))
-        table = outcome_distribution(state, [spec, spec])
+        table = walk(state, [spec, spec])
         assert abs(table[(+1, +1)] - 0.5) <= 1e-12
         assert abs(table[(-1, -1)] - 0.5) <= 1e-12
         assert table[(+1, -1)] <= 1e-12
@@ -381,13 +394,13 @@ class TestOutcomeDistribution:
 
     def test_sampled_frequencies_match_exact_distribution(self):
         # one fixed plan, N = 1e5 sequential collapses, every cell within 5 sigma
-        state = prepare_swap_input()
+        state = oracles.prepare_swap_input()
         plan = [
             BellSpec((1, 2), BsmMode.PARTIAL),
             PolarizationSpec(0, AnalyzerAngle(30.0)),
             PolarizationSpec(3, AnalyzerAngle(75.0)),
         ]
-        exact = outcome_distribution(state, plan)
+        exact = walk(state, plan)
         n = 100_000
         draws = _draws(555, n, 3).tolist()
         # a trial's state before each step depends only on its outcomes so
@@ -442,7 +455,7 @@ class TestTensordotReference:
             state = PureState(n, oracles.random_state(rng, n))
             plan = _random_plan(rng, n)
             want = oracles.outcome_distribution_recursive(state.amplitudes, n, plan)
-            assert _hex_items(outcome_distribution(state, plan)) == _hex_items(want)
+            assert _hex_items(walk(state, plan)) == _hex_items(want)
 
     def test_outcome_distribution_with_zero_probability_branches(self):
         plans = {
@@ -457,7 +470,7 @@ class TestTensordotReference:
         for n, plan in plans.items():
             for index in range(2**n):
                 state = oracles.basis_state(n, index)
-                got = outcome_distribution(state, plan)
+                got = walk(state, plan)
                 want = oracles.outcome_distribution_recursive(state.amplitudes, n, plan)
                 assert _hex_items(got) == _hex_items(want)
                 zeros += sum(p == 0.0 for p in got.values())

@@ -30,7 +30,7 @@ from swapsim.protocol import (
     run_trial,
     stage_entanglement_report,
 )
-from swapsim.qstate import BellKind, bell_state, partial_trace, prepare_swap_input, to_density
+from swapsim.qstate import BellKind, bell_state, partial_trace
 from swapsim.rng import RandomSource
 from test_classical import _traced_peak_kb
 
@@ -450,7 +450,7 @@ def test_equal_angle_anticorrelation_in_sampled_records():
 class TestPreparationDensity:
     def test_ideal_is_pure_swap_input(self):
         rho = preparation_density(config())
-        expected = to_density(prepare_swap_input()).entries
+        expected = oracles.to_density(oracles.prepare_swap_input()).entries
         assert np.max(np.abs(rho.entries - expected)) <= 1e-12
         assert abs(rho.purity() - 1.0) <= 1e-12
 
@@ -479,7 +479,7 @@ class TestStageReport:
             "post-bsm:phi-plus": BellKind.PHI_PLUS,
         }
         for snap in snaps[1:]:
-            expected = to_density(bell_state(kinds[snap.stage])).entries
+            expected = oracles.to_density(bell_state(kinds[snap.stage])).entries
             assert np.max(np.abs(snap.rho03.entries - expected)) <= 1e-12
             assert abs(snap.metrics.concurrence - 1.0) <= 1e-9
             assert abs(snap.metrics.negativity - 0.5) <= 1e-9

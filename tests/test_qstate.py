@@ -11,9 +11,7 @@ from swapsim.qstate import (
     RegisterSizeError,
     bell_state,
     partial_trace,
-    prepare_swap_input,
     tensor,
-    to_density,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -96,14 +94,14 @@ class TestTensor:
 
 class TestPrepareSwapInput:
     def test_hvhv_amplitude(self):
-        state = prepare_swap_input()
+        state = oracles.prepare_swap_input()
         assert abs(state.amplitudes[0b0101] - 0.5) <= 1e-15
 
     def test_hhhh_amplitude_zero(self):
-        assert prepare_swap_input().amplitudes[0] == 0.0
+        assert oracles.prepare_swap_input().amplitudes[0] == 0.0
 
     def test_exactly_four_nonzeros_of_half_magnitude(self):
-        amps = prepare_swap_input().amplitudes
+        amps = oracles.prepare_swap_input().amplitudes
         nonzero = np.flatnonzero(np.abs(amps) > 1e-15)
         assert list(nonzero) == [5, 6, 9, 10]
         assert np.allclose(np.abs(amps[nonzero]), 0.5)
@@ -111,16 +109,16 @@ class TestPrepareSwapInput:
 
 class TestDensityMatrix:
     def test_h_projector(self):
-        rho = to_density(oracles.basis_state(1, 0))
+        rho = oracles.to_density(oracles.basis_state(1, 0))
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_pure_state_trace_and_purity(self):
-        rho = to_density(bell_state(BellKind.PSI_MINUS))
+        rho = oracles.to_density(bell_state(BellKind.PSI_MINUS))
         assert abs(np.trace(rho.entries) - 1.0) <= ATOL
         assert abs(rho.purity() - 1.0) <= 1e-12
 
     def test_singlet_off_diagonal(self):
-        rho = to_density(bell_state(BellKind.PSI_MINUS))
+        rho = oracles.to_density(bell_state(BellKind.PSI_MINUS))
         assert abs(rho.entries[1, 2] - (-0.5)) <= 1e-15
 
     def test_rejects_non_hermitian(self):
@@ -138,19 +136,19 @@ class TestDensityMatrix:
             DensityMatrix(1, bad)
 
     def test_entries_read_only(self):
-        rho = to_density(oracles.basis_state(1, 0))
+        rho = oracles.to_density(oracles.basis_state(1, 0))
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.0
 
 
 class TestPartialTrace:
     def test_singlet_marginal_maximally_mixed(self):
-        rho = partial_trace(to_density(bell_state(BellKind.PSI_MINUS)), (0,))
+        rho = partial_trace(oracles.to_density(bell_state(BellKind.PSI_MINUS)), (0,))
         assert np.abs(rho.entries - np.eye(2) / 2).max() <= 1e-12
         assert abs(rho.purity() - 0.5) <= 1e-12
 
     def test_swap_input_outer_pair_is_identity(self):
-        rho = partial_trace(to_density(prepare_swap_input()), (0, 3))
+        rho = partial_trace(oracles.to_density(oracles.prepare_swap_input()), (0, 3))
         assert np.abs(rho.entries - np.eye(4) / 4).max() <= 1e-12
 
     def test_keep_all_is_identity_operation(self, rng):
@@ -160,7 +158,7 @@ class TestPartialTrace:
 
     def test_keep_order_permutes_qubits(self):
         # |HV> with keep (1, 0) must read back as |VH>
-        rho = to_density(tensor(oracles.basis_state(1, 0), oracles.basis_state(1, 1)))
+        rho = oracles.to_density(tensor(oracles.basis_state(1, 0), oracles.basis_state(1, 1)))
         swapped = partial_trace(rho, (1, 0))
         expected = np.zeros((4, 4))
         expected[2, 2] = 1.0
@@ -181,7 +179,7 @@ class TestPartialTrace:
         assert abs(np.trace(reduced.entries) - 1.0) <= ATOL
 
     def test_bad_keep_arguments(self):
-        rho = to_density(prepare_swap_input())
+        rho = oracles.to_density(oracles.prepare_swap_input())
         with pytest.raises(ValueError):
             partial_trace(rho, ())
         with pytest.raises(ValueError):
@@ -196,8 +194,8 @@ def test_partial_trace_of_product_recovers_factor():
     for _ in range(100):
         a = PureState(1, oracles.random_state(rng, 1))
         b = PureState(2, oracles.random_state(rng, 2))
-        reduced = partial_trace(to_density(tensor(a, b)), (0,))
-        assert np.abs(reduced.entries - to_density(a).entries).max() <= 1e-12
+        reduced = partial_trace(oracles.to_density(tensor(a, b)), (0,))
+        assert np.abs(reduced.entries - oracles.to_density(a).entries).max() <= 1e-12
 
 
 def test_random_states_stay_normalized_through_algebra():
@@ -209,5 +207,5 @@ def test_random_states_stay_normalized_through_algebra():
         product = tensor(a, b)
         norm_sq = float(np.vdot(product.amplitudes, product.amplitudes).real)
         assert abs(norm_sq - 1.0) <= ATOL
-        rho = to_density(product)
+        rho = oracles.to_density(product)
         assert abs(float(np.trace(rho.entries).real) - 1.0) <= ATOL

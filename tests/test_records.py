@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import swapsim
 from swapsim import analysis, classical, discard, entanglement, measure, protocol, qstate, records, rng
 from swapsim.records import AnalyzerAngle, BsmOutcome, ClassicalRecord, Ordering, TrialRecord, setting_pair
@@ -216,7 +217,7 @@ class TestValueClasses:
 def _engine_values():
     """One of each engine value class: configs, plan steps, states, witnesses, discard rule, checks."""
     report = analysis.chsh_from_counts({cell: (3, 1) for cell in records._SETTING_PAIRS}, "none", 16, 20)
-    rho = qstate.to_density(qstate.bell_state(records.BellKind.PSI_MINUS))
+    rho = oracles.to_density(qstate.bell_state(records.BellKind.PSI_MINUS))
     metrics = entanglement.TwoQubitMetrics(1.0, 1.0, 1.0)
     label = classical.LabelCheck("plus", report)
     check = classical.ModelCheck("sign", (label,), ("minus",))
@@ -302,7 +303,7 @@ class TestEngineValueClasses:
 
     @pytest.mark.parametrize("make", [
         lambda: qstate.bell_state(records.BellKind.PSI_PLUS),
-        lambda: qstate.to_density(qstate.bell_state(records.BellKind.PSI_PLUS)),
+        lambda: oracles.to_density(qstate.bell_state(records.BellKind.PSI_PLUS)),
         lambda: classical.FourierTerms(np.ones(3), 3.0, 0.0, 0.0),
     ], ids=["PureState", "DensityMatrix", "FourierTerms"])
     def test_array_holders_compare_by_identity(self, make):
@@ -317,7 +318,7 @@ class TestEngineValueClasses:
         assert copy == value and hash(copy) == hash(value) and type(copy) is type(value)
 
     def test_states_pickle_to_equal_entries(self):
-        rho = qstate.to_density(qstate.bell_state(records.BellKind.PHI_PLUS))
+        rho = oracles.to_density(qstate.bell_state(records.BellKind.PHI_PLUS))
         copy = pickle.loads(pickle.dumps(rho))
         assert type(copy) is qstate.DensityMatrix and copy.num_qubits == 2
         assert np.array_equal(copy.entries, rho.entries)
@@ -325,7 +326,7 @@ class TestEngineValueClasses:
     def test_unpickled_states_stay_read_only(self):
         # unpickling runs the constructor, which validates and freezes the array again
         state = qstate.bell_state(records.BellKind.PSI_MINUS)
-        for value, array in ((state, "amplitudes"), (qstate.to_density(state), "entries")):
+        for value, array in ((state, "amplitudes"), (oracles.to_density(state), "entries")):
             copy = pickle.loads(pickle.dumps(value))
             assert not getattr(copy, array).flags.writeable
 
