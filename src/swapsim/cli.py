@@ -19,12 +19,11 @@ import json
 import os
 import signal
 import sys
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .records import (_DEFAULT_ANGLES, BsmMode, BsmOutcome, InsufficientDataError, Ordering, RecordFormatError,
-                      bsm_outcomes, read_record_chunks, write_records)
+                      bsm_outcomes, read_record_chunks, read_record_counts, write_records)
 
 # Each command imports numpy, protocol, classical, discard and analysis where
 # it uses them, so analyze and --version start on the standard library alone,
@@ -215,17 +214,11 @@ def cmd_simulate(args) -> int:
     return _write_batch(args.out, run_chunks(config), "simulate", _experiment_config_doc(config), config.seed)
 
 
-def _kind_counts(chunks):
-    """(template, row count) for every kind that has rows, chunk by chunk: the input of chsh_weighted."""
-    for chunk in chunks:
-        yield from ((chunk.templates[kind], count) for kind, count in Counter(chunk.kinds).items())
-
-
 def cmd_analyze(args) -> int:
     from .analysis import SelectionFilter, chsh_weighted
 
     selection = SelectionFilter.none() if args.select == "none" else SelectionFilter.bsm_equals(args.select)
-    report = chsh_weighted(_kind_counts(read_record_chunks(args.input)), selection)
+    report = chsh_weighted(read_record_counts(args.input), selection)
     _emit(_render_report_doc(report.to_json_dict()), args.out)
     return 0
 
@@ -249,7 +242,7 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
 
 def _scan_csv(args) -> str:
     from .analysis import SelectionFilter, correlation_weighted
-    from .protocol import exact_cell_records, run_chunks
+    from .protocol import exact_cell_records, kind_counts
 
     psi_minus = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
@@ -257,7 +250,7 @@ def _scan_csv(args) -> str:
         if args.exact:  # the scan prints cell (0,0) only, so only its plan is walked
             weighted = exact_cell_records(_scan_config(delta, args, trials=1), 0, 0)
         else:
-            weighted = list(_kind_counts(run_chunks(_scan_config(delta, args, trials=args.trials))))
+            weighted = kind_counts(_scan_config(delta, args, trials=args.trials))
         e_filtered = correlation_weighted(weighted, (0, 0), psi_minus).e_value
         e_all = correlation_weighted(weighted, (0, 0)).e_value
         lines.append(f"{_fmt(delta)},{_fmt(e_filtered)},{_fmt(e_all)}")
@@ -266,7 +259,7 @@ def _scan_csv(args) -> str:
 
 def _summary_text(args) -> str:
     from .analysis import SelectionFilter, chsh_weighted
-    from .protocol import exact_records, run_chunks, stage_entanglement_report
+    from .protocol import exact_records, kind_counts, stage_entanglement_report
 
     config = _experiment_config(args, args.angles, args.trials)
     lines = []
@@ -284,7 +277,7 @@ def _summary_text(args) -> str:
 
     labels = bsm_outcomes(config.bsm_mode)
     # held for one chsh_weighted per selection: outcome probabilities, or counts of sampled kinds
-    weighted = exact_records(config) if args.exact else list(_kind_counts(run_chunks(config)))
+    weighted = exact_records(config) if args.exact else kind_counts(config)
     selections = [SelectionFilter.bsm_equals(label) for label in labels] + [SelectionFilter.none()]
     reports = [chsh_weighted(weighted, selection) for selection in selections]
     if args.exact:
@@ -513,11 +506,18 @@ def _terminate(signum, frame):
 
 
 def console_main() -> None:
-    # SIGTERM's default action ends the process without unwinding; as
-    # SystemExit it runs _atomic_open's cleanup and exits with the status a
-    # shell reports for a TERM-killed job.  main() leaves signals alone.
+    # SIGTERM's and SIGHUP's default action ends the process without unwinding;
+    # as SystemExit each runs _atomic_open's cleanup and exits with the status
+    # a shell reports for a job it killed, but a hangup nohup ignores stays
+    # ignored.  Ctrl-C ends in one line, not a traceback; main() does neither.
     signal.signal(signal.SIGTERM, _terminate)
-    code = main()
+    if hasattr(signal, "SIGHUP") and signal.getsignal(signal.SIGHUP) is not signal.SIG_IGN:  # POSIX only
+        signal.signal(signal.SIGHUP, _terminate)
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("swapsim: interrupted", file=sys.stderr)
+        code = 130
     # Frozen objects are out of the shutdown collection's reach: it skips
     # numpy's heap, which the OS reclaims.  atexit handlers and stream flushing
     # still run; main() leaves the collector alone for in-process callers.

@@ -27,29 +27,16 @@ records.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
+from itertools import product, starmap
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .measure import BellSpec, PolarizationSpec, bell_projectors, extend_frontier, step_outcomes
 from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, tensor
-from .records import (
-    AnalyzerAngle,
-    BsmMode,
-    BsmOutcome,
-    Ordering,
-    RecordChunk,
-    TrialRecord,
-    _DEFAULT_ANGLES,
-    _Frozen,
-    _SETTING_PAIRS,
-    bsm_outcomes,
-    kind_index,
-    kind_templates,
-    setting_pair,
-)
-from .rng import record_chunks
+from .records import (_DEFAULT_ANGLES, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering, RecordChunk,
+                      TrialRecord, _Frozen, bsm_outcomes, kind_index, kind_templates, setting_pair)
+from .rng import record_chunks, trial_draws
 
 if TYPE_CHECKING:
     from .entanglement import TwoQubitMetrics
@@ -231,16 +218,32 @@ def _sample_kinds(config: ExperimentConfig, tables: tuple, setting0: np.ndarray,
                       len(bsm_outcomes(config.bsm_mode)))
 
 
+def _sampler(config: ExperimentConfig) -> tuple[tuple[TrialRecord, ...], partial]:
+    """The batch's kind table and the function that gives the kinds of a chunk of rng.trial_draws."""
+    key = config._table_key()
+    return _kind_table(key), partial(_sample_kinds, config, _sampling_tables(key))
+
+
 def _chunks(config: ExperimentConfig, start: int, stop: int) -> Iterator[RecordChunk]:
     """Trials start..stop-1 in RecordChunks sharing one kind table."""
-    key = config._table_key()
-    kinds = partial(_sample_kinds, config, _sampling_tables(key))
-    return record_chunks(config.seed, start, stop, _DRAWS_PER_TRIAL, _kind_table(key), kinds)
+    return record_chunks(config.seed, start, stop, _DRAWS_PER_TRIAL, *_sampler(config))
 
 
 def run_chunks(config: ExperimentConfig) -> Iterator[RecordChunk]:
     """Lazily yield the batch in chunks of CHUNK trials, in trial_id order, sharing one kind table."""
     yield from _chunks(config, 0, config.trials)
+
+
+def kind_counts(config: ExperimentConfig) -> list[tuple[TrialRecord, int]]:
+    """run_chunks counted, no row built: (record, count) of each kind sampled, in kind table order, as ints."""
+    templates, kinds = _sampler(config)
+
+    def chunk_counts(trial_ids, setting0, setting3, draws) -> np.ndarray:
+        return np.bincount(kinds(setting0, setting3, draws), minlength=len(templates))
+
+    # one bincount per chunk, summed over the batch; starmap keeps no chunk's arrays once counted
+    counts = sum(starmap(chunk_counts, trial_draws(config.seed, 0, config.trials, _DRAWS_PER_TRIAL)))
+    return [(template, count) for template, count in zip(templates, counts.tolist()) if count]
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:

@@ -5,13 +5,14 @@ setting indices with their analyzer angles, the two +-1 outcomes, the joint
 label and the event order.  This module owns those fields, their value sets
 (orderings, Bell outcomes, analyzer angles) and both forms of a record: the
 dict (``to_json_dict``) and the line (``write_records``,
-``read_record_chunks``, whose fast path depends on ``_wire_doc`` putting
-``trial_id`` first).  So record files are read, written and tallied without
-numerical code or the command-line parser.  ``measure``, ``qstate``,
-``protocol`` and ``classical`` re-export the same objects.  The classes are
-NamedTuples and ``__slots__`` classes on ``_Frozen``, as are the engine's
-value classes, so no command imports ``dataclasses`` and ``analyze`` does
-not import the ``inspect`` behind it either.
+``read_record_chunks`` and its counting form ``read_record_counts``, whose
+fast path depends on ``_wire_doc`` putting ``trial_id`` first).  So record
+files are read, written and tallied without numerical code or the
+command-line parser.  ``measure``, ``qstate``, ``protocol`` and
+``classical`` re-export the same objects.  The classes are NamedTuples and
+``__slots__`` classes on ``_Frozen``, as are the engine's value classes, so
+no command imports ``dataclasses`` and ``analyze`` does not import the
+``inspect`` behind it either.
 """
 
 from __future__ import annotations
@@ -394,17 +395,6 @@ def _parse_line(text: str, line_number: int):
         raise RecordFormatError(line_number, str(exc)) from exc
 
 
-def _templatable(tail: str) -> bool:
-    """Whether every line _TRIAL_ID_PREFIX + <t> + tail is one record up to its trial_id.
-
-    json.loads keeps the last of repeated keys, so a "trial_id" key inside
-    the tail, escaped or not, would override the leading id.  With null in
-    the leading id's place such a key shows as a value that is not None; a
-    null one fails the parse of the line itself, which the caller has run.
-    """
-    return json.loads(_TRIAL_ID_PREFIX + "null" + tail)["trial_id"] is None
-
-
 def _check_angles(angles: dict, record, line_number: int) -> None:
     """Note the record's setting angles in ``angles``; RecordFormatError if an index had another angle.
 
@@ -421,20 +411,34 @@ def _check_angles(angles: dict, record, line_number: int) -> None:
                                                  f"here but {seen!r} above: not one experiment")
 
 
+def _new_kind(stripped: str, tail, line_number: int, known: dict, angles: dict):
+    """A line's record by _parse_line and _check_angles, and its tail, now in ``known``, or None for a kind of its own.
+
+    A tail is remembered while ``known`` holds fewer than _MAX_TAILS, unless
+    it has a "trial_id" key, escaped or not, which json.loads would let
+    override the leading id: with null in that id's place such a key shows
+    as a value that is not None (a null one failed the line's own parse).
+    """
+    record = _parse_line(stripped, line_number)
+    _check_angles(angles, record, line_number)
+    if tail is None or len(known) >= _MAX_TAILS or json.loads(_TRIAL_ID_PREFIX + "null" + tail)["trial_id"] is not None:
+        return record, None
+    known[tail] = record
+    return record, tail
+
+
 def read_record_chunks(path: str):
     """Yield a JSONL record file as RecordChunks of up to CHUNK records.
 
     A line in the writers' form costs a match and a dict lookup: json.loads
     runs on its tail's first line only.  Any other line (other spacing or
     key order, an id that is not a plain non-negative integer) is parsed
-    whole and becomes a kind of its own.  Every parsed record must give
-    each setting index the angle it had above (_check_angles).  The
-    records, and the line number and message of a RecordFormatError, are
-    those of parsing every line with _parse_line and that check; before the
-    error, the records above the bad line are yielded.  Blank lines are
-    skipped.
+    whole and becomes a kind of its own.  The records, and the line number
+    and message of a RecordFormatError, are those of parsing every line
+    with _parse_line and _check_angles; before the error, the records above
+    the bad line are yielded.  Blank lines are skipped.
     """
-    known: dict[str, object] = {}  # templatable tail -> its record
+    known: dict[str, object] = {}  # remembered tail -> its record
     angles: dict[tuple[int, int], float] = {}  # (station, setting index) -> degrees
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         trial_ids, kinds, templates, local = [], [], [], {}
@@ -449,16 +453,11 @@ def read_record_chunks(path: str):
                 template = known.get(tail)
                 if template is None:  # a new tail, or not the writers' form: the full parse
                     try:
-                        template = _parse_line(stripped, line_number)
-                        _check_angles(angles, template, line_number)
+                        template, tail = _new_kind(stripped, tail, line_number, known, angles)
                     except RecordFormatError:
                         if trial_ids:
                             yield RecordChunk(trial_ids, kinds, templates)
                         raise
-                    if tail is not None and len(known) < _MAX_TAILS and _templatable(tail):
-                        known[tail] = template
-                    else:
-                        tail = None  # a kind of its own, with the parsed trial_id
                 kind = len(templates)
                 templates.append(template)
                 if tail is not None:
@@ -470,6 +469,30 @@ def read_record_chunks(path: str):
                 trial_ids, kinds, templates, local = [], [], [], {}
         if trial_ids:
             yield RecordChunk(trial_ids, kinds, templates)
+
+
+def read_record_counts(path: str):
+    """Yield (record, count) pairs of a JSONL record file: read_record_chunks's lines, checks and errors, no ids.
+
+    A line with a known tail costs one count.  A kind of its own is yielded
+    at once as (record, 1), and each known tail's (record, count) at the end.
+    """
+    known, angles, counts = {}, {}, {}  # as in read_record_chunks; known tail -> its lines
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            match = _CANONICAL_LINE.fullmatch(stripped)
+            tail = match[2] if match else None
+            if tail not in counts:
+                record, tail = _new_kind(stripped, tail, line_number, known, angles)
+                if tail is None:
+                    yield record, 1
+                    continue
+                counts[tail] = 0
+            counts[tail] += 1
+    yield from ((known[tail], count) for tail, count in counts.items())
 
 
 def _tails(records) -> list[str]:

@@ -14,10 +14,9 @@ from swapsim.analysis import (
     chsh_weighted,
     correlation_weighted,
 )
-from swapsim.cli import _kind_counts
 from swapsim.measure import AnalyzerAngle, BsmMode, BsmOutcome, bsm_outcomes
 from swapsim.protocol import (ExperimentConfig, Ordering, _SETTING_PAIRS, exact_joint_distribution, exact_records,
-                              run_batch, run_chunks)
+                              kind_counts, run_batch)
 
 CANONICAL = dict(angles0=(0.0, 45.0), angles3=(22.5, 67.5))
 
@@ -322,7 +321,7 @@ class TestOneCoreMatchesFormerRoutes:
         config = ExperimentConfig(trials=(40 if seed == 6 else 20_000), seed=seed,
                                   bsm_mode=BsmMode.PARTIAL if seed % 2 else BsmMode.FULL,
                                   visibility=0.9 if seed % 3 else 1.0, **CANONICAL)
-        weighted = list(_kind_counts(run_chunks(config)))
+        weighted = kind_counts(config)
         for label in bsm_outcomes(config.bsm_mode)[:3] + (None,):
             selection = SelectionFilter.none() if label is None else SelectionFilter.bsm_equals(label)
             counts, kept, total = oracles.tally_two_slot(weighted, selection)

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
 from swapsim.classical import ClassicalRecord, apply_discard, pr_box_rule, quantum_mimic_rule
 from swapsim.cli import main
 from swapsim.protocol import ExperimentConfig, TrialRecord, run_batch
-from swapsim.records import RecordFormatError, read_record_chunks
+from swapsim.records import RecordFormatError, read_record_chunks, read_record_counts
 
 
 def round12(value):
@@ -41,6 +42,54 @@ def read_records(path):
     """The records of a file, chunk by chunk, as the library reader yields them."""
     for chunk in read_record_chunks(path):
         yield from chunk.records()
+
+
+def _outcome(records):
+    """(records read, (line number, message) of the RecordFormatError or None)."""
+    got = []
+    try:
+        for record in records:
+            got.append(record)
+    except RecordFormatError as exc:
+        return got, (exc.line_number, str(exc))
+    return got, None
+
+
+def _counted(pairs):
+    """(records summed per every field but trial_id, None), or (None, (line number, message)) of the error.
+
+    The counting reader holds its tails' counts to the end, so on an error only the error compares.
+    """
+    tally = Counter()
+    try:
+        for record, count in pairs:
+            tally[type(record), record[1:]] += count
+    except RecordFormatError as exc:
+        return None, (exc.line_number, str(exc))
+    return tally, None
+
+
+# The library readers: the chunk reader's records in order, or the counting reader's tally.
+READERS = ["chunks", "counts"]
+
+
+def _read(reader: str, path: str):
+    """A reader's view of a file: (what it read, (line number, message) of its RecordFormatError or None)."""
+    return _outcome(read_records(path)) if reader == "chunks" else _counted(read_record_counts(path))
+
+
+def _reference(reader: str, path: str):
+    """The line-by-line reference's view of a file, in the form _read gives for ``reader``."""
+    if reader == "chunks":
+        return _outcome(read_records_reference(path))
+    return _counted((record, 1) for record in read_records_reference(path))
+
+
+def _error_like_the_reference(reader: str, path: str) -> tuple[int, str]:
+    """The (line number, message) of the reader's RecordFormatError, which must be the reference's."""
+    got, want = _read(reader, path), _reference(reader, path)
+    assert want[1] is not None and got == want
+    return got[1]
 
 
 def simulate(tmp_path, name="records.jsonl", trials=4000, seed=42, extra=()):
@@ -177,15 +226,18 @@ class TestAnalyze:
         # full-mode records never carry the coarse partial-mode label
         assert main(["analyze", "--in", str(records), "--select", "other"]) == 4
 
-    def test_garbled_line_reports_its_number(self, tmp_path, capsys):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_garbled_line_reports_its_number(self, reader, tmp_path, capsys):
         records = simulate(tmp_path, trials=5)
         bad = tmp_path / "bad.jsonl"
         lines = records.read_text().splitlines()
         bad.write_text(lines[0] + "\n" + "{not json\n" + lines[1] + "\n")
         assert main(["analyze", "--in", str(bad)]) == 3
         assert "line 2" in capsys.readouterr().err
+        assert _error_like_the_reference(reader, str(bad))[0] == 2
 
-    def test_semantically_broken_record_reports_its_number(self, tmp_path, capsys):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_semantically_broken_record_reports_its_number(self, reader, tmp_path, capsys):
         records = simulate(tmp_path, trials=5)
         doc = json.loads(records.read_text().splitlines()[0])
         doc["outcome0"] = 3
@@ -193,6 +245,7 @@ class TestAnalyze:
         bad.write_text(json.dumps(doc) + "\n")
         assert main(["analyze", "--in", str(bad)]) == 3
         assert "line 1" in capsys.readouterr().err
+        assert _error_like_the_reference(reader, str(bad))[0] == 1
 
     def test_missing_file_is_an_io_error(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path / "nope.jsonl")]) == 3
@@ -204,7 +257,8 @@ class TestAnalyze:
         padded.write_text(records.read_text().replace("\n", "\n\n") + "\n\n")
         assert len(list(read_records(str(padded)))) == 200
 
-    def test_two_experiments_in_one_file_are_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_two_experiments_in_one_file_are_rejected(self, reader, tmp_path, capsys):
         # each setting index carries two angles, so the file is no one experiment
         first = simulate(tmp_path, "a.jsonl", trials=200, seed=1, extra=("--angles", "0,45,22.5,67.5"))
         second = simulate(tmp_path, "b.jsonl", trials=200, seed=2, extra=("--angles", "10,80,30,50"))
@@ -214,11 +268,11 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(pooled), "--select", "psi-minus"]) == 3
         err = capsys.readouterr().err
         assert "line 201:" in err and "setting0_index" in err
-        got = _outcome(read_records(str(pooled)))
-        assert got == _outcome(read_records_reference(str(pooled)))
-        assert len(got[0]) == 200
+        assert _error_like_the_reference(reader, str(pooled))[0] == 201
+        assert len(_outcome(read_records(str(pooled)))[0]) == 200
 
-    def test_one_changed_angle_is_found_on_its_first_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_one_changed_angle_is_found_on_its_first_line(self, reader, tmp_path, capsys):
         first = simulate(tmp_path, "a.jsonl", trials=50, seed=1)
         second = simulate(tmp_path, "b.jsonl", trials=50, seed=2, extra=("--angles", "0,45,22.5,60"))
         pooled = tmp_path / "pooled.jsonl"
@@ -227,6 +281,7 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--in", str(pooled)]) == 3
         assert f"line {line}: setting3_index 1 has angle 60.0 here but 67.5 above" in capsys.readouterr().err
+        assert _error_like_the_reference(reader, str(pooled))[0] == line
 
 
 class TestUsageErrors:
@@ -590,19 +645,8 @@ BROKEN = {
 }
 
 
-def _outcome(records):
-    """(records read, (line number, message) of the RecordFormatError or None)."""
-    got = []
-    try:
-        for record in records:
-            got.append(record)
-    except RecordFormatError as exc:
-        return got, (exc.line_number, str(exc))
-    return got, None
-
-
 class TestRecordReader:
-    """The columnar reader against the line-by-line json.loads reference."""
+    """The columnar and counting readers against the line-by-line json.loads reference."""
 
     @pytest.fixture(scope="class")
     def base_lines(self, tmp_path_factory):
@@ -632,26 +676,38 @@ class TestRecordReader:
 
     @pytest.mark.parametrize("chunk, max_tails", [(7, 2), (7, swapsim.records._MAX_TAILS),
                                                   (swapsim.records.CHUNK, swapsim.records._MAX_TAILS)])
-    def test_fuzzed_files_read_like_the_reference(self, base_lines, chunk, max_tails, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_fuzzed_files_read_like_the_reference(self, base_lines, chunk, max_tails, reader, tmp_path, monkeypatch):
         monkeypatch.setattr(swapsim.records, "CHUNK", chunk)
         monkeypatch.setattr(swapsim.records, "_MAX_TAILS", max_tails)
         errors = 0
         for seed in range(2 * len(BROKEN) + 8):
             path = self._fuzzed(base_lines, seed, tmp_path)
-            want = _outcome(read_records_reference(path))
-            assert _outcome(read_records(path)) == want, seed
+            want = _reference(reader, path)
+            assert _read(reader, path) == want, seed
             errors += want[1] is not None
         assert errors == len(BROKEN) + 4
 
-    def test_every_broken_rewrite_fails_on_its_line(self, base_lines, tmp_path):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_every_broken_rewrite_fails_on_its_line(self, base_lines, reader, tmp_path):
         # the broken line's tail is known from line 1, so it cannot pass on a known tail
         for name, rewrite in sorted(BROKEN.items()):
             path = tmp_path / "broken.jsonl"
             lines = base_lines[:3] + [rewrite(base_lines[0], None)] + base_lines[4:6]
             path.write_text("\n".join(lines) + "\n")
-            got, error = _outcome(read_records(str(path)))
-            assert (got, error) == _outcome(read_records_reference(str(path))), name
-            assert len(got) == 3 and error[0] == 4, name
+            assert _error_like_the_reference(reader, str(path))[0] == 4, name
+            assert len(_outcome(read_records(str(path)))[0]) == 3, name
+
+    def test_counting_reader_yields_a_kind_of_its_own_before_a_later_error(self, base_lines, tmp_path):
+        # line 2 has spaces, so it is parsed whole and counted at once; line 5 is garbled
+        lines = [base_lines[0], json.dumps(json.loads(base_lines[1])), *base_lines[2:4], "{not json", base_lines[5]]
+        path = tmp_path / "lazy.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        pairs = read_record_counts(str(path))
+        assert next(pairs) == (_outcome(read_records_reference(str(path)))[0][1], 1)
+        with pytest.raises(RecordFormatError) as info:
+            next(pairs)
+        assert info.value.line_number == 5
 
     def test_library_reader_loads_no_cli(self, tmp_path):
         out = simulate(tmp_path, trials=300, seed=9)
@@ -713,7 +769,8 @@ class TestRecordReader:
             assert (summary["kept"], summary["keep_fraction"]) == (len(kept), cli._round12(fraction))
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_garbled_line_after_a_full_chunk_keeps_its_number(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_garbled_line_after_a_full_chunk_keeps_its_number(self, reader, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(swapsim.records, "CHUNK", 4)
         records = simulate(tmp_path, trials=10)
         lines = records.read_text().splitlines()
@@ -722,6 +779,43 @@ class TestRecordReader:
         capsys.readouterr()
         assert main(["analyze", "--in", str(bad)]) == 3
         assert "line 8:" in capsys.readouterr().err
+        assert _error_like_the_reference(reader, str(bad))[0] == 8
+
+
+# The argv of every writer, by the name of the file it writes; discard reads the file named after --in.
+WRITERS = {
+    **{f"simulate-{ordering}-{mode}": ["simulate", "--ordering", ordering, "--bsm-mode", mode, "--visibility", "0.8"]
+       for ordering in ("bsm-first", "pol-first") for mode in ("full", "partial")},
+    **{f"generate-{model}": ["classical", "generate", "--model", model] for model in ("fourier", "sign", "uniform")},
+    "discard-mimic": ["classical", "discard", "--rule", "quantum-mimic", "--in", "generate-uniform"],
+    "discard-pr-box": ["classical", "discard", "--rule", "pr-box", "--in", "simulate-pol-first-partial"],
+}
+
+
+class TestRecordCounts:
+    """The counting reader gives the chunk reader's records summed per template, on the files of every writer."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("writers")
+        for name, argv in WRITERS.items():
+            if argv[0] == "classical" and argv[1] == "discard":
+                argv = [*argv[:-1], str(tmp / argv[-1]), "--seed", "5"]
+            else:
+                argv = [*argv, "--trials", str(swapsim.records.CHUNK + 500), "--seed", "5"]
+            assert main([*argv, "--out", str(tmp / name)]) == 0, name
+        return tmp
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_counts_are_the_chunks_summed_per_template(self, files, name):
+        want = Counter(chunk.templates[kind] for chunk in read_record_chunks(str(files / name))
+                       for kind in chunk.kinds)
+        pairs = list(read_record_counts(str(files / name)))
+        got = Counter()
+        for record, count in pairs:
+            got[record] += count
+        assert got == want and len(pairs) == len(want)  # each kind once
+        assert sum(want.values()) == len((files / name).read_text().splitlines())
 
 
 # Garbled values of one field of a record, given its document.  A reader that
@@ -772,6 +866,8 @@ class TestGarbledFields:
         assert main(argv) == 3
         assert "line 2:" in capsys.readouterr().err
         assert not kept.exists()
+        for reader in READERS:
+            assert _error_like_the_reference(reader, str(bad))[0] == 2, reader
 
 
     @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
@@ -791,6 +887,8 @@ class TestGarbledFields:
         assert main(argv) == 3
         assert "line 1: a classical record's events must be empty" in capsys.readouterr().err
         assert not kept.exists()
+        for reader in READERS:
+            assert _error_like_the_reference(reader, str(bad))[0] == 1, reader
 
 
 class TestNotUtf8:
@@ -813,6 +911,13 @@ class TestNotUtf8:
         got, error = _outcome(read_records(str(self._with_bad_byte(records, where, tmp_path))))
         assert got == list(read_records(str(records)))[:3]
         assert error == (4, "line 4: byte 0xff is not UTF-8")
+
+    @pytest.mark.parametrize("where", ["tail", "id"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_both_readers_fail_on_its_line(self, reader, where, tmp_path):
+        # the reference reads strict UTF-8, so it has no line for this error
+        bad = self._with_bad_byte(simulate(tmp_path, trials=300), where, tmp_path)
+        assert _read(reader, str(bad))[1] == (4, "line 4: byte 0xff is not UTF-8")
 
     @pytest.mark.parametrize("where", ["tail", "id"])
     @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
@@ -981,6 +1086,7 @@ class TestImportGraph:
         ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
         ("report --trials 2000", _SAMPLING + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
         ("report --exact --scan --scan-step 45", _NO_STAGES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+        ("report --scan --trials 2000", _NO_STAGES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
         ("classical generate --trials 50 --out gen.jsonl",
          _CLASSICAL + _NO_TALLY + _NO_RULES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
         ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl",
@@ -1127,24 +1233,61 @@ class TestExitPath:
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.startswith(output) and proc.stdout.endswith("atexit: frozen True enabled True\n")
 
-    @pytest.mark.skipif(os.name != "posix", reason="SIGTERM is delivered by POSIX kill")
-    def test_sigterm_leaves_no_temporary_file_and_exits_143(self, tmp_path):
-        # a batch far too long to finish, sent SIGTERM once its first temporary file exists
+    @staticmethod
+    def _signalled(tmp_path, signum) -> tuple[int, str]:
+        """Exit status and stderr of a batch too long to finish, sent ``signum`` once its first temporary file exists.
+
+        The child starts with SIGINT and SIGHUP at their defaults, as a shell's
+        foreground job does, even where this process ignores them (a
+        background or nohup run), which the child would inherit.
+        """
+        def default_signals():
+            for signum in (signal.SIGINT, signal.SIGHUP):
+                signal.signal(signum, signal.SIG_DFL)
+
         argv = [sys.executable, "-m", "swapsim.cli", "simulate", "--trials", "100000000", "--out", "runs.jsonl"]
         proc = subprocess.Popen(argv, cwd=tmp_path, env=_probe_env(), stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE)
+                                stderr=subprocess.PIPE, preexec_fn=default_signals)
         try:
             deadline = time.monotonic() + 60
             while not list(tmp_path.glob("*.tmp")):
                 assert proc.poll() is None and time.monotonic() < deadline, "no temporary file appeared"
                 time.sleep(0.005)
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             _, stderr = proc.communicate(timeout=60)
         finally:
             proc.kill()
             proc.wait(timeout=60)
-        assert proc.returncode == 143, stderr
+        return proc.returncode, stderr.decode()
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGTERM is delivered by POSIX kill")
+    def test_sigterm_leaves_no_temporary_file_and_exits_143(self, tmp_path):
+        code, stderr = self._signalled(tmp_path, signal.SIGTERM)
+        assert code == 143, stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGHUP is POSIX only")
+    def test_sighup_leaves_no_temporary_file_and_exits_129(self, tmp_path):
+        code, stderr = self._signalled(tmp_path, signal.SIGHUP)
+        assert code == 129, stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGINT is delivered by POSIX kill")
+    def test_ctrl_c_leaves_no_temporary_file_and_exits_130_with_one_line(self, tmp_path):
+        code, stderr = self._signalled(tmp_path, signal.SIGINT)
+        assert (code, stderr) == (130, "swapsim: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGHUP is POSIX only")
+    def test_an_ignored_hangup_stays_ignored(self, tmp_path):
+        probe = ("import signal, sys\n"
+                 "signal.signal(signal.SIGHUP, signal.SIG_IGN)\n"
+                 "from swapsim import cli\n"
+                 "cli.main = lambda: print(signal.getsignal(signal.SIGHUP) is signal.SIG_IGN) or 0\n"
+                 "cli.console_main()\n")
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_probe_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
     def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
         before = gc.get_freeze_count(), gc.isenabled()

@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from swapsim.protocol import (
     exact_cell_records,
     exact_joint_distribution,
     exact_records,
+    kind_counts,
     preparation_density,
     run_batch,
     run_chunks,
@@ -174,6 +176,22 @@ class TestRunBatch:
         other = sum(1 for rec in run_batch(config(trials=n, seed=12, bsm_mode=BsmMode.PARTIAL))
                     if rec.bsm is BsmOutcome.OTHER)
         assert abs(other / n - 0.5) <= 5.0 * math.sqrt(0.25 / n)
+
+
+class TestKindCounts:
+    """kind_counts is run_chunks counted: the same kinds and counts, as Python ints, in kind table order."""
+
+    @pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("mode", list(BsmMode))
+    def test_equals_counting_the_kinds_of_run_chunks(self, trials, ordering, mode):
+        cfg = config(trials=trials, seed=trials, ordering=ordering, bsm_mode=mode, visibility=0.8)
+        chunks = list(run_chunks(cfg))
+        want = Counter(chunk.templates[kind] for chunk in chunks for kind in chunk.kinds)
+        got = kind_counts(cfg)
+        assert dict(got) == want and len(got) == len(want)
+        assert [template for template, _ in got] == [template for template in chunks[0].templates if template in want]
+        assert all(type(count) is int for _, count in got)
 
 
 class TestArrayWalk:
@@ -517,15 +535,11 @@ class TestChunkLifetime:
     CONFIGS = [dict(), dict(ordering="pol-first", bsm_mode="partial", visibility=0.8)]
 
     @staticmethod
-    def _peak(trials, **kwargs) -> float:
+    def _peak(trials, sampler=lambda cfg: [None for _ in run_chunks(cfg)], **kwargs) -> float:
+        """Peak KB of ``sampler`` run to the end of the batch; run_chunks by default."""
         cfg = config(trials=trials, **kwargs)
         _sampling_tables(cfg._table_key())  # built before tracing, as the first of many batches would
-
-        def run():
-            for _ in run_chunks(cfg):
-                pass
-
-        return _traced_peak_kb(run)
+        return _traced_peak_kb(lambda: sampler(cfg))
 
     @pytest.mark.parametrize("kwargs", CONFIGS, ids=["bsm-first", "pol-first-partial"])
     def test_run_chunks_hold_one_chunk_at_a_time(self, kwargs):
@@ -539,3 +553,10 @@ class TestChunkLifetime:
         # last chunk; keeping the previous chunk's arrays alive while the next
         # is drawn takes it to about 1.4.
         assert self._peak(3 * CHUNK + 7, **kwargs) < 1.3 * self._peak(CHUNK, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", CONFIGS, ids=["bsm-first", "pol-first-partial"])
+    def test_kind_counts_hold_one_chunk_at_a_time(self, kwargs):
+        # About 1125 KB at any batch size, one chunk's peak: no chunk is kept
+        # and no chunk's kinds become lists, so it stays below run_chunks.
+        many, one = self._peak(3 * CHUNK + 7, kind_counts, **kwargs), self._peak(CHUNK, kind_counts, **kwargs)
+        assert many < 1.1 * one and many < self._peak(3 * CHUNK + 7, **kwargs)
