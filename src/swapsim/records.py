@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from enum import Enum
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence, Union
 
 # Trials per chunk: every batch path, blind-check included, draws, samples
@@ -361,6 +362,7 @@ class RecordChunk(_Frozen):
 # A line as write_records writes it: the prefix of _wire_doc's leading trial_id,
 # the id (at most 18 digits fit in int64) and a tail the other fields fix.
 _TRIAL_ID_PREFIX = '{"trial_id":'
+_WRITE_SLICE = 512  # lines joined per write_records write
 _CANONICAL_LINE = re.compile(re.escape(_TRIAL_ID_PREFIX) + r"(0|[1-9][0-9]{0,17})(,.*)")
 
 # What surrogateescape makes of the bytes 0x80-0xff that do not decode as UTF-8.
@@ -520,7 +522,10 @@ def write_records(handle, chunks) -> int:
     for chunk in chunks:
         if chunk.templates is not templates:
             templates, tails = chunk.templates, _tails(chunk.templates)
-        handle.writelines(f"{_TRIAL_ID_PREFIX}{trial_id}{tails[kind]}"  # streamed: no chunk-long list of lines
-                          for trial_id, kind in zip(chunk.trial_ids, chunk.kinds))
+        rows = zip(chunk.trial_ids, chunk.kinds)
+        # one write per _WRITE_SLICE lines: no chunk-long list of lines, and no text-layer call per line
+        while text := "".join([f"{_TRIAL_ID_PREFIX}{trial_id}{tails[kind]}"
+                               for trial_id, kind in islice(rows, _WRITE_SLICE)]):
+            handle.write(text)
         count += len(chunk.trial_ids)
     return count

@@ -32,34 +32,61 @@ _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) 64-bit words of the 128-bit product multiplier * x, from 32-bit limbs."""
+def _mulhi(multiplier: int, x: np.ndarray, high: np.ndarray, scratch: list[np.ndarray]) -> None:
+    """High 64-bit word of the 128-bit product multiplier * x into ``high``, from 32-bit limbs.
+
+    Four limb products: u = hi*lo + (lo*lo >> 32), v = lo*hi + (u & M32),
+    high = hi*hi + (u >> 32) + (v >> 32); no partial sum passes 2**64.  Every
+    step writes into ``high`` or one of the four ``scratch`` arrays, never ``x``.
+    """
     m_hi, m_lo = np.uint64(multiplier >> 32), np.uint64(multiplier & 0xFFFFFFFF)
-    x_hi, x_lo = x >> _SHIFT32, x & _LO32
-    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
-    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> _SHIFT32
-    high = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
-    return high, np.uint64(multiplier) * x  # uint64 array products wrap mod 2**64
+    x_lo, x_hi, u, v = scratch
+    np.bitwise_and(x, _LO32, out=x_lo)
+    np.right_shift(x, _SHIFT32, out=x_hi)
+    np.multiply(x_lo, m_hi, out=u)
+    np.multiply(x_lo, m_lo, out=x_lo)
+    np.right_shift(x_lo, _SHIFT32, out=x_lo)
+    np.add(u, x_lo, out=u)
+    np.multiply(x_hi, m_lo, out=v)
+    np.bitwise_and(u, _LO32, out=x_lo)
+    np.add(v, x_lo, out=v)
+    np.multiply(x_hi, m_hi, out=high)
+    np.right_shift(u, _SHIFT32, out=u)
+    np.add(high, u, out=high)
+    np.right_shift(v, _SHIFT32, out=v)
+    np.add(high, v, out=high)
 
 
 def _philox_words(seed: int, streams: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
     """Philox4x64-10 output words of counter blocks first_block.. for key (seed, stream).
 
     Returns shape (len(streams), 4 * blocks): row i holds the words numpy's
-    Philox(key=[seed, streams[i]]) emits from that block on, in order.
+    Philox(key=[seed, streams[i]]) emits from that block on, in order.  The
+    four state words and every intermediate live in arrays allocated once
+    per call; ``streams`` is only read.
     """
-    c0 = np.arange(first_block, first_block + blocks, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)
+    shape = (len(streams), blocks)
+    c0, c1, c2, c3, hi0, hi1, *scratch = (np.zeros(shape, dtype=np.uint64) for _ in range(10))
+    c0[:] = np.arange(first_block, first_block + blocks, dtype=np.uint64)
     key1 = streams[:, None]
+    k1 = np.empty((len(streams), 1), dtype=np.uint64)
+    m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
     for r in range(_PHILOX_ROUNDS):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
-        k1 = key1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    shape = (len(streams), blocks)
-    words = np.stack([np.broadcast_to(c, shape) for c in (c0, c1, c2, c3)], axis=-1)
-    return words.reshape(len(streams), 4 * blocks)
+        np.add(key1, np.uint64((r * _PHILOX_W[1]) & _MASK64), out=k1)
+        _mulhi(_PHILOX_M[0], c0, hi0, scratch)
+        _mulhi(_PHILOX_M[1], c2, hi1, scratch)
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the low
+        # words are the products mod 2**64, which uint64 multiplication gives
+        np.bitwise_xor(hi1, c1, out=hi1)
+        np.bitwise_xor(hi1, k0, out=hi1)
+        np.multiply(c2, m1, out=c1)
+        np.bitwise_xor(hi0, c3, out=hi0)
+        np.bitwise_xor(hi0, k1, out=hi0)
+        np.multiply(c0, m0, out=c3)
+        c0, hi1 = hi1, c0
+        c2, hi0 = hi0, c2
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(streams), 4 * blocks)
 
 
 class RandomSource:

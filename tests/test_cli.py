@@ -1042,15 +1042,18 @@ def _probe(workdir: Path, argv: list[str], env: dict) -> dict:
     return json.loads(result.read_text())
 
 
+# the handlers of the quantum and of the classical commands load with their command
+_NO_HANDLERS = ("swapsim.cli_quantum", "swapsim.cli_classical")
 _NUMERIC = ("numpy", "swapsim.protocol", "swapsim.measure", "swapsim.qstate", "swapsim.entanglement",
-            "swapsim.classical")
-_QUANTUM = ("swapsim.classical", "swapsim.discard")
+            "swapsim.classical") + _NO_HANDLERS
+_QUANTUM = ("swapsim.classical", "swapsim.discard", "swapsim.cli_classical")
 # np.unique imports numpy.ma lazily; sampling finds its branches without it
 _SAMPLING = _QUANTUM + ("numpy.ma", "logging")
 # only the summary report's stage entanglement needs the witnesses
 _NO_STAGES = _SAMPLING + ("swapsim.entanglement",)
 # the classical engine reaches the Philox kernel in swapsim.rng, not through the quantum stack
-_CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging")
+_CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging",
+              "swapsim.cli_quantum")
 # only analyze, report and blind-check tally records
 _NO_TALLY = ("swapsim.analysis",)
 # discard needs the rules, not the hidden-variable engine, and the engine needs no rules
@@ -1100,6 +1103,32 @@ class TestImportGraph:
 
     def test_summary_report_loads_the_witnesses(self, workdir):
         assert "swapsim.entanglement" in _probe(workdir, ["report", "--trials", "200"], _probe_env())["modules"]
+
+    @pytest.mark.parametrize("argv, handlers", [
+        ("analyze --in runs.jsonl", None),
+        ("simulate --trials 50 --out sim.jsonl", "swapsim.cli_quantum"),
+        ("classical discard --rule pr-box --in lhv.jsonl --out kept2.jsonl", "swapsim.cli_classical"),
+    ])
+    def test_run_as_main_the_cli_is_never_imported_again(self, workdir, argv, handlers):
+        # python -m runs cli.py as __main__; a second import as swapsim.cli would compile and run it again
+        result = workdir / "main_probe.json"
+        proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, str(result), *argv.split()],
+                              cwd=workdir, env=_probe_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(result.read_text()))
+        assert {"swapsim", "swapsim.cli_shared", "swapsim.records"} <= modules
+        assert (handlers in modules) if handlers else not modules & set(_NO_HANDLERS)
+        assert "swapsim.cli" not in modules
+
+
+# Runs swapsim.cli as python -m does (runpy, as __main__), then writes the
+# names in sys.modules at exit to the file in argv[1], as JSON.
+_MAIN_PROBE = """
+import atexit, json, runpy, sys
+path = sys.argv.pop(1)
+atexit.register(lambda: open(path, "w").write(json.dumps(sorted(sys.modules))))
+runpy.run_module("swapsim.cli", run_name="__main__", alter_sys=True)
+"""
 
 
 def _switchable_openblas() -> bool:
@@ -1178,7 +1207,7 @@ class TestBlasThreads:
 
 
 # Runs console_main as the console script does, with an atexit handler that
-# reports whether the heap was frozen and the collector left on.
+# reports whether the heap was frozen and the collector left off.
 _EXIT_PROBE = """
 import atexit, gc, sys
 from swapsim.cli import console_main
@@ -1231,7 +1260,7 @@ class TestExitPath:
         proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv], cwd=tmp_path, env=_probe_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
-        assert proc.stdout.startswith(output) and proc.stdout.endswith("atexit: frozen True enabled True\n")
+        assert proc.stdout.startswith(output) and proc.stdout.endswith("atexit: frozen True enabled False\n")
 
     @staticmethod
     def _signalled(tmp_path, signum) -> tuple[int, str]:
@@ -1289,12 +1318,71 @@ class TestExitPath:
                               text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
+    def test_console_main_runs_the_command_with_the_collector_off(self, tmp_path):
+        probe = ("import gc\n"
+                 "from swapsim import cli\n"
+                 "print(gc.isenabled())\n"
+                 "cli.main = lambda: print(gc.isenabled()) or 0\n"
+                 "cli.console_main()\n")
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_probe_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "True\nFalse\n"), proc.stderr
+
+    def test_in_process_main_leaves_a_disabled_collector_disabled(self, tmp_path, capsys):
+        gc.disable()
+        try:
+            assert main(["simulate", "--trials", "50", "--out", str(tmp_path / "runs.jsonl")]) == 0
+            assert main(["analyze", "--in", str(tmp_path / "runs.jsonl")]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
         before = gc.get_freeze_count(), gc.isenabled()
         assert main(["simulate", "--trials", "50", "--out", str(tmp_path / "runs.jsonl")]) == 0
         assert main(["analyze", "--in", str(tmp_path / "runs.jsonl")]) == 0
         assert main(["simulate"]) == 2
         assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# Runs main() with the collector off from the start, as console_main runs a
+# command, then prints how many unreachable objects a full collection finds.
+_GARBAGE_PROBE = """
+import gc, sys
+gc.disable()
+from swapsim.cli import main
+code = main(sys.argv[1:])
+print(gc.collect())
+sys.exit(code)
+"""
+
+
+class TestCyclicGarbage:
+    """With the collector off, no command leaves cyclic garbage that grows with its trials."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("garbage")
+        for trials in (2000, 20000):
+            assert main(["simulate", "--trials", str(trials), "--out", str(path / f"runs{trials}.jsonl")]) == 0
+            assert main(["classical", "generate", "--trials", str(trials),
+                         "--out", str(path / f"lhv{trials}.jsonl")]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --trials {n} --out out.jsonl",
+        "analyze --in runs{n}.jsonl --select psi-minus",
+        "classical discard --rule quantum-mimic --in lhv{n}.jsonl --out kept.jsonl",
+        "classical blind-check --trials {n} --models 2",
+    ], ids=["simulate", "analyze", "discard", "blind-check"])
+    def test_unreachable_count_does_not_grow_with_the_trials(self, workdir, argv):
+        counts = []
+        for trials in (2000, 20000):
+            proc = subprocess.run([sys.executable, "-c", _GARBAGE_PROBE, *argv.format(n=trials).split()],
+                                  cwd=workdir, env=_probe_env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            counts.append(int(proc.stdout.splitlines()[-1]))
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.skipif(shutil.which("swapsim") is None, reason="console script not installed")

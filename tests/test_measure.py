@@ -19,6 +19,7 @@ from swapsim.measure import (
     step_outcomes,
 )
 from swapsim.qstate import BellKind, PureState, bell_state, partial_trace
+from swapsim import rng
 from swapsim.rng import trial_draws
 
 
@@ -153,6 +154,16 @@ class TestRandomSourceArray:
         source = RandomSource(9, streams)
         first, second = source.uniform(), source.uniform()
         assert np.array_equal(np.stack([first, second], axis=1), RandomSource(9, streams).uniforms(2))
+
+    def test_the_callers_streams_are_never_written(self):
+        # the kernel updates its state in place; a write through streams would raise here
+        streams = np.array(EDGE_STREAMS[-40:], dtype=np.uint64)
+        streams.flags.writeable = False
+        words = rng._philox_words(2**63 + 5, streams, 1, 3)
+        draws = RandomSource(2**63 + 5, streams).uniforms(12)
+        assert np.array_equal(streams, np.array(EDGE_STREAMS[-40:], dtype=np.uint64))
+        assert np.array_equal(draws, (words >> np.uint64(11)) * 2.0**-53)
+        assert np.array_equal(draws[-1], oracles.philox_uniforms(2**63 + 5, 2**64 - 1, 12))
 
     def test_rejects_non_integer_or_nested_streams(self):
         with pytest.raises(ValueError):

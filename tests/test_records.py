@@ -354,3 +354,33 @@ class TestEngineValueClasses:
         assert classical.sign_model().terms is None
         assert protocol.StageSnapshot.__match_args__ == ("stage", "rho03", "metrics")
         assert classical.BlindCheckReport.__match_args__ == ("trials", "checks")
+
+
+class _Writes:
+    """A text handle that keeps each write's text."""
+
+    def __init__(self) -> None:
+        self.texts = []
+
+    def write(self, text: str) -> int:
+        self.texts.append(text)
+        return len(text)
+
+
+class TestWriteRecords:
+    @pytest.mark.parametrize("sizes", [[1], [511, 512, 513], [1025, 0, 3]], ids=["one", "around", "long"])
+    def test_lines_are_the_records_and_each_write_holds_at_most_a_slice(self, sizes):
+        templates = (_quantum_record(0), _quantum_record(0)._replace(outcome3=1), _classical_record(0))
+        chunks, first = [], 0
+        for size in sizes:
+            ids = list(range(first, first + size))
+            chunks.append(records.RecordChunk(ids, [trial_id * 7 % 3 for trial_id in ids], templates))
+            first += size
+        handle = _Writes()
+        assert records.write_records(handle, chunks) == sum(sizes)
+        want = "".join(records._record_line(record) for chunk in chunks for record in chunk.records())
+        assert "".join(handle.texts) == want
+        slice_ = records._WRITE_SLICE
+        assert 1 < slice_ < records.CHUNK  # a few hundred lines per write, never a chunk-long list of them
+        assert [text.count("\n") for text in handle.texts] == [
+            min(slice_, size - start) for size in sizes for start in range(0, size, slice_)]
