@@ -309,6 +309,23 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("swapsim ")
 
 
+class TestDispatch:
+    """main() runs the handler bound in swapsim.cli at call time.
+
+    The benchmark's tracer replaces the public functions of swapsim.cli with wrappers, which must be what runs.
+    """
+
+    def test_main_runs_the_functions_bound_in_the_module(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(("simulate", args.out)) or 0)
+        monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(("report", args.exact)) or 5)
+        out = tmp_path / "runs.jsonl"
+        assert main(["simulate", "--out", str(out)]) == 0
+        assert main(["report", "--exact"]) == 5
+        assert calls == [("simulate", str(out)), ("report", True)]
+        assert not out.exists()
+
+
 class TestReportDocument:
     def test_lists_and_tuples_render_with_rounded_floats(self):
         assert cli._round12({"a": (0.1 + 0.2, [1 / 3]), "b": None}) == {"a": [0.3, [0.333333333333]], "b": None}
@@ -1042,18 +1059,15 @@ def _probe(workdir: Path, argv: list[str], env: dict) -> dict:
     return json.loads(result.read_text())
 
 
-# the handlers of the quantum and of the classical commands load with their command
-_NO_HANDLERS = ("swapsim.cli_quantum", "swapsim.cli_classical")
 _NUMERIC = ("numpy", "swapsim.protocol", "swapsim.measure", "swapsim.qstate", "swapsim.entanglement",
-            "swapsim.classical") + _NO_HANDLERS
-_QUANTUM = ("swapsim.classical", "swapsim.discard", "swapsim.cli_classical")
+            "swapsim.classical")
+_QUANTUM = ("swapsim.classical", "swapsim.discard")
 # np.unique imports numpy.ma lazily; sampling finds its branches without it
 _SAMPLING = _QUANTUM + ("numpy.ma", "logging")
 # only the summary report's stage entanglement needs the witnesses
 _NO_STAGES = _SAMPLING + ("swapsim.entanglement",)
 # the classical engine reaches the Philox kernel in swapsim.rng, not through the quantum stack
-_CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging",
-              "swapsim.cli_quantum")
+_CLASSICAL = ("swapsim.protocol", "swapsim.entanglement", "swapsim.measure", "swapsim.qstate", "logging")
 # only analyze, report and blind-check tally records
 _NO_TALLY = ("swapsim.analysis",)
 # discard needs the rules, not the hidden-variable engine, and the engine needs no rules
@@ -1104,20 +1118,19 @@ class TestImportGraph:
     def test_summary_report_loads_the_witnesses(self, workdir):
         assert "swapsim.entanglement" in _probe(workdir, ["report", "--trials", "200"], _probe_env())["modules"]
 
-    @pytest.mark.parametrize("argv, handlers", [
-        ("analyze --in runs.jsonl", None),
-        ("simulate --trials 50 --out sim.jsonl", "swapsim.cli_quantum"),
-        ("classical discard --rule pr-box --in lhv.jsonl --out kept2.jsonl", "swapsim.cli_classical"),
+    @pytest.mark.parametrize("argv", [
+        "analyze --in runs.jsonl",
+        "simulate --trials 50 --out sim.jsonl",
+        "classical discard --rule pr-box --in lhv.jsonl --out kept2.jsonl",
     ])
-    def test_run_as_main_the_cli_is_never_imported_again(self, workdir, argv, handlers):
+    def test_run_as_main_the_cli_is_never_imported_again(self, workdir, argv):
         # python -m runs cli.py as __main__; a second import as swapsim.cli would compile and run it again
         result = workdir / "main_probe.json"
         proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE, str(result), *argv.split()],
                               cwd=workdir, env=_probe_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         modules = set(json.loads(result.read_text()))
-        assert {"swapsim", "swapsim.cli_shared", "swapsim.records"} <= modules
-        assert (handlers in modules) if handlers else not modules & set(_NO_HANDLERS)
+        assert {"swapsim", "swapsim.records"} <= modules
         assert "swapsim.cli" not in modules
 
 
