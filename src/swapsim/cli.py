@@ -18,9 +18,13 @@ Exit codes: 0 ok, 1 failed check, 2 usage, 3 I/O or garbled input,
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # python -m: console_main turns the collector off too, but only after the imports below
+    gc.disable()
+
 import argparse
 import contextlib
-import gc
 import json
 import os
 import signal
@@ -344,23 +348,102 @@ def _cmd_classical_generate(args) -> int:
     return _write_batch(args.out, lhv_chunks(model, config), "classical-generate", config_doc, config.seed)
 
 
+# Set by console_main: the process ends with its command, so discard may fork its reader.
+_reader_may_fork = False
+
+
+@contextlib.contextmanager
+def _record_chunks(path: str):
+    """read_record_chunks(path), parsed in a forked child while this process goes on, where that can pay.
+
+    It pays where console_main runs the command, fork and waitid exist and
+    two CPUs are usable; elsewhere (in-process main(), tests, library
+    callers), or if the fork fails, the reader runs inline.  The child sends
+    each chunk, pickled, down a pipe, then None; an error the reader raises
+    travels as one item and is raised here at its place in the stream, so
+    chunks, messages and exit codes are the inline reader's.  The pipe's
+    backpressure keeps the command streaming.  A stream that ends before its
+    None, or a child that exits with another status than 0, is an OSError.
+    However the block is left, the pipe is closed and the child killed and
+    reaped.
+    """
+    if not (_reader_may_fork and hasattr(os, "fork") and hasattr(os, "waitid") and (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2):
+        yield read_record_chunks(path)
+        return
+    import pickle  # numpy imports it too: loaded before the fork, it costs the child nothing
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the inline reader
+        os.close(read_fd)
+        os.close(write_fd)
+        yield read_record_chunks(path)
+        return
+    if pid == 0:  # the reader child: it never opens --out nor writes to stdout or stderr
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the whole job; the parent ends the child
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                chunks = read_record_chunks(path)
+                while True:
+                    try:
+                        item = next(chunks, None)
+                    except (RecordFormatError, OSError) as exc:
+                        item = exc
+                    pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+                    if item is None or isinstance(item, Exception):
+                        break
+            code = 0
+        finally:  # whatever it caught: no handler, atexit hook or inherited buffer of the command runs twice
+            os._exit(code)
+
+    def received(pipe):
+        try:
+            while (item := pickle.load(pipe)) is not None:
+                if isinstance(item, Exception):
+                    raise item
+                yield item
+            ended = True
+        except (EOFError, pickle.UnpicklingError):  # the child died before its end marker
+            ended = False
+        # WNOWAIT leaves the child to be reaped below, so its pid is never free while it may be killed
+        child = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        code = child.si_status if child.si_code == os.CLD_EXITED else -child.si_status
+        if not (ended and code == 0):
+            raise OSError(f"reading {path}: the reader process stopped early (exit status {code})")
+
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            yield received(pipe)
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a no-op once it has exited
+        os.waitpid(pid, 0)
+
+
 def _cmd_classical_discard(args) -> int:
-    # Both rules read only settings and outcomes, never trial_id, so one
-    # keep weight per template holds for every row of its kind.
-    from .discard import discard_chunks, pr_box_rule, quantum_mimic_rule
-
-    rule = pr_box_rule() if args.rule == "pr-box" else quantum_mimic_rule()
     seed = _resolve_seed(args.seed)
-    total = 0
+    # The reader starts before numpy loads, so a forked one parses while this process imports.
+    with _record_chunks(args.input) as chunks:
+        # Both rules read only settings and outcomes, never trial_id, so one
+        # keep weight per template holds for every row of its kind.
+        from .discard import discard_chunks, pr_box_rule, quantum_mimic_rule
 
-    def counted(chunks):
-        nonlocal total
-        for chunk in chunks:
-            total += len(chunk.trial_ids)
-            yield chunk
+        rule = pr_box_rule() if args.rule == "pr-box" else quantum_mimic_rule()
+        total = 0
 
-    with _atomic_open(args.out) as (handle,):
-        kept = write_records(handle, discard_chunks(counted(read_record_chunks(args.input)), rule, seed))
+        def counted(chunks):
+            nonlocal total
+            for chunk in chunks:
+                total += len(chunk.trial_ids)
+                yield chunk
+
+        with _atomic_open(args.out) as (handle,):
+            kept = write_records(handle, discard_chunks(counted(chunks), rule, seed))
     doc = {
         "rule": rule.description,
         "kind": rule.kind,
@@ -513,13 +596,16 @@ def console_main() -> None:
     # as SystemExit each runs _atomic_open's cleanup and exits with the status
     # a shell reports for a job it killed, but a hangup nohup ignores stays
     # ignored.  Ctrl-C ends in one line, not a traceback; main() does neither.
+    global _reader_may_fork
     signal.signal(signal.SIGTERM, _terminate)
     if hasattr(signal, "SIGHUP") and signal.getsignal(signal.SIGHUP) is not signal.SIG_IGN:  # POSIX only
         signal.signal(signal.SIGHUP, _terminate)
     # A command makes no cyclic garbage that grows with its trials, so the
     # cyclic collector only walks numpy's import, over and over: off for the
-    # rest of the process.  main() leaves it alone for in-process callers.
+    # rest of the process.  main() leaves it alone for in-process callers,
+    # and forks no reader for them either.
     gc.disable()
+    _reader_may_fork = True
     try:
         code = main()
     except KeyboardInterrupt:

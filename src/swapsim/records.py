@@ -54,6 +54,11 @@ class RecordFormatError(ValueError):
     def __init__(self, line_number: int, message: str) -> None:
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.message = message
+
+    def __reduce__(self):
+        # BaseException's would call __init__ with the one formatted string
+        return type(self), (self.line_number, self.message)
 
 
 class BellKind(Enum):

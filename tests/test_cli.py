@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import platform
+import re
 import shutil
 import signal
 import stat
@@ -19,6 +20,7 @@ import pytest
 import swapsim.classical
 import swapsim.protocol
 import swapsim.records
+import test_golden as golden
 from oracles import read_records_reference
 from swapsim import cli
 from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
@@ -786,6 +788,15 @@ class TestRecordReader:
             assert (summary["kept"], summary["keep_fraction"]) == (len(kept), cli._round12(fraction))
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_forked_discard_of_fuzzed_files_matches_main(self, base_lines, tmp_path, monkeypatch, capsys):
+        errors = 0
+        for seed in range(2 * len(BROKEN) + 8):
+            name = Path(self._fuzzed(base_lines, seed, tmp_path)).name
+            code = _forked_like_main(tmp_path, ["classical", "discard", "--rule", "quantum-mimic", "--seed", str(seed),
+                                                "--in", name, "--out", "kept.jsonl"], monkeypatch, capsys)[0]
+            errors += code == 3
+        assert errors == len(BROKEN) + 4
+
     @pytest.mark.parametrize("reader", READERS)
     def test_garbled_line_after_a_full_chunk_keeps_its_number(self, reader, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(swapsim.records, "CHUNK", 4)
@@ -1059,6 +1070,104 @@ def _probe(workdir: Path, argv: list[str], env: dict) -> dict:
     return json.loads(result.read_text())
 
 
+def _own_session(args: list[str], *, during=None, timeout: float = 120, **popen) -> subprocess.CompletedProcess:
+    """Run ``args`` in a session of its own to its end; no process of its group may outlive it.
+
+    ``during(proc)``, if given, runs while the process does.  Output is
+    captured unless ``popen`` redirects it.
+    """
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE} | popen
+    proc = subprocess.Popen(args, start_new_session=True, **popen)
+    try:
+        if during is not None:
+            during(proc)
+        stdout, stderr = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return subprocess.CompletedProcess(args, proc.returncode, stdout, stderr)
+    os.killpg(proc.pid, signal.SIGKILL)
+    pytest.fail(f"a process of {args} outlived it")
+
+
+# Whether a console run of discard forks its reader here: fork and waitid exist and two CPUs are usable.
+_READER_FORKS = hasattr(os, "fork") and hasattr(os, "waitid") and (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2
+
+# Runs swapsim.cli as python -m does (runpy, as __main__), counting the
+# processes it forks, then writes to the file in argv[1], as JSON, that count
+# and the names in sys.modules at exit.  With argv[2] "inline", os.fork is
+# taken away first, so discard reads its input in the one process; with
+# "failing", every fork fails as at a process limit.
+_FORK_PROBE = """
+import atexit, json, os, runpy, sys
+path, how = sys.argv.pop(1), sys.argv.pop(1)
+forks = []
+if how == "inline":
+    del os.fork
+elif how == "failing":
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    os.fork = failing_fork
+else:
+    fork = os.fork
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    os.fork = counted_fork
+atexit.register(lambda: open(path, "w").write(json.dumps({"forks": len(forks), "modules": sorted(sys.modules)})))
+runpy.run_module("swapsim.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _masked(text: str) -> str:
+    """``text`` with the names of temporary files, which are random, masked."""
+    return re.sub(r"'[^']*\.tmp'", "'<tmp>'", text)
+
+
+def _forked_like_main(cwd: Path, argv: list[str], monkeypatch, capsys, **env) -> tuple:
+    """(exit code, stdout, stderr, bytes of --out or None) of ``argv`` under python -m, which main() gives too.
+
+    Both run in ``cwd`` with ``env`` set; neither leaves a temporary file, and
+    the -m run leaves no process behind.  Each run's --out is taken away.
+    """
+    out = cwd / argv[argv.index("--out") + 1]
+
+    def kept():
+        if not out.is_file():
+            return None
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    proc = _own_session([sys.executable, "-m", "swapsim.cli", *argv], cwd=cwd, env=_probe_env(**env))
+    forked = (proc.returncode, proc.stdout.decode(), _masked(proc.stderr.decode()), kept())
+    assert list(cwd.glob("*.tmp")) == []
+    monkeypatch.chdir(cwd)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, _masked(captured.err), kept()) == forked
+    assert list(cwd.glob("*.tmp")) == []
+    return forked
+
+
+def _fork_probe(workdir: Path, argv: list[str], how: str = "fork", **env) -> tuple[int, dict]:
+    """Exit code and the _FORK_PROBE document of one command line."""
+    result = workdir / "fork_probe.json"
+    proc = _own_session([sys.executable, "-c", _FORK_PROBE, str(result), how, *argv], cwd=workdir,
+                        env=_probe_env(**env))
+    return proc.returncode, json.loads(result.read_text())
+
+
 _NUMERIC = ("numpy", "swapsim.protocol", "swapsim.measure", "swapsim.qstate", "swapsim.entanglement",
             "swapsim.classical")
 _QUANTUM = ("swapsim.classical", "swapsim.discard")
@@ -1114,6 +1223,14 @@ class TestImportGraph:
         modules = set(_probe(workdir, argv.split(), _probe_env())["modules"])
         assert "swapsim.cli" in modules
         assert sorted(name for name in forbidden if name in modules) == []
+
+    def test_forked_discard_loads_no_module_the_inline_one_does_not(self, workdir):
+        argv = "classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl".split()
+        forked, inline = (_fork_probe(workdir, argv, how) for how in ("fork", "inline"))
+        assert (forked[0], forked[1]["forks"], inline[0], inline[1]["forks"]) == (0, int(_READER_FORKS), 0, 0)
+        modules = set(forked[1]["modules"])
+        assert sorted(modules - set(inline[1]["modules"])) == []
+        assert sorted(name for name in _DISCARD + _NO_DATACLASSES + _NO_NUMPY_RANDOM if name in modules) == []
 
     def test_summary_report_loads_the_witnesses(self, workdir):
         assert "swapsim.entanglement" in _probe(workdir, ["report", "--trials", "200"], _probe_env())["modules"]
@@ -1230,13 +1347,30 @@ console_main()
 """
 
 
+# Runs swapsim.cli as python -m does, then writes to stderr how many cyclic
+# collections ran with a frame of cli.py on the stack.
+_COLLECTIONS_PROBE = """
+import atexit, gc, os, runpy, sys
+counted = []
+def count(phase, info):
+    frame = sys._getframe(1)
+    while frame is not None and not frame.f_code.co_filename.endswith(os.path.join("swapsim", "cli.py")):
+        frame = frame.f_back
+    if phase == "start" and frame is not None:
+        counted.append(info["generation"])
+gc.callbacks.append(count)
+atexit.register(lambda: print("collections while cli.py ran:", len(counted), file=sys.stderr))
+sys.argv[0] = "swapsim"
+runpy.run_module("swapsim.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 class TestExitPath:
     """console_main freezes the heap before exit; bytes, exit codes and atexit stay what main gives."""
 
     @staticmethod
     def _run(cwd, argv):
-        return subprocess.run([sys.executable, "-m", "swapsim.cli", *argv], cwd=cwd, env=_probe_env(),
-                              capture_output=True, timeout=120)
+        return _own_session([sys.executable, "-m", "swapsim.cli", *argv], cwd=cwd, env=_probe_env())
 
     def test_simulate_writes_the_bytes_main_writes(self, tmp_path, monkeypatch, capsys):
         argv = ["simulate", "--trials", "300", "--seed", "8", "--out", "runs.jsonl"]
@@ -1270,14 +1404,13 @@ class TestExitPath:
 
     @pytest.mark.parametrize("argv, code, output", [(["--version"], 0, "swapsim "), (["analyze"], 2, "")])
     def test_console_main_freezes_the_heap_and_still_runs_atexit(self, tmp_path, argv, code, output):
-        proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv], cwd=tmp_path, env=_probe_env(),
-                              capture_output=True, text=True, timeout=120)
+        proc = _own_session([sys.executable, "-c", _EXIT_PROBE, *argv], cwd=tmp_path, env=_probe_env(), text=True)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.startswith(output) and proc.stdout.endswith("atexit: frozen True enabled False\n")
 
     @staticmethod
-    def _signalled(tmp_path, signum) -> tuple[int, str]:
-        """Exit status and stderr of a batch too long to finish, sent ``signum`` once its first temporary file exists.
+    def _signalled(tmp_path, signum, argv=("simulate", "--trials", "100000000", "--out", "runs.jsonl")):
+        """Exit status and stderr of a command too long to finish, sent ``signum`` once its first temporary file exists.
 
         The child starts with SIGINT and SIGHUP at their defaults, as a shell's
         foreground job does, even where this process ignores them (a
@@ -1287,26 +1420,40 @@ class TestExitPath:
             for signum in (signal.SIGINT, signal.SIGHUP):
                 signal.signal(signum, signal.SIG_DFL)
 
-        argv = [sys.executable, "-m", "swapsim.cli", "simulate", "--trials", "100000000", "--out", "runs.jsonl"]
-        proc = subprocess.Popen(argv, cwd=tmp_path, env=_probe_env(), stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE, preexec_fn=default_signals)
-        try:
+        def signal_once_writing(proc):
             deadline = time.monotonic() + 60
             while not list(tmp_path.glob("*.tmp")):
                 assert proc.poll() is None and time.monotonic() < deadline, "no temporary file appeared"
                 time.sleep(0.005)
             proc.send_signal(signum)
-            _, stderr = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-            proc.wait(timeout=60)
-        return proc.returncode, stderr.decode()
+
+        proc = _own_session([sys.executable, "-m", "swapsim.cli", *argv], during=signal_once_writing, timeout=60,
+                            cwd=tmp_path, env=_probe_env(), stdout=subprocess.DEVNULL, preexec_fn=default_signals)
+        return proc.returncode, proc.stderr.decode()
 
     @pytest.mark.skipif(os.name != "posix", reason="SIGTERM is delivered by POSIX kill")
     def test_sigterm_leaves_no_temporary_file_and_exits_143(self, tmp_path):
         code, stderr = self._signalled(tmp_path, signal.SIGTERM)
         assert code == 143, stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGTERM is delivered by POSIX kill; FIFOs are POSIX")
+    def test_sigterm_mid_discard_leaves_no_temporary_file_and_exits_143(self, tmp_path):
+        records = simulate(tmp_path, trials=100)
+        (tmp_path / "run").mkdir()
+        fifo = tmp_path / "run" / "in.jsonl"
+        os.mkfifo(fifo)
+        # Opened for reading too, so the open does not wait and the command never meets
+        # its input's end; the lines fit in the FIFO's buffer, so the write does not wait.
+        fd = os.open(fifo, os.O_RDWR)
+        try:
+            os.write(fd, records.read_bytes())
+            code, stderr = self._signalled(tmp_path / "run", signal.SIGTERM, argv=(
+                "classical", "discard", "--rule", "quantum-mimic", "--in", "in.jsonl", "--out", "kept.jsonl"))
+        finally:
+            os.close(fd)
+        assert code == 143, stderr
+        assert list((tmp_path / "run").iterdir()) == [fifo]
 
     @pytest.mark.skipif(os.name != "posix", reason="SIGHUP is POSIX only")
     def test_sighup_leaves_no_temporary_file_and_exits_129(self, tmp_path):
@@ -1327,8 +1474,7 @@ class TestExitPath:
                  "from swapsim import cli\n"
                  "cli.main = lambda: print(signal.getsignal(signal.SIGHUP) is signal.SIG_IGN) or 0\n"
                  "cli.console_main()\n")
-        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_probe_env(), capture_output=True,
-                              text=True, timeout=120)
+        proc = _own_session([sys.executable, "-c", probe], cwd=tmp_path, env=_probe_env(), text=True)
         assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
     def test_console_main_runs_the_command_with_the_collector_off(self, tmp_path):
@@ -1337,9 +1483,16 @@ class TestExitPath:
                  "print(gc.isenabled())\n"
                  "cli.main = lambda: print(gc.isenabled()) or 0\n"
                  "cli.console_main()\n")
-        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_probe_env(), capture_output=True,
-                              text=True, timeout=120)
+        proc = _own_session([sys.executable, "-c", probe], cwd=tmp_path, env=_probe_env(), text=True)
         assert (proc.returncode, proc.stdout) == (0, "True\nFalse\n"), proc.stderr
+
+    def test_run_as_main_no_collection_runs_while_the_cli_does(self, tmp_path):
+        # under python -m the collector goes off before cli.py imports anything
+        argv = ["report", "--exact", "--scan", "--scan-step", "45"]
+        proc = _own_session([sys.executable, "-c", _COLLECTIONS_PROBE, *argv], cwd=tmp_path, env=_probe_env(),
+                            text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "collections while cli.py ran: 0\n"
 
     def test_in_process_main_leaves_a_disabled_collector_disabled(self, tmp_path, capsys):
         gc.disable()
@@ -1356,6 +1509,78 @@ class TestExitPath:
         assert main(["analyze", "--in", str(tmp_path / "runs.jsonl")]) == 0
         assert main(["simulate"]) == 2
         assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# Runs console_main as the console script does, with a chunk reader that
+# ends its process once it has yielded its first chunk.
+_DYING_READER_PROBE = """
+import os, sys
+import swapsim.records
+read_record_chunks = swapsim.records.read_record_chunks
+def dies_after_its_first_chunk(path):
+    yield next(read_record_chunks(path))
+    os._exit(9)
+swapsim.records.read_record_chunks = dies_after_its_first_chunk
+from swapsim import cli
+sys.argv[0] = "swapsim"
+cli.console_main()
+"""
+
+
+class TestForkedReader:
+    """Under python -m, discard parses its input in a forked child: exit codes, messages and bytes are main()'s."""
+
+    @staticmethod
+    def _discard(rule="pr-box", source="lhv.jsonl", out="kept.jsonl", *extra):
+        return ["classical", "discard", "--rule", rule, "--in", source, "--out", out, *extra]
+
+    @staticmethod
+    def _generate(tmp_path, trials=300):
+        assert main(["classical", "generate", "--trials", str(trials), "--out", str(tmp_path / "lhv.jsonl")]) == 0
+
+    @pytest.mark.parametrize("source, rule", [("classical generate --model uniform", rule) for rule in golden.DISCARD]
+                             + list(golden.DISCARD_MORE))
+    def test_golden_inputs_give_the_golden_bytes(self, source, rule, tmp_path, monkeypatch, capsys):
+        assert main([*source.split(), "--trials", str(golden.N), "--seed", str(golden.SEED),
+                     "--out", str(tmp_path / "in.jsonl")]) == 0
+        argv = self._discard(rule, "in.jsonl", "kept.jsonl", "--seed", str(golden.SEED))
+        code, stdout, stderr, kept = _forked_like_main(tmp_path, argv, monkeypatch, capsys)
+        want = golden.DISCARD[rule] if source.endswith("uniform") else golden.DISCARD_MORE[source, rule]
+        assert (code, stderr, golden._sha256(kept), golden._sha256(stdout.encode())) == (0, "", *want)
+
+    def test_missing_input(self, tmp_path, monkeypatch, capsys):
+        got = _forked_like_main(tmp_path, self._discard(source="missing.jsonl"), monkeypatch, capsys)
+        assert got == (3, "", "swapsim: i/o error: [Errno 2] No such file or directory: 'missing.jsonl'\n", None)
+
+    def test_out_that_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        self._generate(tmp_path)
+        (tmp_path / "kept").mkdir()
+        got = _forked_like_main(tmp_path, self._discard(out="kept"), monkeypatch, capsys)
+        assert got == (3, "", "swapsim: i/o error: [Errno 21] Is a directory: '<tmp>' -> 'kept'\n", None)
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_garbage_env_seed_starts_no_reader(self, tmp_path, monkeypatch, capsys):
+        self._generate(tmp_path)
+        got = _forked_like_main(tmp_path, self._discard(), monkeypatch, capsys, SWAPSIM_SEED="x")
+        assert got == (2, "", "swapsim: error: SWAPSIM_SEED must be an integer, got 'x'\n", None)
+        code, probe = _fork_probe(tmp_path, self._discard(), SWAPSIM_SEED="x")
+        assert (code, probe["forks"]) == (2, 0)
+
+    def test_a_fork_that_fails_leaves_the_reader_inline(self, tmp_path, capsys):
+        self._generate(tmp_path)
+        code, probe = _fork_probe(tmp_path, self._discard(out="probe.jsonl"), "failing")
+        assert (code, probe["forks"]) == (0, 0)
+        assert main(self._discard(source=str(tmp_path / "lhv.jsonl"), out=str(tmp_path / "kept.jsonl"))) == 0
+        assert (tmp_path / "probe.jsonl").read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+
+    @pytest.mark.skipif(not _READER_FORKS, reason="the reader forks only with fork, waitid and two usable CPUs")
+    def test_a_reader_that_dies_is_an_io_error_and_writes_nothing(self, tmp_path):
+        self._generate(tmp_path, trials=swapsim.records.CHUNK + 100)
+        proc = _own_session([sys.executable, "-c", _DYING_READER_PROBE, *self._discard()], cwd=tmp_path,
+                            env=_probe_env(), text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "swapsim: i/o error: reading lhv.jsonl: the reader process stopped early (exit status 9)\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["lhv.jsonl", "lhv.jsonl.manifest.json"]
 
 
 # Runs main() with the collector off from the start, as console_main runs a

@@ -1,3 +1,4 @@
+import copy
 import os
 import pickle
 import subprocess
@@ -212,6 +213,13 @@ class TestValueClasses:
     def test_angle_repr(self):
         assert repr(AnalyzerAngle(190.0)) == "AnalyzerAngle(degrees=10.0)"
         assert AnalyzerAngle.__match_args__ == ("degrees",)
+
+
+@pytest.mark.parametrize("clone", [lambda error: pickle.loads(pickle.dumps(error)), copy.copy], ids=["pickle", "copy"])
+def test_record_format_error_survives_a_round_trip(clone):
+    # a forked reader sends its error to the command as a pickle
+    again = clone(records.RecordFormatError(7, "x"))
+    assert (type(again), again.line_number, str(again)) == (records.RecordFormatError, 7, "line 7: x")
 
 
 def _engine_values():
