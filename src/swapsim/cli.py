@@ -80,7 +80,10 @@ def _atomic_open(*paths: str):
     undo = []  # (path, its old file set aside or None) for each path replaced before the last
 
     def temporary(path: str) -> tuple[int, str]:
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        except OSError as exc:  # name the path asked for, not the random name of a file never made
+            raise OSError(exc.errno, exc.strerror, path) from None
         temps.append(tmp_path)
         os.chmod(tmp_path, 0o666 & ~umask)
         return fd, tmp_path
@@ -260,10 +263,9 @@ def _scan_csv(args) -> str:
     psi_minus = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
     for delta in _scan_grid(args.scan_step):
-        if args.exact:  # the scan prints cell (0,0) only, so only its plan is walked
-            weighted = exact_cell_records(_scan_config(delta, args, trials=1), 0, 0)
-        else:
-            weighted = kind_counts(_scan_config(delta, args, trials=args.trials))
+        config = _scan_config(delta, args, args.trials)  # checks --trials on the exact path too
+        # the scan prints cell (0,0) only, so only its plan is walked
+        weighted = exact_cell_records(config, 0, 0) if args.exact else kind_counts(config)
         e_filtered = correlation_weighted(weighted, (0, 0), psi_minus).e_value
         e_all = correlation_weighted(weighted, (0, 0)).e_value
         lines.append(f"{_fmt(delta)},{_fmt(e_filtered)},{_fmt(e_all)}")

@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .measure import BellSpec, PolarizationSpec, bell_projectors, extend_frontier, step_outcomes
-from .qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace, tensor
+from .measure import BellSpec, PolarizationSpec, extend_frontier, step_outcomes
+from .qstate import BellKind, DensityMatrix, PureState, bell_state, tensor
 from .records import (_DEFAULT_ANGLES, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering, RecordChunk,
                       TrialRecord, _Frozen, bsm_outcomes, kind_index, kind_templates, setting_pair)
 from .rng import record_chunks, trial_draws
@@ -305,40 +305,31 @@ def exact_joint_distribution(
             for record, p in exact_records(config)}
 
 
-def _embed_on_bsm_pair(op4: np.ndarray) -> np.ndarray:
-    # qubit 0 (x) pair (1,2) (x) qubit 3, with qubit 0 most significant
-    eye = np.eye(2)
-    return np.kron(np.kron(eye, op4), eye)
-
-
-def preparation_density(config: ExperimentConfig) -> DensityMatrix:
-    """Full four-photon source state for the configured visibility."""
-    entries = np.zeros((16, 16), dtype=complex)
-    for weight, component in _preparation_components(config.visibility):
-        entries += weight * np.outer(component.amplitudes, component.amplitudes.conj())
-    return DensityMatrix(4, entries)
-
-
 def stage_entanglement_report(config: ExperimentConfig) -> list[StageSnapshot]:
     """Reduced (0,3) state before the joint measurement and after each outcome.
 
     The pre stage always appears.  Conditional stages are reported for the
     bsm-first ordering, where the joint measurement really does act on the
     undisturbed state; one snapshot per outcome of the configured analyzer.
+    Each state is read off the frontiers the exact tables walk: the source's,
+    and the Bell step's, whose component blocks list their children label
+    after label, so label k's rows are every len(labels)-th row from k.
     """
     from .entanglement import metrics_for  # only this report needs it
 
-    rho_full = preparation_density(config)
-    pre = partial_trace(rho_full, (0, 3))
-    snapshots = [StageSnapshot("pre-bsm", pre, metrics_for(pre))]
+    def snapshot(stage: str, weights: np.ndarray, joints: np.ndarray, amps: np.ndarray) -> StageSnapshot:
+        # the rows mixed with weight * joint, photons 1 and 2 traced out, scaled to trace 1
+        rows = amps.reshape(len(amps), 2, 4, 2)  # photon 0, photons (1,2), photon 3
+        mixed = np.einsum("r,raib,rcid->abcd", weights * joints, rows, rows.conj()).reshape(4, 4)
+        rho03 = DensityMatrix(2, mixed / np.trace(mixed).real)
+        return StageSnapshot(stage, rho03, metrics_for(rho03))
+
+    snapshots = [snapshot("pre-bsm", *_frontiers(config.visibility, ()))]
     if _EVENTS[config.ordering][0] != "bsm":
         return snapshots
-
-    projectors = bell_projectors(config.bsm_mode)
-    for outcome in bsm_outcomes(config.bsm_mode):
-        proj = _embed_on_bsm_pair(projectors[outcome])
-        unnormalized = proj @ rho_full.entries @ proj
-        prob = float(np.trace(unnormalized).real)  # 1/4 per Bell label, 1/2 for "other"
-        reduced = partial_trace(DensityMatrix(4, unnormalized / prob), (0, 3))
-        snapshots.append(StageSnapshot(f"post-bsm:{outcome.value}", reduced, metrics_for(reduced)))
+    labels = bsm_outcomes(config.bsm_mode)
+    weights, joints, amps = _frontiers(config.visibility, (BellSpec(_BSM_PAIR, config.bsm_mode),))
+    for k, label in enumerate(labels):
+        label_rows = slice(k, None, len(labels))
+        snapshots.append(snapshot(f"post-bsm:{label.value}", weights, joints[label_rows], amps[label_rows]))
     return snapshots

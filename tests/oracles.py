@@ -178,6 +178,25 @@ def werner_matrix(p: float) -> np.ndarray:
     return p * singlet + (1.0 - p) * np.eye(4) / 4.0
 
 
+def stage_states_reference(visibility: float, mode: str) -> dict:
+    """The (0,3) state of each stage of a bsm-first report, keyed by stage name, from the 16x16 source.
+
+    Two Werner pairs joined by np.kron, photons 1 and 2 projected by explicit
+    Bell projectors (phi- + phi+ for the partial analyzer's "other"), each
+    projected state scaled to trace 1 and traced by loops.
+    """
+    source = np.kron(werner_matrix(visibility), werner_matrix(visibility))
+    labels = ["psi-minus", "psi-plus", *(["phi-minus", "phi-plus"] if mode == "full" else ["other"])]
+    states = {"pre-bsm": partial_trace_loops(source, 4, (0, 3))}
+    for label in labels:
+        projector = embed_adjacent_pair(
+            bell_projector_explicit("phi-minus") + bell_projector_explicit("phi-plus") if label == "other"
+            else bell_projector_explicit(label), 4, 1)
+        projected = projector @ source @ projector
+        states[f"post-bsm:{label}"] = partial_trace_loops(projected / np.trace(projected).real, 4, (0, 3))
+    return states
+
+
 def prepare_swap_input() -> PureState:
     """Four-photon source state psi-(0,1) (x) psi-(2,3), from the explicit singlet vector.
 

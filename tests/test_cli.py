@@ -406,6 +406,13 @@ class TestReport:
             assert -1.0 <= e_filtered <= 1.0
             assert -1.0 <= e_all <= 1.0
 
+    def test_zero_trials_is_refused_on_every_report_path(self, capsys):
+        got = set()
+        for extra in ([], ["--exact"], ["--scan"], ["--exact", "--scan"]):
+            code = main(["report", *extra, "--trials", "0"])
+            got.add((code, *capsys.readouterr()))
+        assert got == {(2, "", "swapsim: error: trials must be >= 1, got 0\n")}
+
     def test_bad_scan_step(self):
         assert main(["report", "--scan", "--exact", "--scan-step", "0"]) == 2
 
@@ -1025,6 +1032,24 @@ class TestAtomicWrites:
         else:
             assert not manifest.exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--trials", "3", "--out", "nodir/x.jsonl"], "nodir/x.jsonl.manifest.json"),
+        (["classical", "generate", "--trials", "3", "--out", "nodir/x.jsonl"], "nodir/x.jsonl.manifest.json"),
+        (["classical", "discard", "--in", "runs.jsonl", "--rule", "pr-box", "--out", "nodir/kept.jsonl"],
+         "nodir/kept.jsonl"),
+        (["analyze", "--in", "runs.jsonl", "--out", "nodir/report.json"], "nodir/report.json"),
+        (["report", "--exact", "--out", "nodir/report.txt"], "nodir/report.txt"),
+        (["classical", "blind-check", "--trials", "100", "--models", "1", "--out", "nodir/check.json"],
+         "nodir/check.json"),
+    ], ids=["simulate", "generate", "discard", "analyze", "report", "blind-check"])
+    def test_missing_directory_is_named_as_given(self, argv, named, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        simulate(tmp_path, "runs.jsonl", trials=20)
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"swapsim: i/o error: [Errno 2] No such file or directory: '{named}'\n"
+        assert list(tmp_path.rglob("*.tmp")) == [] and not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
                              ids=["022", "077", "002"])

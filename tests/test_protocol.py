@@ -26,7 +26,6 @@ from swapsim.protocol import (
     exact_joint_distribution,
     exact_records,
     kind_counts,
-    preparation_density,
     run_batch,
     run_chunks,
     run_trial,
@@ -465,18 +464,6 @@ def test_equal_angle_anticorrelation_in_sampled_records():
     assert all(rec.outcome0 == -rec.outcome3 for rec in kept)
 
 
-class TestPreparationDensity:
-    def test_ideal_is_pure_swap_input(self):
-        rho = preparation_density(config())
-        expected = oracles.to_density(oracles.prepare_swap_input()).entries
-        assert np.max(np.abs(rho.entries - expected)) <= 1e-12
-        assert abs(rho.purity() - 1.0) <= 1e-12
-
-    def test_zero_visibility_is_maximally_mixed(self):
-        rho = preparation_density(config(visibility=0.0))
-        assert np.max(np.abs(rho.entries - np.eye(16) / 16.0)) <= 1e-12
-
-
 class TestStageReport:
     def test_full_mode_stages(self):
         snaps = stage_entanglement_report(config())
@@ -527,6 +514,34 @@ class TestStageReport:
         post = {s.stage: s for s in snaps}["post-bsm:psi-minus"]
         assert np.max(np.abs(post.rho03.entries - oracles.werner_matrix(v * v))) <= 1e-12
         assert abs(post.metrics.concurrence - oracles.werner_concurrence(v * v)) <= 1e-9
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.95, 0.9, 0.8, 0.72, 0.5, 1.0 / 3.0, 0.0])
+    @pytest.mark.parametrize("mode", list(BsmMode))
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_every_stage_matches_the_density_matrix_reference(self, ordering, mode, visibility):
+        want = oracles.stage_states_reference(visibility, mode.value)
+        snaps = stage_entanglement_report(config(ordering=ordering, bsm_mode=mode, visibility=visibility))
+        assert [s.stage for s in snaps] == (list(want) if _EVENTS[ordering][0] == "bsm" else ["pre-bsm"])
+        for snap in snaps:
+            assert np.max(np.abs(snap.rho03.entries - want[snap.stage])) <= 1e-12, snap.stage
+
+
+class TestOneWalk:
+    """The stage report reads the frontiers the exact tables walk and builds no state of its own."""
+
+    def test_bsm_first_stages_walk_the_source_and_the_bell_step(self):
+        _frontiers.cache_clear()
+        stage_entanglement_report(config(visibility=0.9))
+        assert _frontiers.cache_info().misses == 2
+
+    @pytest.mark.parametrize("ordering, misses", [(Ordering.BSM_FIRST, 4), (Ordering.POLARIZATIONS_FIRST, 7)])
+    def test_exact_summary_walks_only_what_its_tables_walk(self, ordering, misses, capsys):
+        _frontiers.cache_clear()
+        exact_records(config(ordering=ordering, visibility=0.9))
+        assert _frontiers.cache_info().misses == misses
+        _frontiers.cache_clear()
+        assert main(["report", "--exact", "--ordering", ordering.value, "--visibility", "0.9"]) == 0
+        assert _frontiers.cache_info().misses == misses
 
 
 class TestChunkLifetime:
