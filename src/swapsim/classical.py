@@ -16,17 +16,13 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import starmap
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .records import (_DEFAULT_ANGLES, AnalyzerAngle, ClassicalRecord, RecordChunk, _Frozen, kind_index,
                       kind_templates, setting_pair)
 from .rng import record_chunks, trial_draws
-
-# Only blind-check tallies, so it imports analysis itself: generate runs without it.
-if TYPE_CHECKING:
-    from .analysis import ChshReport
 
 # Names of swapsim.discard this module gives on first use (PEP 562), so
 # generate and blind-check never load the rules.
@@ -63,7 +59,7 @@ class ClassicalConfig(_Frozen):
         trials, seed = int(trials), int(seed)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        self._set(angles0, angles3, trials, seed)
+        super().__init__(angles0, angles3, trials, seed)
 
 
 _HARMONICS = 3  # Fourier orders in a random model's marker
@@ -81,9 +77,6 @@ class FourierTerms(_Frozen):
 
     __slots__ = __match_args__ = ("marker", "marker_scale", "phase0", "phase3")
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, marker: np.ndarray, marker_scale: float, phase0: float, phase3: float) -> None:
-        self._set(marker, marker_scale, phase0, phase3)
 
 
 class HiddenVariableModel(_Frozen):
@@ -113,7 +106,7 @@ class HiddenVariableModel(_Frozen):
             raise ValueError("model needs at least one marker label")
         if len(set(labels)) != len(labels):
             raise ValueError(f"marker labels must be distinct, got {labels}")
-        self._set(name, outcome0, outcome3, marker, labels, terms)
+        super().__init__(name, outcome0, outcome3, marker, labels, terms)
 
 
 def _evaluate(
@@ -349,9 +342,6 @@ class LabelCheck(_Frozen):
 
     __slots__ = __match_args__ = ("label", "report")
 
-    def __init__(self, label: str, report: ChshReport) -> None:
-        self._set(label, report)
-
     @property
     def within_bound(self) -> bool:
         return self.report.s_abs <= 2.0 + 5.0 * self.report.s_std_err
@@ -361,9 +351,6 @@ class ModelCheck(_Frozen):
     """Bound verdict for one model across all its usable marker labels."""
 
     __slots__ = __match_args__ = ("model", "labels", "starved")
-
-    def __init__(self, model: str, labels: tuple[LabelCheck, ...], starved: tuple[str, ...]) -> None:
-        self._set(model, labels, starved)
 
     @property
     def max_s_abs(self) -> float:
@@ -378,9 +365,6 @@ class BlindCheckReport(_Frozen):
     """Outcome of the settings-blind selection stress test."""
 
     __slots__ = __match_args__ = ("trials", "checks")
-
-    def __init__(self, trials: int, checks: tuple[ModelCheck, ...]) -> None:
-        self._set(trials, checks)
 
     @property
     def all_within_bound(self) -> bool:

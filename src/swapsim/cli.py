@@ -100,7 +100,10 @@ def _atomic_open(*paths: str):
                     os.close(fd)
                     os.replace(path, aside)
                 undo.append((path, aside))
-            os.replace(tmp_path, path)
+            try:
+                os.replace(tmp_path, path)
+            except OSError as exc:  # a directory at path, say: name it alone, not the temporary file too
+                raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         for path, aside in reversed(undo):
             if aside is not None:

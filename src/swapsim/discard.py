@@ -38,7 +38,7 @@ class DiscardRule(_Frozen):
     def __init__(self, kind: str, description: str, keep_weight: Callable[[object], float]) -> None:
         if kind not in ("deterministic", "probabilistic"):
             raise ValueError(f"rule kind must be deterministic|probabilistic, got {kind!r}")
-        self._set(kind, description, keep_weight)
+        super().__init__(kind, description, keep_weight)
 
     def checked_weight(self, record) -> float:
         """keep_weight(record), rejected unless it lies in [0, 1]."""

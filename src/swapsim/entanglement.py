@@ -25,9 +25,6 @@ class TwoQubitMetrics(_Frozen):
 
     __slots__ = __match_args__ = ("concurrence", "negativity", "purity")
 
-    def __init__(self, concurrence: float, negativity: float, purity: float) -> None:
-        self._set(concurrence, negativity, purity)
-
 
 def _require_two_qubits(rho: DensityMatrix, what: str) -> None:
     if rho.num_qubits != 2:

@@ -22,7 +22,7 @@ amplitudes a + bi, which is, term for term, the sum a*a + b*b that zdotc
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class PolarizationSpec(_Frozen):
     __slots__ = __match_args__ = ("qubit", "angle")
 
     def __init__(self, qubit: int, angle: AnalyzerAngle) -> None:
-        self._set(qubit, as_angle(angle))
+        super().__init__(qubit, as_angle(angle))
 
 
 class BellSpec(_Frozen):
@@ -112,7 +112,7 @@ class BellSpec(_Frozen):
         pair = (int(qubits[0]), int(qubits[1]))
         if pair[0] == pair[1]:
             raise ValueError("bell spec needs two distinct qubits")
-        self._set(pair, BsmMode(mode))
+        super().__init__(pair, BsmMode(mode))
 
 
 MeasurementSpec = Union[PolarizationSpec, BellSpec]
@@ -143,12 +143,8 @@ def _step_operators(spec: MeasurementSpec, n: int) -> tuple[tuple[np.ndarray, np
 
 
 def extend_frontier(
-    joints: np.ndarray,
-    amps: np.ndarray,
-    spec: MeasurementSpec,
-    num_qubits: int,
-    keep_states: bool = True,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    joints: np.ndarray, amps: np.ndarray, spec: MeasurementSpec, num_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply one plan step to every row of a frontier; returns the children's (joints, amps).
 
     Each row splits into one child per outcome of ``spec``, children listed
@@ -157,16 +153,13 @@ def extend_frontier(
     of itertools.product over the steps' outcomes.  A child's joint is its
     Born probability p times its parent's joint.  A zero-probability child
     has joint 0.0 and an all-zero row, and an all-zero row's children have
-    p = 0, so every outcome combination stays present.  ``keep_states=False``
-    returns no amplitudes, for a plan's last step.
+    p = 0, so every outcome combination stays present.
     """
     (forward, inverse), ops = _step_operators(spec, num_qubits)
     gathered = amps.take(forward, axis=1).reshape(len(amps), 1, ops.shape[-1], -1)
     products = np.matmul(ops, gathered).reshape(len(amps) * len(ops), -1).take(inverse, axis=1)
     p = np.matmul(products.conj()[:, None, :], products[:, :, None])[:, 0, 0].real
     children = np.repeat(joints, len(ops)) * p  # 0.0 wherever p == 0: joints are finite
-    if not keep_states:
-        return children, None
     states = np.divide(products, np.sqrt(p)[:, None], out=np.zeros_like(products), where=(p > 0.0)[:, None])
     return children, states
 

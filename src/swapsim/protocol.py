@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import product, starmap
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .qstate import BellKind, DensityMatrix, PureState, bell_state, tensor
 from .records import (_DEFAULT_ANGLES, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering, RecordChunk,
                       TrialRecord, _Frozen, bsm_outcomes, kind_index, kind_templates, setting_pair)
 from .rng import record_chunks, trial_draws
-
-if TYPE_CHECKING:
-    from .entanglement import TwoQubitMetrics
 
 _PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
@@ -81,7 +78,7 @@ class ExperimentConfig(_Frozen):
         visibility = float(visibility)
         if not 0.0 <= visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-        self._set(angles0, angles3, trials, ordering, bsm_mode, seed, visibility)
+        super().__init__(angles0, angles3, trials, ordering, bsm_mode, seed, visibility)
 
     def _table_key(self) -> tuple:
         """Everything the per-trial distribution depends on (not trials/seed)."""
@@ -92,9 +89,6 @@ class StageSnapshot(_Frozen):
     """Reduced state of photons (0,3) at one logical stage of the protocol."""
 
     __slots__ = __match_args__ = ("stage", "rho03", "metrics")
-
-    def __init__(self, stage: str, rho03: DensityMatrix, metrics: TwoQubitMetrics) -> None:
-        self._set(stage, rho03, metrics)
 
 
 def _preparation_components(visibility: float) -> tuple[tuple[float, PureState], ...]:
@@ -155,7 +149,7 @@ def _setting_joint(key: tuple, i0: int, i3: int) -> dict[tuple, float]:
     """
     plan = _measurement_plan(key, i0, i3)
     weights, joints, amps = _frontiers(key[4], plan[:-1])
-    leaves, _ = extend_frontier(joints, amps, plan[-1], _PHOTONS, keep_states=False)
+    leaves, _ = extend_frontier(joints, amps, plan[-1], _PHOTONS)
     merged = np.zeros(len(leaves) // len(weights))
     for weight, row in zip(weights.tolist(), leaves.reshape(len(weights), -1)):
         merged = merged + weight * row

@@ -60,7 +60,7 @@ class PureState(_Frozen):
         norm_sq = float(np.vdot(arr, arr).real)
         if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
-        self._set(num_qubits, arr)
+        super().__init__(num_qubits, arr)
 
 
 class DensityMatrix(_Frozen):
@@ -94,7 +94,7 @@ class DensityMatrix(_Frozen):
         if float(np.linalg.eigvalsh(arr).min()) < -PSD_SLACK:
             raise ValueError("matrix is not positive semidefinite")
         arr.setflags(write=False)
-        self._set(num_qubits, arr)
+        super().__init__(num_qubits, arr)
 
     def purity(self) -> float:
         """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""

@@ -117,17 +117,26 @@ def bsm_outcomes(mode: BsmMode) -> tuple[BsmOutcome, ...]:
 
 
 class _Frozen:
-    """Immutable fields named, in order, by ``__slots__``, compared, hashed and shown as a frozen dataclass's.
+    """Immutable fields named, in order, by ``__slots__``, built, compared, hashed and shown as a frozen dataclass's.
 
-    A subclass's ``__init__`` validates and hands the fields, in order, to
-    ``_set``; one holding arrays takes object's ``__eq__`` and ``__hash__``.
+    ``__slots__`` is a subclass's one field declaration: the constructor
+    takes the fields by position, then by name, in that order.  A subclass
+    that validates or converts its fields keeps its own ``__init__`` and
+    hands them to this one; one holding arrays takes object's ``__eq__``
+    and ``__hash__``.
     """
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = {**dict(zip(names, args)), **kwargs}
+        # too many by position, one given twice, one unknown or one missing
+        if len(args) > len(names) or len(values) < len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}({', '.join(names)}) takes each field once, "
+                            f"got {len(args)} by position and {sorted(kwargs)} by name")
+        for name in names:
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -165,7 +174,7 @@ class AnalyzerAngle(_Frozen):
         value = float(degrees)
         if not math.isfinite(value):
             raise ValueError(f"angle must be finite, got {value!r}")
-        self._set(value % 180.0)
+        super().__init__(value % 180.0)
 
     @property
     def radians(self) -> float:
@@ -349,9 +358,6 @@ class RecordChunk(_Frozen):
     """
 
     __slots__ = __match_args__ = ("trial_ids", "kinds", "templates")
-
-    def __init__(self, trial_ids: list[int], kinds: list[int], templates: Sequence) -> None:
-        self._set(trial_ids, kinds, templates)
 
     def records(self):
         """The rows as records, in row order."""

@@ -19,7 +19,8 @@ kernels: a recursive, depth-first exact walk and the sampled collapses.
 The walk takes the analyzer operators from the package, because the
 package gathers amplitudes into the very operands tensordot builds and
 multiplies them by np.matmul, one np.dot-equal gemm per row, and tests
-require bit-identical exact tables from both.  The
+require bit-identical exact tables from both.  The plans' step order and
+the source's Bell-diagonal mixture are written out here.  The
 package samples only from exact tables, so these collapses are the only
 trial-by-trial sampling code: the measurement physics tests run on them.
 """
@@ -33,9 +34,9 @@ import numpy as np
 from swapsim.analysis import ChshReport, CorrelationEstimate, InsufficientDataError
 from swapsim.classical import ClassicalRecord, HiddenVariableModel
 from swapsim.measure import BellSpec, PolarizationSpec, bell_projectors, bsm_outcomes, polarization_observable
-from swapsim.protocol import TrialRecord, _measurement_plan, _preparation_components
+from swapsim.protocol import TrialRecord
 from swapsim.qstate import DensityMatrix, PureState
-from swapsim.records import BsmOutcome, RecordFormatError
+from swapsim.records import BellKind, BsmOutcome, Ordering, RecordFormatError
 
 
 def basis_state(num_qubits: int, index: int) -> PureState:
@@ -420,7 +421,30 @@ def outcome_distribution_recursive(amps: np.ndarray, n: int, plan, memo=None) ->
     return table
 
 
-_components = lru_cache(maxsize=None)(_preparation_components)  # the grid's keys share six visibilities
+# Each ordering's steps in applied order, written out here, not read from the engine's plan map.
+_STEP_ORDER = {Ordering.BSM_FIRST: ("bsm", "pol0", "pol3"), Ordering.POLARIZATIONS_FIRST: ("pol0", "pol3", "bsm")}
+
+
+def measurement_plan(key: tuple, i0: int, i3: int) -> tuple:
+    """The specs of one setting pair of a protocol table key, in _STEP_ORDER: the Bell step on photons 1 and 2."""
+    angles0, angles3, ordering, mode, _ = key
+    specs = {"bsm": BellSpec((1, 2), mode), "pol0": PolarizationSpec(0, angles0[i0]),
+             "pol3": PolarizationSpec(3, angles3[i3])}
+    return tuple(specs[step] for step in _STEP_ORDER[ordering])
+
+
+@lru_cache(maxsize=None)  # the grid's keys share six visibilities
+def source_components(visibility: float) -> tuple:
+    """The source as (weight, four-photon amplitudes) pairs: one product of two Bell states each.
+
+    Each pair is Bell-diagonal, V + (1-V)/4 on psi- and (1-V)/4 on each
+    other Bell state; products are listed in BellKind order, first pair
+    outer, and those of weight 0 are left out.
+    """
+    other = (1.0 - visibility) / 4.0
+    weights = {kind.value: visibility + other if kind is BellKind.PSI_MINUS else other for kind in BellKind}
+    return tuple((w_a * w_b, np.kron(BELL_VECTORS[a], BELL_VECTORS[b]))
+                 for a, w_a in weights.items() for b, w_b in weights.items() if w_a * w_b > 0.0)
 
 
 def setting_joints_reference(key: tuple, memo: dict) -> dict:
@@ -431,16 +455,15 @@ def setting_joints_reference(key: tuple, memo: dict) -> dict:
     branches in it too: the components at every V < 1 are the same 16 Bell
     products, only their weights differ, and plans share their prefixes.
     """
-    components = _components(key[4])
     joints = {}
     for i0 in (0, 1):
         for i3 in (0, 1):
-            plan = _measurement_plan(key, i0, i3)
+            plan = measurement_plan(key, i0, i3)
             merged = {}
-            for weight, component in components:
-                walk_key = (component.amplitudes.tobytes(), plan)
+            for weight, amplitudes in source_components(key[4]):
+                walk_key = (amplitudes.tobytes(), plan)
                 if walk_key not in memo:
-                    memo[walk_key] = outcome_distribution_recursive(component.amplitudes, 4, plan, memo)
+                    memo[walk_key] = outcome_distribution_recursive(amplitudes, 4, plan, memo)
                 for outcomes, p in memo[walk_key].items():
                     merged[outcomes] = merged.get(outcomes, 0.0) + weight * p
             joints[(i0, i3)] = merged

@@ -195,8 +195,8 @@ def walk(state: PureState, plan) -> dict:
     """
     steps = list(plan)
     joints, amps = np.ones(1), state.amplitudes[None, :]
-    for depth, spec in enumerate(steps):
-        joints, amps = extend_frontier(joints, amps, spec, state.num_qubits, keep_states=depth + 1 < len(steps))
+    for spec in steps:
+        joints, amps = extend_frontier(joints, amps, spec, state.num_qubits)
     return dict(zip(itertools.product(*map(step_outcomes, steps)), joints.tolist()))
 
 
@@ -492,8 +492,8 @@ class TestBatchedStep:
     """A row of a stacked frontier extends to the bits it gets extended alone."""
 
     @staticmethod
-    def _bits(joints: np.ndarray, amps) -> tuple:
-        return [x.hex() for x in joints.tolist()], None if amps is None else amps.view(np.uint64).tobytes()
+    def _bits(joints: np.ndarray, amps: np.ndarray) -> tuple:
+        return [x.hex() for x in joints.tolist()], amps.view(np.uint64).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 64])
     @pytest.mark.parametrize("n", [2, 4, 7, 12])
@@ -506,16 +506,15 @@ class TestBatchedStep:
         i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
         specs = [PolarizationSpec(i, AnalyzerAngle(float(rng.uniform(0, 180)))),
                  BellSpec((i, j), BsmMode.FULL), BellSpec((j, i), BsmMode.PARTIAL)]
-        for spec, keep in itertools.product(specs, (True, False)):
-            got_joints, got_amps = extend_frontier(joints, amps, spec, n, keep_states=keep)
+        for spec in specs:
+            got_joints, got_amps = extend_frontier(joints, amps, spec, n)
             k = len(got_joints) // rows
             for row in range(rows):
-                alone = extend_frontier(joints[row:row + 1], amps[row:row + 1], spec, n, keep_states=keep)
+                alone = extend_frontier(joints[row:row + 1], amps[row:row + 1], spec, n)
                 block = slice(k * row, k * (row + 1))
-                got = (got_joints[block], None if got_amps is None else got_amps[block])
-                assert self._bits(*got) == self._bits(*alone), (spec, row)
+                assert self._bits(got_joints[block], got_amps[block]) == self._bits(*alone), (spec, row)
                 if zero[row]:
-                    assert not got_joints[block].any() and (got_amps is None or not got_amps[block].any())
+                    assert not got_joints[block].any() and not got_amps[block].any()
 
 
 def tensor_h_first() -> PureState:

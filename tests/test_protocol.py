@@ -18,7 +18,6 @@ from swapsim.protocol import (
     _EVENTS,
     _SETTING_PAIRS,
     _frontiers,
-    _measurement_plan,
     _pick,
     _sampling_tables,
     _setting_joint,
@@ -248,7 +247,7 @@ class TestOutcomeNaming:
         records = []
         for trial_id, u in enumerate(draws.tolist()):
             i0, i3 = int(u[0] >= 0.5), int(u[1] >= 0.5)
-            plan = _measurement_plan(key, i0, i3)
+            plan = oracles.measurement_plan(key, i0, i3)
             steps = [bsm_outcomes(spec.mode) if isinstance(spec, BellSpec) else (+1, -1) for spec in plan]
             levels = oracles.sampling_tables_reference(joints[i0, i3], steps)
             prefix, named, events = (), {}, []

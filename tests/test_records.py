@@ -1,8 +1,11 @@
+import ast
 import copy
+import inspect
 import os
 import pickle
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +365,79 @@ class TestEngineValueClasses:
         assert classical.sign_model().terms is None
         assert protocol.StageSnapshot.__match_args__ == ("stage", "rho03", "metrics")
         assert classical.BlindCheckReport.__match_args__ == ("trials", "checks")
+
+
+def _frozen_classes() -> list:
+    """Every _Frozen subclass in the package, by name."""
+    found, stack = [], [records._Frozen]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        found += subclasses
+        stack += subclasses
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# The classes that take their constructor from _Frozen, and the repr of each built from the fields 1, 2, ...
+_BUILT_BY_FROZEN = {
+    "BlindCheckReport": "BlindCheckReport(trials=1, checks=2)",
+    "FourierTerms": "FourierTerms(marker=1, marker_scale=2, phase0=3, phase3=4)",
+    "LabelCheck": "LabelCheck(label=1, report=2)",
+    "ModelCheck": "ModelCheck(model=1, labels=2, starved=3)",
+    "RecordChunk": "RecordChunk(trial_ids=1, kinds=2, templates=3)",
+    "StageSnapshot": "StageSnapshot(stage=1, rho03=2, metrics=3)",
+    "TwoQubitMetrics": "TwoQubitMetrics(concurrence=1, negativity=2, purity=3)",
+}
+_FROZEN_BUILT = [cls for cls in _frozen_classes() if "__init__" not in vars(cls)]
+
+
+def _only_forwards(init) -> bool:
+    """Whether a constructor's body, its docstring aside, is one call that passes its parameters on, in order."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(init))).body[0]
+    body = [stmt for stmt in tree.body if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
+    call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Expr) else None
+    return (isinstance(call, ast.Call) and not call.keywords
+            and [ast.unparse(arg) for arg in call.args] == [arg.arg for arg in tree.args.args[1:]])
+
+
+class TestFrozenConstructor:
+    """_Frozen builds the constructor of every value class that only stores its fields, from ``__slots__``."""
+
+    def test_the_classes_it_builds(self):
+        assert [cls.__name__ for cls in _FROZEN_BUILT] == list(_BUILT_BY_FROZEN)
+
+    def test_no_value_class_writes_a_constructor_that_only_forwards(self):
+        own = [cls for cls in _frozen_classes() if "__init__" in vars(cls)]
+        assert [cls.__name__ for cls in own if _only_forwards(cls.__init__)] == []
+        assert len(own) == 9  # the classes that validate or convert
+        assert not hasattr(records._Frozen, "_set")
+
+    @pytest.mark.parametrize("cls", _FROZEN_BUILT, ids=lambda cls: cls.__name__)
+    def test_position_name_and_both_build_the_same_value(self, cls):
+        names = cls.__slots__
+        values = tuple(range(1, len(names) + 1))
+        built = [cls(*values), cls(**dict(zip(names, values))), cls(*values[:1], **dict(zip(names[1:], values[1:])))]
+        assert [value._values() for value in built] == [values] * 3
+        if cls.__hash__ is not object.__hash__:  # the classes holding arrays compare by identity
+            assert built[0] == built[1] == built[2]
+            assert hash(built[0]) == hash(built[1]) == hash(built[2]) == hash(values)
+
+    @pytest.mark.parametrize("cls", _FROZEN_BUILT, ids=lambda cls: cls.__name__)
+    def test_a_missing_unknown_or_doubled_field_raises(self, cls):
+        names = cls.__slots__
+        values = tuple(range(1, len(names) + 1))
+        for args, kwargs in [(values[:-1], {}), (values[:-1], {"no_such_field": 0}), ((*values, 0), {}),
+                             (values, {names[0]: 0})]:  # missing, unknown, one too many, doubled
+            with pytest.raises(TypeError, match=rf"^{cls.__name__}\("):
+                cls(*args, **kwargs)
+
+    @pytest.mark.parametrize("cls", _FROZEN_BUILT, ids=lambda cls: cls.__name__)
+    def test_repr_and_pickle(self, cls):
+        values = tuple(range(1, len(cls.__slots__) + 1))
+        value = cls(*values)
+        assert repr(value) == _BUILT_BY_FROZEN[cls.__name__]
+        assert value.__reduce__() == (cls, values)
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is cls and copy._values() == values
 
 
 class _Writes:
