@@ -40,7 +40,7 @@ _EXPORTS = {
         "run_trial",
         "stage_entanglement_report",
     ),
-    "qstate": ("DensityMatrix", "PureState", "bell_state", "partial_trace", "tensor"),
+    "qstate": ("DensityMatrix", "PureState", "partial_trace"),
     "records": (
         "AnalyzerAngle",
         "BellKind",

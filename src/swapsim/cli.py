@@ -159,13 +159,17 @@ def _write_batch(out: str, chunks, command: str, config_doc: dict, seed: int) ->
 
 
 def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("SWAPSIM_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SWAPSIM_SEED must be an integer, got {env!r}") from None
+    source, seed = "--seed", flag_value
+    if seed is None:
+        source, env = "SWAPSIM_SEED", os.environ.get("SWAPSIM_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"SWAPSIM_SEED must be an integer, got {env!r}") from None
+    # RandomSource keys streams mod 2**64, so a seed outside this range would name another's streams
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{source} must lie in 0..2**64-1, got {seed}")
+    return seed
 
 
 def _angles_doc(config) -> dict:
@@ -482,7 +486,7 @@ def _add_common_angles(parser) -> None:
         help="four analyzer settings a,a',b,b' in degrees (default 0,45,22.5,67.5)",
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help="batch seed (default: $SWAPSIM_SEED, else 0)")
+                        help="batch seed in 0..2**64-1 (default: $SWAPSIM_SEED, else 0)")
 
 
 def _add_experiment_flags(parser, default_trials: int) -> None:
@@ -546,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     discard.add_argument("--in", dest="input", required=True, help="records path (classical or quantum)")
     discard.add_argument("--rule", choices=_RULES, required=True)
     discard.add_argument("--seed", type=int, default=None,
-                         help="keep-decision seed for probabilistic rules")
+                         help="keep-decision seed for probabilistic rules, in 0..2**64-1")
     discard.add_argument("--out", required=True, help="kept records path")
     discard.set_defaults(handler=_cmd_classical_discard)
 

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .qstate import BellKind, bell_state
+from .qstate import _BELL_AMPLITUDES, BellKind
 from .records import CHUNK, AnalyzerAngle, BsmMode, BsmOutcome, as_angle, bsm_outcomes  # noqa: F401 (re-exported)
 from .records import _Frozen
 from .rng import RandomSource  # noqa: F401 (re-exported)
@@ -47,7 +47,7 @@ def polarization_observable(theta: Union[AnalyzerAngle, float]) -> tuple[np.ndar
 
 
 def _bell_projector(kind: BellKind) -> np.ndarray:
-    amps = bell_state(kind).amplitudes
+    amps = _BELL_AMPLITUDES[kind].astype(complex)
     return np.outer(amps, amps.conj())
 
 
@@ -61,13 +61,8 @@ def bell_projectors(mode: BsmMode) -> dict[BsmOutcome, np.ndarray]:
     In partial mode the OTHER projector spans the whole phi-+ subspace, so the
     three projectors still resolve the identity.
     """
-    if BsmMode(mode) is BsmMode.FULL:
-        return {o: _BELL_PROJECTORS[o.bell_kind] for o in bsm_outcomes(BsmMode.FULL)}
-    return {
-        BsmOutcome.PSI_MINUS: _BELL_PROJECTORS[BellKind.PSI_MINUS],
-        BsmOutcome.PSI_PLUS: _BELL_PROJECTORS[BellKind.PSI_PLUS],
-        BsmOutcome.OTHER: _OTHER_PROJECTOR,
-    }
+    return {o: _OTHER_PROJECTOR if o is BsmOutcome.OTHER else _BELL_PROJECTORS[o.bell_kind]
+            for o in bsm_outcomes(mode)}
 
 
 def _check_qubit(num_qubits: int, qubit: int) -> None:

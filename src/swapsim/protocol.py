@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .measure import BellSpec, PolarizationSpec, extend_frontier, step_outcomes
-from .qstate import BellKind, DensityMatrix, PureState, bell_state, tensor
+from .qstate import _BELL_AMPLITUDES, BellKind, DensityMatrix
 from .records import (_DEFAULT_ANGLES, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering, RecordChunk,
                       TrialRecord, _Frozen, bsm_outcomes, kind_index, kind_templates, setting_pair)
 from .rng import record_chunks, trial_draws
@@ -75,7 +75,7 @@ class ExperimentConfig(_Frozen):
         ordering, bsm_mode, trials, seed = Ordering(ordering), BsmMode(bsm_mode), int(trials), int(seed)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        visibility = float(visibility)
+        visibility = float(visibility) + 0.0  # -0.0 becomes 0.0, the same config
         if not 0.0 <= visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
         super().__init__(angles0, angles3, trials, ordering, bsm_mode, seed, visibility)
@@ -89,26 +89,6 @@ class StageSnapshot(_Frozen):
     """Reduced state of photons (0,3) at one logical stage of the protocol."""
 
     __slots__ = __match_args__ = ("stage", "rho03", "metrics")
-
-
-def _preparation_components(visibility: float) -> tuple[tuple[float, PureState], ...]:
-    """The source state as a pure-state mixture.
-
-    Each degraded pair V psi- + (1-V) I/4 is rewritten as a Bell-diagonal
-    mixture (weight V + (1-V)/4 on psi-, (1-V)/4 on each other kind), so the
-    four-photon state is a weighted sum over at most 16 pure products.
-    Products of weight 0 are left out, so V = 1 leaves psi- (x) psi- alone.
-    """
-    base = (1.0 - visibility) / 4.0
-    weights = {kind: base for kind in BellKind}
-    weights[BellKind.PSI_MINUS] += visibility
-    components = []
-    for kind_a, w_a in weights.items():
-        for kind_b, w_b in weights.items():
-            w = w_a * w_b
-            if w > 0.0:
-                components.append((w, tensor(bell_state(kind_a), bell_state(kind_b))))
-    return tuple(components)
 
 
 def _measurement_plan(key: tuple, i0: int, i3: int):
@@ -133,8 +113,14 @@ def _frontiers(visibility: float, steps: tuple) -> tuple[np.ndarray, np.ndarray,
     the plan's last step is extended by the caller and not kept.
     """
     if not steps:
-        weights, components = zip(*_preparation_components(visibility))
-        return np.array(weights), np.ones(len(components)), np.array([c.amplitudes for c in components])
+        # Each degraded pair V psi- + (1-V) I/4 is the Bell-diagonal mixture of
+        # weight V + (1-V)/4 on psi- and (1-V)/4 on each other kind, so the source
+        # is at most 16 products, in BellKind order; those of weight 0 are left out.
+        other = (1.0 - visibility) / 4.0
+        pairs = [(visibility + other if kind is BellKind.PSI_MINUS else other, _BELL_AMPLITUDES[kind].astype(complex))
+                 for kind in BellKind]
+        weights, amps = zip(*[(w_a * w_b, np.kron(a, b)) for w_a, a in pairs for w_b, b in pairs if w_a * w_b > 0.0])
+        return np.array(weights), np.ones(len(amps)), np.array(amps)
     weights, joints, amps = _frontiers(visibility, steps[:-1])
     return (weights, *extend_frontier(joints, amps, steps[-1], _PHOTONS))
 

@@ -101,25 +101,13 @@ class DensityMatrix(_Frozen):
         return float(np.trace(self.entries @ self.entries).real)
 
 
+# The Bell states: psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2.
 _BELL_AMPLITUDES = {
     BellKind.PSI_MINUS: np.array([0.0, 1.0, -1.0, 0.0]) * _SQRT2_INV,
     BellKind.PSI_PLUS: np.array([0.0, 1.0, 1.0, 0.0]) * _SQRT2_INV,
     BellKind.PHI_MINUS: np.array([1.0, 0.0, 0.0, -1.0]) * _SQRT2_INV,
     BellKind.PHI_PLUS: np.array([1.0, 0.0, 0.0, 1.0]) * _SQRT2_INV,
 }
-
-
-def bell_state(kind: BellKind) -> PureState:
-    """Two-qubit Bell state; psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2."""
-    return PureState(2, _BELL_AMPLITUDES[BellKind(kind)])
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker product a (x) b; a's qubits become the most significant block."""
-    total = a.num_qubits + b.num_qubits
-    if total > MAX_QUBITS:
-        raise RegisterSizeError(f"product register of {total} qubits exceeds {MAX_QUBITS}")
-    return PureState(total, np.kron(a.amplitudes, b.amplitudes))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -6,10 +6,10 @@ package's linear-algebra helpers or its record reader, so a test comparing
 both routes genuinely checks two independent computations of the same
 number.
 
-The small constructors and closed forms (basis kets, the swap input, the
-rank-one density projector, the Werner concurrence, the per-outcome
-correlations, a constant hidden-variable model) exist only for tests, so
-they live here too.
+The small constructors and closed forms (basis kets, Bell states, tensor
+products, the swap input, the rank-one density projector, the Werner
+concurrence, the per-outcome correlations, a constant hidden-variable
+model) exist only for tests, so they live here too.
 
 The former CHSH routes (the exact loop and the two-slot sampled tally)
 are kept to check the package's one CHSH core against them bit for bit.
@@ -167,6 +167,16 @@ BELL_VECTORS = {
     "phi-minus": np.array([_SQ, 0.0, 0.0, -_SQ], dtype=complex),
     "phi-plus": np.array([_SQ, 0.0, 0.0, _SQ], dtype=complex),
 }
+
+
+def bell_state(kind: BellKind) -> PureState:
+    """Two-qubit Bell state from BELL_VECTORS: psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2."""
+    return PureState(2, BELL_VECTORS[BellKind(kind).value])
+
+
+def tensor(a: PureState, b: PureState) -> PureState:
+    """Kronecker product a (x) b; a's qubits become the most significant block."""
+    return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
 def bell_projector_explicit(label: str) -> np.ndarray:

