@@ -296,7 +296,9 @@ def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     the marker thresholds a random low-order Fourier series in lam0, lam1
     and their difference.  Everything is fixed at construction from
     ``model_seed``, so the model is data, not code: its marker cannot read a
-    setting because no setting is ever passed to it.
+    setting because no setting is ever passed to it.  The seed is an int or
+    a numpy integer, not a bool; the coefficients are the draws of
+    ``numpy.random.default_rng(model_seed)``, made by ``swapsim.pcg64``.
 
     The closures are the reference.  The same coefficients ride along as
     ``terms``, so the classical engine scores every such model of a chunk
@@ -305,12 +307,18 @@ def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     be trusted (see _FALLBACK_BOUND) is scored by the closures, so every
     decision is the closures'.
     """
+    if isinstance(model_seed, bool) or not isinstance(model_seed, (int, np.integer)):
+        raise TypeError(f"model seed must be an integer, got {model_seed!r}")
+    model_seed = int(model_seed)
     if model_seed < 0:
         raise ValueError(f"model seed must be a non-negative integer, got {model_seed}")
-    rng = np.random.default_rng(model_seed)
-    phase0, phase3 = rng.uniform(0.0, np.pi, size=2)
-    amps = rng.normal(size=(_HARMONICS, 3))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(_HARMONICS, 3))
+    from .pcg64 import PCG64
+
+    # numpy.random.default_rng(model_seed)'s draws, in the order it fills each array
+    rng = PCG64(model_seed)
+    phase0, phase3 = rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi)
+    amps = np.array([rng.normal() for _ in range(_HARMONICS * 3)]).reshape(_HARMONICS, 3)
+    phases = np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(_HARMONICS * 3)]).reshape(_HARMONICS, 3)
 
     def marker(lam0: np.ndarray, lam1: np.ndarray) -> np.ndarray:
         value = np.zeros_like(lam0)

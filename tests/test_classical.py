@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -481,6 +482,26 @@ class TestModels:
     def test_fourier_model_rejects_a_negative_seed_by_name(self):
         with pytest.raises(ValueError, match=r"^model seed must be a non-negative integer, got -1$"):
             random_fourier_model(-1)
+
+    @pytest.mark.parametrize("seed", [True, False, "3", None, 3.0, np.float64(3.0)], ids=repr)
+    def test_fourier_model_refuses_a_seed_that_is_not_an_integer_by_name(self, seed):
+        with pytest.raises(TypeError, match=rf"^model seed must be an integer, got {re.escape(repr(seed))}$"):
+            random_fourier_model(seed)
+
+    @pytest.mark.parametrize("seed, same_as", [(np.int64(3), 3), (np.uint8(3), 3), (2**70, 2**70)],
+                             ids=["int64", "uint8", "2**70"])
+    def test_fourier_model_is_named_and_drawn_from_the_integer_seed(self, seed, same_as):
+        model, reference = random_fourier_model(seed), random_fourier_model(same_as)
+        assert model.name == reference.name == f"fourier-{int(same_as)}"
+        rng = np.random.default_rng(int(same_as))  # the coefficients' reference stream
+        phase0, phase3 = rng.uniform(0.0, np.pi, size=2)
+        amps, phases = rng.normal(size=(3, 3)), rng.uniform(0.0, 2.0 * np.pi, size=(3, 3))
+        expected = np.stack([amps * np.cos(phases), -amps * np.sin(phases)], axis=-1).reshape(-1)
+        assert model.terms.marker.tobytes() == expected.tobytes()
+        assert (model.terms.marker_scale, model.terms.phase0, model.terms.phase3) == (
+            float(np.abs(amps).sum()), float(phase0), float(phase3))
+        cfg = config(trials=5_000)
+        assert list(run_lhv(model, cfg)) == list(run_lhv(reference, cfg))
 
     def test_fourier_model_is_reproducible_from_its_seed(self):
         lam0 = np.linspace(0.0, np.pi, 200, endpoint=False)

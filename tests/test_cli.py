@@ -1274,8 +1274,12 @@ _NO_RULES = ("swapsim.discard",)
 # no swapsim class is a dataclass; numpy loads inspect itself, so only the stdlib commands go without it
 _NO_DATACLASSES = ("dataclasses",)
 _NO_INTROSPECTION = _NO_DATACLASSES + ("inspect",)
-# only the Fourier model's coefficients are drawn by numpy.random: blind-check and generate --model fourier
+# no command loads numpy.random: the Fourier model's coefficients come from swapsim.pcg64
 _NO_NUMPY_RANDOM = ("numpy.random",)
+# and only blind-check and generate --model fourier build a Fourier model
+_NO_FOURIER = _NO_NUMPY_RANDOM + ("swapsim.pcg64",)
+_FOURIER_COMMANDS = ("classical blind-check --trials 200 --models 2",
+                     "classical generate --model fourier --trials 50 --out fourier.jsonl")
 
 
 class TestImportGraph:
@@ -1295,18 +1299,19 @@ class TestImportGraph:
         return path
 
     @pytest.mark.parametrize("argv, forbidden", [
-        ("analyze --in runs.jsonl --select psi-minus", _NUMERIC + _NO_INTROSPECTION + _NO_NUMPY_RANDOM),
-        ("analyze --in kept.jsonl", _NUMERIC + _NO_INTROSPECTION + _NO_NUMPY_RANDOM),
-        ("--version", _NUMERIC + _NO_TALLY + _NO_INTROSPECTION + _NO_NUMPY_RANDOM),
-        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
-        ("report --trials 2000", _SAMPLING + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
-        ("report --exact --scan --scan-step 45", _NO_STAGES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
-        ("report --scan --trials 2000", _NO_STAGES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+        ("analyze --in runs.jsonl --select psi-minus", _NUMERIC + _NO_INTROSPECTION + _NO_FOURIER),
+        ("analyze --in kept.jsonl", _NUMERIC + _NO_INTROSPECTION + _NO_FOURIER),
+        ("--version", _NUMERIC + _NO_TALLY + _NO_INTROSPECTION + _NO_FOURIER),
+        ("simulate --trials 50 --out sim.jsonl", _NO_STAGES + _NO_TALLY + _NO_DATACLASSES + _NO_FOURIER),
+        ("report --trials 2000", _SAMPLING + _NO_DATACLASSES + _NO_FOURIER),
+        ("report --exact --scan --scan-step 45", _NO_STAGES + _NO_DATACLASSES + _NO_FOURIER),
+        ("report --scan --trials 2000", _NO_STAGES + _NO_DATACLASSES + _NO_FOURIER),
         ("classical generate --trials 50 --out gen.jsonl",
-         _CLASSICAL + _NO_TALLY + _NO_RULES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+         _CLASSICAL + _NO_TALLY + _NO_RULES + _NO_DATACLASSES + _NO_FOURIER),
         ("classical discard --rule quantum-mimic --in lhv.jsonl --out mimic.jsonl",
-         _DISCARD + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
-        ("classical blind-check --trials 200 --models 2", _CLASSICAL + _NO_RULES + _NO_DATACLASSES),
+         _DISCARD + _NO_DATACLASSES + _NO_FOURIER),
+        (_FOURIER_COMMANDS[0], _CLASSICAL + _NO_RULES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
+        (_FOURIER_COMMANDS[1], _CLASSICAL + _NO_TALLY + _NO_RULES + _NO_DATACLASSES + _NO_NUMPY_RANDOM),
     ])
     def test_command_loads_none_of_the_forbidden_modules(self, workdir, argv, forbidden):
         modules = set(_probe(workdir, argv.split(), _probe_env())["modules"])
@@ -1319,7 +1324,11 @@ class TestImportGraph:
         assert (forked[0], forked[1]["forks"], inline[0], inline[1]["forks"]) == (0, int(_READER_FORKS), 0, 0)
         modules = set(forked[1]["modules"])
         assert sorted(modules - set(inline[1]["modules"])) == []
-        assert sorted(name for name in _DISCARD + _NO_DATACLASSES + _NO_NUMPY_RANDOM if name in modules) == []
+        assert sorted(name for name in _DISCARD + _NO_DATACLASSES + _NO_FOURIER if name in modules) == []
+
+    @pytest.mark.parametrize("argv", _FOURIER_COMMANDS)
+    def test_a_fourier_model_draws_its_coefficients_from_swapsim_pcg64(self, workdir, argv):
+        assert "swapsim.pcg64" in _probe(workdir, argv.split(), _probe_env())["modules"]
 
     def test_summary_report_loads_the_witnesses(self, workdir):
         assert "swapsim.entanglement" in _probe(workdir, ["report", "--trials", "200"], _probe_env())["modules"]
