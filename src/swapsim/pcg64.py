@@ -3,7 +3,7 @@
 A Fourier model's 20 coefficients are fixed by its seed, and their bytes are
 pinned.  ``PCG64(seed)`` reproduces, bit for bit, what
 ``numpy.random.default_rng(seed)`` gives for the two draws the model takes:
-``uniform(low, high)`` and ``normal(loc, scale)``, one value per call, in
+``uniform(low, high)`` and ``normal()``, one value per call, in
 the order NumPy fills an array.  The stream is then frozen here, and no
 swapsim command loads ``numpy.random``, whose ``Generator`` stream NumPy
 does not promise to keep (NEP 19).
@@ -102,11 +102,11 @@ class PCG64:
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        return loc + scale * self._standard_normal()
+    def normal(self) -> float:
+        """NumPy's ziggurat: layer and sign from a word's low 9 bits, magnitude from the next 52.
 
-    def _standard_normal(self) -> float:
-        """NumPy's ziggurat: layer and sign from a word's low 9 bits, magnitude from the next 52."""
+        ``0.0 + x`` turns a -0.0 into 0.0, as NumPy's ``loc + scale * z`` does.
+        """
         while True:
             r = self.next64()
             idx = r & 0xFF
@@ -116,7 +116,7 @@ class PCG64:
             if r & 0x1:
                 x = -x
             if rabs < _KI[idx]:
-                return x  # inside the layer's rectangle: most draws end here
+                return 0.0 + x  # inside the layer's rectangle: most draws end here
             if idx == 0:  # the tail beyond _NOR_R, by Marsaglia's exponential test
                 while True:
                     xx = -_NOR_INV_R * math.log1p(-self.random())
@@ -124,7 +124,7 @@ class PCG64:
                     if yy + yy > xx * xx:
                         return -(_NOR_R + xx) if (rabs >> 8) & 0x1 else _NOR_R + xx
             elif (_FI[idx - 1] - _FI[idx]) * self.random() + _FI[idx] < math.exp(-0.5 * x * x):
-                return x  # in the wedge between the rectangle and the curve
+                return 0.0 + x  # in the wedge between the rectangle and the curve
 
 
 # NumPy's ziggurat tables fi_double, wi_double and ki_double, in that order,

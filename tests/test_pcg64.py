@@ -40,11 +40,6 @@ def test_raw_words_and_doubles_equal_pcg64s():
     assert _hex(ours.random() for _ in range(1000)) == _hex(ref.random(1000))
 
 
-def test_normal_applies_loc_and_scale_as_numpy_does():
-    ours, ref = PCG64(9), np.random.default_rng(9)
-    assert _hex(ours.normal(-1.5, 0.25) for _ in range(100)) == _hex(ref.normal(-1.5, 0.25, 100))
-
-
 class _Logged(PCG64):
     """A PCG64 that keeps every raw word drawn after seeding."""
 
