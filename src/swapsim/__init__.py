@@ -43,7 +43,6 @@ _EXPORTS = {
     "qstate": ("DensityMatrix", "PureState", "partial_trace"),
     "records": (
         "AnalyzerAngle",
-        "BellKind",
         "BsmMode",
         "BsmOutcome",
         "ClassicalRecord",

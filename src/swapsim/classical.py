@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .records import (_DEFAULT_ANGLES, AnalyzerAngle, ClassicalRecord, RecordChunk, _Frozen, kind_index,
-                      kind_templates, setting_pair)
+from .records import (_DEFAULT_ANGLES, AnalyzerAngle, ClassicalRecord, RecordChunk, _Frozen, as_integer,
+                      kind_index, kind_templates, setting_pair)
 from .rng import record_chunks, trial_draws
 
 # Names of swapsim.discard this module gives on first use (PEP 562), so
@@ -56,7 +56,7 @@ class ClassicalConfig(_Frozen):
         seed: int = 0,
     ) -> None:
         angles0, angles3 = setting_pair("angles0", angles0), setting_pair("angles3", angles3)
-        trials, seed = int(trials), int(seed)
+        trials, seed = as_integer("trials", trials), as_integer("seed", seed)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         super().__init__(angles0, angles3, trials, seed)
@@ -307,9 +307,7 @@ def random_fourier_model(model_seed: int) -> HiddenVariableModel:
     be trusted (see _FALLBACK_BOUND) is scored by the closures, so every
     decision is the closures'.
     """
-    if isinstance(model_seed, bool) or not isinstance(model_seed, (int, np.integer)):
-        raise TypeError(f"model seed must be an integer, got {model_seed!r}")
-    model_seed = int(model_seed)
+    model_seed = as_integer("model seed", model_seed)
     if model_seed < 0:
         raise ValueError(f"model seed must be a non-negative integer, got {model_seed}")
     from .pcg64 import PCG64

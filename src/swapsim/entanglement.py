@@ -16,9 +16,6 @@ from .records import _Frozen
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
-# Eigenvalue jitter allowed below zero before sqrt/negativity bookkeeping.
-_EIG_SLACK = 1e-9
-
 
 class TwoQubitMetrics(_Frozen):
     """Entanglement scores of one reduced state."""
@@ -41,8 +38,6 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     _require_two_qubits(rho, "concurrence")
     vals, vecs = np.linalg.eigh(rho.entries)
-    if float(vals.min()) < -_EIG_SLACK:
-        raise ValueError("spin-flipped spectrum is not real nonnegative")
     # The l_k equal the singular values of sqrt(flipped) @ sqrt(rho): that
     # product's Gram matrix is sqrt(rho) flipped sqrt(rho), which is similar
     # to rho @ flipped.  Computing them as singular values avoids taking

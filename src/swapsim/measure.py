@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .qstate import _BELL_AMPLITUDES, BellKind
+from .qstate import _BELL_AMPLITUDES
 from .records import CHUNK, AnalyzerAngle, BsmMode, BsmOutcome, as_angle, bsm_outcomes  # noqa: F401 (re-exported)
 from .records import _Frozen
 from .rng import RandomSource  # noqa: F401 (re-exported)
@@ -46,23 +46,19 @@ def polarization_observable(theta: Union[AnalyzerAngle, float]) -> tuple[np.ndar
     return p_plus, p_minus
 
 
-def _bell_projector(kind: BellKind) -> np.ndarray:
-    amps = _BELL_AMPLITUDES[kind].astype(complex)
-    return np.outer(amps, amps.conj())
-
-
-_BELL_PROJECTORS = {kind: _bell_projector(kind) for kind in BellKind}
-_OTHER_PROJECTOR = _BELL_PROJECTORS[BellKind.PHI_MINUS] + _BELL_PROJECTORS[BellKind.PHI_PLUS]
+# The projector of every Bell outcome: |b><b| for each resolving one, and for
+# OTHER the sum P_phi- + P_phi+, which spans the whole phi-+ subspace, so a
+# partial analyzer's three projectors still resolve the identity.  Read-only,
+# since bell_projectors hands out these arrays and every exact table uses them.
+_BELL_PROJECTORS = {o: np.outer(a.astype(complex), a.astype(complex).conj()) for o, a in _BELL_AMPLITUDES.items()}
+_BELL_PROJECTORS[BsmOutcome.OTHER] = _BELL_PROJECTORS[BsmOutcome.PHI_MINUS] + _BELL_PROJECTORS[BsmOutcome.PHI_PLUS]
+for _projector in _BELL_PROJECTORS.values():
+    _projector.setflags(write=False)
 
 
 def bell_projectors(mode: BsmMode) -> dict[BsmOutcome, np.ndarray]:
-    """4x4 projectors of the analyzer's outcomes, keyed in sampling order.
-
-    In partial mode the OTHER projector spans the whole phi-+ subspace, so the
-    three projectors still resolve the identity.
-    """
-    return {o: _OTHER_PROJECTOR if o is BsmOutcome.OTHER else _BELL_PROJECTORS[o.bell_kind]
-            for o in bsm_outcomes(mode)}
+    """4x4 projectors of the analyzer's outcomes, keyed in sampling order."""
+    return {o: _BELL_PROJECTORS[o] for o in bsm_outcomes(mode)}
 
 
 def _check_qubit(num_qubits: int, qubit: int) -> None:

@@ -33,9 +33,9 @@ from typing import Iterator
 import numpy as np
 
 from .measure import BellSpec, PolarizationSpec, extend_frontier, step_outcomes
-from .qstate import _BELL_AMPLITUDES, BellKind, DensityMatrix
+from .qstate import _BELL_AMPLITUDES, DensityMatrix
 from .records import (_DEFAULT_ANGLES, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering, RecordChunk,
-                      TrialRecord, _Frozen, bsm_outcomes, kind_index, kind_templates, setting_pair)
+                      TrialRecord, _Frozen, as_integer, bsm_outcomes, kind_index, kind_templates, setting_pair)
 from .rng import record_chunks, trial_draws
 
 _PHOTONS = 4
@@ -72,7 +72,8 @@ class ExperimentConfig(_Frozen):
         visibility: float = 1.0,
     ) -> None:
         angles0, angles3 = setting_pair("angles0", angles0), setting_pair("angles3", angles3)
-        ordering, bsm_mode, trials, seed = Ordering(ordering), BsmMode(bsm_mode), int(trials), int(seed)
+        ordering, bsm_mode = Ordering(ordering), BsmMode(bsm_mode)
+        trials, seed = as_integer("trials", trials), as_integer("seed", seed)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         visibility = float(visibility) + 0.0  # -0.0 becomes 0.0, the same config
@@ -115,10 +116,10 @@ def _frontiers(visibility: float, steps: tuple) -> tuple[np.ndarray, np.ndarray,
     if not steps:
         # Each degraded pair V psi- + (1-V) I/4 is the Bell-diagonal mixture of
         # weight V + (1-V)/4 on psi- and (1-V)/4 on each other kind, so the source
-        # is at most 16 products, in BellKind order; those of weight 0 are left out.
+        # is at most 16 products, in _BELL_AMPLITUDES order; those of weight 0 are left out.
         other = (1.0 - visibility) / 4.0
-        pairs = [(visibility + other if kind is BellKind.PSI_MINUS else other, _BELL_AMPLITUDES[kind].astype(complex))
-                 for kind in BellKind]
+        pairs = [(visibility + other if kind is BsmOutcome.PSI_MINUS else other, amps.astype(complex))
+                 for kind, amps in _BELL_AMPLITUDES.items()]
         weights, amps = zip(*[(w_a * w_b, np.kron(a, b)) for w_a, a in pairs for w_b, b in pairs if w_a * w_b > 0.0])
         return np.array(weights), np.ones(len(amps)), np.array(amps)
     weights, joints, amps = _frontiers(visibility, steps[:-1])

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .records import BellKind, _Frozen
+from .records import BsmOutcome, _Frozen
 
 MAX_QUBITS = 12
 
@@ -101,12 +101,13 @@ class DensityMatrix(_Frozen):
         return float(np.trace(self.entries @ self.entries).real)
 
 
-# The Bell states: psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2.
+# The Bell states, keyed by the Bell outcome that resolves each, in canonical
+# order: psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2.
 _BELL_AMPLITUDES = {
-    BellKind.PSI_MINUS: np.array([0.0, 1.0, -1.0, 0.0]) * _SQRT2_INV,
-    BellKind.PSI_PLUS: np.array([0.0, 1.0, 1.0, 0.0]) * _SQRT2_INV,
-    BellKind.PHI_MINUS: np.array([1.0, 0.0, 0.0, -1.0]) * _SQRT2_INV,
-    BellKind.PHI_PLUS: np.array([1.0, 0.0, 0.0, 1.0]) * _SQRT2_INV,
+    BsmOutcome.PSI_MINUS: np.array([0.0, 1.0, -1.0, 0.0]) * _SQRT2_INV,
+    BsmOutcome.PSI_PLUS: np.array([0.0, 1.0, 1.0, 0.0]) * _SQRT2_INV,
+    BsmOutcome.PHI_MINUS: np.array([1.0, 0.0, 0.0, -1.0]) * _SQRT2_INV,
+    BsmOutcome.PHI_PLUS: np.array([1.0, 0.0, 0.0, 1.0]) * _SQRT2_INV,
 }
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import sys
 from enum import Enum
@@ -61,19 +62,6 @@ class RecordFormatError(ValueError):
         return type(self), (self.line_number, self.message)
 
 
-class BellKind(Enum):
-    """The four maximally entangled two-qubit states.
-
-    Declaration order is the package's canonical enumeration order wherever
-    Bell outcomes are listed or sampled.
-    """
-
-    PSI_MINUS = "psi-minus"
-    PSI_PLUS = "psi-plus"
-    PHI_MINUS = "phi-minus"
-    PHI_PLUS = "phi-plus"
-
-
 class BsmMode(Enum):
     """Bell-state analyzer capability: all four outcomes, or the two-resolving optical version."""
 
@@ -82,10 +70,12 @@ class BsmMode(Enum):
 
 
 class BsmOutcome(Enum):
-    """Result label of a joint Bell measurement.
+    """Result label of a joint Bell measurement, and the name of the Bell state it resolves.
 
-    OTHER is the coarse-grained bucket of a partial analyzer that cannot
-    split phi- from phi+.
+    The first four label the maximally entangled two-qubit states; their
+    declaration order is the package's canonical order wherever Bell states
+    or outcomes are listed or sampled.  OTHER is the coarse-grained bucket of
+    a partial analyzer that cannot split phi- from phi+.
     """
 
     PSI_MINUS = "psi-minus"
@@ -93,13 +83,6 @@ class BsmOutcome(Enum):
     PHI_MINUS = "phi-minus"
     PHI_PLUS = "phi-plus"
     OTHER = "other"
-
-    @property
-    def bell_kind(self) -> Union[BellKind, None]:
-        """Matching BellKind, or None for the unresolved bucket."""
-        if self is BsmOutcome.OTHER:
-            return None
-        return BellKind(self.value)
 
 
 _FULL_OUTCOMES = (
@@ -174,7 +157,9 @@ class AnalyzerAngle(_Frozen):
         value = float(degrees)
         if not math.isfinite(value):
             raise ValueError(f"angle must be finite, got {value!r}")
-        super().__init__(value % 180.0)
+        value %= 180.0
+        # a tiny negative angle rounds up to 180.0, the same setting as 0
+        super().__init__(0.0 if value == 180.0 else value)
 
     @property
     def radians(self) -> float:
@@ -186,6 +171,16 @@ def as_angle(value: Union[AnalyzerAngle, float]) -> AnalyzerAngle:
     if isinstance(value, AnalyzerAngle):
         return value
     return AnalyzerAngle(float(value))
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int, by ``operator.index``: an int or a numpy integer, never a bool or float; else TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def setting_pair(name: str, value) -> tuple[AnalyzerAngle, AnalyzerAngle]:

@@ -16,11 +16,12 @@ are kept to check the package's one CHSH core against them bit for bit.
 
 The tensordot routes at the end are the package's former measurement
 kernels: a recursive, depth-first exact walk and the sampled collapses.
-The walk takes the analyzer operators from the package, because the
-package gathers amplitudes into the very operands tensordot builds and
+The package gathers amplitudes into the very operands tensordot builds and
 multiplies them by np.matmul, one np.dot-equal gemm per row, and tests
-require bit-identical exact tables from both.  The plans' step order and
-the source's Bell-diagonal mixture are written out here.  The
+require bit-identical exact tables from both.  The walk's analyzer
+projectors (the partial analyzer's "other" as phi- + phi+, in that order),
+the plans' step order and the source's Bell-diagonal mixture are written
+out here, so a wrong entry in the package's own tables shows.  The
 package samples only from exact tables, so these collapses are the only
 trial-by-trial sampling code: the measurement physics tests run on them.
 """
@@ -33,10 +34,10 @@ import numpy as np
 
 from swapsim.analysis import ChshReport, CorrelationEstimate, InsufficientDataError
 from swapsim.classical import ClassicalRecord, HiddenVariableModel
-from swapsim.measure import BellSpec, PolarizationSpec, bell_projectors, bsm_outcomes, polarization_observable
+from swapsim.measure import BellSpec, PolarizationSpec, bsm_outcomes
 from swapsim.protocol import TrialRecord
 from swapsim.qstate import DensityMatrix, PureState
-from swapsim.records import BellKind, BsmOutcome, Ordering, RecordFormatError
+from swapsim.records import BsmOutcome, Ordering, RecordFormatError
 
 
 def basis_state(num_qubits: int, index: int) -> PureState:
@@ -169,9 +170,12 @@ BELL_VECTORS = {
 }
 
 
-def bell_state(kind: BellKind) -> PureState:
-    """Two-qubit Bell state from BELL_VECTORS: psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2."""
-    return PureState(2, BELL_VECTORS[BellKind(kind).value])
+def bell_state(label) -> PureState:
+    """Two-qubit Bell state of a resolving BsmOutcome or its BELL_VECTORS label.
+
+    psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2.
+    """
+    return PureState(2, BELL_VECTORS[BsmOutcome(label).value])
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -180,6 +184,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def bell_projector_explicit(label: str) -> np.ndarray:
+    """|v><v| of a BELL_VECTORS label; "other", the partial analyzer's bucket, is phi- + phi+ in that order."""
+    if label == "other":
+        return bell_projector_explicit("phi-minus") + bell_projector_explicit("phi-plus")
     vec = BELL_VECTORS[label]
     return np.outer(vec, vec.conj())
 
@@ -200,9 +207,7 @@ def stage_states_reference(visibility: float, mode: str) -> dict:
     labels = ["psi-minus", "psi-plus", *(["phi-minus", "phi-plus"] if mode == "full" else ["other"])]
     states = {"pre-bsm": partial_trace_loops(source, 4, (0, 3))}
     for label in labels:
-        projector = embed_adjacent_pair(
-            bell_projector_explicit("phi-minus") + bell_projector_explicit("phi-plus") if label == "other"
-            else bell_projector_explicit(label), 4, 1)
+        projector = embed_adjacent_pair(bell_projector_explicit(label), 4, 1)
         projected = projector @ source @ projector
         states[f"post-bsm:{label}"] = partial_trace_loops(projected / np.trace(projected).real, 4, (0, 3))
     return states
@@ -364,15 +369,14 @@ def _clamp(p: float) -> float:
 
 
 def _branches(spec, n: int):
-    """(outcome, apply) pairs of one plan step, in sampling order."""
+    """(outcome, apply) pairs of one plan step, in sampling order, on projectors built here."""
     if isinstance(spec, PolarizationSpec):
-        p_plus, p_minus = polarization_observable(spec.angle)
+        p_plus, p_minus = polarization_projectors_explicit(spec.angle.radians)
         return [(o, lambda a, op=op: apply_single_tensordot(a, n, spec.qubit, op))
                 for o, op in ((+1, p_plus), (-1, p_minus))]
     assert isinstance(spec, BellSpec)
     i, j = spec.qubits
-    projectors = bell_projectors(spec.mode)
-    return [(o, lambda a, op=projectors[o]: apply_pair_tensordot(a, n, i, j, op))
+    return [(o, lambda a, op=bell_projector_explicit(o.value): apply_pair_tensordot(a, n, i, j, op))
             for o in bsm_outcomes(spec.mode)]
 
 
@@ -448,11 +452,11 @@ def source_components(visibility: float) -> tuple:
     """The source as (weight, four-photon amplitudes) pairs: one product of two Bell states each.
 
     Each pair is Bell-diagonal, V + (1-V)/4 on psi- and (1-V)/4 on each
-    other Bell state; products are listed in BellKind order, first pair
+    other Bell state; products are listed in BELL_VECTORS order, first pair
     outer, and those of weight 0 are left out.
     """
     other = (1.0 - visibility) / 4.0
-    weights = {kind.value: visibility + other if kind is BellKind.PSI_MINUS else other for kind in BellKind}
+    weights = {label: visibility + other if label == "psi-minus" else other for label in BELL_VECTORS}
     return tuple((w_a * w_b, np.kron(BELL_VECTORS[a], BELL_VECTORS[b]))
                  for a, w_a in weights.items() for b, w_b in weights.items() if w_a * w_b > 0.0)
 

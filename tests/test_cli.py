@@ -333,6 +333,12 @@ class TestUsageErrors:
         assert code == 2
         assert "distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("angles", ["0,180,22.5,67.5", "0,-1e-20,22.5,67.5"])
+    def test_a_half_turn_or_a_tiny_negative_angle_is_the_same_setting(self, angles, capsys):
+        # -1e-20 % 180 rounds to 180.0, which is canonicalized to 0, the other setting of the pair
+        assert main(["report", "--exact", f"--angles={angles}"]) == 2
+        assert "distinct" in capsys.readouterr().err
+
     def test_bad_visibility(self, tmp_path):
         assert main(["simulate", "--visibility", "1.5", "--trials", "10",
                      "--out", str(tmp_path / "x.jsonl")]) == 2

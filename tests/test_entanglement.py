@@ -4,7 +4,7 @@ import pytest
 import oracles
 from oracles import bell_state
 from swapsim.entanglement import TwoQubitMetrics, concurrence, metrics_for, negativity
-from swapsim.qstate import BellKind, DensityMatrix, PureState, partial_trace
+from swapsim.qstate import DensityMatrix, PureState, partial_trace
 
 
 def random_two_qubit_density(rng, rank=3) -> DensityMatrix:
@@ -13,8 +13,8 @@ def random_two_qubit_density(rng, rank=3) -> DensityMatrix:
 
 class TestConcurrence:
     def test_bell_states_maximal(self):
-        for kind in BellKind:
-            assert abs(concurrence(oracles.to_density(bell_state(kind))) - 1.0) <= 1e-9
+        for label in oracles.BELL_VECTORS:
+            assert abs(concurrence(oracles.to_density(bell_state(label))) - 1.0) <= 1e-9
 
     def test_maximally_mixed_zero(self):
         rho = DensityMatrix(2, np.eye(4) / 4)
@@ -52,11 +52,11 @@ class TestConcurrence:
 
 class TestNegativity:
     def test_bell_states_half(self):
-        for kind in BellKind:
-            assert abs(negativity(oracles.to_density(bell_state(kind))) - 0.5) <= 1e-9
+        for label in oracles.BELL_VECTORS:
+            assert abs(negativity(oracles.to_density(bell_state(label))) - 0.5) <= 1e-9
 
     def test_singlet_partial_transpose_spectrum(self):
-        rho = oracles.to_density(bell_state(BellKind.PSI_MINUS))
+        rho = oracles.to_density(bell_state("psi-minus"))
         pt = rho.entries.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
         eigs = np.sort(np.linalg.eigvalsh(pt))
         assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-9)

@@ -19,7 +19,7 @@ from swapsim.measure import (
     polarization_observable,
     step_outcomes,
 )
-from swapsim.qstate import BellKind, PureState, partial_trace
+from swapsim.qstate import PureState, partial_trace
 from swapsim import rng
 from swapsim.rng import trial_draws
 
@@ -29,6 +29,12 @@ class TestAnalyzerAngle:
         assert AnalyzerAngle(181.0).degrees == 1.0
         assert AnalyzerAngle(-45.0).degrees == 135.0
         assert AnalyzerAngle(360.0).degrees == 0.0
+
+    @pytest.mark.parametrize("degrees", [-1e-20, -1e-15, -5e-324])
+    def test_tiny_negative_angle_is_zero_not_180(self, degrees):
+        assert degrees % 180.0 == 180.0  # the float remainder rounds up to the half turn
+        assert AnalyzerAngle(degrees).degrees == 0.0
+        assert AnalyzerAngle(degrees) == AnalyzerAngle(0.0) == AnalyzerAngle(180.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -248,7 +254,7 @@ class TestMeasureQubit:
             assert np.abs(collapsed.amplitudes - recollapsed.amplitudes).max() <= 1e-12
 
     def test_singlet_anticorrelates_at_equal_angles(self):
-        singlet = bell_state(BellKind.PSI_MINUS)
+        singlet = bell_state(BsmOutcome.PSI_MINUS)
         draws = _draws(5, 200, 2)
         for trial in range(200):
             theta = float((trial * 7.3) % 180.0)
@@ -275,6 +281,13 @@ class TestBellProjectors:
         for outcome, projector in projectors.items():
             assert np.abs(projector - oracles.bell_projector_explicit(outcome.value)).max() <= 1e-15
 
+    @pytest.mark.parametrize("mode", [BsmMode.FULL, BsmMode.PARTIAL])
+    def test_projectors_are_read_only(self, mode):
+        # every exact table is built from these arrays, so a caller's write would corrupt all later tables
+        for projector in bell_projectors(mode).values():
+            with pytest.raises(ValueError, match="read-only"):
+                projector[0, 0] = 0.0
+
 
 class TestBellMeasurement:
     """Born statistics and collapse of the joint analyzer, on the reference collapse in oracles."""
@@ -297,7 +310,7 @@ class TestBellMeasurement:
             outcome, collapsed = _bell_measurement(state, (1, 2), BsmMode.FULL, u)
             seen.add(outcome)
             reduced = partial_trace(oracles.to_density(collapsed), (0, 3))
-            expected = oracles.to_density(bell_state(outcome.bell_kind)).entries
+            expected = oracles.to_density(bell_state(outcome)).entries
             assert np.abs(reduced.entries - expected).max() <= 1e-12
         assert seen == set(bsm_outcomes(BsmMode.FULL))
 
@@ -378,17 +391,9 @@ class TestOutcomeDistribution:
 
             pol0 = oracles.polarization_projectors_explicit(np.deg2rad(alpha))
             pol3 = oracles.polarization_projectors_explicit(np.deg2rad(delta))
-            bell_ops = {
-                BsmOutcome.PSI_MINUS: oracles.bell_projector_explicit("psi-minus"),
-                BsmOutcome.PSI_PLUS: oracles.bell_projector_explicit("psi-plus"),
-                BsmOutcome.OTHER: (
-                    oracles.bell_projector_explicit("phi-minus")
-                    + oracles.bell_projector_explicit("phi-plus")
-                ),
-            }
             for (bsm, o0, o3), p in table.items():
                 mats = [
-                    oracles.embed_adjacent_pair(bell_ops[bsm], 4, 1),
+                    oracles.embed_adjacent_pair(oracles.bell_projector_explicit(bsm.value), 4, 1),
                     oracles.embed_single(pol0[0 if o0 == +1 else 1], 4, 0),
                     oracles.embed_single(pol3[0 if o3 == +1 else 1], 4, 3),
                 ]
@@ -396,7 +401,7 @@ class TestOutcomeDistribution:
                 assert abs(p - reference) <= 1e-12
 
     def test_repeated_measurement_of_same_qubit_is_consistent(self):
-        state = bell_state(BellKind.PSI_MINUS)
+        state = bell_state(BsmOutcome.PSI_MINUS)
         spec = PolarizationSpec(0, AnalyzerAngle(30.0))
         table = walk(state, [spec, spec])
         assert abs(table[(+1, +1)] - 0.5) <= 1e-12

@@ -31,7 +31,7 @@ from swapsim.protocol import (
     run_trial,
     stage_entanglement_report,
 )
-from swapsim.qstate import BellKind, PureState, partial_trace
+from swapsim.qstate import PureState, partial_trace
 from swapsim.rng import RandomSource
 from test_classical import _traced_peak_kb
 
@@ -517,14 +517,8 @@ class TestStageReport:
         marg1 = partial_trace(pre.rho03, (1,)).entries
         assert np.max(np.abs(pre.rho03.entries - np.kron(marg0, marg1))) <= 1e-12
         assert pre.metrics.concurrence <= 1e-9
-        kinds = {
-            "post-bsm:psi-minus": BellKind.PSI_MINUS,
-            "post-bsm:psi-plus": BellKind.PSI_PLUS,
-            "post-bsm:phi-minus": BellKind.PHI_MINUS,
-            "post-bsm:phi-plus": BellKind.PHI_PLUS,
-        }
         for snap in snaps[1:]:
-            expected = oracles.to_density(bell_state(kinds[snap.stage])).entries
+            expected = oracles.to_density(bell_state(snap.stage.removeprefix("post-bsm:"))).entries
             assert np.max(np.abs(snap.rho03.entries - expected)) <= 1e-12
             assert abs(snap.metrics.concurrence - 1.0) <= 1e-9
             assert abs(snap.metrics.negativity - 0.5) <= 1e-9

@@ -7,12 +7,12 @@ from swapsim.qstate import (
     _BELL_AMPLITUDES,
     ATOL,
     MAX_QUBITS,
-    BellKind,
     DensityMatrix,
     PureState,
     RegisterSizeError,
     partial_trace,
 )
+from swapsim.records import BsmMode, BsmOutcome, bsm_outcomes
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -20,13 +20,13 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 class TestPureState:
     def test_bell_amplitude_conventions(self):
         # the engine's own table: psi-+ = (|HV> -+ |VH>)/sqrt 2, phi-+ = (|HH> -+ |VV>)/sqrt 2
-        assert np.allclose(_BELL_AMPLITUDES[BellKind.PSI_MINUS], [0, INV_SQRT2, -INV_SQRT2, 0])
-        assert np.allclose(_BELL_AMPLITUDES[BellKind.PSI_PLUS], [0, INV_SQRT2, INV_SQRT2, 0])
-        assert np.allclose(_BELL_AMPLITUDES[BellKind.PHI_MINUS], [INV_SQRT2, 0, 0, -INV_SQRT2])
-        assert np.allclose(_BELL_AMPLITUDES[BellKind.PHI_PLUS], [INV_SQRT2, 0, 0, INV_SQRT2])
+        assert np.allclose(_BELL_AMPLITUDES[BsmOutcome.PSI_MINUS], [0, INV_SQRT2, -INV_SQRT2, 0])
+        assert np.allclose(_BELL_AMPLITUDES[BsmOutcome.PSI_PLUS], [0, INV_SQRT2, INV_SQRT2, 0])
+        assert np.allclose(_BELL_AMPLITUDES[BsmOutcome.PHI_MINUS], [INV_SQRT2, 0, 0, -INV_SQRT2])
+        assert np.allclose(_BELL_AMPLITUDES[BsmOutcome.PHI_PLUS], [INV_SQRT2, 0, 0, INV_SQRT2])
 
     def test_every_bell_state_normalized(self):
-        assert list(_BELL_AMPLITUDES) == list(BellKind)
+        assert list(_BELL_AMPLITUDES) == list(bsm_outcomes(BsmMode.FULL))
         for amps in _BELL_AMPLITUDES.values():
             assert abs(np.vdot(amps, amps).real - 1.0) <= ATOL
 
@@ -54,7 +54,7 @@ class TestPureState:
             PureState(MAX_QUBITS + 1, np.zeros(2 ** (MAX_QUBITS + 1)))
 
     def test_amplitudes_read_only(self):
-        state = bell_state(BellKind.PSI_MINUS)
+        state = bell_state(BsmOutcome.PSI_MINUS)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
@@ -80,12 +80,12 @@ class TestDensityMatrix:
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_pure_state_trace_and_purity(self):
-        rho = oracles.to_density(bell_state(BellKind.PSI_MINUS))
+        rho = oracles.to_density(bell_state(BsmOutcome.PSI_MINUS))
         assert abs(np.trace(rho.entries) - 1.0) <= ATOL
         assert abs(rho.purity() - 1.0) <= 1e-12
 
     def test_singlet_off_diagonal(self):
-        rho = oracles.to_density(bell_state(BellKind.PSI_MINUS))
+        rho = oracles.to_density(bell_state(BsmOutcome.PSI_MINUS))
         assert abs(rho.entries[1, 2] - (-0.5)) <= 1e-15
 
     def test_rejects_non_hermitian(self):
@@ -110,7 +110,7 @@ class TestDensityMatrix:
 
 class TestPartialTrace:
     def test_singlet_marginal_maximally_mixed(self):
-        rho = partial_trace(oracles.to_density(bell_state(BellKind.PSI_MINUS)), (0,))
+        rho = partial_trace(oracles.to_density(bell_state(BsmOutcome.PSI_MINUS)), (0,))
         assert np.abs(rho.entries - np.eye(2) / 2).max() <= 1e-12
         assert abs(rho.purity() - 0.5) <= 1e-12
 

@@ -24,8 +24,9 @@ class TestAnalyzerAngleMatchesNumpy:
     def _check(values):
         for x in values:
             angle = AnalyzerAngle(x)
-            assert angle.degrees == x % 180.0, x
-            assert angle.radians.hex() == float(np.deg2rad(x % 180.0)).hex(), x
+            degrees = 0.0 if x % 180.0 == 180.0 else x % 180.0  # a tiny negative x rounds up to 180.0
+            assert angle.degrees == degrees, x
+            assert angle.radians.hex() == float(np.deg2rad(degrees)).hex(), x
 
     def test_tenth_degree_grid(self):
         self._check((np.arange(-36000, 36001) / 10.0).tolist())
@@ -68,7 +69,6 @@ class TestLazyPackage:
         assert measure.BsmMode is records.BsmMode and measure.BsmOutcome is records.BsmOutcome
         assert measure.as_angle is records.as_angle and measure.bsm_outcomes is records.bsm_outcomes
         assert measure.CHUNK == records.CHUNK
-        assert qstate.BellKind is records.BellKind
         assert protocol.Ordering is records.Ordering and protocol.TrialRecord is records.TrialRecord
         assert classical.ClassicalRecord is records.ClassicalRecord
         assert measure.RandomSource is rng.RandomSource is swapsim.RandomSource
@@ -228,14 +228,14 @@ def test_record_format_error_survives_a_round_trip(clone):
 def _engine_values():
     """One of each engine value class: configs, plan steps, states, witnesses, discard rule, checks."""
     report = analysis.chsh_from_counts({cell: (3, 1) for cell in records._SETTING_PAIRS}, "none", 16, 20)
-    rho = oracles.to_density(oracles.bell_state(records.BellKind.PSI_MINUS))
+    rho = oracles.to_density(oracles.bell_state(records.BsmOutcome.PSI_MINUS))
     metrics = entanglement.TwoQubitMetrics(1.0, 1.0, 1.0)
     label = classical.LabelCheck("plus", report)
     check = classical.ModelCheck("sign", (label,), ("minus",))
     terms = classical.FourierTerms(np.zeros(6), 1.0, 0.0, 0.5)
     return [protocol.ExperimentConfig(), protocol.StageSnapshot("pre-bsm", rho, metrics),
             measure.PolarizationSpec(0, 10.0), measure.BellSpec((1, 2)),
-            oracles.bell_state(records.BellKind.PSI_MINUS), rho, metrics, discard.pr_box_rule(),
+            oracles.bell_state(records.BsmOutcome.PSI_MINUS), rho, metrics, discard.pr_box_rule(),
             classical.ClassicalConfig(), terms, classical.sign_model(), label, check,
             classical.BlindCheckReport(20, (check,))]
 
@@ -268,10 +268,11 @@ class TestEngineValueClasses:
                                               (AnalyzerAngle(22.5), AnalyzerAngle(67.5)))
         assert (cfg.trials, cfg.ordering, cfg.bsm_mode, cfg.seed, cfg.visibility) == (
             1, Ordering.BSM_FIRST, records.BsmMode.FULL, 0, 1.0)
-        cfg = protocol.ExperimentConfig(visibility=1, seed="5", ordering="pol-first", bsm_mode="partial",
-                                        trials=3.0, angles3=(181.0, 90.0))
+        cfg = protocol.ExperimentConfig(visibility=1, seed=np.uint64(5), ordering="pol-first", bsm_mode="partial",
+                                        trials=np.int32(3), angles3=(181.0, 90.0))
         assert (cfg.trials, cfg.ordering, cfg.bsm_mode, cfg.seed) == (
             3, Ordering.POLARIZATIONS_FIRST, records.BsmMode.PARTIAL, 5)
+        assert type(cfg.trials) is int and type(cfg.seed) is int
         assert type(cfg.visibility) is float and cfg.angles3 == (AnalyzerAngle(1.0), AnalyzerAngle(90.0))
         assert protocol.ExperimentConfig((0.0, 45.0), (22.5, 67.5), 7) == protocol.ExperimentConfig(trials=7)
 
@@ -279,8 +280,18 @@ class TestEngineValueClasses:
         cfg = classical.ClassicalConfig()
         assert classical.ClassicalConfig.__match_args__ == ("angles0", "angles3", "trials", "seed")
         assert cfg == classical.ClassicalConfig((0.0, 45.0), (22.5, 67.5), 1, 0)
-        cfg = classical.ClassicalConfig(seed=2.0, trials="4")
-        assert (cfg.trials, cfg.seed) == (4, 2) and type(cfg.seed) is int
+        cfg = classical.ClassicalConfig(seed=np.int64(2), trials=np.uint8(4))
+        assert (cfg.trials, cfg.seed) == (4, 2) and type(cfg.trials) is type(cfg.seed) is int
+
+    @pytest.mark.parametrize("make", [protocol.ExperimentConfig, classical.ClassicalConfig],
+                             ids=["experiment", "classical"])
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [2.7, 2.0, np.float64(3.0), True, np.True_, "4", None], ids=repr)
+    def test_configs_refuse_an_integer_field_that_is_not_an_integer(self, make, field, value):
+        # int() would have truncated 2.7 to 2 and read True as 1: the records of another seed
+        with pytest.raises(TypeError) as info:
+            make(**{field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
     @pytest.mark.parametrize("make, kwargs, message", [
         (protocol.ExperimentConfig, {"trials": 0}, "trials must be >= 1, got 0"),
@@ -304,7 +315,7 @@ class TestEngineValueClasses:
 
     def test_equal_configs_hash_equal(self):
         one = protocol.ExperimentConfig(angles0=(360.0, 45.0), trials=5, ordering="pol-first")
-        two = protocol.ExperimentConfig(trials=5.0, ordering=Ordering.POLARIZATIONS_FIRST)
+        two = protocol.ExperimentConfig(trials=np.int64(5), ordering=Ordering.POLARIZATIONS_FIRST)
         assert one == two and hash(one) == hash(two) and len({one, two}) == 1
         assert one != protocol.ExperimentConfig(trials=5) and one != classical.ClassicalConfig(trials=5)
         assert classical.ClassicalConfig(angles0=(180.0, 45.0)) == classical.ClassicalConfig()
@@ -313,8 +324,8 @@ class TestEngineValueClasses:
         assert hash(measure.PolarizationSpec(3, 200.0)) == hash(measure.PolarizationSpec(3, AnalyzerAngle(20.0)))
 
     @pytest.mark.parametrize("make", [
-        lambda: oracles.bell_state(records.BellKind.PSI_PLUS),
-        lambda: oracles.to_density(oracles.bell_state(records.BellKind.PSI_PLUS)),
+        lambda: oracles.bell_state(records.BsmOutcome.PSI_PLUS),
+        lambda: oracles.to_density(oracles.bell_state(records.BsmOutcome.PSI_PLUS)),
         lambda: classical.FourierTerms(np.ones(3), 3.0, 0.0, 0.0),
     ], ids=["PureState", "DensityMatrix", "FourierTerms"])
     def test_array_holders_compare_by_identity(self, make):
@@ -329,14 +340,14 @@ class TestEngineValueClasses:
         assert copy == value and hash(copy) == hash(value) and type(copy) is type(value)
 
     def test_states_pickle_to_equal_entries(self):
-        rho = oracles.to_density(oracles.bell_state(records.BellKind.PHI_PLUS))
+        rho = oracles.to_density(oracles.bell_state(records.BsmOutcome.PHI_PLUS))
         copy = pickle.loads(pickle.dumps(rho))
         assert type(copy) is qstate.DensityMatrix and copy.num_qubits == 2
         assert np.array_equal(copy.entries, rho.entries)
 
     def test_unpickled_states_stay_read_only(self):
         # unpickling runs the constructor, which validates and freezes the array again
-        state = oracles.bell_state(records.BellKind.PSI_MINUS)
+        state = oracles.bell_state(records.BsmOutcome.PSI_MINUS)
         for value, array in ((state, "amplitudes"), (oracles.to_density(state), "entries")):
             copy = pickle.loads(pickle.dumps(value))
             assert not getattr(copy, array).flags.writeable
