@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # Home module of every public name.
 _EXPORTS = {
-    "analysis": ("ChshReport", "CorrelationEstimate", "SelectionFilter", "chsh"),
+    "analysis": ("ChshReport", "CorrelationEstimate", "chsh"),
     "classical": (
         "BlindCheckReport",
         "ClassicalConfig",

@@ -1,5 +1,9 @@
 """Correlation and CHSH estimation over (record, weight) pairs, with post-selection.
 
+A selection is a label: the estimators keep the records whose bsm_label
+equals it, a BsmOutcome or a label string (a Bell outcome's value or a
+classical marker), or every record for None.
+
 A weight is a count for sampled records and a probability for an exact
 table (protocol.exact_records); both go through the one tally, _tally.
 
@@ -12,28 +16,20 @@ cells and silence there would corrupt a conclusion.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
-from .records import _SETTING_PAIRS, BsmOutcome, InsufficientDataError
+from .records import _SETTING_PAIRS, BsmOutcome, InsufficientDataError, as_integer
 
 
-class SelectionFilter(NamedTuple):
-    """Deterministic record predicate used for post-selection."""
+Label = Union[BsmOutcome, str, None]
 
-    description: str
-    predicate: Callable[[object], bool]
 
-    @staticmethod
-    def none() -> "SelectionFilter":
-        return SelectionFilter("none", lambda record: True)
-
-    @staticmethod
-    def bsm_equals(label: Union[BsmOutcome, str]) -> "SelectionFilter":
-        wanted = label.value if isinstance(label, BsmOutcome) else str(label)
-        return SelectionFilter(f"bsm={wanted}", lambda record: record.bsm_label == wanted)
-
-    def keeps(self, record) -> bool:
-        return self.predicate(record)
+def _selection(label: Label) -> tuple[Optional[str], str]:
+    """The bsm_label a selection keeps (None: every record) and its report's filter string."""
+    if label is None:
+        return None, "none"
+    wanted = label.value if isinstance(label, BsmOutcome) else str(label)
+    return wanted, f"bsm={wanted}"
 
 
 class CorrelationEstimate(NamedTuple):
@@ -124,23 +120,23 @@ def _report(tally: _Tally, filter_description: str, kept: int, total: int) -> Ch
                       filter_description=filter_description, kept=kept, total=total)
 
 
-def _record_entries(weighted: Iterable[tuple[object, int]], selection: SelectionFilter):
-    """The tally entries of (record, count) pairs; the cell is None where the selection drops the record."""
-    return (((record.setting0_index, record.setting3_index) if selection.keeps(record) else None,
+def _record_entries(weighted: Iterable[tuple[object, int]], wanted: Optional[str]):
+    """The tally entries of (record, count) pairs; the cell is None where the record's bsm_label is not ``wanted``."""
+    return (((record.setting0_index, record.setting3_index) if wanted is None or record.bsm_label == wanted else None,
              record.outcome0 * record.outcome3, count) for record, count in weighted)
 
 
 def correlation_weighted(
     weighted: Iterable[tuple[object, int]],
     setting_pair: tuple[int, int],
-    selection: Union[SelectionFilter, None] = None,
+    label: Label = None,
 ) -> CorrelationEstimate:
-    """Estimate E for one setting cell over filtered (record, count) pairs; other cells may be empty."""
-    selection = selection or SelectionFilter.none()
-    pair = (int(setting_pair[0]), int(setting_pair[1]))
+    """Estimate E for one setting cell over the (record, count) pairs ``label`` keeps; other cells may be empty."""
+    wanted, description = _selection(label)
+    pair = (as_integer("setting0 index", setting_pair[0]), as_integer("setting3 index", setting_pair[1]))
     if pair not in _SETTING_PAIRS:
         raise ValueError(f"setting pair {pair} outside the two-by-two design")
-    return _estimate(_tally(_record_entries(weighted, selection)), pair, selection.description)
+    return _estimate(_tally(_record_entries(weighted, wanted)), pair, description)
 
 
 def chsh_from_counts(cell_counts, filter_description: str, kept: int, total: int) -> ChshReport:
@@ -153,23 +149,19 @@ def chsh_from_counts(cell_counts, filter_description: str, kept: int, total: int
     return _report(_tally(entries), filter_description, kept, total)
 
 
-def chsh_weighted(
-    weighted: Iterable[tuple[object, int]],
-    selection: Union[SelectionFilter, None] = None,
-) -> ChshReport:
+def chsh_weighted(weighted: Iterable[tuple[object, int]], label: Label = None) -> ChshReport:
     """CHSH over (record, count) pairs, each standing for ``count`` copies of its record.
 
     Equal to chsh over the expanded records, so a caller that groups
-    identical records (a columnar reader) pays one filter call per group.
+    identical records (a columnar reader) pays one comparison per group.
     A count may be a probability (protocol.exact_records): each E and S is
     then exact, and ``kept`` is the probability the selection keeps.
     """
-    selection = selection or SelectionFilter.none()
-    tally = _tally(_record_entries(weighted, selection))
-    return _report(tally, selection.description, sum(tally.weights.values()), tally.total)
+    wanted, description = _selection(label)
+    tally = _tally(_record_entries(weighted, wanted))
+    return _report(tally, description, sum(tally.weights.values()), tally.total)
 
 
-def chsh(records: Iterable, selection: Union[SelectionFilter, None] = None) -> ChshReport:
+def chsh(records: Iterable, label: Label = None) -> ChshReport:
     """Single-pass CHSH estimate: S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    return chsh_weighted(((record, 1) for record in records), selection)
-
+    return chsh_weighted(((record, 1) for record in records), label)

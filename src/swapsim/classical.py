@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import starmap
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -199,30 +199,6 @@ def _fourier_evaluate(
         reference = _evaluate(model, rad0, rad3, i0[rows], i3[rows], lam0[rows], lam1[rows])
         o0[rows], o3[rows], marks[rows] = reference
     return o0, o3, marks
-
-
-def _evaluations(
-    models: Sequence[HiddenVariableModel],
-    rad0: np.ndarray,
-    rad3: np.ndarray,
-    i0: np.ndarray,
-    i3: np.ndarray,
-    lam0: np.ndarray,
-    lam1: np.ndarray,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(o0, o3, marks) of each model on one chunk, in turn: settings_blind_check's evaluation path.
-
-    Models with terms share one harmonic basis, built at the first of them;
-    the others run _evaluate.  Lazy, so one model's arrays live at a time.
-    """
-    basis = None
-    for model in models:
-        if model.terms is None:
-            yield _evaluate(model, rad0, rad3, i0, i3, lam0, lam1)
-            continue
-        if basis is None:
-            basis = _harmonic_basis(lam0, lam1)
-        yield _fourier_evaluate(model, basis, rad0, rad3, i0, i3, lam0, lam1)
 
 
 def _radians(config: ClassicalConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +396,7 @@ def settings_blind_check(
     silently passed.  An empty model list raises ValueError: a check of
     nothing cannot pass.
     """
-    from .analysis import InsufficientDataError, SelectionFilter, chsh_weighted
+    from .analysis import InsufficientDataError, chsh_weighted
 
     models = list(models)
     if not models:
@@ -428,10 +404,18 @@ def settings_blind_check(
     rad0, rad3 = _radians(config)
     tables = [_kind_table(model, config) for model in models]
 
+    fourier = any(model.terms is not None for model in models)
+
     def chunk_counts(trial_ids, i0, i3, draws) -> list[np.ndarray]:
-        evaluations = _evaluations(models, rad0, rad3, i0, i3, draws[:, 2] * np.pi, draws[:, 3] * np.pi)
-        return [np.bincount(kind_index(i0, i3, *evaluated, len(model.marker_labels)), minlength=len(table))
-                for model, table, evaluated in zip(models, tables, evaluations)]
+        # Models with terms share one basis per chunk; one model's outcomes and markers live at a time.
+        lam0, lam1 = draws[:, 2] * np.pi, draws[:, 3] * np.pi
+        basis = _harmonic_basis(lam0, lam1) if fourier else None
+        args = (rad0, rad3, i0, i3, lam0, lam1)
+        return [np.bincount(kind_index(i0, i3, *(_evaluate(model, *args) if model.terms is None
+                                                 else _fourier_evaluate(model, basis, *args)),
+                                       len(model.marker_labels)),
+                            minlength=len(table))
+                for model, table in zip(models, tables)]
 
     # counts[m][k]: rows of model m's records of kind k
     counts = [np.zeros(len(table), dtype=np.int64) for table in tables]
@@ -447,7 +431,7 @@ def settings_blind_check(
         starved = []
         for label in model.marker_labels:
             try:
-                report = chsh_weighted(weighted, SelectionFilter.bsm_equals(label))
+                report = chsh_weighted(weighted, label)
             except InsufficientDataError:
                 starved.append(label)
                 continue

@@ -197,10 +197,9 @@ _RULES = ("pr-box", "quantum-mimic")
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import SelectionFilter, chsh_weighted
+    from .analysis import chsh_weighted
 
-    selection = SelectionFilter.none() if args.select == "none" else SelectionFilter.bsm_equals(args.select)
-    report = chsh_weighted(read_record_counts(args.input), selection)
+    report = chsh_weighted(read_record_counts(args.input), None if args.select == "none" else args.select)
     _emit(_render_report_doc(report.to_json_dict()), args.out)
     return 0
 
@@ -264,23 +263,22 @@ def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
 
 
 def _scan_csv(args) -> str:
-    from .analysis import SelectionFilter, correlation_weighted
+    from .analysis import correlation_weighted
     from .protocol import exact_cell_records, kind_counts
 
-    psi_minus = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
     lines = ["delta_deg,e_psi_minus,e_unconditional"]
     for delta in _scan_grid(args.scan_step):
         config = _scan_config(delta, args, args.trials)  # checks --trials on the exact path too
         # the scan prints cell (0,0) only, so only its plan is walked
         weighted = exact_cell_records(config, 0, 0) if args.exact else kind_counts(config)
-        e_filtered = correlation_weighted(weighted, (0, 0), psi_minus).e_value
+        e_filtered = correlation_weighted(weighted, (0, 0), BsmOutcome.PSI_MINUS).e_value
         e_all = correlation_weighted(weighted, (0, 0)).e_value
         lines.append(f"{_fmt(delta)},{_fmt(e_filtered)},{_fmt(e_all)}")
     return "\n".join(lines) + "\n"
 
 
 def _summary_text(args) -> str:
-    from .analysis import SelectionFilter, chsh_weighted
+    from .analysis import chsh_weighted
     from .protocol import exact_records, kind_counts, stage_entanglement_report
 
     config = _experiment_config(args, args.angles, args.trials)
@@ -300,8 +298,7 @@ def _summary_text(args) -> str:
     labels = bsm_outcomes(config.bsm_mode)
     # held for one chsh_weighted per selection: outcome probabilities, or counts of sampled kinds
     weighted = exact_records(config) if args.exact else kind_counts(config)
-    selections = [SelectionFilter.bsm_equals(label) for label in labels] + [SelectionFilter.none()]
-    reports = [chsh_weighted(weighted, selection) for selection in selections]
+    reports = [chsh_weighted(weighted, label) for label in (*labels, None)]
     if args.exact:
         lines.append("exact joint-measurement outcome probabilities:")
         for label, report in zip(labels, reports):

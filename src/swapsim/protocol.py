@@ -249,8 +249,10 @@ def exact_cell_records(config: ExperimentConfig, i0: int, i3: int) -> list[tuple
     Each record has trial_id 0 and the config's ordering and events; its
     weight is 1/4 (the uniform setting draw) times the probability of its
     outcomes.  Only that setting pair's plan is walked, so one cell costs a
-    quarter of the whole table or less.  Both indices must be 0 or 1.
+    quarter of the whole table or less.  Both indices must be the integer 0
+    or 1 (an int or numpy integer, not a bool).
     """
+    i0, i3 = as_integer("setting0 index", i0), as_integer("setting3 index", i3)
     if (i0, i3) not in _SETTING_PAIRS:
         raise ValueError(f"setting indices must be 0 or 1, got ({i0!r}, {i3!r})")
     events = _EVENTS[config.ordering]

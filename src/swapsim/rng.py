@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .records import CHUNK, RecordChunk
+from .records import CHUNK, RecordChunk, as_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -99,16 +99,17 @@ class RandomSource:
     shape (count,).  A 1-D integer array of streams evaluates all keys at
     once: ``uniforms(count)`` then returns one row per stream, bit-identical
     to the integer form of that stream.  Successive calls continue each
-    stream, and keys are taken mod 2**64.
+    stream, and keys are taken mod 2**64.  A key is an int or a numpy
+    integer, never a bool or float (TypeError).
     """
 
     __slots__ = ("seed", "stream", "_keys", "_drawn")
 
     def __init__(self, seed: int, stream: Union[int, np.ndarray] = 0) -> None:
-        self.seed = int(seed) & _MASK64
+        self.seed = as_integer("seed", seed) & _MASK64
         self._drawn = 0
         if np.ndim(stream) == 0:
-            self.stream = int(stream) & _MASK64
+            self.stream = as_integer("stream", stream) & _MASK64
             self._keys = np.array([self.stream], dtype=np.uint64)
             return
         streams = np.asarray(stream)

@@ -313,13 +313,16 @@ def chsh_exact_reference(table: dict, label):
     return weights, e, e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
 
 
-def tally_two_slot(weighted, selection):
-    """The former sampled tally: per-cell (aligned, opposed) counts, kept and total over (record, count) pairs."""
+def tally_two_slot(weighted, label):
+    """The former sampled tally: per-cell (aligned, opposed) counts, kept and total over (record, count) pairs.
+
+    ``label`` is the bsm_label string kept, or None to keep every record.
+    """
     counts = {cell: [0, 0] for cell in _CELLS}
     total = kept = 0
     for record, count in weighted:
         total += count
-        if not selection.keeps(record):
+        if label is not None and record.bsm_label != label:
             continue
         kept += count
         counts[(record.setting0_index, record.setting3_index)][0 if record.outcome0 == record.outcome3 else 1] += count

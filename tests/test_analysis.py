@@ -8,7 +8,6 @@ import oracles
 from swapsim.analysis import (
     CorrelationEstimate,
     InsufficientDataError,
-    SelectionFilter,
     chsh,
     chsh_from_counts,
     chsh_weighted,
@@ -53,25 +52,24 @@ def all_cells(aligned_by_cell, opposed_by_cell):
     return records
 
 
-class TestSelectionFilter:
-    def test_none_keeps_everything(self):
-        f = SelectionFilter.none()
-        assert f.description == "none"
-        assert f.keeps(FakeRecord(0, 0, 1, 1, "other"))
+class TestSelectionLabel:
+    """A selection is a label: the records whose bsm_label equals it, or every record for None."""
 
-    def test_bsm_equals_accepts_enum_and_string(self):
-        rec = FakeRecord(0, 0, 1, 1, "psi-plus")
-        by_enum = SelectionFilter.bsm_equals(BsmOutcome.PSI_PLUS)
-        by_str = SelectionFilter.bsm_equals("psi-plus")
-        assert by_enum.description == by_str.description == "bsm=psi-plus"
-        assert by_enum.keeps(rec) and by_str.keeps(rec)
-        assert not by_enum.keeps(FakeRecord(0, 0, 1, 1, "psi-minus"))
+    # every cell under psi-minus, and three more records under psi-plus
+    RECORDS = all_cells({(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 4},
+                        {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}) + cell_records((0, 1), 2, 1, label="psi-plus")
 
-    def test_custom_predicate(self):
-        f = SelectionFilter("only-plus", lambda r: r.outcome0 == +1)
-        assert f.description == "only-plus"
-        assert f.keeps(FakeRecord(0, 0, +1, -1))
-        assert not f.keeps(FakeRecord(0, 0, -1, -1))
+    def test_none_keeps_every_record_and_reports_none(self):
+        report = chsh(self.RECORDS, None)
+        assert report == chsh(self.RECORDS)
+        assert (report.filter_description, report.kept, report.total) == ("none", 19, 19)
+
+    def test_enum_and_string_give_the_same_report(self):
+        by_enum = chsh(self.RECORDS, BsmOutcome.PSI_MINUS)
+        assert by_enum == chsh(self.RECORDS, "psi-minus")
+        assert (by_enum.filter_description, by_enum.kept, by_enum.total) == ("bsm=psi-minus", 16, 19)
+        assert correlation_weighted(once(self.RECORDS), (0, 1), BsmOutcome.PSI_PLUS) == \
+            correlation_weighted(once(self.RECORDS), (0, 1), "psi-plus")
 
 
 class TestCorrelation:
@@ -93,13 +91,18 @@ class TestCorrelation:
     def test_empty_cell_names_cell_and_filter(self):
         records = cell_records((0, 0), 5, 5, label="psi-plus")
         with pytest.raises(InsufficientDataError) as err:
-            correlation_weighted(once(records), (0, 0), SelectionFilter.bsm_equals("psi-minus"))
+            correlation_weighted(once(records), (0, 0), "psi-minus")
         assert "(0, 0)" in str(err.value)
         assert "bsm=psi-minus" in str(err.value)
 
     def test_rejects_setting_pair_outside_design(self):
         with pytest.raises(ValueError):
             correlation_weighted(once(cell_records((0, 0), 1, 0)), (0, 2))
+
+    def test_rejects_a_float_setting_index(self):
+        # int() would truncate (0.9, 0.2) to cell (0, 0)
+        with pytest.raises(TypeError, match="setting0 index"):
+            correlation_weighted(once(cell_records((0, 0), 1, 0)), (0.9, 0.2))
 
     def test_rejects_record_with_out_of_design_indices(self):
         bad = [FakeRecord(3, 0, 1, 1)]
@@ -134,18 +137,16 @@ class TestChsh:
     def test_order_invariance_under_shuffles(self):
         cfg = ExperimentConfig(trials=2000, seed=5, **CANONICAL)
         records = list(run_batch(cfg))
-        selection = SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS)
-        reference = chsh(records, selection)
+        reference = chsh(records, BsmOutcome.PSI_MINUS)
         rng = np.random.default_rng(99)
         for _ in range(100):
             rng.shuffle(records)
-            assert chsh(records, selection) == reference
+            assert chsh(records, BsmOutcome.PSI_MINUS) == reference
 
     def test_partition_merge_equals_single_pass(self):
         # independent tally here; merged counts must reproduce chsh exactly
         cfg = ExperimentConfig(trials=5000, seed=6, **CANONICAL)
         records = list(run_batch(cfg))
-        selection = SelectionFilter.bsm_equals("psi-minus")
         sums = {cell: [0, 0] for cell in ((0, 0), (0, 1), (1, 0), (1, 1))}
         kept = 0
         for start in range(0, len(records), 7):
@@ -157,17 +158,17 @@ class TestChsh:
                 sums[cell][0 if rec.outcome0 == rec.outcome3 else 1] += 1
         merged = chsh_from_counts(
             {cell: tuple(v) for cell, v in sums.items()}, "bsm=psi-minus", kept, len(records))
-        assert merged == chsh(records, selection)
+        assert merged == chsh(records, "psi-minus")
 
     def test_empty_cell_after_filtering_raises(self):
         records = cell_records((0, 0), 5, 5, label="psi-minus")
         with pytest.raises(InsufficientDataError):
-            chsh(records, SelectionFilter.bsm_equals("phi-plus"))
+            chsh(records, "phi-plus")
 
     def test_selected_singlet_outcomes_reach_quantum_bound(self):
         cfg = ExperimentConfig(trials=20_000, seed=13, **CANONICAL)
         records = list(run_batch(cfg))
-        report = chsh(records, SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS))
+        report = chsh(records, BsmOutcome.PSI_MINUS)
         assert abs(report.s_value - (-2.0 * math.sqrt(2.0))) <= 5.0 * report.s_std_err
         assert report.kept < report.total
 
@@ -182,7 +183,7 @@ class TestChsh:
         records = list(run_batch(cfg))
         unconditional = chsh(records)
         labels = ("psi-minus", "psi-plus", "phi-minus", "phi-plus")
-        reports = [chsh(records, SelectionFilter.bsm_equals(lab)) for lab in labels]
+        reports = [chsh(records, lab) for lab in labels]
         assert sum(r.kept for r in reports) == unconditional.kept
         pooled_num = sum(r.e_ab.e_value * r.e_ab.n for r in reports)
         pooled_n = sum(r.e_ab.n for r in reports)
@@ -193,7 +194,7 @@ class TestChsh:
         cfg = ExperimentConfig(trials=20_000, seed=16, **CANONICAL)
         records = list(run_batch(cfg))
         for label in ("psi-minus", "psi-plus", "phi-minus", "phi-plus"):
-            report = chsh(records, SelectionFilter.bsm_equals(label))
+            report = chsh(records, label)
             assert report.s_abs <= 2.0 * math.sqrt(2.0) + 5.0 * report.s_std_err
 
 
@@ -222,16 +223,12 @@ class TestChshWeighted:
         kinds += cell_records((0, 1), 2, 1, label="other")
         counts = rng.integers(1, 50, size=len(kinds)).tolist()
         expanded = [record for record, count in zip(kinds, counts) for _ in range(count)]
-        for selection in (SelectionFilter.none(), SelectionFilter.bsm_equals("psi-minus")):
-            assert chsh_weighted(zip(kinds, counts), selection) == chsh(expanded, selection)
+        for label in (None, "psi-minus"):
+            assert chsh_weighted(zip(kinds, counts), label) == chsh(expanded, label)
 
     def test_rejects_kept_record_outside_the_design(self):
         with pytest.raises(ValueError, match=r"\(2, 0\)"):
             chsh_weighted([(FakeRecord(2, 0, 1, 1), 3)])
-
-
-def _selection(label):
-    return SelectionFilter.none() if label is None else SelectionFilter.bsm_equals(label)
 
 
 def _estimates(report):
@@ -246,7 +243,7 @@ class TestChshExact:
         config = ExperimentConfig(angles0=(17.3, 49.2), angles3=(63.1, 5.8))
         table = exact_joint_distribution(config)
         for label in (BsmOutcome.PSI_MINUS, BsmOutcome.PHI_PLUS, None):
-            report = chsh_weighted(exact_records(config), _selection(label))
+            report = chsh_weighted(exact_records(config), label)
             e = {cell: estimate.e_value for cell, estimate in _estimates(report).items()}
             for cell in e:
                 rows = [(o0 * o3, p) for (i0, i3, o0, o3, bsm), p in table.items()
@@ -258,7 +255,7 @@ class TestChshExact:
                                                 abs=1e-15)
 
     def test_singlet_reaches_tsirelson(self):
-        report = chsh_weighted(exact_records(ExperimentConfig(**CANONICAL)), _selection(BsmOutcome.PSI_MINUS))
+        report = chsh_weighted(exact_records(ExperimentConfig(**CANONICAL)), BsmOutcome.PSI_MINUS)
         assert report.s_value == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_empty_cell_raises(self):
@@ -269,10 +266,10 @@ class TestChshExact:
                 for bsm in ("psi-minus", "psi-plus"):
                     p = 0.0 if (i0, i3, bsm) == (1, 0, "psi-minus") else 1.0 / 32.0
                     weighted += [(FakeRecord(i0, i3, +1, -1, bsm), p), (FakeRecord(i0, i3, -1, +1, bsm), p)]
-        assert chsh_weighted(weighted, _selection("psi-plus")).s_value == -2.0
+        assert chsh_weighted(weighted, "psi-plus").s_value == -2.0
         assert chsh_weighted(weighted).s_value == -2.0
         with pytest.raises(InsufficientDataError) as err:
-            chsh_weighted(weighted, _selection("psi-minus"))
+            chsh_weighted(weighted, "psi-minus")
         assert "(1, 0)" in str(err.value) and "bsm=psi-minus" in str(err.value)
 
 
@@ -308,7 +305,7 @@ class TestOneCoreMatchesFormerRoutes:
                         table = exact_joint_distribution(config)
                         for label in bsm_outcomes(mode) + (None,):
                             weights, e, s = oracles.chsh_exact_reference(table, label)
-                            report = chsh_weighted(records, _selection(label))
+                            report = chsh_weighted(records, label)
                             estimates = _estimates(report)
                             assert {c: x.n.hex() for c, x in estimates.items()} == {c: w.hex() for c, w in weights.items()}
                             assert {c: x.e_value.hex() for c, x in estimates.items()} == {c: x.hex() for c, x in e.items()}
@@ -323,13 +320,13 @@ class TestOneCoreMatchesFormerRoutes:
                                   visibility=0.9 if seed % 3 else 1.0, **CANONICAL)
         weighted = kind_counts(config)
         for label in bsm_outcomes(config.bsm_mode)[:3] + (None,):
-            selection = SelectionFilter.none() if label is None else SelectionFilter.bsm_equals(label)
-            counts, kept, total = oracles.tally_two_slot(weighted, selection)
+            description = "none" if label is None else f"bsm={label.value}"
+            counts, kept, total = oracles.tally_two_slot(weighted, None if label is None else label.value)
             want = _outcome_or_error(lambda: _hex_report(oracles.chsh_from_counts_reference(
-                counts, selection.description, kept, total)))
-            assert _outcome_or_error(lambda: _hex_report(chsh_weighted(weighted, selection))) == want
+                counts, description, kept, total)))
+            assert _outcome_or_error(lambda: _hex_report(chsh_weighted(weighted, label))) == want
             assert _outcome_or_error(lambda: _hex_report(chsh_from_counts(
-                counts, selection.description, kept, total))) == want
+                counts, description, kept, total))) == want
 
 
 class TestPredictedCorrelation:

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from swapsim import classical
-from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
+from swapsim.analysis import InsufficientDataError, chsh
 from swapsim.classical import (
     BlindCheckReport,
     ClassicalConfig,
@@ -254,7 +254,9 @@ class TestFourierFastPath:
 
     def _assert_closure_decisions(self, models, cfg):
         for args in self._chunks(cfg):
-            for model, fast in zip(models, classical._evaluations(models, *args)):
+            basis = classical._harmonic_basis(*args[-2:])  # lam0, lam1
+            for model in models:
+                fast = classical._fourier_evaluate(model, basis, *args)
                 reference = classical._evaluate(model, *args)
                 for got, want in zip(fast, reference):
                     assert np.array_equal(got, want), model.name
@@ -293,7 +295,8 @@ class TestFourierFastPath:
         cfg = config(trials=10_000)
         for args in self._chunks(cfg):
             monkeypatch.setattr(classical, "_evaluate", counting_evaluate)
-            fast = list(classical._evaluations(models, *args))
+            basis = classical._harmonic_basis(*args[-2:])  # lam0, lam1
+            fast = [classical._fourier_evaluate(model, basis, *args) for model in models]
             monkeypatch.setattr(classical, "_evaluate", evaluate)
             for model, got in zip(models, fast):
                 for column, want in zip(got, evaluate(model, *args)):
@@ -352,6 +355,11 @@ class TestApplyDiscard:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             DiscardRule("fuzzy", "bad", lambda r: 1.0)
+
+    def test_probabilistic_rule_refuses_a_float_seed(self):
+        # the keep streams would otherwise be those of seed 2
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            apply_discard(list(run_lhv(uniform_model(), config(trials=3))), quantum_mimic_rule(), seed=2.7)
 
     def test_probabilistic_keeps_reproduce_by_seed(self):
         records = list(run_lhv(uniform_model(), config(trials=2000)))
@@ -547,7 +555,7 @@ class TestSettingsBlindCheck:
         records = list(run_lhv(sign_model(), cfg))
         by_label = {lc.label: lc.report for lc in report.checks[0].labels}
         for label in ("near", "far"):
-            assert by_label[label] == chsh(records, SelectionFilter.bsm_equals(label))
+            assert by_label[label] == chsh(records, label)
 
     def test_unreachable_label_is_starved_not_passed(self):
         model = HiddenVariableModel(

@@ -22,7 +22,7 @@ import swapsim.records
 import test_golden as golden
 from oracles import read_records_reference
 from swapsim import cli
-from swapsim.analysis import InsufficientDataError, SelectionFilter, chsh
+from swapsim.analysis import InsufficientDataError, chsh
 from swapsim.classical import ClassicalRecord, apply_discard, pr_box_rule, quantum_mimic_rule
 from swapsim.cli import main
 from swapsim.protocol import ExperimentConfig, TrialRecord, run_batch
@@ -232,7 +232,7 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(out), "--select", "psi-minus"]) == 0
         doc = json.loads(capsys.readouterr().out)
         records = list(read_records(str(out)))
-        want = chsh(records, SelectionFilter.bsm_equals("psi-minus")).to_json_dict()
+        want = chsh(records, "psi-minus").to_json_dict()
         assert doc == round12(want)
         assert doc["filter"] == "bsm=psi-minus"
         assert doc["total"] == 4000
@@ -372,7 +372,7 @@ class TestReportDocument:
     def test_a_report_object_is_not_rendered_as_a_list(self):
         report = chsh([ClassicalRecord(0, i0, 45.0 * i0, i3, 22.5 + 45.0 * i3, 1, -1, "mark")
                        for i0 in (0, 1) for i3 in (0, 1)])
-        for value in (report, report.e_ab, SelectionFilter.none()):
+        for value in (report, report.e_ab):
             with pytest.raises(TypeError, match=f"cannot render {type(value).__name__}"):
                 cli._round12({"report": value})
 
@@ -817,11 +817,10 @@ class TestRecordReader:
     def test_analyze_of_fuzzed_files_matches_chsh_of_the_reference(self, base_lines, select,
                                                                  tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(swapsim.records, "CHUNK", 7)
-        selection = SelectionFilter.none() if select == "none" else SelectionFilter.bsm_equals(select)
         for seed in range(2 * len(BROKEN) + 8):
             path = self._fuzzed(base_lines, seed, tmp_path)
             try:
-                report = chsh(read_records_reference(path), selection)
+                report = chsh(read_records_reference(path), None if select == "none" else select)
                 want = (0, cli._render_report_doc(report.to_json_dict()))
             except RecordFormatError:
                 want = (3, "")

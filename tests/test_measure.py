@@ -102,6 +102,17 @@ class TestRandomSource:
         draws = RandomSource(1, 2).uniforms(1000)
         assert draws.min() >= 0.0 and draws.max() < 1.0
 
+    @pytest.mark.parametrize("key", [(1.7, 3), (1, 3.9), (True, 3), (1, False), (np.float64(1.0), 3),
+                                     (1, np.float64(3.0))], ids=repr)
+    def test_refuses_a_float_or_bool_key(self, key):
+        # int() would truncate each of these to a key of another stream
+        with pytest.raises(TypeError, match="must be an integer"):
+            RandomSource(*key)
+
+    def test_numpy_integer_keys_wrap_like_ints(self):
+        want = RandomSource(2**64 - 5, 3).uniforms(4)
+        assert np.array_equal(RandomSource(np.int64(-5), np.uint64(3)).uniforms(4), want)
+
     @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])
     def test_one_stream_needs_no_numpy_philox(self, seed, monkeypatch):
         # an integer stream is the one-row case of swapsim's own kernel

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import bell_state
-from swapsim.analysis import SelectionFilter, chsh_weighted, correlation_weighted
+from swapsim.analysis import chsh_weighted, correlation_weighted
 from swapsim.measure import CHUNK, BellSpec, BsmMode, BsmOutcome, PolarizationSpec, bsm_outcomes
 from swapsim.cli import _scan_config, _scan_grid, main
 from swapsim.protocol import (
@@ -368,10 +368,10 @@ class TestOneCellScan:
             whole = exact_records(cfg)
             assert [(record, p.hex()) for record, p in cell] == \
                 [(record, p.hex()) for record, p in whole if (record.setting0_index, record.setting3_index) == (0, 0)]
-            for selection in (SelectionFilter.bsm_equals(BsmOutcome.PSI_MINUS), SelectionFilter.none()):
-                got = correlation_weighted(cell, (0, 0), selection).e_value
-                want = chsh_weighted(whole, selection).e_ab.e_value
-                assert got.hex() == want.hex(), (delta, selection.description)
+            for label in (BsmOutcome.PSI_MINUS, None):
+                got = correlation_weighted(cell, (0, 0), label).e_value
+                want = chsh_weighted(whole, label).e_ab.e_value
+                assert got.hex() == want.hex(), (delta, label)
 
 
 class TestExactCellIndices:
@@ -383,6 +383,19 @@ class TestExactCellIndices:
         with pytest.raises(ValueError, match="setting indices"):
             exact_cell_records(config(), i0, i3)
         assert _frontiers.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("i0, i3", [(0.0, 0), (0, 1.0), (False, True)], ids=repr)
+    def test_rejects_a_float_or_bool_setting_index(self, i0, i3):
+        # unchecked, a float fails late as a tuple index and a bool becomes a record's setting index
+        _frontiers.cache_clear()
+        with pytest.raises(TypeError, match="must be an integer"):
+            exact_cell_records(config(), i0, i3)
+        assert _frontiers.cache_info().currsize == 0
+
+    def test_numpy_integer_indices_give_int_records(self):
+        cell = exact_cell_records(config(), np.int64(1), np.uint8(0))
+        assert cell == exact_cell_records(config(), 1, 0)
+        assert {type(record.setting0_index) for record, _ in cell} == {int}
 
 
 class TestExactJointDistribution:

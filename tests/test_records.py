@@ -165,7 +165,7 @@ def _value_objects():
     report = analysis.chsh_from_counts({cell: (3, 1) for cell in records._SETTING_PAIRS}, "none", 16, 20)
     return [_quantum_record(), _classical_record(), AnalyzerAngle(10.0),
             records.RecordChunk([3, 9], [0, 0], (_classical_record(),)),
-            analysis.SelectionFilter.none(), report.e_ab, report]
+            report.e_ab, report]
 
 
 class TestValueClasses:
@@ -183,9 +183,7 @@ class TestValueClasses:
         with pytest.raises(AttributeError):
             value.no_such_field = 1
 
-    @pytest.mark.parametrize("value", [value for value in _value_objects()  # a lambda predicate does not pickle
-                                       if not isinstance(value, analysis.SelectionFilter)],
-                             ids=lambda value: type(value).__name__)
+    @pytest.mark.parametrize("value", _value_objects(), ids=lambda value: type(value).__name__)
     def test_pickle_round_trip(self, value):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
