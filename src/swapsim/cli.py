@@ -190,8 +190,6 @@ def _angles_flag(text: str):
     return ((a, a_prime), (b, b_prime))
 
 
-# analyze --select: every label, or "none" for no selection
-_SELECTIONS = sorted(["none", *(label.value for label in BsmOutcome)])
 _MODELS = ("fourier", "sign", "uniform")
 _RULES = ("pr-box", "quantum-mimic")
 
@@ -515,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser("analyze", help="CHSH report over a JSONL record file")
     analyze.add_argument("--in", dest="input", required=True, help="records path")
-    analyze.add_argument("--select", choices=_SELECTIONS, default="none",
-                         help="post-selection on the joint-outcome label")
+    analyze.add_argument("--select", default="none",
+                         help="post-selection on a record label (a Bell outcome or a classical marker); none keeps all")
     analyze.add_argument("--out", default=None, help="write report here instead of stdout")
     analyze.set_defaults(handler=cmd_analyze)
 

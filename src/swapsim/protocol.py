@@ -7,8 +7,8 @@ temporal order.  "Time" here is logical: ordering is the sequence in which
 collapses are applied, which is exactly the thing the order-invariance
 checks exercise.
 
-The plan map _EVENTS, which names each ordering's steps ("bsm", "pol0",
-"pol3") in applied order, is the one place that says when the joint
+The plan map records._EVENTS, which names each ordering's steps ("bsm",
+"pol0", "pol3") in applied order, is the one place that says when the joint
 measurement happens.  The plan, the table shapes, the records' events and
 the outcome names are read from it; tables and sampler loop over its steps.
 
@@ -34,18 +34,14 @@ import numpy as np
 
 from .measure import BellSpec, PolarizationSpec, extend_frontier, step_outcomes
 from .qstate import _BELL_AMPLITUDES, DensityMatrix
-from .records import (_DEFAULT_ANGLES, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering, RecordChunk,
-                      TrialRecord, _Frozen, as_integer, bsm_outcomes, kind_index, kind_templates, setting_pair)
+from .records import (_DEFAULT_ANGLES, _EVENTS, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering,
+                      RecordChunk, TrialRecord, _Frozen, as_integer, bsm_outcomes, kind_index, kind_templates,
+                      setting_pair)
 from .rng import record_chunks, trial_draws
 
 _PHOTONS = 4
 _BSM_PAIR = (1, 2)  # the inner photons, one from each source pair
 
-# The plan map: each ordering's measurement steps by event name, in applied order.
-_EVENTS = {
-    Ordering.BSM_FIRST: ("bsm", "pol0", "pol3"),
-    Ordering.POLARIZATIONS_FIRST: ("pol0", "pol3", "bsm"),
-}
 (_DRAWS_PER_TRIAL,) = {2 + len(events) for events in _EVENTS.values()}  # setting0, setting3, one per step
 
 
@@ -178,9 +174,7 @@ def _pick(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _kind_table(key: tuple) -> tuple[TrialRecord, ...]:
     """One record per kind_index of the records of a config with this _table_key, with trial_id 0."""
     angles0, angles3, ordering, bsm_mode, _ = key
-    events = _EVENTS[ordering]
-    return kind_templates(angles0, angles3, bsm_outcomes(bsm_mode),
-                          lambda *fields: TrialRecord(0, ordering, *fields, events))
+    return kind_templates(angles0, angles3, bsm_outcomes(bsm_mode), partial(TrialRecord, 0, ordering))
 
 
 def _sample_kinds(config: ExperimentConfig, tables: tuple, setting0: np.ndarray, setting3: np.ndarray,
@@ -246,7 +240,7 @@ def run_batch(config: ExperimentConfig) -> Iterator[TrialRecord]:
 def exact_cell_records(config: ExperimentConfig, i0: int, i3: int) -> list[tuple[TrialRecord, float]]:
     """The (i0, i3) setting cell of exact_records: (record, probability) pairs in plan outcome order.
 
-    Each record has trial_id 0 and the config's ordering and events; its
+    Each record has trial_id 0 and the config's ordering; its
     weight is 1/4 (the uniform setting draw) times the probability of its
     outcomes.  Only that setting pair's plan is walked, so one cell costs a
     quarter of the whole table or less.  Both indices must be the integer 0
@@ -260,8 +254,7 @@ def exact_cell_records(config: ExperimentConfig, i0: int, i3: int) -> list[tuple
     cell = []
     for outcomes, p in _setting_joint(config._table_key(), i0, i3).items():
         named = dict(zip(events, outcomes))
-        record = TrialRecord(0, config.ordering, i0, deg0, i3, deg3, named["pol0"], named["pol3"], named["bsm"],
-                             events)
+        record = TrialRecord(0, config.ordering, i0, deg0, i3, deg3, named["pol0"], named["pol3"], named["bsm"])
         cell.append((record, 0.25 * p))
     return cell
 

@@ -3,8 +3,8 @@
 Every record file carries the same fields: trial id, ordering, the two
 setting indices with their analyzer angles, the two +-1 outcomes, the joint
 label and the event order.  This module owns those fields, their value sets
-(orderings, Bell outcomes, analyzer angles) and both forms of a record: the
-dict (``to_json_dict``) and the line (``write_records``,
+(orderings and their event plans, Bell outcomes, analyzer angles) and both
+forms of a record: the dict (``to_json_dict``) and the line (``write_records``,
 ``read_record_chunks`` and its counting form ``read_record_counts``, whose
 fast path depends on ``_wire_doc`` putting ``trial_id`` first).  So record
 files are read, written and tallied without numerical code or the
@@ -184,10 +184,10 @@ def as_integer(name: str, value) -> int:
 
 
 def setting_pair(name: str, value) -> tuple[AnalyzerAngle, AnalyzerAngle]:
-    """A station's two candidate settings as angles; ValueError unless they differ mod 180."""
+    """A station's two candidate settings as angles; ValueError unless they differ mod 180 as records write them."""
     first, second = value
     pair = (as_angle(first), as_angle(second))
-    if pair[0].degrees == pair[1].degrees:
+    if len({float(f"{angle.degrees:.12g}") % 180.0 for angle in pair}) < 2:  # _wire_doc's rounding
         raise ValueError(f"{name} must hold two distinct settings, got {pair}")
     return pair
 
@@ -197,6 +197,13 @@ class Ordering(Enum):
 
     BSM_FIRST = "bsm-first"
     POLARIZATIONS_FIRST = "pol-first"
+
+
+# The plan map: each ordering's measurement steps by event name, in applied order; a record's events list them.
+_EVENTS = {
+    Ordering.BSM_FIRST: ("bsm", "pol0", "pol3"),
+    Ordering.POLARIZATIONS_FIRST: ("pol0", "pol3", "bsm"),
+}
 
 
 def _wire_doc(record, ordering: str, label: str, events: list) -> dict:
@@ -247,12 +254,10 @@ def _wire_settings(doc: dict) -> tuple[int, float, int, float]:
     return index0, _wire_degrees(doc, "setting0_deg"), index3, _wire_degrees(doc, "setting3_deg")
 
 
-def _wire_events(doc: dict) -> tuple[str, ...]:
-    """doc["events"] as a tuple; ValueError unless it is a list of strings."""
-    events = doc["events"]
-    if type(events) is not list or not all(type(event) is str for event in events):
-        raise ValueError(f"events must be a list of strings, got {events!r}")
-    return tuple(events)
+def _check_events(doc: dict, events: list) -> None:
+    """ValueError unless doc["events"] is ``events``, its record family's list for the line's ordering."""
+    if doc["events"] != events:
+        raise ValueError(f"events must be {events!r} for ordering {doc['ordering']!r}, got {doc['events']!r}")
 
 
 class TrialRecord(NamedTuple):
@@ -267,20 +272,21 @@ class TrialRecord(NamedTuple):
     outcome0: int
     outcome3: int
     bsm: BsmOutcome
-    events: tuple[str, ...]
 
     @property
     def bsm_label(self) -> str:
         return self.bsm.value
 
     def to_json_dict(self) -> dict:
-        return _wire_doc(self, self.ordering.value, self.bsm.value, list(self.events))
+        return _wire_doc(self, self.ordering.value, self.bsm.value, list(_EVENTS[self.ordering]))
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrialRecord":
         outcome0, outcome3, trial_id = _wire_outcomes_and_id(doc)
-        return cls(trial_id, Ordering(doc["ordering"]), *_wire_settings(doc), outcome0, outcome3,
-                   BsmOutcome(doc["bsm"]), _wire_events(doc))
+        ordering = Ordering(doc["ordering"])
+        record = cls(trial_id, ordering, *_wire_settings(doc), outcome0, outcome3, BsmOutcome(doc["bsm"]))
+        _check_events(doc, list(_EVENTS[ordering]))
+        return record
 
 
 class ClassicalRecord(NamedTuple):
@@ -308,8 +314,7 @@ class ClassicalRecord(NamedTuple):
         if doc.get("ordering") != "classical":
             raise ValueError(f"not a classical record: ordering={doc.get('ordering')!r}")
         outcome0, outcome3, trial_id = _wire_outcomes_and_id(doc)
-        if _wire_events(doc):  # none are kept, so a rewritten record would lose them
-            raise ValueError(f"a classical record's events must be empty, got {doc['events']!r}")
+        _check_events(doc, [])
         marker = doc["bsm"]
         if type(marker) is not str:
             raise ValueError(f"bsm must be a string, got {marker!r}")
@@ -407,9 +412,9 @@ def _check_angles(angles: dict, record, line_number: int) -> None:
     """Note the record's setting angles in ``angles``; RecordFormatError if an index had another angle.
 
     A record file comes from one experiment, so each setting index of each
-    station carries one analyzer angle throughout.  The wire check has
-    rejected every non-finite angle on its own line, so no NaN, which
-    equals no angle, reaches the comparison.
+    station carries one analyzer angle throughout, another mod 180 than the
+    other index's.  The wire check has rejected every non-finite angle on
+    its own line, so no NaN, which equals no angle, reaches a comparison.
     """
     for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
                                     (3, record.setting3_index, record.setting3_deg)):
@@ -417,6 +422,9 @@ def _check_angles(angles: dict, record, line_number: int) -> None:
         if seen != degrees:
             raise RecordFormatError(line_number, f"setting{station}_index {index} has angle {degrees!r} "
                                                  f"here but {seen!r} above: not one experiment")
+        other = angles.get((station, 1 - index))
+        if other is not None and AnalyzerAngle(other) == AnalyzerAngle(degrees):
+            raise RecordFormatError(line_number, f"setting{station}_index 0 and 1 both have angle {degrees!r} mod 180")
 
 
 def _new_kind(stripped: str, tail, line_number: int, known: dict, angles: dict):

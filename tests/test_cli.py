@@ -259,6 +259,22 @@ class TestAnalyze:
         # full-mode records never carry the coarse partial-mode label
         assert main(["analyze", "--in", str(records), "--select", "other"]) == 4
 
+    def test_select_takes_a_classical_marker(self, tmp_path, capsys):
+        records = tmp_path / "c.jsonl"
+        assert main(["classical", "generate", "--model", "sign", "--trials", "400", "--out", str(records)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(records), "--select", "far"]) == 0
+        assert capsys.readouterr().out == cli._render_report_doc(chsh(read_records(str(records)), "far").to_json_dict())
+
+    @pytest.mark.parametrize("source", ["simulate", "generate"])
+    def test_a_label_no_record_carries_is_insufficient_data(self, source, tmp_path, capsys):
+        records = simulate(tmp_path, trials=200) if source == "simulate" else tmp_path / "c.jsonl"
+        if source == "generate":
+            assert main(["classical", "generate", "--trials", "200", "--out", str(records)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(records), "--select", "sideways"]) == 4
+        assert "setting cell (0, 0) is empty with filter bsm=sideways" in capsys.readouterr().err
+
     @pytest.mark.parametrize("reader", READERS)
     def test_garbled_line_reports_its_number(self, reader, tmp_path, capsys):
         records = simulate(tmp_path, trials=5)
@@ -316,6 +332,32 @@ class TestAnalyze:
         assert f"line {line}: setting3_index 1 has angle 60.0 here but 67.5 above" in capsys.readouterr().err
         assert _error_like_the_reference(reader, str(pooled))[0] == line
 
+    @pytest.mark.parametrize("degrees", [0.0, 180.0])
+    @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
+    @pytest.mark.parametrize("source", ["simulate", "generate"])
+    def test_one_angle_on_both_indices_of_a_station_is_rejected(self, source, command, degrees, tmp_path, capsys):
+        # a station's two settings differ mod 180, so no experiment gives index 1 the angle of index 0
+        records = simulate(tmp_path, trials=20) if source == "simulate" else tmp_path / "c.jsonl"
+        if source == "generate":
+            assert main(["classical", "generate", "--trials", "20", "--out", str(records)]) == 0
+        docs = [json.loads(line) for line in records.read_text().splitlines()]
+        for doc in docs:
+            doc["setting0_deg"] = degrees if doc["setting0_index"] else 0.0
+        bad, kept = tmp_path / "bad.jsonl", tmp_path / "kept.jsonl"
+        bad.write_text("".join(json.dumps(doc, separators=(",", ":")) + "\n" for doc in docs))
+        indices = [doc["setting0_index"] for doc in docs]
+        line = 1 + max(indices.index(0), indices.index(1))
+        if command == "analyze":
+            argv = ["analyze", "--in", str(bad)]
+        else:
+            argv = ["classical", "discard", "--rule", command, "--in", str(bad), "--out", str(kept)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert f"line {line}: setting0_index 0 and 1 both have angle" in capsys.readouterr().err
+        assert not kept.exists()
+        for reader in READERS:
+            assert _error_like_the_reference(reader, str(bad))[0] == line, reader
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -332,6 +374,16 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
         assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angles", ["0,179.9999999999999,22.5,67.5", "10,10.0000000000001,22.5,67.5",
+                                        "0,45,67.5,67.50000000000001"])
+    @pytest.mark.parametrize("command", ["simulate", "classical generate"])
+    def test_angles_that_records_write_as_one_setting_are_rejected(self, command, angles, tmp_path, capsys):
+        # records write 12 significant digits, so these pairs would reach the file as one angle mod 180
+        out = tmp_path / "x.jsonl"
+        assert main([*command.split(), f"--angles={angles}", "--trials", "10", "--out", str(out)]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("angles", ["0,180,22.5,67.5", "0,-1e-20,22.5,67.5"])
     def test_a_half_turn_or_a_tiny_negative_angle_is_the_same_setting(self, angles, capsys):
@@ -700,6 +752,11 @@ BENIGN = {
     "id-float": lambda line, rng: _with_id(line, "5.0"),
 }
 
+def _events_reordered(doc: dict) -> list:
+    """A quantum line's events reversed; a classical line, which has none, gets the bsm-first plan reversed."""
+    return (doc["events"] or ["bsm", "pol0", "pol3"])[::-1]
+
+
 # Rewrites that leave no record on the line.
 BROKEN = {
     "id-leading-zero": lambda line, rng: _with_id(line, "012"),
@@ -720,6 +777,7 @@ BROKEN = {
     "angle-string": lambda line, rng: _with_field(line, "setting3_deg", "22.5"),
     "label-number": lambda line, rng: _with_field(line, "bsm", 5),
     "events-string": lambda line, rng: _with_field(line, "events", "xyz"),
+    "events-reordered": lambda line, rng: _with_field(line, "events", _events_reordered(json.loads(line))),
     "json-array": lambda line, rng: "[1,2]",
     "json-number": lambda line, rng: "5",
     "json-null": lambda line, rng: "null",
@@ -928,6 +986,7 @@ GARBLED = {
     "label-number": lambda doc: ("bsm", 5),
     "events-string": lambda doc: ("events", "xyz"),
     "events-number": lambda doc: ("events", [5]),
+    "events-reordered": lambda doc: ("events", _events_reordered(doc)),
 }
 
 
@@ -962,7 +1021,7 @@ class TestGarbledFields:
 
     @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
     def test_classical_events_must_be_empty(self, command, tmp_path, capsys):
-        # only a classical record keeps no events, so a rewrite would drop them
+        # a classical record's events are [], so a rewrite never drops any
         records = tmp_path / "lhv.jsonl"
         assert main(["classical", "generate", "--trials", "6", "--seed", "3", "--out", str(records)]) == 0
         lines = [_with_field(line, "events", ["bsm", "pol0"]) for line in records.read_text().splitlines()]
@@ -975,7 +1034,8 @@ class TestGarbledFields:
             argv = ["classical", "discard", "--rule", command, "--in", str(bad), "--out", str(kept)]
         capsys.readouterr()
         assert main(argv) == 3
-        assert "line 1: a classical record's events must be empty" in capsys.readouterr().err
+        assert ("line 1: events must be [] for ordering 'classical', got ['bsm', 'pol0']"
+                in capsys.readouterr().err)
         assert not kept.exists()
         for reader in READERS:
             assert _error_like_the_reference(reader, str(bad))[0] == 1, reader
@@ -1661,6 +1721,21 @@ class TestForkedReader:
         got = _forked_like_main(tmp_path, self._discard(out="kept"), monkeypatch, capsys)
         assert got == (3, "", "swapsim: i/o error: [Errno 21] Is a directory: 'kept'\n", None)
         assert list((tmp_path / "kept").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
+    def test_events_of_the_other_ordering_exit_3_inline_and_forked(self, command, tmp_path, monkeypatch, capsys):
+        # a bsm-first line whose events give the pol-first time order: the line contradicts itself
+        lines = simulate(tmp_path, "runs.jsonl", trials=5).read_text().splitlines()
+        lines[2] = _with_field(lines[2], "events", ["pol0", "pol3", "bsm"])
+        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        argv = (["analyze", "--in", "bad.jsonl", "--out", "out.json"] if command == "analyze"
+                else self._discard(command, "bad.jsonl", "out.json"))
+        message = ("swapsim: error: line 3: events must be ['bsm', 'pol0', 'pol3'] for ordering "
+                   "'bsm-first', got ['pol0', 'pol3', 'bsm']\n")
+        assert _forked_like_main(tmp_path, argv, monkeypatch, capsys) == (3, "", message, None)
+        code, probe = _fork_probe(tmp_path, argv)
+        assert (code, probe["forks"]) == (3, 0 if command == "analyze" else int(_READER_FORKS))
+        assert not (tmp_path / "out.json").exists()
 
     def test_garbage_env_seed_starts_no_reader(self, tmp_path, monkeypatch, capsys):
         self._generate(tmp_path)

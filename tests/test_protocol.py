@@ -112,9 +112,9 @@ class TestTrialRecord:
 
     def test_event_sequence_tracks_ordering(self):
         first = run_trial(config(ordering=Ordering.BSM_FIRST), 0)
-        assert first.events == ("bsm", "pol0", "pol3")
+        assert first.to_json_dict()["events"] == ["bsm", "pol0", "pol3"]
         second = run_trial(config(ordering=Ordering.POLARIZATIONS_FIRST), 0)
-        assert second.events == ("pol0", "pol3", "bsm")
+        assert second.to_json_dict()["events"] == ["pol0", "pol3", "bsm"]
 
     def test_bsm_label_matches_enum_value(self):
         rec = run_trial(config(), 1)
@@ -267,9 +267,10 @@ class TestOutcomeNaming:
                     assert isinstance(spec, PolarizationSpec) and spec.qubit in (0, 3)
                     named[f"outcome{spec.qubit}"] = outcome
                     events.append(f"pol{spec.qubit}")
+            assert tuple(events) == _EVENTS[cfg.ordering]
             records.append(TrialRecord(trial_id, cfg.ordering, i0, cfg.angles0[i0].degrees, i3,
                                        cfg.angles3[i3].degrees, named["outcome0"], named["outcome3"],
-                                       named["bsm"], tuple(events)))
+                                       named["bsm"]))
         return records
 
     @pytest.mark.parametrize("ordering", list(Ordering))
@@ -407,7 +408,8 @@ class TestExactJointDistribution:
         assert [(key, p.hex()) for key, p in exact_joint_distribution(cfg).items()] == [
             ((r.setting0_index, r.setting3_index, r.outcome0, r.outcome3, r.bsm), p.hex()) for r, p in records]
         for record, _ in records:
-            assert (record.trial_id, record.ordering, record.events) == (0, ordering, _EVENTS[ordering])
+            assert (record.trial_id, record.ordering) == (0, ordering)
+            assert record.to_json_dict()["events"] == list(_EVENTS[ordering])
             assert record.setting0_deg == cfg.angles0[record.setting0_index].degrees
             assert record.setting3_deg == cfg.angles3[record.setting3_index].degrees
 

@@ -46,6 +46,7 @@ class TestAnalyzerAngleMatchesNumpy:
 class TestSettingPair:
     def test_converts_both_settings(self):
         assert setting_pair("angles0", (181.0, AnalyzerAngle(45.0))) == (AnalyzerAngle(1.0), AnalyzerAngle(45.0))
+        assert setting_pair("angles0", (10.0, 10.000000001)) == (AnalyzerAngle(10.0), AnalyzerAngle(10.000000001))
 
     @pytest.mark.parametrize("make", [protocol.ExperimentConfig, classical.ClassicalConfig])
     @pytest.mark.parametrize("field", ["angles0", "angles3"])
@@ -54,6 +55,15 @@ class TestSettingPair:
             make(**{field: (10.0, 190.0)})
         pair = (AnalyzerAngle(10.0), AnalyzerAngle(10.0))
         assert str(info.value) == f"{field} must hold two distinct settings, got {pair}"
+
+    @pytest.mark.parametrize("make", [protocol.ExperimentConfig, classical.ClassicalConfig])
+    @pytest.mark.parametrize("field", ["angles0", "angles3"])
+    @pytest.mark.parametrize("pair", [(0.0, 179.9999999999999), (10.0, 10.0000000000001)])
+    def test_both_configs_reject_settings_that_records_write_as_one(self, make, field, pair):
+        # distinct doubles, but 12 significant digits write them as 0.0 and 180.0, or 10.0 twice
+        assert AnalyzerAngle(pair[0]) != AnalyzerAngle(pair[1])
+        with pytest.raises(ValueError, match=f"{field} must hold two distinct settings"):
+            make(**{field: pair})
 
 
 class TestLazyPackage:
@@ -153,8 +163,7 @@ class TestKindTables:
 
 
 def _quantum_record(trial_id=7):
-    return TrialRecord(trial_id, Ordering.BSM_FIRST, 0, 0.0, 1, 67.5, 1, -1, BsmOutcome.PSI_MINUS,
-                       ("bsm", "pol0", "pol3"))
+    return TrialRecord(trial_id, Ordering.BSM_FIRST, 0, 0.0, 1, 67.5, 1, -1, BsmOutcome.PSI_MINUS)
 
 
 def _classical_record(trial_id=7):
@@ -196,7 +205,7 @@ class TestValueClasses:
 
     def test_field_order_is_the_wire_order(self):
         wire = tuple(_quantum_record().to_json_dict())
-        assert TrialRecord.__match_args__ == wire
+        assert TrialRecord.__match_args__ + ("events",) == wire
         shared = tuple("marker" if key == "bsm" else key for key in wire if key not in ("ordering", "events"))
         assert ClassicalRecord.__match_args__ == shared
 
