@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .records import _SETTING_PAIRS, BsmOutcome, InsufficientDataError, as_integer
+from .records import _CHSH_SIGNS, _SETTING_PAIRS, BsmOutcome, InsufficientDataError, as_integer, setting_cell
 
 
 Label = Union[BsmOutcome, str, None]
@@ -96,7 +96,7 @@ def _tally(entries: Iterable[tuple[Union[tuple[int, int], None], int, object]]) 
         if cell is None:
             continue
         if cell not in weights:
-            raise ValueError(f"setting indices {cell} outside the two-by-two design")
+            setting_cell(*cell)  # raises: the cell is none of the four
         signed[cell] += product * weight
         weights[cell] += weight
     return _Tally(signed, weights, total)
@@ -113,8 +113,8 @@ def _estimate(tally: _Tally, cell: tuple[int, int], filter_description: str) -> 
 
 def _report(tally: _Tally, filter_description: str, kept: int, total: int) -> ChshReport:
     estimates = {cell: _estimate(tally, cell, filter_description) for cell in _SETTING_PAIRS}
-    e = {cell: estimate.e_value for cell, estimate in estimates.items()}
-    s = e[(0, 0)] - e[(0, 1)] + e[(1, 0)] + e[(1, 1)]
+    signed = [_CHSH_SIGNS[cell] * estimate.e_value for cell, estimate in estimates.items()]
+    s = signed[0] + signed[1] + signed[2] + signed[3]  # left to right: sum() compensates from Python 3.12
     s_err = math.sqrt(sum(estimate.std_err ** 2 for estimate in estimates.values()))
     return ChshReport(*estimates.values(), s_value=float(s), s_std_err=float(s_err),
                       filter_description=filter_description, kept=kept, total=total)
@@ -133,9 +133,7 @@ def correlation_weighted(
 ) -> CorrelationEstimate:
     """Estimate E for one setting cell over the (record, count) pairs ``label`` keeps; other cells may be empty."""
     wanted, description = _selection(label)
-    pair = (as_integer("setting0 index", setting_pair[0]), as_integer("setting3 index", setting_pair[1]))
-    if pair not in _SETTING_PAIRS:
-        raise ValueError(f"setting pair {pair} outside the two-by-two design")
+    pair = setting_cell(as_integer("setting0 index", setting_pair[0]), as_integer("setting3 index", setting_pair[1]))
     return _estimate(_tally(_record_entries(weighted, wanted)), pair, description)
 
 

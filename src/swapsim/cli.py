@@ -173,10 +173,7 @@ def _resolve_seed(flag_value) -> int:
 
 
 def _angles_doc(config) -> dict:
-    return {
-        "angles0": [config.angles0[0].degrees, config.angles0[1].degrees],
-        "angles3": [config.angles3[0].degrees, config.angles3[1].degrees],
-    }
+    return {name: [angle.degrees for angle in getattr(config, name)] for name in ("angles0", "angles3")}
 
 
 def _angles_flag(text: str):
@@ -256,7 +253,7 @@ def _scan_grid(step: float) -> list[float]:
 
 def _scan_config(delta: float, args, trials: int) -> ExperimentConfig:
     # Cell (0,0) carries the pair (alpha=0, delta); the unused second
-    # settings just need to be distinct mod 180.
+    # settings just need to be distinct as records write them.
     return _experiment_config(args, ((0.0, 45.0), (delta, delta + 90.0)), trials)
 
 

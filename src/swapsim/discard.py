@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .records import CHUNK, RecordChunk, _Frozen
+from .records import _CHSH_SIGNS, CHUNK, RecordChunk, _Frozen
 from .rng import RandomSource
 
 # Keep-decision draws live far above any trial's generation stream so a rule
@@ -104,15 +104,13 @@ def apply_discard(records: Iterable, rule: DiscardRule, seed: int = 0) -> tuple[
 def pr_box_rule() -> DiscardRule:
     """Deterministic record-comparing rule that drives kept data to |S| = 4.
 
-    Keep a record exactly when outcome0*outcome3 hits the cell's target sign.
-    The -1 target sits on the (a, b') cell — the one entering S with a minus
-    sign — so every kept cell is perfectly correlated with its sign in S and
-    the kept ensemble reaches the algebraic maximum.
+    Keep a record exactly when outcome0*outcome3 is its cell's sign in S
+    (records._CHSH_SIGNS), so every kept cell is perfectly correlated with
+    its sign in S and the kept ensemble reaches the algebraic maximum.
     """
-    targets = {(0, 0): +1, (0, 1): -1, (1, 0): +1, (1, 1): +1}
 
     def weight(record) -> float:
-        target = targets[(record.setting0_index, record.setting3_index)]
+        target = _CHSH_SIGNS[(record.setting0_index, record.setting3_index)]
         return 1.0 if record.outcome0 * record.outcome3 == target else 0.0
 
     return DiscardRule("deterministic", "pr-box", weight)

@@ -36,7 +36,7 @@ from .measure import BellSpec, PolarizationSpec, extend_frontier, step_outcomes
 from .qstate import _BELL_AMPLITUDES, DensityMatrix
 from .records import (_DEFAULT_ANGLES, _EVENTS, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering,
                       RecordChunk, TrialRecord, _Frozen, as_integer, bsm_outcomes, kind_index, kind_templates,
-                      setting_pair)
+                      setting_cell, setting_pair)
 from .rng import record_chunks, trial_draws
 
 _PHOTONS = 4
@@ -246,9 +246,7 @@ def exact_cell_records(config: ExperimentConfig, i0: int, i3: int) -> list[tuple
     quarter of the whole table or less.  Both indices must be the integer 0
     or 1 (an int or numpy integer, not a bool).
     """
-    i0, i3 = as_integer("setting0 index", i0), as_integer("setting3 index", i3)
-    if (i0, i3) not in _SETTING_PAIRS:
-        raise ValueError(f"setting indices must be 0 or 1, got ({i0!r}, {i3!r})")
+    i0, i3 = setting_cell(as_integer("setting0 index", i0), as_integer("setting3 index", i3))
     events = _EVENTS[config.ordering]
     deg0, deg3 = config.angles0[i0].degrees, config.angles3[i3].degrees
     cell = []

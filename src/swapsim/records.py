@@ -3,8 +3,9 @@
 Every record file carries the same fields: trial id, ordering, the two
 setting indices with their analyzer angles, the two +-1 outcomes, the joint
 label and the event order.  This module owns those fields, their value sets
-(orderings and their event plans, Bell outcomes, analyzer angles) and both
-forms of a record: the dict (``to_json_dict``) and the line (``write_records``,
+(orderings and their event plans, Bell outcomes, analyzer angles as written,
+setting cells and their signs in S) and both forms of a record: the dict
+(``to_json_dict``) and the line (``write_records``,
 ``read_record_chunks`` and its counting form ``read_record_counts``, whose
 fast path depends on ``_wire_doc`` putting ``trial_id`` first).  So record
 files are read, written and tallied without numerical code or the
@@ -32,9 +33,17 @@ from typing import Callable, NamedTuple, Sequence, Union
 CHUNK = 4096
 
 # The four setting cells (setting0 index, setting3 index), in the order every
-# table, tally and kind table lists them.  Cell roles in S = E(a,b) - E(a,b')
-# + E(a',b) + E(a',b'): the minus sign sits on the (a, b') cell.
+# table, tally and kind table lists them, and each cell's sign in
+# S = E(a,b) - E(a,b') + E(a',b) + E(a',b'): the minus sign sits on (a, b').
 _SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_CHSH_SIGNS = {(0, 0): +1, (0, 1): -1, (1, 0): +1, (1, 1): +1}
+
+
+def setting_cell(index0, index3) -> tuple:
+    """(index0, index3), a setting cell; ValueError unless it is one of _SETTING_PAIRS."""
+    if (index0, index3) not in _SETTING_PAIRS:
+        raise ValueError(f"setting indices {(index0, index3)} are outside the two-by-two design: each must be 0 or 1")
+    return index0, index3
 
 # The default analyzer angles in degrees, (a, a') for photon 0 and (b, b')
 # for photon 3: the canonical CHSH settings of both engines and the CLI.
@@ -144,11 +153,17 @@ class _Frozen:
         return type(self), self._values()
 
 
+def _written_degrees(degrees: float) -> float:
+    """An angle as records write it: mod 180 at 12 significant digits, in [0, 180) (the last mod makes 180 0)."""
+    return float(f"{degrees % 180.0:.12g}") % 180.0
+
+
 class AnalyzerAngle(_Frozen):
     """Polarizer orientation in degrees, canonicalized to [0, 180).
 
     A polarization analyzer is invariant under a half turn, so angles are
-    stored mod 180; 181 degrees and 1 degree are the same setting.
+    stored mod 180; 181 degrees and 1 degree are the same setting, and so
+    are 0 and an angle records write as 180, such as a tiny negative one.
     """
 
     __slots__ = __match_args__ = ("degrees",)
@@ -157,9 +172,7 @@ class AnalyzerAngle(_Frozen):
         value = float(degrees)
         if not math.isfinite(value):
             raise ValueError(f"angle must be finite, got {value!r}")
-        value %= 180.0
-        # a tiny negative angle rounds up to 180.0, the same setting as 0
-        super().__init__(0.0 if value == 180.0 else value)
+        super().__init__(0.0 if _written_degrees(value) == 0.0 else value % 180.0)
 
     @property
     def radians(self) -> float:
@@ -168,9 +181,7 @@ class AnalyzerAngle(_Frozen):
 
 
 def as_angle(value: Union[AnalyzerAngle, float]) -> AnalyzerAngle:
-    if isinstance(value, AnalyzerAngle):
-        return value
-    return AnalyzerAngle(float(value))
+    return value if isinstance(value, AnalyzerAngle) else AnalyzerAngle(value)
 
 
 def as_integer(name: str, value) -> int:
@@ -184,10 +195,10 @@ def as_integer(name: str, value) -> int:
 
 
 def setting_pair(name: str, value) -> tuple[AnalyzerAngle, AnalyzerAngle]:
-    """A station's two candidate settings as angles; ValueError unless they differ mod 180 as records write them."""
+    """A station's two candidate settings as angles; ValueError unless records write them as two angles."""
     first, second = value
     pair = (as_angle(first), as_angle(second))
-    if len({float(f"{angle.degrees:.12g}") % 180.0 for angle in pair}) < 2:  # _wire_doc's rounding
+    if _written_degrees(pair[0].degrees) == _written_degrees(pair[1].degrees):
         raise ValueError(f"{name} must hold two distinct settings, got {pair}")
     return pair
 
@@ -212,9 +223,9 @@ def _wire_doc(record, ordering: str, label: str, events: list) -> dict:
         "trial_id": record.trial_id,
         "ordering": ordering,
         "setting0_index": record.setting0_index,
-        "setting0_deg": float(f"{record.setting0_deg:.12g}"),
+        "setting0_deg": _written_degrees(record.setting0_deg),
         "setting3_index": record.setting3_index,
-        "setting3_deg": float(f"{record.setting3_deg:.12g}"),
+        "setting3_deg": _written_degrees(record.setting3_deg),
         "outcome0": record.outcome0,
         "outcome3": record.outcome3,
         "bsm": label,
@@ -247,10 +258,8 @@ def _wire_degrees(doc: dict, name: str) -> float:
 
 
 def _wire_settings(doc: dict) -> tuple[int, float, int, float]:
-    """setting0_index, setting0_deg, setting3_index, setting3_deg; each index is checked to be 0 or 1."""
-    index0, index3 = _wire_int(doc, "setting0_index"), _wire_int(doc, "setting3_index")
-    if index0 not in (0, 1) or index3 not in (0, 1):
-        raise ValueError(f"setting indices must be 0 or 1, got {index0}, {index3}")
+    """setting0_index, setting0_deg, setting3_index, setting3_deg; the indices are checked to be a setting cell."""
+    index0, index3 = setting_cell(_wire_int(doc, "setting0_index"), _wire_int(doc, "setting3_index"))
     return index0, _wire_degrees(doc, "setting0_deg"), index3, _wire_degrees(doc, "setting3_deg")
 
 
@@ -412,9 +421,9 @@ def _check_angles(angles: dict, record, line_number: int) -> None:
     """Note the record's setting angles in ``angles``; RecordFormatError if an index had another angle.
 
     A record file comes from one experiment, so each setting index of each
-    station carries one analyzer angle throughout, another mod 180 than the
-    other index's.  The wire check has rejected every non-finite angle on
-    its own line, so no NaN, which equals no angle, reaches a comparison.
+    station carries one analyzer angle throughout, written as another angle
+    than the other index's.  The wire check has rejected every non-finite
+    angle on its own line, so no NaN, which equals no angle, reaches a comparison.
     """
     for station, index, degrees in ((0, record.setting0_index, record.setting0_deg),
                                     (3, record.setting3_index, record.setting3_deg)):
@@ -422,9 +431,9 @@ def _check_angles(angles: dict, record, line_number: int) -> None:
         if seen != degrees:
             raise RecordFormatError(line_number, f"setting{station}_index {index} has angle {degrees!r} "
                                                  f"here but {seen!r} above: not one experiment")
-        other = angles.get((station, 1 - index))
-        if other is not None and AnalyzerAngle(other) == AnalyzerAngle(degrees):
-            raise RecordFormatError(line_number, f"setting{station}_index 0 and 1 both have angle {degrees!r} mod 180")
+        other, angle = angles.get((station, 1 - index)), _written_degrees(degrees)
+        if other is not None and _written_degrees(other) == angle:
+            raise RecordFormatError(line_number, f"setting{station}_index 0 and 1 both have angle {angle!r} as written")
 
 
 def _new_kind(stripped: str, tail, line_number: int, known: dict, angles: dict):

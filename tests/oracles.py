@@ -37,7 +37,7 @@ from swapsim.classical import ClassicalRecord, HiddenVariableModel
 from swapsim.measure import BellSpec, PolarizationSpec, bsm_outcomes
 from swapsim.protocol import TrialRecord
 from swapsim.qstate import DensityMatrix, PureState
-from swapsim.records import AnalyzerAngle, BsmOutcome, Ordering, RecordFormatError
+from swapsim.records import BsmOutcome, Ordering, RecordFormatError
 
 
 def basis_state(num_qubits: int, index: int) -> PureState:
@@ -264,10 +264,16 @@ def read_records_reference(path):
     """Yield the records of a JSONL file, one json.loads per non-blank line.
 
     The first line that is not a record, or whose record gives a setting
-    index another angle than a line above did, or the angle, mod 180, that
-    a line above gave the station's other index, raises RecordFormatError
-    with its 1-based line number, after the records above it.
+    index another angle than a line above did, or an angle that, mod 180 at
+    12 significant digits (a written 180 being 0), is the one a line above
+    gave the station's other index, raises RecordFormatError with its
+    1-based line number, after the records above it.
     """
+
+    def written(degrees):
+        text = "%.12g" % (degrees % 180.0)
+        return 0.0 if text == "180" else float(text)
+
     angles = {}
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -291,9 +297,9 @@ def read_records_reference(path):
                         line_number, f"setting{station}_index {index} has angle {degrees!r} here "
                                      f"but {angles[station, index]!r} above: not one experiment")
                 other = angles.get((station, 1 - index))
-                if other is not None and AnalyzerAngle(other).degrees == AnalyzerAngle(degrees).degrees:
+                if other is not None and written(other) == written(degrees):
                     raise RecordFormatError(
-                        line_number, f"setting{station}_index 0 and 1 both have angle {degrees!r} mod 180")
+                        line_number, f"setting{station}_index 0 and 1 both have angle {written(degrees)!r} as written")
             yield record
 
 

@@ -142,9 +142,11 @@ class TestSimulate:
                                ordering="pol-first", bsm_mode="partial", seed=9)
         assert list(read_records(str(out))) == list(run_batch(cfg))
 
-    def test_manifest_is_a_complete_recipe(self, tmp_path):
-        out = simulate(tmp_path, trials=400, seed=11,
-                       extra=("--angles", "5,50,20,65", "--visibility", "0.9"))
+    # the second pair: a setting that records write as 180, which is the setting 0 in the file and the manifest alike
+    @pytest.mark.parametrize("angles", [("--angles", "5,50,20,65"), ("--angles", "10,179.99999999999,22.5,67.5"),
+                                        ("--angles=10,-1e-13,22.5,67.5",)], ids=lambda angles: angles[-1])
+    def test_manifest_is_a_complete_recipe(self, angles, tmp_path):
+        out = simulate(tmp_path, trials=400, seed=11, extra=(*angles, "--visibility", "0.9"))
         doc = json.loads((tmp_path / "records.jsonl.manifest.json").read_text())["config"]
         cfg = ExperimentConfig(
             angles0=tuple(doc["angles0"]), angles3=tuple(doc["angles3"]),
@@ -449,6 +451,11 @@ class TestNegativeZeroVisibility:
 
 
 class TestReport:
+    @pytest.mark.parametrize("angles", ["10,179.99999999999,22.5,67.5", "10,-1e-13,22.5,67.5"])
+    def test_a_setting_written_as_180_is_reported_as_0(self, angles, capsys):
+        assert main(["report", "--exact", f"--angles={angles}"]) == 0
+        assert "angles: photon0 (10, 0) deg, photon3 (22.5, 67.5) deg" in capsys.readouterr().out
+
     def test_exact_summary_states_the_stage_story(self, capsys):
         assert main(["report", "--exact"]) == 0
         text = capsys.readouterr().out
@@ -1736,6 +1743,24 @@ class TestForkedReader:
         code, probe = _fork_probe(tmp_path, argv)
         assert (code, probe["forks"]) == (3, 0 if command == "analyze" else int(_READER_FORKS))
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "pr-box", "quantum-mimic"])
+    def test_settings_written_as_one_angle_exit_3_inline_and_forked(self, command, tmp_path, monkeypatch, capsys):
+        # distinct doubles at station 0 that 12 significant digits write as 10.0 twice: a rewrite would merge them
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(
+            json.dumps({"trial_id": trial, "ordering": "classical",
+                        "setting0_index": i0, "setting0_deg": (10.0, 10.0000000000001)[i0],
+                        "setting3_index": i3, "setting3_deg": 22.5 + 45.0 * i3,
+                        "outcome0": 1, "outcome3": -1 if (i0, i3) == (0, 1) else 1,
+                        "bsm": "far", "events": []}) + "\n"
+            for trial, (i0, i3) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)) * 2)))
+        argv = (["analyze", "--in", "bad.jsonl", "--out", "out.json"] if command == "analyze"
+                else self._discard(command, "bad.jsonl", "out.json"))
+        message = "swapsim: error: line 3: setting0_index 0 and 1 both have angle 10.0 as written\n"
+        assert _forked_like_main(tmp_path, argv, monkeypatch, capsys) == (3, "", message, None)
+        for reader in READERS:
+            assert _error_like_the_reference(reader, str(bad))[0] == 3, reader
 
     def test_garbage_env_seed_starts_no_reader(self, tmp_path, monkeypatch, capsys):
         self._generate(tmp_path)

@@ -1,6 +1,7 @@
 import ast
 import copy
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import oracles
 import swapsim
-from swapsim import analysis, classical, discard, entanglement, measure, protocol, qstate, records, rng
+from swapsim import analysis, classical, cli, discard, entanglement, measure, protocol, qstate, records, rng
 from swapsim.records import AnalyzerAngle, BsmOutcome, ClassicalRecord, Ordering, TrialRecord, setting_pair
 
 
@@ -24,7 +25,9 @@ class TestAnalyzerAngleMatchesNumpy:
     def _check(values):
         for x in values:
             angle = AnalyzerAngle(x)
-            degrees = 0.0 if x % 180.0 == 180.0 else x % 180.0  # a tiny negative x rounds up to 180.0
+            remainder = x % 180.0
+            # a remainder that 12 significant digits write as 180, such as a tiny negative x's, is the setting 0
+            degrees = 0.0 if float(f"{remainder:.12g}") == 180.0 else remainder
             assert angle.degrees == degrees, x
             assert angle.radians.hex() == float(np.deg2rad(degrees)).hex(), x
 
@@ -60,10 +63,42 @@ class TestSettingPair:
     @pytest.mark.parametrize("field", ["angles0", "angles3"])
     @pytest.mark.parametrize("pair", [(0.0, 179.9999999999999), (10.0, 10.0000000000001)])
     def test_both_configs_reject_settings_that_records_write_as_one(self, make, field, pair):
-        # distinct doubles, but 12 significant digits write them as 0.0 and 180.0, or 10.0 twice
-        assert AnalyzerAngle(pair[0]) != AnalyzerAngle(pair[1])
+        # distinct doubles, but 12 significant digits write them as 0.0 and 180.0, which is 0, or as 10.0 twice
+        assert pair[0] != pair[1]
         with pytest.raises(ValueError, match=f"{field} must hold two distinct settings"):
             make(**{field: pair})
+
+
+class TestWrittenSetting:
+    @pytest.mark.parametrize("degrees, written", [(190.0, 10.0), (-1e-13, 0.0), (179.99999999999, 0.0),
+                                                  (10.0000000000001, 10.0), (1e-300, 1e-300)])
+    def test_a_record_writes_its_setting_mod_180_at_12_digits(self, degrees, written):
+        record = ClassicalRecord(0, 0, degrees, 1, degrees, 1, 1, "far")
+        doc = record.to_json_dict()
+        assert (doc["setting0_deg"], doc["setting3_deg"]) == (written, written)
+
+
+class TestSettingCell:
+    """Every check that a record or a request names one of the four setting cells fails in one message."""
+
+    MESSAGE = "setting indices (2, 0) are outside the two-by-two design: each must be 0 or 1"
+    RECORD = TrialRecord(0, Ordering.BSM_FIRST, 2, 0.0, 0, 22.5, 1, -1, BsmOutcome.PSI_MINUS)
+
+    @pytest.mark.parametrize("check", [
+        lambda record: analysis.correlation_weighted([(record, 1)], (2, 0)),
+        lambda record: protocol.exact_cell_records(protocol.ExperimentConfig(), 2, 0),
+        lambda record: analysis.chsh([record]),
+    ], ids=["correlation_weighted", "exact_cell_records", "chsh"])
+    def test_the_library_raises_the_one_message(self, check):
+        with pytest.raises(ValueError) as info:
+            check(self.RECORD)
+        assert str(info.value) == self.MESSAGE
+
+    def test_analyze_prints_the_one_message_for_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(self.RECORD.to_json_dict()) + "\n")
+        assert cli.main(["analyze", "--in", str(path)]) == 3
+        assert capsys.readouterr().err == f"swapsim: error: line 1: {self.MESSAGE}\n"
 
 
 class TestLazyPackage:
