@@ -7,10 +7,10 @@ numeric lands in the output with 12 significant digits, and all outputs are
 byte-stable for fixed inputs.
 
 Every byte a command writes goes through this module: the rendering of
-numbers and report documents, and ``_atomic_open``, which commits every
-file swapsim writes.  They must stay in a module loaded at start, as this
-one is: the benchmark's byte counting replaces ``open`` and ``os`` only in
-the swapsim modules already loaded.
+report documents (numbers by ``records._fmt``) and ``_atomic_open``,
+which commits every file swapsim writes.  They must stay in a module
+loaded at start, as this one is: the benchmark's byte counting replaces
+``open`` and ``os`` only in the swapsim modules already loaded.
 
 Exit codes: 0 ok, 1 failed check, 2 usage, 3 I/O or garbled input,
 4 insufficient data.
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .records import (_DEFAULT_ANGLES, BsmMode, BsmOutcome, InsufficientDataError, Ordering, RecordFormatError,
-                      bsm_outcomes, read_record_chunks, read_record_counts, write_records)
+                      bsm_outcomes, _fmt, read_record_chunks, read_record_counts, write_records)
 
 # Each command imports numpy, protocol, classical, discard and analysis where
 # it uses them, so analyze and --version start on the standard library alone,
@@ -43,10 +43,6 @@ from .records import (_DEFAULT_ANGLES, BsmMode, BsmOutcome, InsufficientDataErro
 if TYPE_CHECKING:
     from .classical import ClassicalConfig
     from .protocol import ExperimentConfig
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
 
 
 def _round12(value):

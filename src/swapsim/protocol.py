@@ -35,8 +35,8 @@ import numpy as np
 from .measure import BellSpec, PolarizationSpec, extend_frontier, step_outcomes
 from .qstate import _BELL_AMPLITUDES, DensityMatrix
 from .records import (_DEFAULT_ANGLES, _EVENTS, _SETTING_PAIRS, AnalyzerAngle, BsmMode, BsmOutcome, Ordering,
-                      RecordChunk, TrialRecord, _Frozen, as_integer, bsm_outcomes, kind_index, kind_templates,
-                      setting_cell, setting_pair)
+                      RecordChunk, TrialRecord, _fmt, _Frozen, as_integer, bsm_outcomes, kind_index,
+                      kind_templates, setting_cell, setting_pair)
 from .rng import record_chunks, trial_draws
 
 _PHOTONS = 4
@@ -51,8 +51,8 @@ class ExperimentConfig(_Frozen):
     ``angles0`` are the two candidate settings (a, a') for photon 0 and
     ``angles3`` the pair (b, b') for photon 3; each trial picks one of each
     uniformly at random (the only setting policy supported).  ``visibility``
-    degrades each source pair to V|psi-><psi-| + (1-V) I/4; the default 1.0
-    is the ideal experiment.
+    degrades each source pair to V|psi-><psi-| + (1-V) I/4, stored as it is
+    written, like the angles; the default 1.0 is the ideal experiment.
     """
 
     __slots__ = __match_args__ = ("angles0", "angles3", "trials", "ordering", "bsm_mode", "seed", "visibility")
@@ -72,9 +72,10 @@ class ExperimentConfig(_Frozen):
         trials, seed = as_integer("trials", trials), as_integer("seed", seed)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        visibility = float(visibility) + 0.0  # -0.0 becomes 0.0, the same config
-        if not 0.0 <= visibility <= 1.0:
+        visibility = float(visibility)
+        if not 0.0 <= visibility <= 1.0:  # checked before rounding, which would let 1.0000000000001 through
             raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+        visibility = float(_fmt(visibility)) + 0.0  # as written; -0.0 becomes 0.0, the same config
         super().__init__(angles0, angles3, trials, ordering, bsm_mode, seed, visibility)
 
     def _table_key(self) -> tuple:

@@ -153,17 +153,22 @@ class _Frozen:
         return type(self), self._values()
 
 
+def _fmt(value: float) -> str:
+    """A number as swapsim writes it, in records, manifests and reports alike: 12 significant digits."""
+    return format(float(value), ".12g")
+
+
 def _written_degrees(degrees: float) -> float:
     """An angle as records write it: mod 180 at 12 significant digits, in [0, 180) (the last mod makes 180 0)."""
-    return float(f"{degrees % 180.0:.12g}") % 180.0
+    return float(_fmt(degrees % 180.0)) % 180.0
 
 
 class AnalyzerAngle(_Frozen):
-    """Polarizer orientation in degrees, canonicalized to [0, 180).
+    """Polarizer orientation in degrees, stored as records write it (``_written_degrees``).
 
-    A polarization analyzer is invariant under a half turn, so angles are
-    stored mod 180; 181 degrees and 1 degree are the same setting, and so
-    are 0 and an angle records write as 180, such as a tiny negative one.
+    A polarization analyzer is invariant under a half turn, so 181 and 1
+    degree are one setting, and so are 0 and an angle written as 180, such
+    as a tiny negative one.  The engine runs the angle its records state.
     """
 
     __slots__ = __match_args__ = ("degrees",)
@@ -172,7 +177,7 @@ class AnalyzerAngle(_Frozen):
         value = float(degrees)
         if not math.isfinite(value):
             raise ValueError(f"angle must be finite, got {value!r}")
-        super().__init__(0.0 if _written_degrees(value) == 0.0 else value % 180.0)
+        super().__init__(_written_degrees(value))
 
     @property
     def radians(self) -> float:
@@ -195,10 +200,10 @@ def as_integer(name: str, value) -> int:
 
 
 def setting_pair(name: str, value) -> tuple[AnalyzerAngle, AnalyzerAngle]:
-    """A station's two candidate settings as angles; ValueError unless records write them as two angles."""
+    """A station's two candidate settings as angles; ValueError unless they are two angles as written."""
     first, second = value
     pair = (as_angle(first), as_angle(second))
-    if _written_degrees(pair[0].degrees) == _written_degrees(pair[1].degrees):
+    if pair[0] == pair[1]:
         raise ValueError(f"{name} must hold two distinct settings, got {pair}")
     return pair
 

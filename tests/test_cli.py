@@ -142,17 +142,23 @@ class TestSimulate:
                                ordering="pol-first", bsm_mode="partial", seed=9)
         assert list(read_records(str(out))) == list(run_batch(cfg))
 
-    # the second pair: a setting that records write as 180, which is the setting 0 in the file and the manifest alike
-    @pytest.mark.parametrize("angles", [("--angles", "5,50,20,65"), ("--angles", "10,179.99999999999,22.5,67.5"),
-                                        ("--angles=10,-1e-13,22.5,67.5",)], ids=lambda angles: angles[-1])
-    def test_manifest_is_a_complete_recipe(self, angles, tmp_path):
-        out = simulate(tmp_path, trials=400, seed=11, extra=(*angles, "--visibility", "0.9"))
+    # each case is named by its angles.  The second and third: a setting that records write as 180, which is
+    # the setting 0 in the file and the manifest alike; the fourth: flags past 12 significant digits, run as written
+    @pytest.mark.parametrize("flags", [("--angles", "5,50,20,65", "--visibility", "0.9"),
+                                       ("--angles", "10,179.99999999999,22.5,67.5", "--visibility", "0.9"),
+                                       ("--angles=10,-1e-13,22.5,67.5", "--visibility", "0.9"),
+                                       ("--angles", "0,45.0000000000001,22.5,67.5",
+                                        "--visibility", "0.9000000000001")], ids=lambda flags: flags[-3])
+    def test_manifest_is_a_complete_recipe(self, flags, tmp_path):
+        out = simulate(tmp_path, trials=400, seed=11, extra=flags)
         doc = json.loads((tmp_path / "records.jsonl.manifest.json").read_text())["config"]
         cfg = ExperimentConfig(
             angles0=tuple(doc["angles0"]), angles3=tuple(doc["angles3"]),
             trials=doc["trials"], ordering=doc["ordering"], bsm_mode=doc["bsm_mode"],
             seed=doc["seed"], visibility=doc["visibility"],
         )
+        args = cli.build_parser().parse_args(["simulate", "--trials", "400", "--seed", "11", "--out", str(out), *flags])
+        assert cfg == cli._experiment_config(args, args.angles, args.trials)
         assert doc["setting_policy"] == "uniform"
         rebuilt = "".join(
             json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n"
@@ -531,6 +537,12 @@ class TestReport:
     def test_bad_scan_step(self):
         assert main(["report", "--scan", "--exact", "--scan-step", "0"]) == 2
 
+    def test_scan_rows_run_the_delta_they_print(self):
+        # the grid sums its step, so its fourth point is 0.30000000000000004, printed and run as 0.3
+        args = cli.build_parser().parse_args(["report", "--scan", "--exact"])
+        for delta in cli._scan_grid(0.1):
+            assert cli._scan_config(delta, args, 1).angles3[0].degrees == float(swapsim.records._fmt(delta)), delta
+
     def test_scan_step_past_the_step_bound_is_rejected(self):
         with pytest.raises(ValueError):
             cli._scan_grid(1e-4)
@@ -545,9 +557,10 @@ class TestReport:
 class TestClassicalCommands:
     def test_generate_writes_records_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "lhv.jsonl"
-        code = main(["classical", "generate", "--model", "uniform", "--trials", "1000",
-                     "--seed", "3", "--out", str(out)])
-        assert code == 0
+        # a 15-digit angle: the manifest states the angle the engine runs
+        argv = ["classical", "generate", "--model", "uniform", "--trials", "1000", "--seed", "3",
+                "--angles", "0,45,22.5000000000001,67.5", "--out", str(out)]
+        assert main(argv) == 0
         assert "wrote 1000 records" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert len(lines) == 1000
@@ -556,6 +569,11 @@ class TestClassicalCommands:
         manifest = json.loads((tmp_path / "lhv.jsonl.manifest.json").read_text())
         assert manifest["command"] == "classical-generate"
         assert manifest["config"]["model"] == "uniform"
+        doc = manifest["config"]
+        rebuilt = swapsim.classical.ClassicalConfig(angles0=tuple(doc["angles0"]), angles3=tuple(doc["angles3"]),
+                                                    trials=doc["trials"], seed=doc["seed"])
+        args = cli.build_parser().parse_args(argv)
+        assert rebuilt == cli._classical_config(args)
 
     @pytest.mark.parametrize("rule", ["pr-box", "quantum-mimic"])
     def test_apply_discard_keeps_the_input_records_the_command_keeps(self, rule, tmp_path, capsys):

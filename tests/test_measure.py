@@ -69,7 +69,7 @@ class TestPolarizationObservable:
         for _ in range(20):
             theta = float(rng.uniform(0.0, 180.0))
             p_plus, p_minus = polarization_observable(theta)
-            t = np.deg2rad(theta)
+            t = np.deg2rad(AnalyzerAngle(theta).degrees)  # the angle the engine runs, as records write it
             expected = np.array(
                 [[np.cos(2 * t), np.sin(2 * t)], [np.sin(2 * t), -np.cos(2 * t)]]
             )
@@ -370,7 +370,7 @@ class TestOutcomeDistribution:
         for _ in range(20):
             theta = float(rng.uniform(0.0, 180.0))
             table = walk(state, [PolarizationSpec(0, AnalyzerAngle(theta))])
-            t = np.deg2rad(theta)
+            t = np.deg2rad(AnalyzerAngle(theta).degrees)  # the angle the engine runs, as records write it
             assert abs(table[(+1,)] - np.cos(t) ** 2) <= 1e-12
             assert abs(table[(-1,)] - np.sin(t) ** 2) <= 1e-12
 
@@ -400,8 +400,9 @@ class TestOutcomeDistribution:
             ]
             table = walk(state, plan)
 
-            pol0 = oracles.polarization_projectors_explicit(np.deg2rad(alpha))
-            pol3 = oracles.polarization_projectors_explicit(np.deg2rad(delta))
+            # at the angles the engine runs, as records write them
+            pol0 = oracles.polarization_projectors_explicit(np.deg2rad(AnalyzerAngle(alpha).degrees))
+            pol3 = oracles.polarization_projectors_explicit(np.deg2rad(AnalyzerAngle(delta).degrees))
             for (bsm, o0, o3), p in table.items():
                 mats = [
                     oracles.embed_adjacent_pair(oracles.bell_projector_explicit(bsm.value), 4, 1),

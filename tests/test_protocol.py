@@ -72,7 +72,8 @@ class TestExperimentConfig:
             config(angles0=(10.0, 190.0))
 
     def test_rejects_visibility_outside_unit_interval(self):
-        for bad in (-0.1, 1.0001):
+        # checked before rounding, which writes 1.0000000000001 as 1; -1e-13 is a tiny negative one
+        for bad in (-0.1, 1.0001, 1.0000000000001, -1e-13):
             with pytest.raises(ValueError):
                 config(visibility=bad)
 

@@ -25,9 +25,8 @@ class TestAnalyzerAngleMatchesNumpy:
     def _check(values):
         for x in values:
             angle = AnalyzerAngle(x)
-            remainder = x % 180.0
-            # a remainder that 12 significant digits write as 180, such as a tiny negative x's, is the setting 0
-            degrees = 0.0 if float(f"{remainder:.12g}") == 180.0 else remainder
+            # mod 180 as records write it: 12 significant digits, so a remainder written as 180 is the setting 0
+            degrees = float(f"{x % 180:.12g}") % 180
             assert angle.degrees == degrees, x
             assert angle.radians.hex() == float(np.deg2rad(degrees)).hex(), x
 
